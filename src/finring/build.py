@@ -24,8 +24,15 @@ witness indices are read through them):
   identity coefficient least significant.
 
 Constructions at or below the table threshold materialize full numpy
-operation tables (built vectorized from the base ring's tables); larger
-ones compute operations on demand through the same coordinate formulas.
+operation tables; larger ones compute operations on demand through the
+same coordinate formulas.  A coordinate construction's table build runs
+its formula only on row 0 and the (q-1)*k generator rows c*e_i (one
+nonzero coordinate) and fills every other row x = x' + c*e_i from rows
+already built: ADD[x] = ADD[x', ADD[c*e_i]] and, by right
+distributivity, MUL[x] = ADD[MUL[x'], MUL[c*e_i]].  The fill equals the
+formula whenever the base is a ring, which every base built by this
+module or parsed from an expression is; run ``verify_axioms`` on a
+hand-made ``FiniteRing`` before using it as a base.
 """
 
 from __future__ import annotations
@@ -133,7 +140,16 @@ def _coord_ring(base, k, weights, one_coords, mul_coords, label, limits, materia
     Addition and negation are componentwise; multiplication comes from
     ``mul_coords(ops, xc, yc) -> zc``, written purely in terms of
     ``ops.add``/``ops.mul``/``ops.neg`` so the same formula serves the
-    vectorized table build and on-demand scalar evaluation.
+    vectorized table build and on-demand scalar evaluation.  ``weights``
+    must be the powers q^0..q^(k-1) in some order.
+
+    In table mode the formula runs on row 0 and the generator rows c*e_i
+    only: broadcast over the base tables, or through the scalar
+    functions over a lazy base.  The other rows are filled in ascending
+    weight order, one block gather per coordinate and table, so each
+    table costs O(n^2) once instead of once per formula term.  The fill
+    equals the formula when ``base`` is a ring (see the module
+    docstring); the negation table is read off the addition table.
     """
     q = base.order
     order = q ** k
@@ -143,14 +159,6 @@ def _coord_ring(base, k, weights, one_coords, mul_coords, label, limits, materia
     dec = _decode_matrix(order, radices, weights)
     one_index = _encode_scalar(one_coords, weights)
     ops = _Ops.for_ring(base)
-
-    if table_mode and base.mode == "table":
-        xs = [dec[:, i].reshape(-1, 1) for i in range(k)]
-        ys = [dec[:, i].reshape(1, -1) for i in range(k)]
-        add_t = _encode_arrays([ops.add(x, y) for x, y in zip(xs, ys)], weights)
-        mul_t = _encode_arrays(mul_coords(ops, xs, ys), weights)
-        neg_t = _encode_arrays([ops.neg(dec[:, i]) for i in range(k)], weights)
-        return FiniteRing(order, one_index, label, add_table=add_t, mul_table=mul_t, neg_table=neg_t)
 
     def add_fn(x, y):
         xc, yc = dec[x], dec[y]
@@ -166,11 +174,30 @@ def _coord_ring(base, k, weights, one_coords, mul_coords, label, limits, materia
 
     if not table_mode:
         return FiniteRing(order, one_index, label, add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn)
-    # materialized ring over a lazy base: scalar build (rare, small)
-    add_t = [[add_fn(x, y) for y in range(order)] for x in range(order)]
-    mul_t = [[mul_fn(x, y) for y in range(order)] for x in range(order)]
-    neg_t = [neg_fn(x) for x in range(order)]
-    return FiniteRing(order, one_index, label, add_table=add_t, mul_table=mul_t, neg_table=neg_t)
+
+    steps = sorted(weights)
+    rows = np.array([0] + [c * w for w in steps for c in range(1, q)])
+    add_t = np.empty((order, order), dtype=np.int32)
+    mul_t = np.empty((order, order), dtype=np.int32)
+    if base.mode == "table":
+        xs = [dec[rows, i].reshape(-1, 1) for i in range(k)]
+        ys = [dec[:, i].reshape(1, -1) for i in range(k)]
+        add_t[rows] = _encode_arrays([ops.add(x, y) for x, y in zip(xs, ys)], weights)
+        mul_t[rows] = _encode_arrays(mul_coords(ops, xs, ys), weights)
+    else:
+        add_t[rows] = [[add_fn(int(x), y) for y in range(order)] for x in rows]
+        mul_t[rows] = [[mul_fn(int(x), y) for y in range(order)] for x in rows]
+    # Row c*w + x' (x' < w) is x' + g for g = c*w, so by associativity and
+    # right distributivity ADD[x] = ADD[x', ADD[g]] and MUL[x] =
+    # ADD[MUL[x'], MUL[g]].  Ascending w keeps rows below w filled; MUL
+    # waits for the whole of ADD because it reads arbitrary ADD rows.
+    for w in steps:
+        g = np.arange(1, q) * w
+        add_t[w:q * w] = add_t[np.arange(w)[:, None], add_t[g][:, None, :]].reshape(-1, order)
+    for w in steps:
+        g = np.arange(1, q) * w
+        mul_t[w:q * w] = add_t[mul_t[None, :w], mul_t[g][:, None, :]].reshape(-1, order)
+    return FiniteRing(order, one_index, label, add_table=add_t, mul_table=mul_t)
 
 
 def _little_endian_weights(q: int, k: int) -> list[int]:

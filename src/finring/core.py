@@ -399,8 +399,11 @@ def parse_table_dump(text: str, label: str = "table-ring") -> FiniteRing:
     raw = text.splitlines()
     if len(raw) < 2 or not raw[0].startswith("order ") or not raw[1].startswith("one "):
         raise ArgumentError("table dump must start with 'order n' and 'one i' lines")
-    n = int(raw[0].split()[1])
-    one = int(raw[1].split()[1])
+    try:
+        n = int(raw[0].split()[1])
+        one = int(raw[1].split()[1])
+    except (IndexError, ValueError):
+        raise ArgumentError(f"malformed table dump header: {raw[0]!r}, {raw[1]!r}") from None
     rows = raw[2:]
     # one blank separator line between the two tables
     expected = 2 * n + 1
@@ -408,7 +411,10 @@ def parse_table_dump(text: str, label: str = "table-ring") -> FiniteRing:
     if len(rows) < 2 * n:
         raise ArgumentError(f"table dump needs {expected} table lines, got {len(raw) - 2}")
     def parse_block(block):
-        table = [[int(v) for v in line.split()] for line in block]
+        try:
+            table = [[int(v) for v in line.split()] for line in block]
+        except ValueError:
+            raise ArgumentError("table entries must be integers") from None
         if any(len(row) != n for row in table):
             raise ArgumentError("table row length does not match order")
         if any(not 0 <= v < n for row in table for v in row):

@@ -18,6 +18,8 @@ last entry must be the index of 1 (monic modulus).  CORNER and QUOT
 take canonical element indices; use the CLI `table` command to discover
 them.  Parse errors never raise bare exceptions out of the module: they
 are ParseError values carrying a byte offset and the expected tokens.
+Expressions nest at most MAX_NESTING levels deep; every parenthesised
+or constructor argument and every further product factor is one level.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from . import build
 from .analysis import ideal_closure, jacobson
 from .core import DEFAULT_LIMITS, FiniteRing, Limits
 from .groups import NAMED_GROUPS, GroupTable, cyclic, group_product
+
+# Parsing, formatting and evaluation recurse once per level.
+MAX_NESTING = 200
 
 
 class ParseError(ValueError):
@@ -177,6 +182,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -203,11 +209,21 @@ class _Parser:
             raise ParseError(f"{what} must be >= {minimum}, got {tok.value}", tok.pos)
         return tok.value
 
+    def deeper(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nested more than {MAX_NESTING} levels deep",
+                             self.peek().pos)
+
     def parse_expr(self):
+        outer = self.depth
+        self.deeper()
         terms = [self.parse_term()]
         while self.peek().kind == "PROD":
             self.advance()
+            self.deeper()
             terms.append(self.parse_term())
+        self.depth = outer
         node = terms[-1]
         for t in reversed(terms[:-1]):
             node = Product(t, node)
@@ -303,10 +319,14 @@ class _Parser:
                          ("a ring term",))
 
     def parse_gexpr(self):
+        outer = self.depth
+        self.deeper()
         terms = [self.parse_gterm()]
         while self.peek().kind == "PROD":
             self.advance()
+            self.deeper()
             terms.append(self.parse_gterm())
+        self.depth = outer
         node = terms[-1]
         for t in reversed(terms[:-1]):
             node = GProd(t, node)

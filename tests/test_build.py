@@ -316,13 +316,52 @@ def test_encoding_roundtrip():
                 assert got == expected
 
 
+def op_tables(ring):
+    return ring.add_table, ring.mul_table, ring.neg_table
+
+
+def scalar_op_tables(ring):
+    n = range(ring.order)
+    return (np.array([[ring.add(x, y) for y in n] for x in n]),
+            np.array([[ring.mul(x, y) for y in n] for x in n]),
+            np.array([ring.neg(x) for x in n]))
+
+
+# One input per coordinate construction, orders <= 81.  TE has the
+# weights [q, 1]; bases with q >= 3 fill rows c * e_i with c >= 2.
+AGREEMENT_CASES = {
+    "M(2, Z/3)": lambda m: matrix_ring(2, zmod(3), materialize=m),
+    "UT(3, Z/2)": lambda m: upper_triangular(3, zmod(2), materialize=m),
+    "TE(Z/9)": lambda m: trivial_extension(zmod(9), materialize=m),
+    "BT(Z/3)": lambda m: bt(zmod(3), materialize=m),
+    "GF(3, 3)": lambda m: gf(3, 3, materialize=m),
+    "NIL(Z/4, 3)": lambda m: poly_quotient(zmod(4), [0, 0, 0, 1], materialize=m),
+    "POLYQ(Z/4, [1, 1, 1])": lambda m: poly_quotient(zmod(4), [1, 1, 1], materialize=m),
+    "GR(Z/2, S3)": lambda m: group_ring(zmod(2), symmetric_3(), materialize=m),
+}
+
+
 def test_modes_agree_matrix():
-    table = matrix_ring(2, zmod(3), materialize=True)
-    lazy = matrix_ring(2, zmod(3), materialize=False)
-    for x in range(0, 81, 7):
-        for y in range(81):
-            assert table.mul(x, y) == lazy.mul(x, y)
-            assert table.add(x, y) == lazy.add(x, y)
+    # The lazy ring runs the coordinate formula pair by pair, so it is an
+    # independent reference for the table build's distributive fill.
+    for label, make in AGREEMENT_CASES.items():
+        table, lazy = make(True), make(False)
+        assert table.mode == "table" and lazy.mode == "lazy", label
+        for got, want in zip(op_tables(table), scalar_op_tables(lazy)):
+            assert np.array_equal(got, want), label
+
+
+def test_table_ring_over_lazy_base_matches_table_twin():
+    pairs = [
+        (trivial_extension(zmod(9, materialize=False), materialize=True),
+         trivial_extension(zmod(9))),
+        (upper_triangular(2, zmod(5, materialize=False), materialize=True),
+         upper_triangular(2, zmod(5))),
+    ]
+    for over_lazy, twin in pairs:
+        assert over_lazy.mode == "table" and twin.mode == "table"
+        for got, want in zip(op_tables(over_lazy), op_tables(twin)):
+            assert np.array_equal(got, want), twin.label
 
 
 def test_derived_rings_from_lazy_parent_match_table_twin():

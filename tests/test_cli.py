@@ -57,6 +57,8 @@ def test_analyze_errors_exit_2():
     assert code == 2
     code, _, err = run_cli("analyze", "M(2, M(2, Z/4))")
     assert code == 2 and "M(2, M(2, Z/4))" in err
+    code, _, err = run_cli("analyze", "(" * 2000 + "Z/2" + ")" * 2000)
+    assert code == 2 and "nested more than" in err
 
 
 def test_table_sets():

@@ -162,6 +162,10 @@ def test_parse_table_dump_rejects_garbage():
         parse_table_dump("not a dump")
     with pytest.raises(ArgumentError):
         parse_table_dump("order 2\none 1\n0 1\n1 0\n\n0 0\n0 5\n")  # entry out of range
+    with pytest.raises(ArgumentError, match="header"):
+        parse_table_dump("order x\none 1\n")
+    with pytest.raises(ArgumentError):
+        parse_table_dump("order 2\none 1\n0 1\n1 a\n\n0 0\n0 1\n")  # entry not an integer
 
 
 def test_ring_validation():

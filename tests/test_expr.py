@@ -16,6 +16,7 @@ from finring import (
 )
 from finring.expr import (
     GF,
+    MAX_NESTING,
     CyclicG,
     GProd,
     GroupRing,
@@ -85,6 +86,23 @@ def test_parse_never_raises_anything_else():
         except ParseError as exc:
             assert 0 <= exc.position <= len(text)
         # anything else propagates and fails the test
+
+
+def test_nesting_depth_cap():
+    at_cap = "(" * (MAX_NESTING - 1) + "Z/2" + ")" * (MAX_NESTING - 1)
+    assert parse(at_cap) == Zmod(2)
+    assert parse_and_build(at_cap).order == 2
+    chain = " x ".join(["Z/2"] * MAX_NESTING)
+    assert format_expr(parse(chain)) == chain
+    group_chain = "GR(Z/2, " + " x ".join(["C1"] * (MAX_NESTING - 1)) + ")"
+    assert parse(group_chain).inner == Zmod(2)
+    for past_cap in ("(" + at_cap + ")", chain + " x Z/2", group_chain.replace("C1)", "C1 x C1)")):
+        with pytest.raises(ParseError, match="nested more than"):
+            parse(past_cap)
+    with pytest.raises(ParseError):
+        parse("(" * 2000 + "Z/2" + ")" * 2000)
+    with pytest.raises(ParseError):
+        parse("TE(" * 2000 + "Z/2" + ")" * 2000)
 
 
 def test_roundtrip_random_asts():
