@@ -47,13 +47,24 @@ _SET_FNS = {
 }
 
 
+def _at_least(minimum: int, base: int):
+    """An argparse type: an integer (literal of ``base``) no smaller than ``minimum``."""
+    def integer(text: str) -> int:
+        value = int(text, base)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit JSON instead of text")
-    common.add_argument("--max-order", type=int, metavar="N", default=argparse.SUPPRESS,
+    common.add_argument("--max-order", type=_at_least(2, 10), metavar="N",
+                        default=argparse.SUPPRESS,
                         help="reject constructions above this order (default 10000)")
-    common.add_argument("--seed", type=lambda s: int(s, 0), metavar="S", default=argparse.SUPPRESS,
+    common.add_argument("--seed", type=_at_least(0, 0), metavar="S", default=argparse.SUPPRESS,
                         help="seed for sampled axiom checks (default 0x52314E47)")
     common.add_argument("--dump-tables", action="store_true", default=argparse.SUPPRESS,
                         help="append the add/mul table dump to the output")

@@ -25,6 +25,8 @@ DEFAULT_MAX_ORDER = 10_000
 DEFAULT_TABLE_THRESHOLD = 1024
 EXHAUSTIVE_AXIOM_CUTOFF = 256
 AXIOM_SAMPLE_COUNT = 100_000
+# Triples per block of an exhaustive table-mode ternary axiom check.
+AXIOM_BLOCK_ELEMENTS = 1 << 20
 # Fixed seed for sampled axiom checks, "R1NG" read as a big-endian int.
 DEFAULT_SEED = int.from_bytes(b"R1NG", "big")
 
@@ -275,6 +277,43 @@ def _first_false(mask: np.ndarray) -> tuple | None:
     return tuple(int(v) for v in idx[0])
 
 
+def _blocked_ternary_checks(ring: FiniteRing) -> list[AxiomCheck]:
+    """Exhaustive associativity and distributivity of a table ring, by
+    blocks of x rows (see :func:`verify_axioms`).
+
+    Blocks run in ascending x and a check stops at its first failing
+    block, whose first failing entry is therefore the lexicographically
+    first failing triple.
+    """
+    n = ring.order
+    ADD, MUL = ring.add_table.astype(np.intp), ring.mul_table.astype(np.intp)
+    small = np.min_scalar_type(n - 1)
+    add_v, mul_v = ADD.astype(small), MUL.astype(small)
+    add_flat = add_v.ravel()
+    rows = max(1, AXIOM_BLOCK_ELEMENTS // (n * n))
+    # Each entry maps a row slice s to both sides at [x - s.start, y, z].
+    sides = {
+        "add-associative": lambda s: (add_v[ADD[s]], add_v[s][:, ADD]),
+        "mul-associative": lambda s: (mul_v[MUL[s]], mul_v[s][:, MUL]),
+        "left-distributive": lambda s: (mul_v[s][:, ADD],
+                                        add_flat[MUL[s, :, None] * n + MUL[s, None, :]]),
+        "right-distributive": lambda s: (mul_v[ADD[s]],
+                                         add_flat[MUL[s, None, :] * n + MUL[None, :, :]]),
+    }
+    checks = []
+    for name, block in sides.items():
+        witness = None
+        for start in range(0, n, rows):
+            lhs, rhs = block(slice(start, start + rows))
+            differ = lhs != rhs
+            if differ.any():
+                x, y, z = np.unravel_index(int(np.argmax(differ)), differ.shape)
+                witness = (start + int(x), int(y), int(z))
+                break
+        checks.append(AxiomCheck(name, witness is None, witness, n ** 3, "exhaustive"))
+    return checks
+
+
 def verify_axioms(
     ring: FiniteRing,
     *,
@@ -287,9 +326,18 @@ def verify_axioms(
     Unary and binary axioms are always exhaustive.  The ternary axioms
     (associativity, distributivity) are exhaustive for order <=
     ``exhaustive_cutoff`` and otherwise checked on ``samples`` seeded
-    pseudo-random triples.  Exhaustive lazy-mode checks on large rings
-    are correct but slow; they exist for spot checks, not hot paths.
+    pseudo-random triples.  In table mode the exhaustive ternary checks
+    run over blocks of x rows, each block holding all (y, z), in the
+    narrowest unsigned dtype that holds n - 1: memory stays near
+    ``AXIOM_BLOCK_ELEMENTS`` triples per side (a few MB) rather than four
+    int32 n^3 cubes, and a check stops at its first failing block.  Every
+    check reports the lexicographically first failing tuple as its
+    witness.  Exhaustive lazy-mode checks on large rings are correct but
+    slow; they exist for spot checks, not hot paths.  A negative
+    ``seed`` raises :class:`ArgumentError`.
     """
+    if seed < 0:
+        raise ArgumentError(f"axiom seed must be >= 0, got {seed}")
     n = ring.order
     checks = []
 
@@ -307,16 +355,7 @@ def verify_axioms(
         checks.append(AxiomCheck("one-differs-from-zero", ring.one != 0, None, 1, "exhaustive"))
 
         if n <= exhaustive_cutoff:
-            def ternary(name, lhs, rhs):
-                mask = lhs == rhs
-                checks.append(AxiomCheck(name, bool(mask.all()), _first_false(mask), mask.size, "exhaustive"))
-
-            ternary("add-associative", ADD[ADD, :], ADD[:, ADD])
-            ternary("mul-associative", MUL[MUL, :], MUL[:, MUL])
-            ternary("left-distributive", MUL[:, ADD],
-                    ADD[MUL[:, :, None], MUL[:, None, :]])
-            ternary("right-distributive", MUL[ADD, :],
-                    ADD[MUL[:, None, :], MUL[None, :, :]])
+            checks.extend(_blocked_ternary_checks(ring))
         else:
             rng = np.random.default_rng(seed)
             xs, ys, zs = (rng.integers(0, n, size=samples) for _ in range(3))
@@ -344,10 +383,15 @@ def verify_axioms(
                         return
             checks.append(AxiomCheck(name, True, None, n * n, "exhaustive"))
 
+        def scan_unary(name, pred):
+            bad = next((x for x in range(n) if not pred(x)), None)
+            checks.append(AxiomCheck(name, bad is None, None if bad is None else (bad,),
+                                     n, "exhaustive"))
+
         scan_binary("add-commutative", lambda x, y: add(x, y) == add(y, x))
-        scan_binary("zero-is-additive-identity", lambda x, y: add(0, x) == x and add(x, 0) == x)
-        scan_binary("additive-inverse", lambda x, y: add(x, neg(x)) == 0)
-        scan_binary("one-is-identity", lambda x, y: mul(ring.one, x) == x and mul(x, ring.one) == x)
+        scan_unary("zero-is-additive-identity", lambda x: add(0, x) == x and add(x, 0) == x)
+        scan_unary("additive-inverse", lambda x: add(x, neg(x)) == 0)
+        scan_unary("one-is-identity", lambda x: mul(ring.one, x) == x and mul(x, ring.one) == x)
         checks.append(AxiomCheck("one-differs-from-zero", ring.one != 0, None, 1, "exhaustive"))
 
         if n <= exhaustive_cutoff:

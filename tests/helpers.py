@@ -10,6 +10,9 @@ from __future__ import annotations
 import random
 from math import gcd
 
+import numpy as np
+
+from finring.core import AxiomCheck
 from finring.expr import (
     BT,
     GF,
@@ -222,3 +225,32 @@ def random_ring_expr(rng: random.Random, depth: int):
     if kind == 9:
         return Corner(inner, rng.randint(0, 30))
     return Quot(inner, tuple(rng.randint(0, 30) for _ in range(rng.randint(1, 3))))
+
+
+# ---------------------------------------------------------------------------
+# Full-cube reference for the exhaustive table-mode ternary axiom checks
+
+
+def full_cube_ternary_checks(ring) -> tuple:
+    """Associativity and distributivity of a table ring over whole n^3 cubes.
+
+    The straightforward form of ``verify_axioms``'s exhaustive ternary
+    branch: each side is one int32 cube indexed [x, y, z], and the witness
+    is the first failing triple of ``np.argwhere``, in lexicographic order.
+    """
+    ADD, MUL = ring.add_table, ring.mul_table
+    checks = []
+
+    def ternary(name, lhs, rhs):
+        mask = lhs == rhs
+        bad = np.argwhere(~mask)
+        witness = tuple(int(v) for v in bad[0]) if len(bad) else None
+        checks.append(AxiomCheck(name, bool(mask.all()), witness, mask.size, "exhaustive"))
+
+    ternary("add-associative", ADD[ADD, :], ADD[:, ADD])
+    ternary("mul-associative", MUL[MUL, :], MUL[:, MUL])
+    ternary("left-distributive", MUL[:, ADD],
+            ADD[MUL[:, :, None], MUL[:, None, :]])
+    ternary("right-distributive", MUL[ADD, :],
+            ADD[MUL[:, None, :], MUL[None, :, :]])
+    return tuple(checks)

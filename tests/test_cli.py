@@ -61,6 +61,21 @@ def test_analyze_errors_exit_2():
     assert code == 2 and "nested more than" in err
 
 
+def test_max_order_below_2_is_usage_error(capsys):
+    for value in ("-3", "1"):
+        code, out, _ = run_cli("analyze", "Z/4", "--max-order", value)
+        assert code == 2 and not out
+        assert f"--max-order: must be >= 2, got {value}" in capsys.readouterr().err
+    assert run_cli("analyze", "Z/2", "--max-order", "2")[0] == 0
+
+
+def test_negative_seed_is_usage_error(capsys):
+    for argv in (["verify", "--seed", "-1"], ["--seed", "-1", "analyze", "Z/4"]):
+        code, out, _ = run_cli(*argv)
+        assert code == 2 and not out
+        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_table_sets():
     code, out, _ = run_cli("table", "Z/12", "jacobson")
     assert code == 0 and out.strip() == "0 6"

@@ -4,13 +4,18 @@ import pytest
 from finring import (
     ArgumentError,
     FiniteRing,
+    default_corpus,
     dump_tables,
+    parse_and_build,
     parse_table_dump,
     verify_axioms,
     zmod,
 )
 from finring.build import group_ring, matrix_ring, trivial_extension
+from finring.core import AXIOM_BLOCK_ELEMENTS
 from finring.groups import cyclic
+
+from helpers import full_cube_ternary_checks
 
 
 def test_element_ops_zmod4():
@@ -118,6 +123,64 @@ def test_axioms_sampled_policy_above_cutoff():
     # sampling is seeded: identical reports on reruns
     again = verify_axioms(r)
     assert [c.policy for c in report.checks] == [c.policy for c in again.checks]
+
+
+def _corrupted(ring, faults):
+    """``ring`` with table entries (table, x, y) moved to (value + 1) mod n."""
+    tables = {"add": np.array(ring.add_table), "mul": np.array(ring.mul_table)}
+    for table, x, y in faults:
+        tables[table][x, y] = (tables[table][x, y] + 1) % ring.order
+    return FiniteRing(ring.order, ring.one, "corrupted",
+                      add_table=tables["add"], mul_table=tables["mul"])
+
+
+def test_blocked_axioms_match_full_cube_on_corpus():
+    rings = [ring for _, ring in default_corpus().rings() if ring.order <= 256]
+    assert max(ring.order for ring in rings) == 256
+    for ring in rings:
+        assert verify_axioms(ring).checks[-4:] == full_cube_ternary_checks(ring), ring.label
+
+
+def test_blocked_axioms_match_full_cube_on_corrupted_tables():
+    m = parse_and_build("M(2, Z/4)")
+    n = m.order
+    rows = AXIOM_BLOCK_ELEMENTS // (n * n)
+    assert 1 < rows < n
+    first, middle, last = 3, (n // rows // 2) * rows + 2, n - 6
+    cases = [[(table, x, 7)] for table in ("add", "mul") for x in (first, middle, last)]
+    cases.append([("mul", last, 7), ("mul", middle, 200)])
+    for faults in cases:
+        ring = _corrupted(m, faults)
+        report = verify_axioms(ring)
+        assert report.checks[-4:] == full_cube_ternary_checks(ring), faults
+        if faults[0][0] == "mul":
+            # a MUL fault in row x first breaks left distributivity at x,
+            # so these witnesses lie in the first, a middle and the last block
+            left = next(c for c in report.checks if c.name == "left-distributive")
+            assert left.witness[0] == min(x for _, x, _ in faults), faults
+
+
+def test_axioms_lazy_twin_of_corrupted_tables_agrees():
+    r = zmod(6)
+    # breaks 0 + 3, leaves row 2 without a zero (so no inverse), breaks 5 * 1
+    table = _corrupted(r, [("add", 3, 0), ("add", 2, 4), ("mul", 5, 1)])
+    lazy = FiniteRing(6, 1, "lazy twin",
+                      add_fn=lambda x, y: int(table.add_table[x, y]),
+                      mul_fn=lambda x, y: int(table.mul_table[x, y]),
+                      neg_fn=lambda x: int(table.neg_table[x]))
+    table_report, lazy_report = verify_axioms(table), verify_axioms(lazy)
+    assert table_report.checks == lazy_report.checks
+    failed = {c.name: c for c in table_report.failures()}
+    assert failed["zero-is-additive-identity"].witness == (3,)
+    assert failed["additive-inverse"].witness == (2,)
+    assert failed["one-is-identity"].witness == (5,)
+    assert failed["one-is-identity"].checked == 6
+
+
+def test_axioms_reject_negative_seed():
+    for ring in (zmod(4), zmod(300)):
+        with pytest.raises(ArgumentError, match="seed"):
+            verify_axioms(ring, seed=-1)
 
 
 def test_lazy_and_table_modes_agree_small():
