@@ -5,20 +5,23 @@ Jacobson radical J(R), the power-radical sqrtJ(R) = {x : x^m in J(R)
 for some m >= 1}, the nilpotents N(R), the idempotents Id(R), and the
 center C(R).
 
-Algorithm notes:
+Algorithm notes (one code path for both storage modes, reading the
+ring through ``add_arr``/``mul_arr``/``neg_arr`` and row blocks of
+about ``AXIOM_BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
 
+- Units come from the scan "find y with x*y = 1, then confirm
+  y*x = 1", one multiplication-table row block at a time.  A failed
+  confirmation is an InternalConsistencyError (finite rings are
+  Dedekind finite, so it cannot legitimately happen).
 - J(R) uses quasi-regularity: x is in J(R) iff 1 - r*x is a unit for
   every r.  The computed set is then verified to be a two-sided ideal;
   a verification failure raises InternalConsistencyError because it can
   only mean a bug, never bad input.
-- sqrtJ membership walks the power orbit of x (length <= order), so no
-  exponent cap is needed.
-- Table-mode rings detect units by the scan "find y with x*y = 1, then
-  confirm y*x = 1" (vectorized).  Lazy rings instead walk the power
-  orbit: in a finite ring x is a unit iff x^m = 1 for some m >= 1, and
-  then x^(m-1) is the inverse; the two-sided confirmation is kept.  A
-  failed confirmation is an InternalConsistencyError (finite rings are
-  Dedekind finite, so it cannot legitimately happen).
+- sqrtJ and N use repeated squaring.  J(R) and {0} are ideals, so once
+  a power x^m lies in one of them every higher power does too, and the
+  powers of x take at most n distinct values, so x is in sqrtJ (in N)
+  iff x^(2^k) is in J (is 0) for 2^k >= n: ceil(log2 n) squarings of
+  every element at once.
 
 Each ring carries one cache; concurrent requests for the same set see a
 single computation (a per-ring lock guards the cache), and all returned
@@ -29,7 +32,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ElementSet, FiniteRing, InternalConsistencyError, element_set
+from .core import (
+    ElementSet,
+    FiniteRing,
+    InternalConsistencyError,
+    closure,
+    element_set,
+    member_mask,
+)
 
 
 class RingAnalysis:
@@ -50,43 +60,20 @@ class RingAnalysis:
     # -- units ---------------------------------------------------------
 
     def _compute_units(self):
-        ring = self.ring
-        n, one = ring.order, ring.one
-        inverses = {}
-        if ring.mode == "table":
-            MUL = ring.mul_table
-            hits = MUL == one
-            unit_mask = hits.any(axis=1)
-            us = np.nonzero(unit_mask)[0]
-            invs = np.argmax(hits[us], axis=1)
-            if not (MUL[invs, us] == one).all():
-                bad = us[np.argmax(MUL[invs, us] != one)]
-                raise InternalConsistencyError(
-                    f"{ring.label}: one-sided inverse of {int(bad)} is not two-sided")
-            inverses = {int(u): int(v) for u, v in zip(us, invs)}
-        else:
-            for x in range(n):
-                if x == one:
-                    inverses[x] = one
-                    continue
-                inv = None
-                seen = set()
-                prev, cur = None, x
-                while True:
-                    if cur == one:
-                        inv = prev
-                        break
-                    if cur in seen:
-                        break
-                    seen.add(cur)
-                    prev, cur = cur, ring.mul(cur, x)
-                if inv is not None:
-                    if ring.mul(x, inv) != one or ring.mul(inv, x) != one:
-                        raise InternalConsistencyError(
-                            f"{ring.label}: power-orbit inverse of {x} failed confirmation")
-                    inverses[x] = inv
-        members = frozenset(inverses)
-        return element_set(self.ring, members), inverses
+        ring, one = self.ring, self.ring.one
+        us, invs = [], []
+        for lo, block in ring.blocks("mul"):
+            hits = block == one
+            rows = np.flatnonzero(hits.any(axis=1))
+            us.append(lo + rows)
+            invs.append(np.argmax(hits[rows], axis=1))
+        us, invs = np.concatenate(us), np.concatenate(invs)
+        one_sided = ring.mul_arr(invs, us) != one
+        if one_sided.any():
+            bad = us[np.argmax(one_sided)]
+            raise InternalConsistencyError(
+                f"{ring.label}: one-sided inverse of {int(bad)} is not two-sided")
+        return element_set(ring, us), dict(zip(us.tolist(), invs.tolist()))
 
     def units(self) -> ElementSet:
         return self._get("units", self._compute_units)[0]
@@ -106,21 +93,13 @@ class RingAnalysis:
 
     def _compute_jacobson(self):
         ring = self.ring
-        n, one = ring.order, ring.one
-        unit_members = self.units().members
-        if ring.mode == "table":
-            MUL = ring.mul_table
-            one_minus = ring.add_table[one, ring.neg_table]  # 1 - t for every t
-            unit_mask = np.zeros(n, dtype=bool)
-            unit_mask[list(unit_members)] = True
-            jm = unit_mask[one_minus[MUL]].all(axis=0)
-            members = frozenset(int(v) for v in np.nonzero(jm)[0])
-        else:
-            members = set()
-            for x in range(n):
-                if all(ring.sub(one, ring.mul(r, x)) in unit_members for r in range(n)):
-                    members.add(x)
-            members = frozenset(members)
+        n = ring.order
+        unit_mask = member_mask(n, self.units().members)
+        one_minus = ring.add_arr(ring.one, ring.neg_arr(np.arange(n)))  # 1 - t for every t
+        jm = np.ones(n, dtype=bool)
+        for _, block in ring.blocks("mul"):  # block[r, x] = r * x
+            jm &= unit_mask[one_minus[block]].all(axis=0)
+        members = frozenset(np.flatnonzero(jm).tolist())
         self._verify_ideal(members)
         return element_set(ring, members)
 
@@ -131,28 +110,16 @@ class RingAnalysis:
         self.ring._check_index(x)
         return x in self.jacobson().members
 
-    # -- power-orbit sets ----------------------------------------------
+    # -- power-radical sets --------------------------------------------
 
-    def _power_hits(self, targets: frozenset) -> frozenset:
-        """Elements with some power x^m (m >= 1) landing in ``targets``."""
+    def _power_hits(self, ideal: frozenset) -> frozenset:
+        """Elements with some power x^m (m >= 1) in the two-sided
+        ``ideal``, by repeated squaring (see the module docstring)."""
         ring = self.ring
-        n = ring.order
-        if ring.mode == "table":
-            MUL = ring.mul_table
-            tmask = np.zeros(n, dtype=bool)
-            tmask[list(targets)] = True
-            x = np.arange(n)
-            p = x.copy()
-            hit = tmask[p].copy()
-            for _ in range(n - 1):
-                p = MUL[p, x]
-                hit |= tmask[p]
-            return frozenset(int(v) for v in np.nonzero(hit)[0])
-        members = set()
-        for x in range(n):
-            if any(p in targets for p in ring.power_orbit(x)):
-                members.add(x)
-        return frozenset(members)
+        p = np.arange(ring.order)
+        for _ in range((ring.order - 1).bit_length()):
+            p = ring.mul_arr(p, p)
+        return frozenset(np.flatnonzero(member_mask(ring.order, ideal)[p]).tolist())
 
     def sqrt_jacobson(self) -> ElementSet:
         def compute():
@@ -172,26 +139,19 @@ class RingAnalysis:
 
     def idempotents(self) -> ElementSet:
         def compute():
-            ring = self.ring
-            if ring.mode == "table":
-                diag = ring.mul_table.diagonal()
-                members = np.nonzero(diag == np.arange(ring.order))[0]
-            else:
-                members = [x for x in range(ring.order) if ring.mul(x, x) == x]
-            return element_set(ring, members)
+            every = np.arange(self.ring.order)
+            return element_set(self.ring, np.flatnonzero(self.ring.mul_arr(every, every) == every))
         return self._get("idempotents", compute)
 
     def center(self) -> ElementSet:
         def compute():
             ring = self.ring
-            if ring.mode == "table":
-                members = np.nonzero((ring.mul_table == ring.mul_table.T).all(axis=1))[0]
-            else:
-                members = [
-                    x for x in range(ring.order)
-                    if all(ring.mul(x, y) == ring.mul(y, x) for y in range(ring.order))
-                ]
-            return element_set(ring, members)
+            every = np.arange(ring.order)
+            central = np.empty(ring.order, dtype=bool)
+            for lo, block in ring.blocks("mul"):  # rows x*y against columns y*x
+                xs = every[lo:lo + len(block)]
+                central[xs] = (block == ring.mul_arr(every[None, :], xs[:, None])).all(axis=1)
+            return element_set(ring, np.flatnonzero(central))
         return self._get("center", compute)
 
 
@@ -242,40 +202,11 @@ def center(ring: FiniteRing) -> ElementSet:
 
 
 def ideal_closure(ring: FiniteRing, gens) -> ElementSet:
-    """Smallest two-sided ideal containing ``gens`` (worklist fixed point)."""
+    """Smallest two-sided ideal containing ``gens``."""
     gens = [int(x) for x in gens]
     for x in gens:
         ring._check_index(x)
-    if ring.mode == "table":
-        ADD, MUL, NEG = ring.add_table, ring.mul_table, ring.neg_table
-        cur = np.unique(np.array([0] + gens, dtype=np.int64))
-        while True:
-            parts = [
-                cur,
-                ADD[np.ix_(cur, cur)].ravel(),
-                NEG[cur],
-                MUL[:, cur].ravel(),
-                MUL[cur, :].ravel(),
-            ]
-            new = np.unique(np.concatenate(parts))
-            if len(new) == len(cur):
-                return element_set(ring, (int(v) for v in cur))
-            cur = new
-    members = {0}
-    frontier = list(gens)
-    n = ring.order
-    while frontier:
-        w = frontier.pop()
-        if w in members:
-            continue
-        members.add(w)
-        frontier.append(ring.neg(w))
-        for s in list(members):
-            frontier.append(ring.add(w, s))
-        for r in range(n):
-            frontier.append(ring.mul(r, w))
-            frontier.append(ring.mul(w, r))
-    return element_set(ring, members)
+    return element_set(ring, closure(ring, [0] + gens, ideal=True))
 
 
 def is_unit_closed_subring(sub) -> bool:

@@ -47,6 +47,8 @@ from .core import (
     FiniteRing,
     InternalConsistencyError,
     Limits,
+    closure,
+    member_mask,
 )
 from .groups import (
     NAMED_GROUPS,
@@ -90,41 +92,12 @@ class QuotientRing:
         return self.projection[x]
 
 
-class _Ops:
-    """Elementwise base-ring arithmetic accepting ints or numpy arrays.
-
-    Table-backed rings go through numpy indexing (which broadcasts);
-    lazy rings only support the scalar forms.
-    """
-
-    def __init__(self, add, mul, neg, one):
-        self.add = add
-        self.mul = mul
-        self.neg = neg
-        self.one = one
-
-    @staticmethod
-    def for_ring(ring: FiniteRing) -> "_Ops":
-        if ring.mode == "table":
-            A, M, N = ring.add_table, ring.mul_table, ring.neg_table
-            return _Ops(lambda a, b: A[a, b], lambda a, b: M[a, b], lambda a: N[a], ring.one)
-        return _Ops(
-            lambda a, b: ring._add_fn(int(a), int(b)),
-            lambda a, b: ring._mul_fn(int(a), int(b)),
-            lambda a: ring._neg_fn(int(a)),
-            ring.one,
-        )
-
-
 def _decode_matrix(order: int, radices, weights) -> np.ndarray:
     idx = np.arange(order, dtype=np.int64)
     dec = np.empty((order, len(radices)), dtype=np.int64)
     for i, (r, w) in enumerate(zip(radices, weights)):
         dec[:, i] = (idx // w) % r
     return dec
-
-def _encode_scalar(coords, weights) -> int:
-    return int(sum(int(c) * w for c, w in zip(coords, weights)))
 
 def _encode_arrays(coords, weights):
     acc = None
@@ -138,55 +111,47 @@ def _coord_ring(base, k, weights, one_coords, mul_coords, label, limits, materia
     """Build a ring whose elements are k coordinates over ``base``.
 
     Addition and negation are componentwise; multiplication comes from
-    ``mul_coords(ops, xc, yc) -> zc``, written purely in terms of
-    ``ops.add``/``ops.mul``/``ops.neg`` so the same formula serves the
-    vectorized table build and on-demand scalar evaluation.  ``weights``
-    must be the powers q^0..q^(k-1) in some order.
+    ``mul_coords(xc, yc) -> zc``, written with the base ring's
+    broadcasting ``add_arr``/``mul_arr``/``neg_arr`` so the same formula
+    serves on-demand evaluation on index arrays and the table build.
+    ``weights`` must be the powers q^0..q^(k-1) in some order.
 
     In table mode the formula runs on row 0 and the generator rows c*e_i
-    only: broadcast over the base tables, or through the scalar
-    functions over a lazy base.  The other rows are filled in ascending
-    weight order, one block gather per coordinate and table, so each
-    table costs O(n^2) once instead of once per formula term.  The fill
-    equals the formula when ``base`` is a ring (see the module
-    docstring); the negation table is read off the addition table.
+    only.  The other rows are filled in ascending weight order, one
+    block gather per coordinate and table, so each table costs O(n^2)
+    once instead of once per formula term.  The fill equals the formula
+    when ``base`` is a ring (see the module docstring); the negation
+    table is read off the addition table.
     """
     q = base.order
     order = q ** k
     limits.check_order(order, label)
     table_mode = materialize if materialize is not None else order <= limits.table_threshold
-    radices = [q] * k
-    dec = _decode_matrix(order, radices, weights)
-    one_index = _encode_scalar(one_coords, weights)
-    ops = _Ops.for_ring(base)
+    dec = _decode_matrix(order, [q] * k, weights)
+    one_index = int(_encode_arrays(one_coords, weights))
+
+    def coords(x):
+        return [dec[x, i] for i in range(k)]
 
     def add_fn(x, y):
-        xc, yc = dec[x], dec[y]
-        return _encode_scalar([ops.add(int(a), int(b)) for a, b in zip(xc, yc)], weights)
+        return _encode_arrays([base.add_arr(a, b) for a, b in zip(coords(x), coords(y))], weights)
 
     def mul_fn(x, y):
-        xc = [int(v) for v in dec[x]]
-        yc = [int(v) for v in dec[y]]
-        return _encode_scalar(mul_coords(ops, xc, yc), weights)
+        return _encode_arrays(mul_coords(coords(x), coords(y)), weights)
 
     def neg_fn(x):
-        return _encode_scalar([ops.neg(int(a)) for a in dec[x]], weights)
+        return _encode_arrays([base.neg_arr(a) for a in coords(x)], weights)
 
     if not table_mode:
         return FiniteRing(order, one_index, label, add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn)
 
     steps = sorted(weights)
     rows = np.array([0] + [c * w for w in steps for c in range(1, q)])
+    every = np.arange(order)
     add_t = np.empty((order, order), dtype=np.int32)
     mul_t = np.empty((order, order), dtype=np.int32)
-    if base.mode == "table":
-        xs = [dec[rows, i].reshape(-1, 1) for i in range(k)]
-        ys = [dec[:, i].reshape(1, -1) for i in range(k)]
-        add_t[rows] = _encode_arrays([ops.add(x, y) for x, y in zip(xs, ys)], weights)
-        mul_t[rows] = _encode_arrays(mul_coords(ops, xs, ys), weights)
-    else:
-        add_t[rows] = [[add_fn(int(x), y) for y in range(order)] for x in rows]
-        mul_t[rows] = [[mul_fn(int(x), y) for y in range(order)] for x in rows]
+    add_t[rows] = add_fn(rows[:, None], every[None, :])
+    mul_t[rows] = mul_fn(rows[:, None], every[None, :])
     # Row c*w + x' (x' < w) is x' + g for g = c*w, so by associativity and
     # right distributivity ADD[x] = ADD[x', ADD[g]] and MUL[x] =
     # ADD[MUL[x'], MUL[g]].  Ascending w keeps rows below w filled; MUL
@@ -216,20 +181,13 @@ def zmod(n: int, *, label: str | None = None, limits: Limits = DEFAULT_LIMITS,
     label = label or f"Z/{n}"
     limits.check_order(n, label)
     table_mode = materialize if materialize is not None else n <= limits.table_threshold
-    if table_mode:
-        idx = np.arange(n)
-        return FiniteRing(
-            n, 1, label,
-            add_table=(idx[:, None] + idx[None, :]) % n,
-            mul_table=(idx[:, None] * idx[None, :]) % n,
-            neg_table=(-idx) % n,
-        )
-    return FiniteRing(
+    ring = FiniteRing(
         n, 1, label,
         add_fn=lambda x, y: (x + y) % n,
         mul_fn=lambda x, y: (x * y) % n,
         neg_fn=lambda x: (-x) % n,
     )
+    return ring.materialized() if table_mode else ring
 
 
 def is_prime(p: int) -> bool:
@@ -312,31 +270,13 @@ def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
     n2 = r2.order
     one_index = r1.one * n2 + r2.one
     table_mode = materialize if materialize is not None else order <= limits.table_threshold
-    if table_mode and r1.mode == "table" and r2.mode == "table":
-        idx = np.arange(order)
-        a, b = idx // n2, idx % n2
-        ax, ay = a[:, None], a[None, :]
-        bx, by = b[:, None], b[None, :]
-        add_t = r1.add_table[ax, ay].astype(np.int64) * n2 + r2.add_table[bx, by]
-        mul_t = r1.mul_table[ax, ay].astype(np.int64) * n2 + r2.mul_table[bx, by]
-        neg_t = r1.neg_table[a].astype(np.int64) * n2 + r2.neg_table[b]
-        return FiniteRing(order, one_index, label, add_table=add_t, mul_table=mul_t, neg_table=neg_t)
-
-    def add_fn(x, y):
-        return r1.add(x // n2, y // n2) * n2 + r2.add(x % n2, y % n2)
-
-    def mul_fn(x, y):
-        return r1.mul(x // n2, y // n2) * n2 + r2.mul(x % n2, y % n2)
-
-    def neg_fn(x):
-        return r1.neg(x // n2) * n2 + r2.neg(x % n2)
-
-    if not table_mode:
-        return FiniteRing(order, one_index, label, add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn)
-    add_t = [[add_fn(x, y) for y in range(order)] for x in range(order)]
-    mul_t = [[mul_fn(x, y) for y in range(order)] for x in range(order)]
-    neg_t = [neg_fn(x) for x in range(order)]
-    return FiniteRing(order, one_index, label, add_table=add_t, mul_table=mul_t, neg_table=neg_t)
+    ring = FiniteRing(
+        order, one_index, label,
+        add_fn=lambda x, y: r1.add_arr(x // n2, y // n2) * n2 + r2.add_arr(x % n2, y % n2),
+        mul_fn=lambda x, y: r1.mul_arr(x // n2, y // n2) * n2 + r2.mul_arr(x % n2, y % n2),
+        neg_fn=lambda x: r1.neg_arr(x // n2) * n2 + r2.neg_arr(x % n2),
+    )
+    return ring.materialized() if table_mode else ring
 
 
 def matrix_ring(m: int, base: FiniteRing, *, label: str | None = None,
@@ -349,14 +289,14 @@ def matrix_ring(m: int, base: FiniteRing, *, label: str | None = None,
     weights = _little_endian_weights(base.order, k)
     one_coords = [base.one if r == c else 0 for r in range(m) for c in range(m)]
 
-    def mul_coords(ops, xc, yc):
+    def mul_coords(xc, yc):
         zc = []
         for r in range(m):
             for c in range(m):
                 acc = None
                 for t in range(m):
-                    term = ops.mul(xc[r * m + t], yc[t * m + c])
-                    acc = term if acc is None else ops.add(acc, term)
+                    term = base.mul_arr(xc[r * m + t], yc[t * m + c])
+                    acc = term if acc is None else base.add_arr(acc, term)
                 zc.append(acc)
         return zc
 
@@ -375,13 +315,13 @@ def upper_triangular(m: int, base: FiniteRing, *, label: str | None = None,
     weights = _little_endian_weights(base.order, k)
     one_coords = [base.one if i == j else 0 for (i, j) in cells]
 
-    def mul_coords(ops, xc, yc):
+    def mul_coords(xc, yc):
         zc = []
         for (i, j) in cells:
             acc = None
             for t in range(i, j + 1):
-                term = ops.mul(xc[pos[(i, t)]], yc[pos[(t, j)]])
-                acc = term if acc is None else ops.add(acc, term)
+                term = base.mul_arr(xc[pos[(i, t)]], yc[pos[(t, j)]])
+                acc = term if acc is None else base.add_arr(acc, term)
             zc.append(acc)
         return zc
 
@@ -396,10 +336,10 @@ def trivial_extension(base: FiniteRing, *, label: str | None = None,
     weights = [q, 1]  # (x, m) -> x*q + m
     one_coords = [base.one, 0]
 
-    def mul_coords(ops, xc, yc):
+    def mul_coords(xc, yc):
         x, xm = xc
         y, ym = yc
-        return [ops.mul(x, y), ops.add(ops.mul(x, ym), ops.mul(xm, y))]
+        return [base.mul_arr(x, y), base.add_arr(base.mul_arr(x, ym), base.mul_arr(xm, y))]
 
     return _coord_ring(base, 2, weights, one_coords, mul_coords, label, limits, materialize)
 
@@ -450,19 +390,19 @@ def poly_quotient(base: FiniteRing, coeffs, *, label: str | None = None,
         top = prev[d - 1]
         reductions[t + 1] = [base.add(s, base.mul(top, nf)) for s, nf in zip(shifted, negf)]
 
-    def mul_coords(ops, xc, yc):
+    def mul_coords(xc, yc):
         conv = [None] * (2 * d - 1)
         for i in range(d):
             for j in range(d):
-                term = ops.mul(xc[i], yc[j])
+                term = base.mul_arr(xc[i], yc[j])
                 t = i + j
-                conv[t] = term if conv[t] is None else ops.add(conv[t], term)
+                conv[t] = term if conv[t] is None else base.add_arr(conv[t], term)
         zc = list(conv[:d])
         for t in range(d, 2 * d - 1):
             c = conv[t]
             for s, rc in enumerate(reductions[t]):
                 if rc != 0:
-                    zc[s] = ops.add(zc[s], ops.mul(c, rc))
+                    zc[s] = base.add_arr(zc[s], base.mul_arr(c, rc))
         return zc
 
     return _coord_ring(base, d, weights, one_coords, mul_coords, label, limits, materialize)
@@ -485,13 +425,13 @@ def group_ring(base: FiniteRing, group: GroupTable, *, label: str | None = None,
         for j in range(k):
             pairs_for[group.op(i, j)].append((i, j))
 
-    def mul_coords(ops, xc, yc):
+    def mul_coords(xc, yc):
         zc = []
         for t in range(k):
             acc = None
             for i, j in pairs_for[t]:
-                term = ops.mul(xc[i], yc[j])
-                acc = term if acc is None else ops.add(acc, term)
+                term = base.mul_arr(xc[i], yc[j])
+                acc = term if acc is None else base.add_arr(acc, term)
             zc.append(acc)
         return zc
 
@@ -502,46 +442,37 @@ def group_ring(base: FiniteRing, group: GroupTable, *, label: str | None = None,
 # Derived rings: quotients, corners, generated subrings
 
 
+def _first_outside(ring: FiniteRing, mask: np.ndarray, op: str, xs, ys) -> tuple | None:
+    """The first (x, y, op(x, y)) over xs x ys, in that order, whose
+    value lies outside ``mask``; None if there is none."""
+    for lo, block in ring.blocks(op, xs, ys):
+        outside = ~mask[block]
+        if outside.any():
+            i, j = np.unravel_index(int(np.argmax(outside)), outside.shape)
+            return int(xs[lo + i]), int(ys[j]), int(block[i, j])
+    return None
+
+
 def _ideal_violation(ring: FiniteRing, members: frozenset) -> str | None:
     """None if ``members`` is a two-sided ideal, else a violation message."""
     if 0 not in members:
         return "0 is missing"
-    if ring.mode == "table":
-        arr = np.array(sorted(members))
-        mask = np.zeros(ring.order, dtype=bool)
-        mask[arr] = True
-        sums = ring.add_table[np.ix_(arr, arr)]
-        ok = mask[sums]
-        if not ok.all():
-            i, j = np.argwhere(~ok)[0]
-            return f"not closed under addition: {int(arr[i])} + {int(arr[j])} = {int(sums[i, j])}"
-        negs = ring.neg_table[arr]
-        ok = mask[negs]
-        if not ok.all():
-            i = int(np.argwhere(~ok)[0][0])
-            return f"not closed under negation: -{int(arr[i])} = {int(negs[i])}"
-        left = ring.mul_table[:, arr]
-        ok = mask[left]
-        if not ok.all():
-            r, i = np.argwhere(~ok)[0]
-            return f"not closed under left multiplication: {int(r)} * {int(arr[i])} = {int(left[r, i])}"
-        right = ring.mul_table[arr, :]
-        ok = mask[right]
-        if not ok.all():
-            i, r = np.argwhere(~ok)[0]
-            return f"not closed under right multiplication: {int(arr[i])} * {int(r)} = {int(right[i, r])}"
-        return None
-    for x in members:
-        for y in members:
-            if ring.add(x, y) not in members:
-                return f"not closed under addition: {x} + {y} = {ring.add(x, y)}"
-        if ring.neg(x) not in members:
-            return f"not closed under negation: -{x} = {ring.neg(x)}"
-        for r in range(ring.order):
-            if ring.mul(r, x) not in members:
-                return f"not closed under left multiplication: {r} * {x} = {ring.mul(r, x)}"
-            if ring.mul(x, r) not in members:
-                return f"not closed under right multiplication: {x} * {r} = {ring.mul(x, r)}"
+    arr = np.array(sorted(members))
+    every = np.arange(ring.order)
+    mask = member_mask(ring.order, arr)
+    bad = _first_outside(ring, mask, "add", arr, arr)
+    if bad:
+        return "not closed under addition: {} + {} = {}".format(*bad)
+    negs = ring.neg_arr(arr)
+    if not mask[negs].all():
+        i = int(np.argmin(mask[negs]))
+        return f"not closed under negation: -{int(arr[i])} = {int(negs[i])}"
+    bad = _first_outside(ring, mask, "mul", every, arr)
+    if bad:
+        return "not closed under left multiplication: {} * {} = {}".format(*bad)
+    bad = _first_outside(ring, mask, "mul", arr, every)
+    if bad:
+        return "not closed under right multiplication: {} * {} = {}".format(*bad)
     return None
 
 
@@ -559,73 +490,44 @@ def quotient(ring: FiniteRing, ideal, *, label: str | None = None,
     violation = _ideal_violation(ring, members)
     if violation is not None:
         raise ArgumentError(f"{sorted(members)} is not an ideal of {ring.label}: {violation}")
-    n = ring.order
-    ideal_list = sorted(members)
-    rep = [-1] * n
-    for x in range(n):
-        if rep[x] != -1:
-            continue
-        for i in ideal_list:
-            rep[ring.add(x, i)] = x
-    reps = sorted(set(rep))
-    pos = {r: i for i, r in enumerate(reps)}
-    proj = tuple(pos[r] for r in rep)
+    # the coset of x is x + I, so its smallest index is min(add(x, I))
+    rep = np.concatenate([block.min(axis=1) for _, block in
+                          ring.blocks("add", np.arange(ring.order), np.array(sorted(members)))])
+    reps, proj = np.unique(rep, return_inverse=True)
     m = len(reps)
     if proj[ring.one] == proj[0]:
         raise ArgumentError(f"ideal of {ring.label} contains 1; the quotient is the zero ring")
     label = label or f"{ring.label} mod ideal({len(members)})"
     table_mode = materialize if materialize is not None else m <= limits.table_threshold
-    if table_mode:
-        if ring.mode == "table":
-            proj_arr = np.array(proj)
-            reps_arr = np.array(reps)
-            add_t = proj_arr[ring.add_table[np.ix_(reps_arr, reps_arr)]]
-            mul_t = proj_arr[ring.mul_table[np.ix_(reps_arr, reps_arr)]]
-            neg_t = proj_arr[ring.neg_table[reps_arr]]
-        else:
-            add_t = [[proj[ring.add(a, b)] for b in reps] for a in reps]
-            mul_t = [[proj[ring.mul(a, b)] for b in reps] for a in reps]
-            neg_t = [proj[ring.neg(a)] for a in reps]
-        out = FiniteRing(m, proj[ring.one], label, add_table=add_t, mul_table=mul_t, neg_table=neg_t)
-    else:
-        out = FiniteRing(
-            m, proj[ring.one], label,
-            add_fn=lambda a, b: proj[ring.add(reps[a], reps[b])],
-            mul_fn=lambda a, b: proj[ring.mul(reps[a], reps[b])],
-            neg_fn=lambda a: proj[ring.neg(reps[a])],
-        )
-    return QuotientRing(out, ring, proj)
+    out = FiniteRing(
+        m, int(proj[ring.one]), label,
+        add_fn=lambda a, b: proj[ring.add_arr(reps[a], reps[b])],
+        mul_fn=lambda a, b: proj[ring.mul_arr(reps[a], reps[b])],
+        neg_fn=lambda a: proj[ring.neg_arr(reps[a])],
+    )
+    return QuotientRing(out.materialized() if table_mode else out, ring, tuple(proj.tolist()))
 
 
-def _inherited_subring(ring: FiniteRing, members: list[int], one_parent: int, label: str,
+def _inherited_subring(ring: FiniteRing, members: np.ndarray, one_parent: int, label: str,
                        limits: Limits, materialize: bool | None) -> Subring:
-    pos = {x: i for i, x in enumerate(members)}
+    """The subring on the sorted parent indices ``members``."""
     m = len(members)
+    lookup = np.full(ring.order, -1)
+    lookup[members] = np.arange(m)
+    out = FiniteRing(
+        m, int(lookup[one_parent]), label,
+        add_fn=lambda a, b: lookup[ring.add_arr(members[a], members[b])],
+        mul_fn=lambda a, b: lookup[ring.mul_arr(members[a], members[b])],
+        neg_fn=lambda a: lookup[ring.neg_arr(members[a])],
+    )
     table_mode = materialize if materialize is not None else m <= limits.table_threshold
     if table_mode:
-        if ring.mode == "table":
-            arr = np.array(members)
-            lookup = np.full(ring.order, -1)
-            lookup[arr] = np.arange(m)
-            add_t = lookup[ring.add_table[np.ix_(arr, arr)]]
-            mul_t = lookup[ring.mul_table[np.ix_(arr, arr)]]
-            neg_t = lookup[ring.neg_table[arr]]
-            if min(add_t.min(), mul_t.min(), int(neg_t.min())) < 0:
-                raise InternalConsistencyError(
-                    f"{label}: member set is not closed under the inherited operations")
-        else:
-            add_t = [[pos[ring.add(a, b)] for b in members] for a in members]
-            mul_t = [[pos[ring.mul(a, b)] for b in members] for a in members]
-            neg_t = [pos[ring.neg(a)] for a in members]
-        out = FiniteRing(m, pos[one_parent], label, add_table=add_t, mul_table=mul_t, neg_table=neg_t)
-    else:
-        out = FiniteRing(
-            m, pos[one_parent], label,
-            add_fn=lambda a, b: pos[ring.add(members[a], members[b])],
-            mul_fn=lambda a, b: pos[ring.mul(members[a], members[b])],
-            neg_fn=lambda a: pos[ring.neg(members[a])],
-        )
-    return Subring(out, ring, tuple(members))
+        try:
+            out = out.materialized()
+        except ArgumentError:  # a -1 from lookup: an operation left the member set
+            raise InternalConsistencyError(
+                f"{label}: member set is not closed under the inherited operations") from None
+    return Subring(out, ring, tuple(members.tolist()))
 
 
 def corner(ring: FiniteRing, e: int, *, label: str | None = None,
@@ -636,11 +538,7 @@ def corner(ring: FiniteRing, e: int, *, label: str | None = None,
         raise ArgumentError("corner needs a nonzero idempotent; got 0")
     if ring.mul(e, e) != e:
         raise ArgumentError(f"{e} is not idempotent in {ring.label}: e*e = {ring.mul(e, e)}")
-    if ring.mode == "table":
-        exe = ring.mul_table[ring.mul_table[e, :], e]
-        members = sorted(int(v) for v in np.unique(exe))
-    else:
-        members = sorted({ring.mul(ring.mul(e, x), e) for x in range(ring.order)})
+    members = np.unique(ring.mul_arr(ring.mul_arr(e, np.arange(ring.order)), e))
     label = label or f"CORNER({ring.label}, {e})"
     return _inherited_subring(ring, members, e, label, limits, materialize)
 
@@ -651,30 +549,6 @@ def subring_closure(ring: FiniteRing, gens, *, label: str | None = None,
     gens = [int(x) for x in gens]
     for x in gens:
         ring._check_index(x)
-    if ring.mode == "table":
-        cur = np.unique(np.array([0, ring.one] + gens, dtype=np.int64))
-        while True:
-            sums = ring.add_table[np.ix_(cur, cur)].ravel()
-            prods = ring.mul_table[np.ix_(cur, cur)].ravel()
-            negs = ring.neg_table[cur]
-            new = np.unique(np.concatenate([cur, sums, prods, negs]))
-            if len(new) == len(cur):
-                break
-            cur = new
-        members = [int(v) for v in cur]
-    else:
-        members_set = {0, ring.one}
-        frontier = list(gens)
-        while frontier:
-            w = frontier.pop()
-            if w in members_set:
-                continue
-            members_set.add(w)
-            frontier.append(ring.neg(w))
-            for s in list(members_set):
-                frontier.append(ring.add(w, s))
-                frontier.append(ring.mul(w, s))
-                frontier.append(ring.mul(s, w))
-        members = sorted(members_set)
     label = label or f"subring({', '.join(str(g) for g in gens)}) of {ring.label}"
+    members = closure(ring, [0, ring.one] + gens, ideal=False)
     return _inherited_subring(ring, members, ring.one, label, limits, materialize)

@@ -11,7 +11,8 @@ Global flags (accepted before or after the subcommand): --json,
 --max-order N, --seed S, --dump-tables.
 
 Exit codes: 0 success, 1 mathematical counterexample (a claim failed or
-an internal consistency check tripped), 2 usage/parse/limit error.
+an internal consistency check tripped) or any other unexpected error,
+reported in one line as an internal error, 2 usage/parse/limit error.
 Text and JSON modes report the same values.
 """
 
@@ -295,6 +296,9 @@ def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
         return 2
     except InternalConsistencyError as exc:
         print(f"internal consistency error (please report): {exc}", file=err)
+        return 1
+    except Exception as exc:  # a bug: report it in one line, never as a traceback
+        print(f"internal error (please report): {type(exc).__name__}: {exc}", file=err)
         return 1
 
 

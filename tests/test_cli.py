@@ -76,6 +76,18 @@ def test_negative_seed_is_usage_error(capsys):
         assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
 
 
+def test_unexpected_exception_is_one_line_internal_error(monkeypatch):
+    from finring import cli
+
+    def boom(args, limits, out):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", boom)
+    code, out, err = run_cli("analyze", "Z/4")
+    assert code == 1 and not out
+    assert err == "internal error (please report): RuntimeError: boom\n"
+
+
 def test_table_sets():
     code, out, _ = run_cli("table", "Z/12", "jacobson")
     assert code == 0 and out.strip() == "0 6"

@@ -165,9 +165,9 @@ def test_axioms_lazy_twin_of_corrupted_tables_agrees():
     # breaks 0 + 3, leaves row 2 without a zero (so no inverse), breaks 5 * 1
     table = _corrupted(r, [("add", 3, 0), ("add", 2, 4), ("mul", 5, 1)])
     lazy = FiniteRing(6, 1, "lazy twin",
-                      add_fn=lambda x, y: int(table.add_table[x, y]),
-                      mul_fn=lambda x, y: int(table.mul_table[x, y]),
-                      neg_fn=lambda x: int(table.neg_table[x]))
+                      add_fn=lambda x, y: table.add_table[x, y],
+                      mul_fn=lambda x, y: table.mul_table[x, y],
+                      neg_fn=lambda x: table.neg_table[x])
     table_report, lazy_report = verify_axioms(table), verify_axioms(lazy)
     assert table_report.checks == lazy_report.checks
     failed = {c.name: c for c in table_report.failures()}
@@ -236,3 +236,20 @@ def test_ring_validation():
         zmod(1)
     with pytest.raises(ArgumentError):
         FiniteRing(4, 0, "bad-one", add_table=zmod(4).add_table, mul_table=zmod(4).mul_table)
+
+
+def test_ring_rejects_table_entries_out_of_range():
+    z4 = zmod(4)
+    for value in (7, -1):
+        add = z4.add_table.copy()
+        add[2, 3] = value
+        with pytest.raises(ArgumentError, match="0..3"):
+            FiniteRing(4, 1, "bad-entry", add_table=add, mul_table=z4.mul_table)
+        neg = z4.neg_table.copy()
+        neg[1] = value
+        with pytest.raises(ArgumentError, match="0..3"):
+            FiniteRing(4, 1, "bad-neg", add_table=z4.add_table, mul_table=z4.mul_table,
+                       neg_table=neg)
+    with pytest.raises(ArgumentError, match="negation table"):
+        FiniteRing(4, 1, "short-neg", add_table=z4.add_table, mul_table=z4.mul_table,
+                   neg_table=[0, 3, 2])

@@ -1,0 +1,150 @@
+"""Table and lazy storage agree on every algorithm that reads a ring.
+
+Both modes run the same block algorithms; these tests compare their
+results on a lazy ring spanning several row blocks and on random
+grammar expressions built once with tables and once entirely lazy.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from finring import (
+    ArgumentError,
+    FiniteRing,
+    LimitError,
+    Limits,
+    center,
+    classify,
+    corner,
+    dump_tables,
+    format_expr,
+    ideal_closure,
+    idempotents,
+    jacobson,
+    matrix_ring,
+    nilpotents,
+    parse_and_build,
+    quotient,
+    sqrt_jacobson,
+    subring_closure,
+    unit_inverses,
+    units,
+    upper_triangular,
+    verify_axioms,
+    zmod,
+)
+from finring.core import AXIOM_BLOCK_ELEMENTS
+
+from helpers import random_ring_expr
+
+SETS = (units, jacobson, sqrt_jacobson, nilpotents, idempotents, center)
+
+
+def structural_sets(ring):
+    return [fn(ring).members for fn in SETS]
+
+
+def test_lazy_ring_of_two_blocks_agrees_with_table_twin():
+    lazy = upper_triangular(2, zmod(11))
+    table = upper_triangular(2, zmod(11), materialize=True)
+    assert lazy.mode == "lazy" and table.mode == "table"
+    n = lazy.order
+    assert n == 1331 and -(-n // (AXIOM_BLOCK_ELEMENTS // n)) == 2
+    # Closed forms on (a, b; 0, d) = a + 11 b + 121 d, so a bug shared by
+    # both modes (a block offset, say) shows too.
+    x = np.arange(n)
+    a, b, d = x % 11, x // 11 % 11, x // 121
+
+    def where(cond):
+        return frozenset(np.flatnonzero(cond).tolist())
+
+    radical = where((a == 0) & (d == 0))
+    assert structural_sets(lazy) == structural_sets(table) == [
+        where((a != 0) & (d != 0)), radical, radical, radical,
+        where((a * a % 11 == a) & (d * d % 11 == d) & (b * (a + d - 1) % 11 == 0)),
+        where((b == 0) & (a == d)),
+    ]
+    assert unit_inverses(lazy) == unit_inverses(table)
+    assert classify(lazy) == classify(table)
+    verdicts = classify(lazy).verdicts
+    assert verdicts.pop("dedekind-finite") and not any(verdicts.values())
+    assert set(classify(lazy).witnesses.values()) == {123}  # diag(2, 1)
+
+    ql, qt = quotient(lazy, jacobson(lazy)), quotient(table, jacobson(table))
+    assert ql.projection == qt.projection
+    assert dump_tables(ql.ring) == dump_tables(qt.ring)
+    q_lazy = quotient(lazy, jacobson(lazy), materialize=False)
+    assert q_lazy.ring.mode == "lazy" and dump_tables(q_lazy.ring) == dump_tables(qt.ring)
+
+    e = 1  # the matrix unit e11
+    cl, ct = corner(lazy, e), corner(table, e)
+    assert cl.embedding == ct.embedding and dump_tables(cl.ring) == dump_tables(ct.ring)
+    sl, st_ = subring_closure(lazy, [12]), subring_closure(table, [12])  # e11 + e12
+    assert sl.embedding == st_.embedding and dump_tables(sl.ring) == dump_tables(st_.ring)
+    for gens in ([11], [12], [1, 121]):
+        assert ideal_closure(lazy, gens).members == ideal_closure(table, gens).members
+
+
+def test_lazy_subring_closure_closes_its_seeds():
+    # 0 and 1 alone generate the prime subring, which here is all of Z/3
+    for ring in (zmod(3, materialize=False), zmod(3)):
+        assert subring_closure(ring, []).embedding == (0, 1, 2)
+
+
+def test_axiom_reports_agree_across_modes():
+    for make in (lambda m: zmod(300, materialize=m),
+                 lambda m: matrix_ring(2, zmod(3), materialize=m)):
+        assert verify_axioms(make(False)).checks == verify_axioms(make(True)).checks
+    # a corrupted row of Z/300: the sampled checks fail, and the lazy twin
+    # draws the same triples (three seeded rng.integers calls), so it
+    # reports the same witnesses
+    z = zmod(300)
+    mul = np.array(z.mul_table)
+    mul[7] = (mul[7] + 1) % 300
+    table = FiniteRing(300, 1, "corrupted", add_table=z.add_table, mul_table=mul)
+    lazy = FiniteRing(300, 1, "corrupted", add_fn=lambda x, y: z.add_table[x, y],
+                      mul_fn=lambda x, y: mul[x, y], neg_fn=lambda x: z.neg_table[x])
+    report = verify_axioms(table)
+    assert not report.passed and report.checks == verify_axioms(lazy).checks
+    sampled = {c.name: c.witness for c in report.failures() if c.policy == "sampled"}
+    assert sampled == {"mul-associative": (119, 7, 98), "left-distributive": (7, 167, 279),
+                       "right-distributive": (54, 253, 217)}
+
+
+ALL_LAZY = Limits(max_order=256, table_threshold=1)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3))
+def test_random_expressions_agree_with_all_lazy_twin(seed, depth):
+    text = format_expr(random_ring_expr(random.Random(seed), depth))
+    try:
+        table = parse_and_build(text, Limits(max_order=256))
+    except (LimitError, ArgumentError):
+        assume(False)
+    lazy = parse_and_build(text, ALL_LAZY)
+    assert lazy.mode == "lazy"
+    sets = structural_sets(table)
+    assert structural_sets(lazy) == sets
+    assert classify(lazy) == classify(table)
+    assert verify_axioms(lazy).checks == verify_axioms(table).checks
+    u, j, sqrt_j, nil = sets[:4]
+    assert not u & sqrt_j
+    assert nil | j <= sqrt_j
+
+
+def test_block_offsets_in_reported_witnesses():
+    # Not a ring: add(x, y) = 7 exactly when x > y >= 1000, else 0.  At
+    # order 1500 a table block holds 699 rows, so both first failures lie
+    # in the second block.
+    n = 1500
+    odd = FiniteRing(n, 1, "odd", add_fn=lambda x, y: np.where((x > y) & (y >= 1000), 7, 0),
+                     mul_fn=lambda x, y: 0 * (x + y), neg_fn=lambda x: 0 * x)
+    assert AXIOM_BLOCK_ELEMENTS // n == 699
+    commutative = verify_axioms(odd).checks[0]
+    assert commutative.name == "add-commutative" and commutative.witness == (1000, 1001)
+    with pytest.raises(ArgumentError, match=r"not closed under addition: 1001 \+ 1000 = 7$"):
+        quotient(odd, set(range(n)) - {7})
