@@ -32,7 +32,8 @@ already built: ADD[x] = ADD[x', ADD[c*e_i]] and, by right
 distributivity, MUL[x] = ADD[MUL[x'], MUL[c*e_i]].  The fill equals the
 formula whenever the base is a ring, which every base built by this
 module or parsed from an expression is; run ``verify_axioms`` on a
-hand-made ``FiniteRing`` before using it as a base.
+hand-made ``FiniteRing`` before using it as a base.  A direct product's
+tables are the Kronecker sum of its factors' tables (see :func:`product`).
 """
 
 from __future__ import annotations
@@ -246,12 +247,12 @@ def smallest_irreducible(p: int, k: int) -> list[int]:
 def gf(p: int, k: int, *, label: str | None = None, limits: Limits = DEFAULT_LIMITS,
        materialize: bool | None = None) -> FiniteRing:
     """The field of order p^k as F_p[x] modulo its canonical irreducible."""
-    if not is_prime(p):
-        raise ArgumentError(f"GF needs a prime, got {p}")
     if k < 1:
         raise ArgumentError(f"GF needs extension degree >= 1, got {k}")
     label = label or f"GF({p}, {k})"
-    limits.check_order(p ** k, label)
+    limits.check_power(p, k, label)  # first, so p is small enough to test
+    if not is_prime(p):
+        raise ArgumentError(f"GF needs a prime, got {p}")
     f = smallest_irreducible(p, k)
     base = zmod(p, limits=limits)
     return poly_quotient(base, f, label=label, limits=limits, materialize=materialize)
@@ -263,20 +264,32 @@ def gf(p: int, k: int, *, label: str | None = None, limits: Limits = DEFAULT_LIM
 
 def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
             limits: Limits = DEFAULT_LIMITS, materialize: bool | None = None) -> FiniteRing:
-    """Direct product; (a, b) is encoded as a * |R2| + b and one = (1, 1)."""
+    """Direct product; (a, b) is encoded as a * |R2| + b and one = (1, 1).
+
+    In table mode each table is the Kronecker sum of the factors' tables,
+    OP[(a, b), (c, d)] = OP1[a, c] * |R2| + OP2[b, d], one broadcast over
+    the factors' full tables.
+    """
     label = label or f"{r1.label} x {r2.label}"
     order = r1.order * r2.order
     limits.check_order(order, label)
-    n2 = r2.order
+    n1, n2 = r1.order, r2.order
     one_index = r1.one * n2 + r2.one
     table_mode = materialize if materialize is not None else order <= limits.table_threshold
-    ring = FiniteRing(
+    if table_mode:
+        def kron(op):
+            t1, t2 = r1.row_block(op, 0, n1), r2.row_block(op, 0, n2)
+            return (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(order, order)
+
+        neg = r1.neg_arr(np.arange(n1))[:, None] * n2 + r2.neg_arr(np.arange(n2))[None, :]
+        return FiniteRing(order, one_index, label, add_table=kron("add"),
+                          mul_table=kron("mul"), neg_table=neg.reshape(order))
+    return FiniteRing(
         order, one_index, label,
         add_fn=lambda x, y: r1.add_arr(x // n2, y // n2) * n2 + r2.add_arr(x % n2, y % n2),
         mul_fn=lambda x, y: r1.mul_arr(x // n2, y // n2) * n2 + r2.mul_arr(x % n2, y % n2),
         neg_fn=lambda x: r1.neg_arr(x // n2) * n2 + r2.neg_arr(x % n2),
     )
-    return ring.materialized() if table_mode else ring
 
 
 def matrix_ring(m: int, base: FiniteRing, *, label: str | None = None,
@@ -286,6 +299,7 @@ def matrix_ring(m: int, base: FiniteRing, *, label: str | None = None,
         raise ArgumentError(f"matrix size must be >= 1, got {m}")
     label = label or f"M({m}, {base.label})"
     k = m * m
+    limits.check_power(base.order, k, label)
     weights = _little_endian_weights(base.order, k)
     one_coords = [base.one if r == c else 0 for r in range(m) for c in range(m)]
 
@@ -309,6 +323,7 @@ def upper_triangular(m: int, base: FiniteRing, *, label: str | None = None,
     if m < 2:
         raise ArgumentError(f"upper-triangular size must be >= 2, got {m}")
     label = label or f"UT({m}, {base.label})"
+    limits.check_power(base.order, m * (m + 1) // 2, label)
     cells = [(i, j) for i in range(m) for j in range(i, m)]
     pos = {cell: i for i, cell in enumerate(cells)}
     k = len(cells)
@@ -377,6 +392,7 @@ def poly_quotient(base: FiniteRing, coeffs, *, label: str | None = None,
         if not 0 <= c < base.order:
             raise ArgumentError(f"coefficient index {c} out of range for {base.label}")
     label = label or f"POLYQ({base.label}, [{', '.join(str(c) for c in coeffs)}])"
+    limits.check_power(base.order, d, label)
     q = base.order
     weights = _little_endian_weights(q, d)
     one_coords = [base.one] + [0] * (d - 1)

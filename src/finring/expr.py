@@ -152,11 +152,15 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # what int() reads; isdigit() also admits '²'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(_Token("INT", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"integer literal of {j - i} digits is too long", i) from None
+            tokens.append(_Token("INT", value, i))
             i = j
             continue
         if ch in _PUNCT:
@@ -455,6 +459,7 @@ def evaluate(node, limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
         return build.bt(evaluate(node.inner, limits), label=label, limits=limits)
     if isinstance(node, Nil):
         inner = evaluate(node.inner, limits)
+        limits.check_power(inner.order, node.p, label)
         coeffs = [0] * node.p + [inner.one]
         return build.poly_quotient(inner, coeffs, label=label, limits=limits)
     if isinstance(node, PolyQ):

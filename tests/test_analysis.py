@@ -51,7 +51,6 @@ SAMPLE_RINGS = [
     group_ring(zmod(3), cyclic(2)),
     product(zmod(4), zmod(3)),
     bt(zmod(2)),
-    # lazy mode exercises the orbit-based unit detection
     group_ring(zmod(2), symmetric_3(), materialize=False),
     zmod(40, materialize=False),
 ]

@@ -338,6 +338,11 @@ AGREEMENT_CASES = {
     "NIL(Z/4, 3)": lambda m: poly_quotient(zmod(4), [0, 0, 0, 1], materialize=m),
     "POLYQ(Z/4, [1, 1, 1])": lambda m: poly_quotient(zmod(4), [1, 1, 1], materialize=m),
     "GR(Z/2, S3)": lambda m: group_ring(zmod(2), symmetric_3(), materialize=m),
+    # products: a Kronecker sum of the factor tables in table mode
+    "M(2, Z/2) x UT(2, Z/3)": lambda m: product(
+        matrix_ring(2, zmod(2)), upper_triangular(2, zmod(3)), materialize=m),
+    "Z/2 x (TE(Z/2) x Z/3)": lambda m: product(
+        zmod(2), product(trivial_extension(zmod(2)), zmod(3)), materialize=m),
 }
 
 
@@ -357,6 +362,8 @@ def test_table_ring_over_lazy_base_matches_table_twin():
          trivial_extension(zmod(9))),
         (upper_triangular(2, zmod(5, materialize=False), materialize=True),
          upper_triangular(2, zmod(5))),
+        (product(upper_triangular(2, zmod(3), materialize=False), zmod(4), materialize=True),
+         product(upper_triangular(2, zmod(3)), zmod(4))),
     ]
     for over_lazy, twin in pairs:
         assert over_lazy.mode == "table" and twin.mode == "table"

@@ -1,5 +1,8 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finring import (
     ArgumentError,
@@ -12,7 +15,7 @@ from finring import (
     zmod,
 )
 from finring.build import group_ring, matrix_ring, trivial_extension
-from finring.core import AXIOM_BLOCK_ELEMENTS
+from finring.core import AXIOM_BLOCK_ELEMENTS, _additive_generators
 from finring.groups import cyclic
 
 from helpers import full_cube_ternary_checks
@@ -160,6 +163,70 @@ def test_blocked_axioms_match_full_cube_on_corrupted_tables():
             assert left.witness[0] == min(x for _, x, _ in faults), faults
 
 
+def test_reduced_axioms_match_full_cube_where_laws_fail_separately():
+    # checks[-4:] are add-associative, mul-associative, left- and
+    # right-distributive
+    m2 = matrix_ring(2, zmod(2))
+    n = m2.order
+    lie = [[m2.sub(m2.mul(x, y), m2.mul(y, x)) for y in range(n)] for x in range(n)]
+    z5 = zmod(5)
+    cases = [
+        # the Lie bracket: both distributive laws hold, so the reduced
+        # mul-associativity check itself must catch the failure
+        (FiniteRing(n, 1, "lie", add_table=m2.add_table, mul_table=lie),
+         [True, False, True, True]),
+        # x * y = x: left distributivity fails, so mul-associativity is
+        # decided by the blocked scan
+        (FiniteRing(5, 1, "left-projection", add_table=z5.add_table,
+                    mul_table=[[x] * 5 for x in range(5)]),
+         [True, True, False, True]),
+        # x + y = x - y is not associative, so every other law is decided
+        # by the blocked scan
+        (FiniteRing(5, 1, "difference", add_table=[[(x - y) % 5 for y in range(5)] for x in range(5)],
+                    mul_table=z5.mul_table),
+         [False, True, True, True]),
+        # x * y = f(y) on (Z/2)^3 under XOR, with f additive along 1 but
+        # f(2 + 4) != f(2) + f(4): left distributivity holds for s = 1 and
+        # fails for s = 2, so every generator in S = {1, 2, 4} counts
+        (FiniteRing(8, 1, "xor", add_table=np.bitwise_xor.outer(range(8), range(8)),
+                    mul_table=[[0, 1, 2, 3, 4, 5, 0, 1]] * 8),
+         [True, True, False, False]),
+    ]
+    for ring, verdicts in cases:
+        report = verify_axioms(ring)
+        assert report.checks[-4:] == full_cube_ternary_checks(ring), ring.label
+        assert [c.passed for c in report.checks[-4:]] == verdicts, ring.label
+
+
+def test_additive_generators():
+    m = parse_and_build("M(2, Z/4)")
+    assert _additive_generators(m.add_table.astype(np.intp)).tolist() == [1, 4, 16, 64]
+    # x + y = x reaches nothing beyond its arguments, 0 included
+    left = np.repeat(np.arange(4)[:, None], 4, axis=1)
+    assert _additive_generators(left).tolist() == [1, 2, 3, 0]
+
+
+@cache
+def _small_corpus():
+    return [ring for _, ring in default_corpus().rings() if ring.order <= 27]
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_reduced_axioms_match_full_cube_on_random_corruptions(data):
+    rings = _small_corpus()
+    ring = rings[data.draw(st.integers(0, len(rings) - 1))]
+    n = ring.order
+    entry = st.tuples(st.sampled_from(["add", "mul"]), st.integers(0, n - 1),
+                      st.integers(0, n - 1), st.integers(0, n - 1))
+    tables = {"add": np.array(ring.add_table), "mul": np.array(ring.mul_table)}
+    for table, x, y, value in data.draw(st.lists(entry, min_size=1, max_size=2)):
+        tables[table][x, y] = value
+    corrupted = FiniteRing(n, ring.one, "corrupted",
+                           add_table=tables["add"], mul_table=tables["mul"])
+    assert verify_axioms(corrupted).checks[-4:] == full_cube_ternary_checks(corrupted)
+
+
 def test_axioms_lazy_twin_of_corrupted_tables_agrees():
     r = zmod(6)
     # breaks 0 + 3, leaves row 2 without a zero (so no inverse), breaks 5 * 1
@@ -253,3 +320,16 @@ def test_ring_rejects_table_entries_out_of_range():
     with pytest.raises(ArgumentError, match="negation table"):
         FiniteRing(4, 1, "short-neg", add_table=z4.add_table, mul_table=z4.mul_table,
                    neg_table=[0, 3, 2])
+    # each is checked before the cast to int32, which would wrap 2^32 + 1
+    # to 1 and truncate 1.5 to 1
+    wide = z4.add_table.astype(np.int64)
+    wide[2, 3] = 2 ** 32 + 1
+    with pytest.raises(ArgumentError, match="0..3"):
+        FiniteRing(4, 1, "wide-entry", add_table=wide, mul_table=z4.mul_table)
+    with pytest.raises(ArgumentError, match="integers"):
+        FiniteRing(4, 1, "float-entry", add_table=z4.add_table + 0.5, mul_table=z4.mul_table)
+    with pytest.raises(ArgumentError, match="needs add_table and mul_table"):
+        FiniteRing(4, 1, "no-mul", add_table=z4.add_table)
+    ragged = [[0, 1, 2, 3], [1, 2, 3], [2, 3, 0, 1], [3, 0, 1, 2]]
+    with pytest.raises(ArgumentError, match="order x order"):
+        FiniteRing(4, 1, "ragged", add_table=ragged, mul_table=z4.mul_table)

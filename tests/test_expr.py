@@ -3,8 +3,10 @@ import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finring import (
+    ArgumentError,
     LimitError,
     Limits,
     ParseError,
@@ -86,6 +88,55 @@ def test_parse_never_raises_anything_else():
         except ParseError as exc:
             assert 0 <= exc.position <= len(text)
         # anything else propagates and fails the test
+
+
+# Keywords, punctuation, integers (small, at and beyond the size limits,
+# and past int()'s digit limit), spaces and a few stray characters.
+SOUP_TOKENS = (["Z", "GF", "M", "UT", "TE", "BT", "NIL", "POLYQ", "GR", "MODJ", "CORNER",
+                "QUOT", "C", "S3", "D4", "Q8", "(", ")", "[", "]", ",", "/", "x", " "]
+               + [str(v) for v in (0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 30, 255, 257, 10 ** 6, 10 ** 20)]
+               + ["9" * 5000, "\u00b2", "\u0663", "#", "-"])
+FUZZ_LIMITS = Limits(max_order=256)
+
+
+def _fuzz(text):
+    try:
+        parse(text)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text)
+    try:
+        parse_and_build(text, FUZZ_LIMITS)
+    except (ParseError, ArgumentError, LimitError):
+        pass
+    # anything else propagates and fails the test
+
+
+@settings(max_examples=300)
+@given(st.text(max_size=30))
+def test_random_text_raises_only_documented_errors(text):
+    _fuzz(text)
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(SOUP_TOKENS), max_size=24).map("".join))
+def test_token_soup_raises_only_documented_errors(text):
+    _fuzz(text)
+
+
+def test_size_parameters_are_limited_before_any_work():
+    # unless checked before any work that grows with the size parameter,
+    # each of these would run for minutes or exhaust memory
+    for text in ("M(1000, Z/2)", "UT(3000, Z/2)", "NIL(Z/2, 100000)", "GF(2, 99999999999)",
+                 "GF(1000000000000000003, 1)"):
+        with pytest.raises(LimitError, match="exceeds the limit 256"):
+            parse_and_build(text, FUZZ_LIMITS)
+    # int() reads decimal digits of any script, but not '\u00b2' and not
+    # more than its digit limit
+    assert parse("Z/\u0663") == Zmod(3)
+    for text in ("Z/\u00b2", "Z/" + "9" * 5000):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == 2
 
 
 def test_nesting_depth_cap():

@@ -30,6 +30,7 @@ from finring import (
     quotient,
     sqrt_jacobson,
     subring_closure,
+    trivial_extension,
     unit_inverses,
     units,
     upper_triangular,
@@ -134,6 +135,17 @@ def test_random_expressions_agree_with_all_lazy_twin(seed, depth):
     u, j, sqrt_j, nil = sets[:4]
     assert not u & sqrt_j
     assert nil | j <= sqrt_j
+    # the paper's C9: sqrtJU iff 2-sqrtJU and 1 + 1 in J
+    verdicts = classify(table).verdicts
+    two = table.add(table.one, table.one)
+    assert verdicts["sqrtJU"] == (verdicts["2-sqrtJU"] and two in j)
+    # TE(R) = R + M with M^2 = 0: (x, m) -> x * |R| + m is a unit iff x
+    # is, and lies in J iff x does
+    if table.order <= 16:
+        te = trivial_extension(table)
+        q = table.order
+        assert units(te).members == {x * q + m for x in u for m in range(q)}
+        assert jacobson(te).members == {x * q + m for x in j for m in range(q)}
 
 
 def test_block_offsets_in_reported_witnesses():
