@@ -5,6 +5,12 @@ Jacobson radical J(R), the power-radical sqrtJ(R) = {x : x^m in J(R)
 for some m >= 1}, the nilpotents N(R), the idempotents Id(R), and the
 center C(R).
 
+Precondition: the operations obey the ring axioms, as in every ring the
+constructions and the grammar build (the same precondition as the table
+fill in :mod:`finring.build`); run ``verify_axioms`` on a hand-made
+``FiniteRing`` first.  The shortcuts below use distributivity and
+associativity.
+
 Algorithm notes (one code path for both storage modes, reading the
 ring through ``add_arr``/``mul_arr``/``neg_arr`` and row blocks of
 about ``AXIOM_BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
@@ -12,16 +18,40 @@ about ``AXIOM_BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
 - Units come from the scan "find y with x*y = 1, then confirm
   y*x = 1", one multiplication-table row block at a time.  A failed
   confirmation is an InternalConsistencyError (finite rings are
-  Dedekind finite, so it cannot legitimately happen).
-- J(R) uses quasi-regularity: x is in J(R) iff 1 - r*x is a unit for
-  every r.  The computed set is then verified to be a two-sided ideal;
-  a verification failure raises InternalConsistencyError because it can
-  only mean a bug, never bad input.
+  Dedekind finite, so it cannot legitimately happen).  This is the
+  one n^2 pass of an analysis whose N(R) is an ideal.
+- An additive generating set S of the group (R, +) (cached under
+  ``"generators"``): take the smallest element g not reached yet and
+  extend the reached subgroup H to H + <g> by doubling.  After k
+  doublings the reached set is H + {0, .., 2^k - 1}*g; its shift by
+  2^k*g meets it exactly when 2^(k+1) exceeds the index m of H in
+  H + <g>, and the union is then all of H + <g>.  That is O(log n)
+  array calls in all, each of at most n entries.  S = [1, 4, 16, 64]
+  for M(2, Z/4).
+- C(R) is the commutant of S: x*s = s*x for every s in S makes x
+  commute with every sum of generators, by distributivity, so n*|S|
+  products decide it instead of n^2.
+- An additive subgroup I is a two-sided ideal iff S*I and I*S lie in
+  I, again by distributivity (:func:`_is_ideal`).  Only a set that
+  fails is scanned against all of R, to word its first violation
+  (:func:`_ideal_violation`).
 - sqrtJ and N use repeated squaring.  J(R) and {0} are ideals, so once
   a power x^m lies in one of them every higher power does too, and the
   powers of x take at most n distinct values, so x is in sqrtJ (in N)
   iff x^(2^k) is in J (is 0) for 2^k >= n: ceil(log2 n) squarings of
   every element at once.
+- J(R) = N(R) whenever N(R) is a two-sided ideal.  A finite ring is
+  Artinian, so J(R) is nilpotent and lies in N(R), and a nil two-sided
+  ideal lies in J(R) (Lam, *A First Course in Noncommutative Rings*,
+  Lemma 4.11 and Theorem 4.12).  Then sqrtJ(R) = N(R) too.  This holds
+  for every commutative ring and for rings such as UT(n, R) over a
+  commutative R, and costs N plus the ideal test above.  Otherwise
+  (M(2, R), GR(Z/2, S3)) J(R) comes from quasi-regularity,
+  :func:`quasi_regular_radical`: x is in J(R) iff 1 - r*x is a unit
+  for every r, an n^2 scan whose result is then verified to be a
+  two-sided ideal; a verification failure raises
+  InternalConsistencyError because it can only mean a bug, never bad
+  input.
 
 Each ring carries one cache; concurrent requests for the same set see a
 single computation (a per-ring lock guards the cache), and all returned
@@ -57,6 +87,31 @@ class RingAnalysis:
                 self.compute_counts[key] = self.compute_counts.get(key, 0) + 1
             return cache[key]
 
+    # -- additive generators -------------------------------------------
+
+    def _compute_generators(self):
+        ring = self.ring
+        reached = np.zeros(ring.order, dtype=bool)
+        reached[0] = True
+        gens = []
+        while not reached.all():
+            g = shift = int(reached.argmin())
+            gens.append(g)
+            while True:  # reached is H + {0, .., 2^k - 1}*g and shift is 2^k*g
+                hit = ring.add_arr(reached.nonzero()[0], shift)
+                met = reached[hit].any()
+                reached[hit] = True
+                if met:
+                    break
+                shift = ring.add_arr(shift, shift)
+            reached[g] = True  # already so in a group; ends the loop for any table
+        return np.array(gens)
+
+    def generators(self) -> np.ndarray:
+        """An additive generating set S of (R, +), ascending (see the
+        module docstring)."""
+        return self._get("generators", self._compute_generators)
+
     # -- units ---------------------------------------------------------
 
     def _compute_units(self):
@@ -83,24 +138,16 @@ class RingAnalysis:
 
     # -- Jacobson radical ----------------------------------------------
 
-    def _verify_ideal(self, members: frozenset) -> None:
-        from .build import _ideal_violation
-
-        violation = _ideal_violation(self.ring, members)
-        if violation is not None:
-            raise InternalConsistencyError(
-                f"computed Jacobson radical of {self.ring.label} is not an ideal: {violation}")
-
     def _compute_jacobson(self):
         ring = self.ring
-        n = ring.order
-        unit_mask = member_mask(n, self.units().members)
-        one_minus = ring.add_arr(ring.one, ring.neg_arr(np.arange(n)))  # 1 - t for every t
-        jm = np.ones(n, dtype=bool)
-        for _, block in ring.blocks("mul"):  # block[r, x] = r * x
-            jm &= unit_mask[one_minus[block]].all(axis=0)
-        members = frozenset(np.flatnonzero(jm).tolist())
-        self._verify_ideal(members)
+        nil = self.nilpotents()
+        if _is_ideal(ring, nil.members):  # then J = N (module docstring)
+            return nil
+        members = quasi_regular_radical(ring)
+        violation = _ideal_violation(ring, members)
+        if violation is not None:
+            raise InternalConsistencyError(
+                f"computed Jacobson radical of {ring.label} is not an ideal: {violation}")
         return element_set(ring, members)
 
     def jacobson(self) -> ElementSet:
@@ -123,7 +170,10 @@ class RingAnalysis:
 
     def sqrt_jacobson(self) -> ElementSet:
         def compute():
-            return element_set(self.ring, self._power_hits(self.jacobson().members))
+            j = self.jacobson()
+            if j is self.nilpotents():  # J = N, so sqrtJ = N
+                return j
+            return element_set(self.ring, self._power_hits(j.members))
         return self._get("sqrt_jacobson", compute)
 
     def in_sqrt_jacobson(self, x: int) -> bool:
@@ -146,13 +196,86 @@ class RingAnalysis:
     def center(self) -> ElementSet:
         def compute():
             ring = self.ring
-            every = np.arange(ring.order)
+            every, gens = np.arange(ring.order), self.generators()
             central = np.empty(ring.order, dtype=bool)
-            for lo, block in ring.blocks("mul"):  # rows x*y against columns y*x
+            for lo, block in ring.blocks("mul", every, gens):  # x*s against s*x
                 xs = every[lo:lo + len(block)]
-                central[xs] = (block == ring.mul_arr(every[None, :], xs[:, None])).all(axis=1)
+                central[xs] = (block == ring.mul_arr(gens[None, :], xs[:, None])).all(axis=1)
             return element_set(ring, np.flatnonzero(central))
         return self._get("center", compute)
+
+
+def quasi_regular_radical(ring: FiniteRing) -> frozenset:
+    """J(R) by quasi-regularity: x is in J(R) iff 1 - r*x is a unit for
+    every r.  An n^2 scan by multiplication-table row blocks; the general
+    path of :func:`jacobson`, callable on its own as a reference."""
+    n = ring.order
+    unit_mask = member_mask(n, units(ring).members)
+    one_minus = ring.add_arr(ring.one, ring.neg_arr(np.arange(n)))  # 1 - t for every t
+    jm = np.ones(n, dtype=bool)
+    for _, block in ring.blocks("mul"):  # block[r, x] = r * x
+        jm &= unit_mask[one_minus[block]].all(axis=0)
+    return frozenset(np.flatnonzero(jm).tolist())
+
+
+def _is_ideal(ring: FiniteRing, members: frozenset) -> bool:
+    """Whether ``members`` is a two-sided ideal: it holds 0 and is closed
+    under addition (over all pairs, by blocks) and negation, so it is an
+    additive subgroup I, and S*I and I*S lie in I for the additive
+    generators S (:meth:`RingAnalysis.generators`), which by
+    distributivity puts R*I and I*R in I."""
+    if 0 not in members:
+        return False
+    arr = np.array(sorted(members))
+    mask = member_mask(ring.order, arr)
+
+    def inside(op, xs, ys):
+        return all(mask[block].all() for _, block in ring.blocks(op, xs, ys))
+
+    if not (mask[ring.neg_arr(arr)].all() and inside("add", arr, arr)):
+        return False
+    gens = analysis(ring).generators()
+    return inside("mul", gens, arr) and inside("mul", arr, gens)
+
+
+def _first_outside(ring: FiniteRing, mask: np.ndarray, op: str, xs, ys) -> tuple | None:
+    """The first (x, y, op(x, y)) over xs x ys, in that order, whose
+    value lies outside ``mask``; None if there is none."""
+    for lo, block in ring.blocks(op, xs, ys):
+        outside = ~mask[block]
+        if outside.any():
+            i, j = np.unravel_index(int(np.argmax(outside)), outside.shape)
+            return int(xs[lo + i]), int(ys[j]), int(block[i, j])
+    return None
+
+
+def _ideal_violation(ring: FiniteRing, members: frozenset) -> str | None:
+    """None if ``members`` is a two-sided ideal, else a violation message.
+
+    The verdict comes from :func:`_is_ideal`.  Only a set that is not an
+    ideal pays for the scans over all of R that word its first
+    violation."""
+    if _is_ideal(ring, members):
+        return None
+    if 0 not in members:
+        return "0 is missing"
+    arr = np.array(sorted(members))
+    every = np.arange(ring.order)
+    mask = member_mask(ring.order, arr)
+    bad = _first_outside(ring, mask, "add", arr, arr)
+    if bad:
+        return "not closed under addition: {} + {} = {}".format(*bad)
+    negs = ring.neg_arr(arr)
+    if not mask[negs].all():
+        i = int(np.argmin(mask[negs]))
+        return f"not closed under negation: -{int(arr[i])} = {int(negs[i])}"
+    bad = _first_outside(ring, mask, "mul", every, arr)
+    if bad:
+        return "not closed under left multiplication: {} * {} = {}".format(*bad)
+    bad = _first_outside(ring, mask, "mul", arr, every)
+    if bad:
+        return "not closed under right multiplication: {} * {} = {}".format(*bad)
+    return None
 
 
 def analysis(ring: FiniteRing) -> RingAnalysis:

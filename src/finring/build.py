@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import _ideal_violation
 from .core import (
     DEFAULT_LIMITS,
     ArgumentError,
@@ -49,7 +50,6 @@ from .core import (
     InternalConsistencyError,
     Limits,
     closure,
-    member_mask,
 )
 from .groups import (
     NAMED_GROUPS,
@@ -76,9 +76,6 @@ class Subring:
     ring: FiniteRing
     parent: FiniteRing
     embedding: tuple
-
-    def image(self) -> frozenset:
-        return frozenset(self.embedding)
 
 
 @dataclass(frozen=True)
@@ -163,6 +160,8 @@ def _coord_ring(base, k, weights, one_coords, mul_coords, label, limits, materia
     for w in steps:
         g = np.arange(1, q) * w
         mul_t[w:q * w] = add_t[mul_t[None, :w], mul_t[g][:, None, :]].reshape(-1, order)
+    add_t.setflags(write=False)  # handed over, so FiniteRing need not copy them
+    mul_t.setflags(write=False)
     return FiniteRing(order, one_index, label, add_table=add_t, mul_table=mul_t)
 
 
@@ -279,7 +278,9 @@ def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
     if table_mode:
         def kron(op):
             t1, t2 = r1.row_block(op, 0, n1), r2.row_block(op, 0, n2)
-            return (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(order, order)
+            table = (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(order, order)
+            table.setflags(write=False)  # handed over, so FiniteRing need not copy it
+            return table
 
         neg = r1.neg_arr(np.arange(n1))[:, None] * n2 + r2.neg_arr(np.arange(n2))[None, :]
         return FiniteRing(order, one_index, label, add_table=kron("add"),
@@ -456,40 +457,6 @@ def group_ring(base: FiniteRing, group: GroupTable, *, label: str | None = None,
 
 # ---------------------------------------------------------------------------
 # Derived rings: quotients, corners, generated subrings
-
-
-def _first_outside(ring: FiniteRing, mask: np.ndarray, op: str, xs, ys) -> tuple | None:
-    """The first (x, y, op(x, y)) over xs x ys, in that order, whose
-    value lies outside ``mask``; None if there is none."""
-    for lo, block in ring.blocks(op, xs, ys):
-        outside = ~mask[block]
-        if outside.any():
-            i, j = np.unravel_index(int(np.argmax(outside)), outside.shape)
-            return int(xs[lo + i]), int(ys[j]), int(block[i, j])
-    return None
-
-
-def _ideal_violation(ring: FiniteRing, members: frozenset) -> str | None:
-    """None if ``members`` is a two-sided ideal, else a violation message."""
-    if 0 not in members:
-        return "0 is missing"
-    arr = np.array(sorted(members))
-    every = np.arange(ring.order)
-    mask = member_mask(ring.order, arr)
-    bad = _first_outside(ring, mask, "add", arr, arr)
-    if bad:
-        return "not closed under addition: {} + {} = {}".format(*bad)
-    negs = ring.neg_arr(arr)
-    if not mask[negs].all():
-        i = int(np.argmin(mask[negs]))
-        return f"not closed under negation: -{int(arr[i])} = {int(negs[i])}"
-    bad = _first_outside(ring, mask, "mul", every, arr)
-    if bad:
-        return "not closed under left multiplication: {} * {} = {}".format(*bad)
-    bad = _first_outside(ring, mask, "mul", arr, every)
-    if bad:
-        return "not closed under right multiplication: {} * {} = {}".format(*bad)
-    return None
 
 
 def quotient(ring: FiniteRing, ideal, *, label: str | None = None,

@@ -81,7 +81,11 @@ DEFAULT_LIMITS = Limits()
 
 def _freeze(table, shape: tuple, shape_error: str) -> np.ndarray:
     """A read-only int32 copy (or view) of ``table``, checked before the
-    cast: the shape, an integer dtype and entries in 0..shape[0]-1."""
+    cast: the shape, an integer dtype and entries in 0..shape[0]-1.
+
+    A writable array is copied, so the caller's own array stays writable
+    and later writes to it do not reach the ring; a read-only int32
+    C-contiguous array, as the constructions hand over, is kept as is."""
     try:
         arr = np.asarray(table)
     except ValueError:  # a ragged nested list
@@ -92,9 +96,11 @@ def _freeze(table, shape: tuple, shape_error: str) -> np.ndarray:
         raise ArgumentError(f"table entries must be integers, got dtype {arr.dtype}")
     if arr.min() < 0 or arr.max() >= shape[0]:
         raise ArgumentError(f"table entries must lie in 0..{shape[0] - 1}")
-    arr = np.ascontiguousarray(arr, dtype=np.int32)
-    arr.setflags(write=False)
-    return arr
+    frozen = np.ascontiguousarray(arr, dtype=np.int32)
+    if frozen is arr and arr.flags.writeable:
+        frozen = arr.copy()
+    frozen.setflags(write=False)
+    return frozen
 
 
 class FiniteRing:
@@ -261,20 +267,9 @@ class FiniteRing:
             tables[op] = np.empty((n, n), dtype=np.int32)
             for lo, block in self.blocks(op):
                 tables[op][lo:lo + len(block)] = block
+            tables[op].setflags(write=False)
         return FiniteRing(n, self.one, self.label, add_table=tables["add"],
                           mul_table=tables["mul"], neg_table=self.neg_arr(np.arange(n)))
-
-    def relabel(self, label: str) -> "FiniteRing":
-        """A copy of this ring carrying a different display label."""
-        if self.mode == "table":
-            return FiniteRing(
-                self.order, self.one, label,
-                add_table=self.add_table, mul_table=self.mul_table, neg_table=self.neg_table,
-            )
-        return FiniteRing(
-            self.order, self.one, label,
-            add_fn=self.add_arr, mul_fn=self.mul_arr, neg_fn=self.neg_arr,
-        )
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,59 @@ def brute_center(ring) -> set:
     return {x for x in range(n) if all(ring.mul(x, y) == ring.mul(y, x) for y in range(n))}
 
 
+def full_commutant(ring) -> set:
+    """Elements x with x*y == y*x for every y, one n x n product array."""
+    every = np.arange(ring.order)
+    table = ring.mul_arr(every[:, None], every[None, :])
+    return set(np.flatnonzero((table == table.T).all(axis=1)).tolist())
+
+
+def additive_span(ring, gens) -> set:
+    """Everything reached from 0 by adding elements of ``gens``."""
+    reached = np.zeros(ring.order, dtype=bool)
+    reached[0] = True
+    gens = np.asarray(gens, dtype=np.intp)
+    while True:
+        hit = ring.add_arr(np.flatnonzero(reached)[:, None], gens[None, :])
+        if reached[hit].all():
+            return set(np.flatnonzero(reached).tolist())
+        reached[hit] = True
+
+
+def full_scan_ideal_violation(ring, members) -> str | None:
+    """The first failing ideal law of ``members`` over all of I x I, -I,
+    R x I and I x R, in that order, worded as ``quotient`` words it."""
+    if 0 not in members:
+        return "0 is missing"
+    arr = np.array(sorted(members))
+    every = np.arange(ring.order)
+    inside = np.zeros(ring.order, dtype=bool)
+    inside[arr] = True
+
+    def first_outside(op, xs, ys):
+        values = op(xs[:, None], ys[None, :])
+        outside = ~inside[values]
+        if outside.any():
+            i, j = np.unravel_index(int(np.argmax(outside)), outside.shape)
+            return int(xs[i]), int(ys[j]), int(values[i, j])
+        return None
+
+    bad = first_outside(ring.add_arr, arr, arr)
+    if bad:
+        return "not closed under addition: {} + {} = {}".format(*bad)
+    negs = ring.neg_arr(arr)
+    if not inside[negs].all():
+        i = int(np.argmin(inside[negs]))
+        return f"not closed under negation: -{int(arr[i])} = {int(negs[i])}"
+    bad = first_outside(ring.mul_arr, every, arr)
+    if bad:
+        return "not closed under left multiplication: {} * {} = {}".format(*bad)
+    bad = first_outside(ring.mul_arr, arr, every)
+    if bad:
+        return "not closed under right multiplication: {} * {} = {}".format(*bad)
+    return None
+
+
 def brute_unit_square_class(ring, target: set) -> bool:
     one = ring.one
     for u in brute_units(ring):

@@ -305,6 +305,18 @@ def test_ring_validation():
         FiniteRing(4, 0, "bad-one", add_table=zmod(4).add_table, mul_table=zmod(4).mul_table)
 
 
+def test_constructor_leaves_the_callers_tables_alone():
+    z = zmod(4)
+    add, mul = np.array(z.add_table), np.array(z.mul_table)
+    ring = FiniteRing(4, 1, "x", add_table=add, mul_table=mul)
+    add[0, 0] = 1
+    mul[1, 1] = 0
+    assert add.flags.writeable and mul.flags.writeable
+    assert ring.add_table[0, 0] == 0 and ring.mul_table[1, 1] == 1
+    # read-only tables handed over by a construction are kept, not copied
+    assert FiniteRing(4, 1, "y", add_table=z.add_table, mul_table=z.mul_table).add_table is z.add_table
+
+
 def test_ring_rejects_table_entries_out_of_range():
     z4 = zmod(4)
     for value in (7, -1):

@@ -1,0 +1,116 @@
+"""The generator-reduced analysis paths against the general ones.
+
+J(R) is taken to be N(R) whenever N(R) is an ideal, the center is the
+commutant of an additive generating set S, and ideal tests run from S.
+Each is compared here with the n^2 computation it replaces.
+"""
+
+import random
+import re
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from finring import (
+    ArgumentError,
+    LimitError,
+    Limits,
+    analysis,
+    center,
+    format_expr,
+    ideal_closure,
+    jacobson,
+    nilpotents,
+    parse_and_build,
+    quotient,
+    sqrt_jacobson,
+    zmod,
+)
+from finring.analysis import _ideal_violation, quasi_regular_radical
+from finring.harness import DEFAULT_CORPUS_LINES
+
+from helpers import additive_span, full_commutant, full_scan_ideal_violation, random_ring_expr
+
+# the rings of the benchmark's analyze-table workload, orders 81 to 1024
+ANALYZE_TABLE = (
+    "GR(Z/3, C2 x C2)", "M(2, Z/4)", "UT(3, Z/3)", "TE(Z/27)", "BT(Z/5)",
+    "M(2, Z/5)", "GR(Z/4, C5)", "NIL(Z/4, 5)", "GF(2, 10)", "Z/32 x Z/32",
+    "TE(Z/32)", "GR(Z/2, D4)", "MODJ(UT(2, Z/8))", "CORNER(M(2, Z/5), 1)",
+    "QUOT(TE(Z/27), [81])",
+)
+
+
+def assert_matches_general_path(ring):
+    n = ring.order
+    assert additive_span(ring, analysis(ring).generators()) == set(range(n))
+    assert center(ring).members == full_commutant(ring)
+    nil, j = nilpotents(ring), jacobson(ring)
+    nil_is_ideal = full_scan_ideal_violation(ring, nil.members) is None
+    assert (j is nil) == nil_is_ideal  # the shortcut runs exactly when N is an ideal
+    if nil_is_ideal:
+        assert j.members == quasi_regular_radical(ring)
+        assert sqrt_jacobson(ring) is nil
+    rng = random.Random(n)
+    outside = sorted(set(range(n)) - j.members)
+    candidates = [j.members, nil.members]
+    every = np.arange(n)
+    for x in rng.sample(range(n), min(2, n)):  # the ideal, right ideal and left ideal of x
+        candidates.append(ideal_closure(ring, [x]).members)
+        candidates.append(frozenset(ring.mul_arr(x, every).tolist()))
+        candidates.append(frozenset(ring.mul_arr(every, x).tolist()))
+    candidates += [j.members | {x} for x in rng.sample(outside, min(2, len(outside)))]
+    candidates += [j.members - {x} for x in rng.sample(sorted(j.members), min(2, len(j)))]
+    for members in candidates:
+        assert _ideal_violation(ring, members) == full_scan_ideal_violation(ring, members)
+
+
+@pytest.mark.parametrize("text", list(dict.fromkeys([*DEFAULT_CORPUS_LINES, *ANALYZE_TABLE])))
+def test_corpus_and_benchmark_rings_match_general_path(text):
+    assert_matches_general_path(parse_and_build(text))
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3))
+def test_random_expressions_match_general_path(seed, depth):
+    text = format_expr(random_ring_expr(random.Random(seed), depth))
+    try:
+        table = parse_and_build(text, Limits(max_order=256))
+    except (LimitError, ArgumentError):
+        assume(False)
+    lazy = parse_and_build(text, Limits(max_order=256, table_threshold=1))
+    assert lazy.mode == "lazy"
+    for ring in (table, lazy):
+        assert_matches_general_path(ring)
+
+
+@pytest.mark.parametrize("text, shortcut", [
+    ("UT(3, Z/2)", True), ("TE(Z/9)", True), ("Z/12", True),
+    ("M(2, Z/2)", False), ("GR(Z/2, S3)", False),
+])
+def test_which_rings_take_the_shortcut(text, shortcut):
+    ring = parse_and_build(text)
+    assert (jacobson(ring) is nilpotents(ring)) == shortcut
+    assert ("units" in analysis(ring).compute_counts) == (not shortcut)
+
+
+def test_additive_generators_by_doubling():
+    for limits in (Limits(), Limits(table_threshold=1)):
+        m = parse_and_build("M(2, Z/4)", limits)
+        assert analysis(m).generators().tolist() == [1, 4, 16, 64]
+    assert analysis(zmod(12)).generators().tolist() == [1]
+    assert analysis(parse_and_build("Z/2 x Z/4")).generators().tolist() == [1, 4]
+
+
+def test_quotient_words_the_first_violation():
+    m2 = parse_and_build("M(2, Z/2)")  # E11 = 1, E12 = 2, E21 = 4, E22 = 8
+    for members, message in (
+        ([2, 4, 15], "0 is missing"),
+        ([0, 2, 4, 15], "not closed under addition: 2 + 4 = 6"),  # N(R)
+        ([0, 2], "not closed under left multiplication: 4 * 2 = 8"),
+        ([0, 1, 2, 3], "not closed under left multiplication: 4 * 1 = 4"),  # E11*R
+        ([0, 1, 4, 5], "not closed under right multiplication: 1 * 2 = 2"),  # R*E11
+    ):
+        with pytest.raises(ArgumentError, match=re.escape(message) + "$"):
+            quotient(m2, members)
+
