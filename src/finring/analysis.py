@@ -27,7 +27,7 @@ about ``AXIOM_BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
   2^k*g meets it exactly when 2^(k+1) exceeds the index m of H in
   H + <g>, and the union is then all of H + <g>.  That is O(log n)
   array calls in all, each of at most n entries.  S = [1, 4, 16, 64]
-  for M(2, Z/4).
+  for M(2, Z/4).  This is :func:`_grow_span` over every element.
 - C(R) is the commutant of S: x*s = s*x for every s in S makes x
   commute with every sum of generators, by distributivity, so n*|S|
   products decide it instead of n^2.
@@ -35,6 +35,15 @@ about ``AXIOM_BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
   I, again by distributivity (:func:`_is_ideal`).  Only a set that
   fails is scanned against all of R, to word its first violation
   (:func:`_ideal_violation`).
+- A generated ideal or subring is an additive span of generator
+  products (:func:`closure`).  The span V grows from the seeds by the
+  doubling above, and each candidate that enlarges it joins a set T
+  (at most log2 n of them, as each at least doubles V).  For an ideal
+  every new t in T is multiplied on both sides by S, for a subring by
+  all of T, and the products are the next candidates.  Once no product
+  leaves V, V is closed: it is the span of T, every r in R is a sum of
+  elements of S, so by distributivity S*T and T*S in V put R*V and V*R
+  in V, and T*T in V puts V*V in V.
 - sqrtJ and N use repeated squaring.  J(R) and {0} are ideals, so once
   a power x^m lies in one of them every higher power does too, and the
   powers of x take at most n distinct values, so x is in sqrtJ (in N)
@@ -66,7 +75,6 @@ from .core import (
     ElementSet,
     FiniteRing,
     InternalConsistencyError,
-    closure,
     element_set,
     member_mask,
 )
@@ -89,28 +97,14 @@ class RingAnalysis:
 
     # -- additive generators -------------------------------------------
 
-    def _compute_generators(self):
-        ring = self.ring
-        reached = np.zeros(ring.order, dtype=bool)
-        reached[0] = True
-        gens = []
-        while not reached.all():
-            g = shift = int(reached.argmin())
-            gens.append(g)
-            while True:  # reached is H + {0, .., 2^k - 1}*g and shift is 2^k*g
-                hit = ring.add_arr(reached.nonzero()[0], shift)
-                met = reached[hit].any()
-                reached[hit] = True
-                if met:
-                    break
-                shift = ring.add_arr(shift, shift)
-            reached[g] = True  # already so in a group; ends the loop for any table
-        return np.array(gens)
-
     def generators(self) -> np.ndarray:
         """An additive generating set S of (R, +), ascending (see the
         module docstring)."""
-        return self._get("generators", self._compute_generators)
+        def compute():
+            reached = np.zeros(self.ring.order, dtype=bool)
+            reached[0] = True
+            return np.array(_grow_span(self.ring, reached, np.arange(self.ring.order)))
+        return self._get("generators", compute)
 
     # -- units ---------------------------------------------------------
 
@@ -148,7 +142,7 @@ class RingAnalysis:
         if violation is not None:
             raise InternalConsistencyError(
                 f"computed Jacobson radical of {ring.label} is not an ideal: {violation}")
-        return element_set(ring, members)
+        return ElementSet(ring, members)
 
     def jacobson(self) -> ElementSet:
         return self._get("jacobson", self._compute_jacobson)
@@ -159,14 +153,15 @@ class RingAnalysis:
 
     # -- power-radical sets --------------------------------------------
 
-    def _power_hits(self, ideal: frozenset) -> frozenset:
-        """Elements with some power x^m (m >= 1) in the two-sided
-        ``ideal``, by repeated squaring (see the module docstring)."""
+    def _power_hits(self, ideal: frozenset) -> np.ndarray:
+        """Sorted indices of the elements with some power x^m (m >= 1) in
+        the two-sided ``ideal``, by repeated squaring (see the module
+        docstring)."""
         ring = self.ring
         p = np.arange(ring.order)
         for _ in range((ring.order - 1).bit_length()):
             p = ring.mul_arr(p, p)
-        return frozenset(np.flatnonzero(member_mask(ring.order, ideal)[p]).tolist())
+        return np.flatnonzero(member_mask(ring.order, ideal)[p])
 
     def sqrt_jacobson(self) -> ElementSet:
         def compute():
@@ -216,6 +211,54 @@ def quasi_regular_radical(ring: FiniteRing) -> frozenset:
     for _, block in ring.blocks("mul"):  # block[r, x] = r * x
         jm &= unit_mask[one_minus[block]].all(axis=0)
     return frozenset(np.flatnonzero(jm).tolist())
+
+
+def _grow_span(ring: FiniteRing, reached: np.ndarray, candidates: np.ndarray) -> list[int]:
+    """Extend the additive subgroup H marked in ``reached``, in place, to
+    the subgroup generated by H and ``candidates``, and return the
+    candidates that enlarged it, in the order taken.
+
+    Each step takes the smallest candidate g not reached yet and extends
+    H to H + <g> by doubling (see the module docstring), so each
+    returned candidate at least doubles H: there are at most log2 n."""
+    taken = []
+    while True:
+        left = candidates[~reached[candidates]]
+        if not len(left):
+            return taken
+        g = shift = int(left.min())
+        taken.append(g)
+        while True:  # reached is H + {0, .., 2^k - 1}*g and shift is 2^k*g
+            hit = ring.add_arr(reached.nonzero()[0], shift)
+            met = reached[hit].any()
+            reached[hit] = True
+            if met:
+                break
+            shift = ring.add_arr(shift, shift)
+        reached[g] = True  # already so in a group; ends the loop for any table
+
+
+def closure(ring: FiniteRing, seeds, *, ideal: bool) -> np.ndarray:
+    """Sorted indices of the smallest additive subgroup V holding
+    ``seeds`` with R*V and V*R inside V when ``ideal``, else with V*V
+    inside V (a subring when the seeds hold 1).
+
+    V is the additive span of a set T that grows from the seeds: each
+    candidate that enlarges the span joins T and is multiplied on both
+    sides by the additive generators S (``ideal``) or by all of T, and
+    the products are the next candidates (see the module docstring)."""
+    reached = np.zeros(ring.order, dtype=bool)
+    reached[0] = True
+    new = _grow_span(ring, reached, np.asarray(seeds, dtype=np.intp))
+    taken = list(new)
+    while new:
+        ts = np.array(new)[:, None]
+        factors = analysis(ring).generators() if ideal else np.array(taken)
+        products = np.concatenate([ring.mul_arr(ts, factors[None, :]).ravel(),
+                                   ring.mul_arr(factors[None, :], ts).ravel()])
+        new = _grow_span(ring, reached, products)
+        taken += new
+    return np.flatnonzero(reached)
 
 
 def _is_ideal(ring: FiniteRing, members: frozenset) -> bool:
@@ -329,7 +372,7 @@ def ideal_closure(ring: FiniteRing, gens) -> ElementSet:
     gens = [int(x) for x in gens]
     for x in gens:
         ring._check_index(x)
-    return element_set(ring, closure(ring, [0] + gens, ideal=True))
+    return element_set(ring, closure(ring, gens, ideal=True))
 
 
 def is_unit_closed_subring(sub) -> bool:

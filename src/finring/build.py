@@ -42,14 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _ideal_violation
+from .analysis import _ideal_violation, closure
 from .core import (
     DEFAULT_LIMITS,
     ArgumentError,
     FiniteRing,
     InternalConsistencyError,
     Limits,
-    closure,
 )
 from .groups import (
     NAMED_GROUPS,
@@ -225,8 +224,10 @@ def _monic_polys(p: int, d: int):
 
 
 def _is_irreducible(f: tuple, p: int) -> bool:
+    """Whether the monic f has no monic factor of degree 1..deg f / 2;
+    a reducible f has one of them, as its factors' degrees sum to deg f."""
     deg = len(f) - 1
-    for d in range(1, deg):
+    for d in range(1, deg // 2 + 1):
         for g in _monic_polys(p, d):
             rem = _poly_mod(f, g, p)
             if all(c == 0 for c in rem):
@@ -533,5 +534,5 @@ def subring_closure(ring: FiniteRing, gens, *, label: str | None = None,
     for x in gens:
         ring._check_index(x)
     label = label or f"subring({', '.join(str(g) for g in gens)}) of {ring.label}"
-    members = closure(ring, [0, ring.one] + gens, ideal=False)
+    members = closure(ring, [ring.one] + gens, ideal=False)
     return _inherited_subring(ring, members, ring.one, label, limits, materialize)

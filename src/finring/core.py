@@ -299,7 +299,8 @@ class ElementSet:
 
 
 def element_set(ring: FiniteRing, members) -> ElementSet:
-    return ElementSet(ring, frozenset(int(x) for x in members))
+    """An ElementSet from an index array or list."""
+    return ElementSet(ring, frozenset(np.asarray(members).tolist()))
 
 
 def member_mask(n: int, members) -> np.ndarray:
@@ -307,27 +308,6 @@ def member_mask(n: int, members) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     mask[list(members)] = True
     return mask
-
-
-def closure(ring: FiniteRing, seeds, *, ideal: bool) -> np.ndarray:
-    """Sorted indices of the smallest set holding ``seeds`` that is closed
-    under addition, negation and multiplication on both sides by its own
-    members, or by every element when ``ideal``.  Each round combines
-    only the elements first reached in the round before with the rest."""
-    every = np.arange(ring.order)
-    inside = np.zeros(ring.order, dtype=bool)
-    new = np.unique(np.asarray(seeds, dtype=np.intp))
-    while len(new):
-        inside[new] = True
-        cur = np.flatnonzero(inside)
-        scope = every if ideal else cur
-        reached = np.zeros(ring.order, dtype=bool)
-        reached[ring.neg_arr(new)] = True
-        for op, xs, ys in (("add", new, cur), ("add", cur, new), ("mul", scope, new), ("mul", new, scope)):
-            for _, block in ring.blocks(op, xs, ys):
-                reached[block] = True
-        new = np.flatnonzero(reached & ~inside)
-    return np.flatnonzero(inside)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,12 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
+import numpy as np
+
 from . import build
 from .analysis import (
     center,
+    closure,
     ideal_closure,
     idempotents,
     is_unit_closed_subring,
@@ -315,11 +318,11 @@ def _claim_c5(ctx):
         seen = set()
         tested = 0
         for x in range(ring.order):
-            sub = build.subring_closure(ring, [x], limits=ctx.limits)
-            key = sub.embedding
+            key = closure(ring, [ring.one, x], ideal=False).tobytes()
             if key in seen:
                 continue
             seen.add(key)
+            sub = build.subring_closure(ring, [x], limits=ctx.limits)
             if not is_unit_closed_subring(sub):
                 continue
             tested += 1
@@ -520,12 +523,27 @@ def _claim_c15(ctx):
     return "UT(2, Z/2), UT(2, Z/4), UT(3, Z/2), UT(2, Z/5)", records
 
 
-def _digit_reversal(s: int, q: int) -> int:
+def _digit_reversal(s, q: int):
+    """The base-q digits of s (an int or an index array) in reverse."""
     d0 = s % q
     d1 = (s // q) % q
     d2 = (s // q ** 2) % q
     d3 = s // q ** 3
     return d0 * q ** 3 + d1 * q ** 2 + d2 * q + d3
+
+
+def _first_non_homomorphic_pair(src: FiniteRing, tgt: FiniteRing, d: np.ndarray) -> str | None:
+    """The first pair (a, b) in row-major order at which the map
+    a -> d[a] fails to carry src's addition or multiplication to tgt's,
+    worded "not additive" when addition fails there and "not
+    multiplicative" otherwise; None if there is none."""
+    a, b = np.arange(src.order)[:, None], np.arange(src.order)[None, :]
+    not_additive = d[src.add_arr(a, b)] != tgt.add_arr(d[a], d[b])
+    failing = not_additive | (d[src.mul_arr(a, b)] != tgt.mul_arr(d[a], d[b]))
+    if not failing.any():
+        return None
+    i, j = np.unravel_index(int(np.argmax(failing)), failing.shape)
+    return f"not {'additive' if not_additive[i, j] else 'multiplicative'} at ({i}, {j})"
 
 
 def _claim_c16(ctx):
@@ -543,21 +561,14 @@ def _claim_c16(ctx):
         src = build.poly_quotient(inner, [0, 0, inner.one], limits=ctx.limits)
         tgt = build.bt(base, limits=ctx.limits)
         problems = []
-        img = sorted(_digit_reversal(s, n) for s in range(src.order))
-        if img != list(range(tgt.order)):
+        d = _digit_reversal(np.arange(src.order), n)
+        if not np.array_equal(np.sort(d), np.arange(tgt.order)):
             problems.append("coordinate map is not a bijection")
-        if _digit_reversal(src.one, n) != tgt.one:
+        if d[src.one] != tgt.one:
             problems.append("coordinate map does not preserve 1")
-        for a in range(src.order):
-            for b in range(src.order):
-                if _digit_reversal(src.add(a, b), n) != tgt.add(_digit_reversal(a, n), _digit_reversal(b, n)):
-                    problems.append(f"not additive at ({a}, {b})")
-                    break
-                if _digit_reversal(src.mul(a, b), n) != tgt.mul(_digit_reversal(a, n), _digit_reversal(b, n)):
-                    problems.append(f"not multiplicative at ({a}, {b})")
-                    break
-            if problems:
-                break
+        bad = _first_non_homomorphic_pair(src, tgt, d)
+        if bad:
+            problems.append(bad)
         records.append(InstanceRecord(
             f"Z/{n}[x,y]/(x^2,y^2) -> BT(Z/{n}) ({src.order}^2 pairs)",
             not problems, "; ".join(problems)))

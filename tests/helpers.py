@@ -106,6 +106,27 @@ def additive_span(ring, gens) -> set:
         reached[hit] = True
 
 
+def round_based_closure(ring, seeds, *, ideal: bool) -> np.ndarray:
+    """Sorted indices of the smallest set holding ``seeds`` that is closed
+    under addition, negation and multiplication on both sides by its own
+    members, or by every element when ``ideal``.  Each round combines
+    only the elements first reached in the round before with the rest."""
+    every = np.arange(ring.order)
+    inside = np.zeros(ring.order, dtype=bool)
+    new = np.unique(np.asarray(seeds, dtype=np.intp))
+    while len(new):
+        inside[new] = True
+        cur = np.flatnonzero(inside)
+        scope = every if ideal else cur
+        reached = np.zeros(ring.order, dtype=bool)
+        reached[ring.neg_arr(new)] = True
+        for op, xs, ys in (("add", new, cur), ("add", cur, new), ("mul", scope, new), ("mul", new, scope)):
+            for _, block in ring.blocks(op, xs, ys):
+                reached[block] = True
+        new = np.flatnonzero(reached & ~inside)
+    return np.flatnonzero(inside)
+
+
 def full_scan_ideal_violation(ring, members) -> str | None:
     """The first failing ideal law of ``members`` over all of I x I, -I,
     R x I and I x R, in that order, worded as ``quotient`` words it."""
@@ -288,10 +309,12 @@ def full_cube_ternary_checks(ring) -> tuple:
     """Associativity and distributivity of a table ring over whole n^3 cubes.
 
     The straightforward form of ``verify_axioms``'s exhaustive ternary
-    branch: each side is one int32 cube indexed [x, y, z], and the witness
-    is the first failing triple of ``np.argwhere``, in lexicographic order.
+    branch: each side is one cube indexed [x, y, z], in the smallest dtype
+    that holds the indices 0..n-1, and the witness is the first failing
+    triple of ``np.argwhere``, in lexicographic order.
     """
-    ADD, MUL = ring.add_table, ring.mul_table
+    dtype = np.min_scalar_type(ring.order - 1)
+    ADD, MUL = ring.add_table.astype(dtype), ring.mul_table.astype(dtype)
     checks = []
 
     def ternary(name, lhs, rhs):

@@ -6,14 +6,21 @@ from finring import (
     Corpus,
     CorpusError,
     FiniteRing,
+    bt,
     classify,
     default_corpus,
     load_corpus,
+    poly_quotient,
     run_claim,
     run_suite,
     zmod,
 )
-from finring.harness import DEFAULT_CORPUS_LINES, SKIPPED_CLAIMS
+from finring.harness import (
+    DEFAULT_CORPUS_LINES,
+    SKIPPED_CLAIMS,
+    _digit_reversal,
+    _first_non_homomorphic_pair,
+)
 from finring.predicates import CLASS_NAMES
 
 
@@ -119,3 +126,40 @@ def test_c19_caps_the_large_instance():
 
 def test_every_claim_id_known():
     assert sorted(CLAIMS, key=lambda c: int(c[1:])) == [f"C{i}" for i in range(1, 20)]
+
+
+def _scalar_first_failure(src, tgt, phi):
+    """C16's pair loop: the first (a, b) in row-major order where phi
+    fails to carry addition, then multiplication, from src to tgt."""
+    for a in range(src.order):
+        for b in range(src.order):
+            if phi(src.add(a, b)) != tgt.add(phi(a), phi(b)):
+                return f"not additive at ({a}, {b})"
+            if phi(src.mul(a, b)) != tgt.mul(phi(a), phi(b)):
+                return f"not multiplicative at ({a}, {b})"
+    return None
+
+
+@pytest.mark.parametrize("n, faults", [
+    (2, []),
+    (2, [("mul", 5, 9)]),
+    (2, [("add", 5, 9)]),
+    (2, [("mul", 5, 9), ("add", 5, 9)]),  # both fail at one pair: additive
+    (2, [("add", 7, 3), ("mul", 5, 9)]),
+    (2, [("mul", 0, 0), ("add", 15, 15)]),
+    (3, [("mul", 80, 80), ("add", 40, 2)]),
+])
+def test_c16_pair_check_matches_scalar_loop(n, faults):
+    base = zmod(n)
+    inner = poly_quotient(base, [0, 0, base.one])
+    src = poly_quotient(inner, [0, 0, inner.one])
+    good = bt(base)
+    d = _digit_reversal(np.arange(src.order), n)
+    tables = {"add": np.array(good.add_table), "mul": np.array(good.mul_table)}
+    for table, a, b in faults:  # break the image of the pair (a, b)
+        tables[table][d[a], d[b]] = (tables[table][d[a], d[b]] + 1) % good.order
+    tgt = FiniteRing(good.order, good.one, "corrupted BT",
+                     add_table=tables["add"], mul_table=tables["mul"])
+    expected = _scalar_first_failure(src, tgt, lambda s: int(d[s]))
+    assert (expected is None) == (not faults)
+    assert _first_non_homomorphic_pair(src, tgt, d) == expected

@@ -1,8 +1,9 @@
 """The generator-reduced analysis paths against the general ones.
 
 J(R) is taken to be N(R) whenever N(R) is an ideal, the center is the
-commutant of an additive generating set S, and ideal tests run from S.
-Each is compared here with the n^2 computation it replaces.
+commutant of an additive generating set S, ideal tests run from S, and
+generated ideals and subrings are additive spans of generator products.
+Each is compared here with the computation it replaces.
 """
 
 import random
@@ -25,12 +26,19 @@ from finring import (
     parse_and_build,
     quotient,
     sqrt_jacobson,
+    subring_closure,
     zmod,
 )
-from finring.analysis import _ideal_violation, quasi_regular_radical
+from finring.analysis import _ideal_violation, closure, quasi_regular_radical
 from finring.harness import DEFAULT_CORPUS_LINES
 
-from helpers import additive_span, full_commutant, full_scan_ideal_violation, random_ring_expr
+from helpers import (
+    additive_span,
+    full_commutant,
+    full_scan_ideal_violation,
+    random_ring_expr,
+    round_based_closure,
+)
 
 # the rings of the benchmark's analyze-table workload, orders 81 to 1024
 ANALYZE_TABLE = (
@@ -65,9 +73,37 @@ def assert_matches_general_path(ring):
         assert _ideal_violation(ring, members) == full_scan_ideal_violation(ring, members)
 
 
+def assert_closures_match_rounds(table, lazy):
+    """Generated ideals and subrings of a table ring and its lazy twin, on
+    seed sets of one and two elements with and without 1, against the
+    round-based closure on the table ring."""
+    rng = random.Random(table.order)
+    x, y = rng.sample(range(table.order), 2)
+    one = table.one
+    for seeds in ([x], [x, y], [one], [one, x]):
+        for ideal in (True, False):
+            expected = round_based_closure(table, [0] + seeds, ideal=ideal).tolist()
+            for ring in (table, lazy):
+                assert closure(ring, seeds, ideal=ideal).tolist() == expected, (ring.mode, seeds, ideal)
+    expected_ideal = round_based_closure(table, [0, x, y], ideal=True).tolist()
+    expected_sub = tuple(round_based_closure(table, [0, one, x], ideal=False).tolist())
+    for ring in (table, lazy):
+        assert ideal_closure(ring, [x, y]).indices() == expected_ideal
+        assert subring_closure(ring, [x], materialize=False).embedding == expected_sub
+
+
 @pytest.mark.parametrize("text", list(dict.fromkeys([*DEFAULT_CORPUS_LINES, *ANALYZE_TABLE])))
 def test_corpus_and_benchmark_rings_match_general_path(text):
     assert_matches_general_path(parse_and_build(text))
+
+
+@pytest.mark.parametrize("text", list(dict.fromkeys([*DEFAULT_CORPUS_LINES, *ANALYZE_TABLE, "UT(2, Z/11)"])))
+def test_closures_match_round_based_closure(text):
+    table, lazy = parse_and_build(text), parse_and_build(text, Limits(table_threshold=1))
+    assert lazy.mode == "lazy"
+    if table.mode == "lazy":  # UT(2, Z/11), order 1331
+        table = table.materialized()
+    assert_closures_match_rounds(table, lazy)
 
 
 @settings(max_examples=150)
@@ -82,6 +118,7 @@ def test_random_expressions_match_general_path(seed, depth):
     assert lazy.mode == "lazy"
     for ring in (table, lazy):
         assert_matches_general_path(ring)
+    assert_closures_match_rounds(table, lazy)
 
 
 @pytest.mark.parametrize("text, shortcut", [
