@@ -27,7 +27,10 @@ about ``AXIOM_BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
   2^k*g meets it exactly when 2^(k+1) exceeds the index m of H in
   H + <g>, and the union is then all of H + <g>.  That is O(log n)
   array calls in all, each of at most n entries.  S = [1, 4, 16, 64]
-  for M(2, Z/4).  This is :func:`_grow_span` over every element.
+  for M(2, Z/4).  This is :func:`_grow_span` over every element.  A
+  direct product R1 x R2 is seeded with S by its construction instead:
+  s*|R2| for s in S(R1) and t for t in S(R2), as (s, 0) and (0, t)
+  generate its additive group (S = [1, 4] for Z/2 x Z/4).
 - C(R) is the commutant of S: x*s = s*x for every s in S makes x
   commute with every sum of generators, by distributivity, so n*|S|
   products decide it instead of n^2.
@@ -94,6 +97,12 @@ class RingAnalysis:
                 cache[key] = compute()
                 self.compute_counts[key] = self.compute_counts.get(key, 0) + 1
             return cache[key]
+
+    def seed(self, key, value) -> None:
+        """Cache ``value`` under ``key`` unless a value is there already:
+        for a construction that knows a set from its factors."""
+        with self.ring._analysis_lock:
+            self.ring._analysis_cache.setdefault(key, value)
 
     # -- additive generators -------------------------------------------
 

@@ -42,13 +42,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _ideal_violation, closure
+from .analysis import _ideal_violation, analysis, closure
 from .core import (
     DEFAULT_LIMITS,
     ArgumentError,
     FiniteRing,
     InternalConsistencyError,
     Limits,
+    block_rows,
+    table_dtype,
 )
 from .groups import (
     NAMED_GROUPS,
@@ -114,11 +116,14 @@ def _coord_ring(base, k, weights, one_coords, mul_coords, label, limits, materia
     ``weights`` must be the powers q^0..q^(k-1) in some order.
 
     In table mode the formula runs on row 0 and the generator rows c*e_i
-    only.  The other rows are filled in ascending weight order, one
-    block gather per coordinate and table, so each table costs O(n^2)
-    once instead of once per formula term.  The fill equals the formula
-    when ``base`` is a ring (see the module docstring); the negation
-    table is read off the addition table.
+    only.  The other rows are filled in ascending weight order, per
+    generator row and block of about ``AXIOM_BLOCK_ELEMENTS`` entries,
+    each block gathered straight into the final table of
+    :func:`table_dtype`.  So each table costs O(n^2) once instead of once
+    per formula term, and the fill's temporaries stay a few MB at any
+    order.  The fill equals the formula when ``base`` is a ring (see the
+    module docstring).  The negation table is the componentwise formula
+    on every element, O(n*k).
     """
     q = base.order
     order = q ** k
@@ -145,23 +150,29 @@ def _coord_ring(base, k, weights, one_coords, mul_coords, label, limits, materia
     steps = sorted(weights)
     rows = np.array([0] + [c * w for w in steps for c in range(1, q)])
     every = np.arange(order)
-    add_t = np.empty((order, order), dtype=np.int32)
-    mul_t = np.empty((order, order), dtype=np.int32)
+    add_t = np.empty((order, order), dtype=table_dtype(order))
+    mul_t = np.empty((order, order), dtype=table_dtype(order))
     add_t[rows] = add_fn(rows[:, None], every[None, :])
     mul_t[rows] = mul_fn(rows[:, None], every[None, :])
-    # Row c*w + x' (x' < w) is x' + g for g = c*w, so by associativity and
-    # right distributivity ADD[x] = ADD[x', ADD[g]] and MUL[x] =
+    # Row g + x' for g = c*w and x' < w is x' + g, so by associativity and
+    # right distributivity ADD[g + x'] = ADD[x', ADD[g]] and MUL[g + x'] =
     # ADD[MUL[x'], MUL[g]].  Ascending w keeps rows below w filled; MUL
     # waits for the whole of ADD because it reads arbitrary ADD rows.
-    for w in steps:
-        g = np.arange(1, q) * w
-        add_t[w:q * w] = add_t[np.arange(w)[:, None], add_t[g][:, None, :]].reshape(-1, order)
-    for w in steps:
-        g = np.arange(1, q) * w
-        mul_t[w:q * w] = add_t[mul_t[None, :w], mul_t[g][:, None, :]].reshape(-1, order)
+    step = block_rows(order)
+
+    def fill(table, gather):
+        for w in steps:
+            for g in range(w, q * w, w):
+                for lo in range(0, w, step):
+                    hi = min(w, lo + step)
+                    table[g + lo:g + hi] = gather(lo, hi, g)
+
+    fill(add_t, lambda lo, hi, g: add_t[np.arange(lo, hi)[:, None], add_t[g]])
+    fill(mul_t, lambda lo, hi, g: add_t[mul_t[lo:hi], mul_t[g]])
     add_t.setflags(write=False)  # handed over, so FiniteRing need not copy them
     mul_t.setflags(write=False)
-    return FiniteRing(order, one_index, label, add_table=add_t, mul_table=mul_t)
+    return FiniteRing(order, one_index, label, add_table=add_t, mul_table=mul_t,
+                      neg_table=neg_fn(every))
 
 
 def _little_endian_weights(q: int, k: int) -> list[int]:
@@ -267,8 +278,13 @@ def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
     """Direct product; (a, b) is encoded as a * |R2| + b and one = (1, 1).
 
     In table mode each table is the Kronecker sum of the factors' tables,
-    OP[(a, b), (c, d)] = OP1[a, c] * |R2| + OP2[b, d], one broadcast over
-    the factors' full tables.
+    OP[(a, b), (c, d)] = OP1[a, c] * |R2| + OP2[b, d], one broadcast
+    addition over the factors' full tables into the final table.  As the
+    factors' table values may be narrower than the product's indices,
+    a * |R2| is formed in the product's table dtype there and in intp in
+    the lazy formulas and the negation table.  The additive generators S of
+    the product (:meth:`RingAnalysis.generators`) come from its factors':
+    (s, 0) and (0, t) generate (R1 x R2, +).
     """
     label = label or f"{r1.label} x {r2.label}"
     order = r1.order * r2.order
@@ -276,22 +292,33 @@ def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
     n1, n2 = r1.order, r2.order
     one_index = r1.one * n2 + r2.one
     table_mode = materialize if materialize is not None else order <= limits.table_threshold
+
+    def pair(a, b):
+        return np.multiply(a, n2, dtype=np.intp) + b
+
     if table_mode:
         def kron(op):
-            t1, t2 = r1.row_block(op, 0, n1), r2.row_block(op, 0, n2)
-            table = (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(order, order)
+            dtype = table_dtype(order)
+            high = np.multiply(r1.row_block(op, 0, n1), n2, dtype=dtype)
+            table = np.empty((order, order), dtype=dtype)
+            np.add(high[:, None, :, None], r2.row_block(op, 0, n2)[None, :, None, :],
+                   out=table.reshape(n1, n2, n1, n2))
             table.setflags(write=False)  # handed over, so FiniteRing need not copy it
             return table
 
-        neg = r1.neg_arr(np.arange(n1))[:, None] * n2 + r2.neg_arr(np.arange(n2))[None, :]
-        return FiniteRing(order, one_index, label, add_table=kron("add"),
+        neg = pair(r1.neg_arr(np.arange(n1))[:, None], r2.neg_arr(np.arange(n2))[None, :])
+        ring = FiniteRing(order, one_index, label, add_table=kron("add"),
                           mul_table=kron("mul"), neg_table=neg.reshape(order))
-    return FiniteRing(
-        order, one_index, label,
-        add_fn=lambda x, y: r1.add_arr(x // n2, y // n2) * n2 + r2.add_arr(x % n2, y % n2),
-        mul_fn=lambda x, y: r1.mul_arr(x // n2, y // n2) * n2 + r2.mul_arr(x % n2, y % n2),
-        neg_fn=lambda x: r1.neg_arr(x // n2) * n2 + r2.neg_arr(x % n2),
-    )
+    else:
+        ring = FiniteRing(
+            order, one_index, label,
+            add_fn=lambda x, y: pair(r1.add_arr(x // n2, y // n2), r2.add_arr(x % n2, y % n2)),
+            mul_fn=lambda x, y: pair(r1.mul_arr(x // n2, y // n2), r2.mul_arr(x % n2, y % n2)),
+            neg_fn=lambda x: pair(r1.neg_arr(x // n2), r2.neg_arr(x % n2)),
+        )
+    analysis(ring).seed("generators", np.union1d(analysis(r1).generators() * n2,
+                                                 analysis(r2).generators()))
+    return ring
 
 
 def matrix_ring(m: int, base: FiniteRing, *, label: str | None = None,

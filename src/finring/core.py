@@ -79,13 +79,28 @@ class Limits:
 DEFAULT_LIMITS = Limits()
 
 
+def table_dtype(order: int) -> type:
+    """The dtype of a ring's stored tables: int16 while ``order`` <= 32767
+    (the int16 maximum), else int32.  Signed, so a table copy can hold -1
+    as a marker."""
+    return np.int16 if order <= 32767 else np.int32
+
+
+def block_rows(width: int) -> int:
+    """Rows of ``width`` entries per block of about AXIOM_BLOCK_ELEMENTS
+    entries, at least one."""
+    return max(1, AXIOM_BLOCK_ELEMENTS // width)
+
+
 def _freeze(table, shape: tuple, shape_error: str) -> np.ndarray:
-    """A read-only int32 copy (or view) of ``table``, checked before the
-    cast: the shape, an integer dtype and entries in 0..shape[0]-1.
+    """A read-only copy (or view) of ``table`` in ``table_dtype(shape[0])``,
+    checked before the cast: the shape, an integer dtype and entries in
+    0..shape[0]-1.
 
     A writable array is copied, so the caller's own array stays writable
-    and later writes to it do not reach the ring; a read-only int32
-    C-contiguous array, as the constructions hand over, is kept as is."""
+    and later writes to it do not reach the ring; a read-only
+    C-contiguous array already in that dtype, as the constructions hand
+    over, is kept as is."""
     try:
         arr = np.asarray(table)
     except ValueError:  # a ragged nested list
@@ -96,7 +111,7 @@ def _freeze(table, shape: tuple, shape_error: str) -> np.ndarray:
         raise ArgumentError(f"table entries must be integers, got dtype {arr.dtype}")
     if arr.min() < 0 or arr.max() >= shape[0]:
         raise ArgumentError(f"table entries must lie in 0..{shape[0] - 1}")
-    frozen = np.ascontiguousarray(arr, dtype=np.int32)
+    frozen = np.ascontiguousarray(arr, dtype=table_dtype(shape[0]))
     if frozen is arr and arr.flags.writeable:
         frozen = arr.copy()
     frozen.setflags(write=False)
@@ -106,8 +121,12 @@ def _freeze(table, shape: tuple, shape_error: str) -> np.ndarray:
 class FiniteRing:
     """A finite unital ring with elements 0..order-1.
 
-    ``add_table``/``mul_table``/``neg_table`` are numpy int32 arrays in
-    table mode and None in lazy mode; row r, column c holds op(r, c).
+    ``add_table``/``mul_table``/``neg_table`` are read-only numpy arrays
+    in table mode, of :func:`table_dtype` (int16, 2 bytes an entry, up to
+    order 32767), and None in lazy mode; row r, column c holds op(r, c).
+    A value read from a table enters arithmetic only after a cast to a
+    wider dtype.  Without ``neg_table`` the negation table is read off
+    the addition table, an n^2 pass; the constructions pass theirs.
     In lazy mode ``add_fn``/``mul_fn``/``neg_fn`` compute the operations
     from construction data and must broadcast over numpy int arrays
     (and accept plain ints) like numpy's own operators.
@@ -250,21 +269,22 @@ class FiniteRing:
         table (:meth:`row_block`), so a table ring of order <= 1024 is one
         block."""
         if xs is None:
-            step = max(1, AXIOM_BLOCK_ELEMENTS // self.order)
+            step = block_rows(self.order)
             for lo in range(0, self.order, step):
                 yield lo, self.row_block(op, lo, lo + step)
             return
         fn = self.add_arr if op == "add" else self.mul_arr
-        step = max(1, AXIOM_BLOCK_ELEMENTS // max(1, len(ys)))
+        step = block_rows(max(1, len(ys)))
         for lo in range(0, len(xs), step):
             yield lo, fn(xs[lo:lo + step, None], ys[None, :])
 
     def materialized(self) -> "FiniteRing":
-        """This ring in table mode, its tables filled by row blocks."""
+        """This ring in table mode, its tables filled by row blocks straight
+        into :func:`table_dtype`."""
         n = self.order
         tables = {}
         for op in ("add", "mul"):
-            tables[op] = np.empty((n, n), dtype=np.int32)
+            tables[op] = np.empty((n, n), dtype=table_dtype(n))
             for lo, block in self.blocks(op):
                 tables[op][lo:lo + len(block)] = block
             tables[op].setflags(write=False)
@@ -394,7 +414,7 @@ def _blocked_ternary_checks(sides: dict, n: int) -> dict:
     failing block, whose first failing entry is therefore the
     lexicographically first failing triple.
     """
-    rows = max(1, AXIOM_BLOCK_ELEMENTS // (n * n))
+    rows = block_rows(n * n)
     checks = {}
     for name, side in sides.items():
         witness = None
@@ -439,7 +459,7 @@ def _exhaustive_ternary_checks(ring: FiniteRing) -> list[AxiomCheck]:
         "mul-associative": lambda S: (mul_v[MUL[:, S]], mul_v[:, MUL[S]]),
     }
     gens = _additive_generators(ADD)
-    step = max(1, AXIOM_BLOCK_ELEMENTS // (n * n))
+    step = block_rows(n * n)
 
     def holds(name):
         return all(np.array_equal(*reduced[name](gens[i:i + step]))

@@ -6,6 +6,7 @@ import pytest
 from finring import (
     ArgumentError,
     LimitError,
+    Limits,
     bt,
     classify,
     corner,
@@ -21,7 +22,9 @@ from finring import (
     upper_triangular,
     zmod,
 )
+from finring import core
 from finring.build import smallest_irreducible
+from finring.core import table_dtype
 from finring.groups import cyclic, symmetric_3
 
 from helpers import group_ring_mul_oracle, mat_decode, mat_index, mat_mul_oracle
@@ -356,6 +359,21 @@ def test_modes_agree_matrix():
             assert np.array_equal(got, want), label
 
 
+def test_blocked_fill_matches_formula(monkeypatch):
+    # At 200 entries a block the fill of an order-n ring runs 200 // n rows
+    # a block (2 at order 81), so its upper weight steps take several
+    # blocks for each generator row.  The lazy twin's broadcast formula is
+    # the reference.
+    monkeypatch.setattr(core, "AXIOM_BLOCK_ELEMENTS", 200)
+    for label, make in AGREEMENT_CASES.items():
+        table, lazy = make(True), make(False)
+        every = np.arange(table.order)
+        for op in ("add", "mul"):
+            assert np.array_equal(table.row_block(op, 0, table.order),
+                                  lazy.row_block(op, 0, lazy.order)), (label, op)
+        assert np.array_equal(table.neg_table, lazy.neg_arr(every)), label
+
+
 def test_table_ring_over_lazy_base_matches_table_twin():
     pairs = [
         (trivial_extension(zmod(9, materialize=False), materialize=True),
@@ -391,3 +409,32 @@ def test_derived_rings_from_lazy_parent_match_table_twin():
     st, sl = subring_closure(ptable, [3]), subring_closure(plazy, [3])
     assert st.embedding == sl.embedding
     assert np.array_equal(st.ring.add_table, sl.ring.add_table)
+
+
+def test_tables_are_int16_and_read_only():
+    assert table_dtype(32767) == np.int16 and table_dtype(32768) == np.int32
+    m2 = matrix_ring(2, zmod(3))
+    rings = [
+        zmod(7), m2, gf(2, 4), trivial_extension(zmod(4)), upper_triangular(2, zmod(3)),
+        group_ring(zmod(2), symmetric_3()), product(zmod(4), m2),
+        product(zmod(3, materialize=False), zmod(5), materialize=True),
+        quotient(zmod(12), [0, 4, 8]).ring, corner(m2, 1).ring, subring_closure(m2, [2]).ring,
+    ]
+    for ring in rings:
+        assert ring.mode == "table", ring.label
+        for table in op_tables(ring):
+            assert table.dtype == np.int16 and not table.flags.writeable, ring.label
+
+
+def test_lazy_product_beyond_int16_indices():
+    # Z/200 x Z/200 has order 40000 > 32767 over int16 factor tables, so
+    # a * 200 + b must be formed in a wider dtype than the factors' values.
+    ring = product(zmod(200), zmod(200), limits=Limits(max_order=40000))
+    assert ring.mode == "lazy" and zmod(200).add_table.dtype == np.int16
+    x, y = np.random.default_rng(40000).integers(0, 40000, size=(2, 3000))
+    (a, b), (c, d) = divmod(x, 200), divmod(y, 200)
+    assert np.array_equal(ring.add_arr(x, y), (a + c) % 200 * 200 + (b + d) % 200)
+    assert np.array_equal(ring.mul_arr(x, y), a * c % 200 * 200 + b * d % 200)
+    assert np.array_equal(ring.neg_arr(x), -a % 200 * 200 + -b % 200)
+    for i in range(20):
+        assert ring.mul(int(x[i]), int(y[i])) == a[i] * c[i] % 200 * 200 + b[i] * d[i] % 200

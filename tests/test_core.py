@@ -332,8 +332,8 @@ def test_ring_rejects_table_entries_out_of_range():
     with pytest.raises(ArgumentError, match="negation table"):
         FiniteRing(4, 1, "short-neg", add_table=z4.add_table, mul_table=z4.mul_table,
                    neg_table=[0, 3, 2])
-    # each is checked before the cast to int32, which would wrap 2^32 + 1
-    # to 1 and truncate 1.5 to 1
+    # each is checked before the cast to the int16 table dtype, which
+    # would wrap 2^32 + 1 to 1 and truncate 1.5 to 1
     wide = z4.add_table.astype(np.int64)
     wide[2, 3] = 2 ** 32 + 1
     with pytest.raises(ArgumentError, match="0..3"):

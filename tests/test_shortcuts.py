@@ -136,7 +136,12 @@ def test_additive_generators_by_doubling():
         m = parse_and_build("M(2, Z/4)", limits)
         assert analysis(m).generators().tolist() == [1, 4, 16, 64]
     assert analysis(zmod(12)).generators().tolist() == [1]
-    assert analysis(parse_and_build("Z/2 x Z/4")).generators().tolist() == [1, 4]
+    # a product is seeded with s*|R2| for s in S(R1) and t for t in S(R2)
+    for limits in (Limits(), Limits(table_threshold=1)):
+        for text, gens in (("Z/2 x Z/4", [1, 4]), ("M(2, Z/2) x Z/3", [1, 3, 6, 12, 24])):
+            ring = parse_and_build(text, limits)
+            assert analysis(ring).generators().tolist() == gens
+            assert "generators" not in analysis(ring).compute_counts
 
 
 def test_quotient_words_the_first_violation():
