@@ -27,7 +27,8 @@ about ``AXIOM_BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
   2^k*g meets it exactly when 2^(k+1) exceeds the index m of H in
   H + <g>, and the union is then all of H + <g>.  That is O(log n)
   array calls in all, each of at most n entries.  S = [1, 4, 16, 64]
-  for M(2, Z/4).  This is :func:`_grow_span` over every element.  A
+  for M(2, Z/4).  This is :func:`finring.core.grow_span` over every
+  element, the routine ``verify_axioms`` also takes its S from.  A
   direct product R1 x R2 is seeded with S by its construction instead:
   s*|R2| for s in S(R1) and t for t in S(R2), as (s, 0) and (0, t)
   generate its additive group (S = [1, 4] for Z/2 x Z/4).
@@ -35,9 +36,9 @@ about ``AXIOM_BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
   commute with every sum of generators, by distributivity, so n*|S|
   products decide it instead of n^2.
 - An additive subgroup I is a two-sided ideal iff S*I and I*S lie in
-  I, again by distributivity (:func:`_is_ideal`).  Only a set that
-  fails is scanned against all of R, to word its first violation
-  (:func:`_ideal_violation`).
+  I, again by distributivity.  One function, :func:`_ideal_violation`,
+  gives both the verdict and the message: only a set that fails this
+  test is scanned against all of R, to word its first violation.
 - A generated ideal or subring is an additive span of generator
   products (:func:`closure`).  The span V grows from the seeds by the
   doubling above, and each candidate that enlarges it joins a set T
@@ -79,6 +80,7 @@ from .core import (
     FiniteRing,
     InternalConsistencyError,
     element_set,
+    grow_span,
     member_mask,
 )
 
@@ -112,7 +114,7 @@ class RingAnalysis:
         def compute():
             reached = np.zeros(self.ring.order, dtype=bool)
             reached[0] = True
-            return np.array(_grow_span(self.ring, reached, np.arange(self.ring.order)))
+            return np.array(grow_span(self.ring, reached, np.arange(self.ring.order)))
         return self._get("generators", compute)
 
     # -- units ---------------------------------------------------------
@@ -144,7 +146,7 @@ class RingAnalysis:
     def _compute_jacobson(self):
         ring = self.ring
         nil = self.nilpotents()
-        if _is_ideal(ring, nil.members):  # then J = N (module docstring)
+        if _ideal_violation(ring, nil.members) is None:  # then J = N (module docstring)
             return nil
         members = quasi_regular_radical(ring)
         violation = _ideal_violation(ring, members)
@@ -222,31 +224,6 @@ def quasi_regular_radical(ring: FiniteRing) -> frozenset:
     return frozenset(np.flatnonzero(jm).tolist())
 
 
-def _grow_span(ring: FiniteRing, reached: np.ndarray, candidates: np.ndarray) -> list[int]:
-    """Extend the additive subgroup H marked in ``reached``, in place, to
-    the subgroup generated by H and ``candidates``, and return the
-    candidates that enlarged it, in the order taken.
-
-    Each step takes the smallest candidate g not reached yet and extends
-    H to H + <g> by doubling (see the module docstring), so each
-    returned candidate at least doubles H: there are at most log2 n."""
-    taken = []
-    while True:
-        left = candidates[~reached[candidates]]
-        if not len(left):
-            return taken
-        g = shift = int(left.min())
-        taken.append(g)
-        while True:  # reached is H + {0, .., 2^k - 1}*g and shift is 2^k*g
-            hit = ring.add_arr(reached.nonzero()[0], shift)
-            met = reached[hit].any()
-            reached[hit] = True
-            if met:
-                break
-            shift = ring.add_arr(shift, shift)
-        reached[g] = True  # already so in a group; ends the loop for any table
-
-
 def closure(ring: FiniteRing, seeds, *, ideal: bool) -> np.ndarray:
     """Sorted indices of the smallest additive subgroup V holding
     ``seeds`` with R*V and V*R inside V when ``ideal``, else with V*V
@@ -258,36 +235,16 @@ def closure(ring: FiniteRing, seeds, *, ideal: bool) -> np.ndarray:
     the products are the next candidates (see the module docstring)."""
     reached = np.zeros(ring.order, dtype=bool)
     reached[0] = True
-    new = _grow_span(ring, reached, np.asarray(seeds, dtype=np.intp))
+    new = grow_span(ring, reached, np.asarray(seeds, dtype=np.intp))
     taken = list(new)
     while new:
         ts = np.array(new)[:, None]
         factors = analysis(ring).generators() if ideal else np.array(taken)
         products = np.concatenate([ring.mul_arr(ts, factors[None, :]).ravel(),
                                    ring.mul_arr(factors[None, :], ts).ravel()])
-        new = _grow_span(ring, reached, products)
+        new = grow_span(ring, reached, products)
         taken += new
     return np.flatnonzero(reached)
-
-
-def _is_ideal(ring: FiniteRing, members: frozenset) -> bool:
-    """Whether ``members`` is a two-sided ideal: it holds 0 and is closed
-    under addition (over all pairs, by blocks) and negation, so it is an
-    additive subgroup I, and S*I and I*S lie in I for the additive
-    generators S (:meth:`RingAnalysis.generators`), which by
-    distributivity puts R*I and I*R in I."""
-    if 0 not in members:
-        return False
-    arr = np.array(sorted(members))
-    mask = member_mask(ring.order, arr)
-
-    def inside(op, xs, ys):
-        return all(mask[block].all() for _, block in ring.blocks(op, xs, ys))
-
-    if not (mask[ring.neg_arr(arr)].all() and inside("add", arr, arr)):
-        return False
-    gens = analysis(ring).generators()
-    return inside("mul", gens, arr) and inside("mul", arr, gens)
 
 
 def _first_outside(ring: FiniteRing, mask: np.ndarray, op: str, xs, ys) -> tuple | None:
@@ -302,17 +259,18 @@ def _first_outside(ring: FiniteRing, mask: np.ndarray, op: str, xs, ys) -> tuple
 
 
 def _ideal_violation(ring: FiniteRing, members: frozenset) -> str | None:
-    """None if ``members`` is a two-sided ideal, else a violation message.
+    """None if ``members`` is a two-sided ideal, else its first violation,
+    worded.
 
-    The verdict comes from :func:`_is_ideal`.  Only a set that is not an
-    ideal pays for the scans over all of R that word its first
-    violation."""
-    if _is_ideal(ring, members):
-        return None
+    In order: 0 is a member; closure under addition (over all pairs, by
+    blocks) and negation, so the set is an additive subgroup I; S*I and
+    I*S lie in I for the additive generators S
+    (:meth:`RingAnalysis.generators`), which by distributivity puts R*I
+    and I*R in I.  Only a set that fails the last test pays for the
+    scans over all of R that word its first violation."""
     if 0 not in members:
         return "0 is missing"
     arr = np.array(sorted(members))
-    every = np.arange(ring.order)
     mask = member_mask(ring.order, arr)
     bad = _first_outside(ring, mask, "add", arr, arr)
     if bad:
@@ -321,6 +279,11 @@ def _ideal_violation(ring: FiniteRing, members: frozenset) -> str | None:
     if not mask[negs].all():
         i = int(np.argmin(mask[negs]))
         return f"not closed under negation: -{int(arr[i])} = {int(negs[i])}"
+    gens = analysis(ring).generators()
+    if (_first_outside(ring, mask, "mul", gens, arr) is None
+            and _first_outside(ring, mask, "mul", arr, gens) is None):
+        return None
+    every = np.arange(ring.order)
     bad = _first_outside(ring, mask, "mul", every, arr)
     if bad:
         return "not closed under left multiplication: {} * {} = {}".format(*bad)

@@ -146,8 +146,7 @@ def _cmd_table(args, limits: Limits, out) -> int:
         else:
             print(" ".join(str(i) for i in indices), file=out)
     else:
-        op = ring.add if args.what == "add" else ring.mul
-        rows = [[op(r, c) for c in range(ring.order)] for r in range(ring.order)]
+        rows = [row for _, block in ring.blocks(args.what) for row in block.tolist()]
         if args.json:
             print(json.dumps({"expr": ring.label, "what": args.what, "order": ring.order,
                               "one": ring.one, "table": rows}), file=out)

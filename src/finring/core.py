@@ -379,54 +379,55 @@ def _commutativity_check(ring: FiniteRing) -> AxiomCheck:
     return AxiomCheck("add-commutative", witness is None, witness, ring.order ** 2, "exhaustive")
 
 
-def _additive_generators(ADD: np.ndarray) -> np.ndarray:
-    """A set S whose closure under the magma ADD is every element.
+def grow_span(ring: FiniteRing, reached: np.ndarray, candidates: np.ndarray) -> list[int]:
+    """Extend the additive subgroup H marked in ``reached``, in place, to
+    the subgroup generated by H and ``candidates``, and return the
+    candidates that enlarged it, in the order taken.
 
-    Repeatedly adds the smallest element not reached yet (0 last) to S,
-    then closes S under ADD; each round of the closure combines only
-    the elements first reached in the round before with the rest.  No
-    element counts as reached, 0 included, unless the closure reaches
-    it, so S is valid for any table, ring or not.
-    """
-    n = len(ADD)
-    candidates = np.roll(np.arange(n), -1)  # 1, 2, ..., n - 1, 0
-    reached = np.zeros(n, dtype=bool)
-    gens = []
-    while not reached.all():
-        new = candidates[np.argmin(reached[candidates])][None]
-        gens.append(int(new[0]))
-        while len(new):
-            reached[new] = True
-            cur = np.flatnonzero(reached)
-            hit = np.zeros(n, dtype=bool)
-            hit[ADD[new[:, None], cur[None, :]]] = True
-            hit[ADD[cur[:, None], new[None, :]]] = True
-            new = np.flatnonzero(hit & ~reached)
-    return np.array(gens)
-
-
-def _blocked_ternary_checks(sides: dict, n: int) -> dict:
-    """Exhaustive checks of the ternary laws in ``sides``, by blocks of x
-    rows, as a dict from name to :class:`AxiomCheck`.
-
-    ``sides[name](rows)`` gives both sides of a law at [x - rows.start,
-    y, z].  Blocks run in ascending x and a check stops at its first
-    failing block, whose first failing entry is therefore the
-    lexicographically first failing triple.
-    """
-    rows = block_rows(n * n)
-    checks = {}
-    for name, side in sides.items():
-        witness = None
-        for start in range(0, n, rows):
-            lhs, rhs = side(slice(start, start + rows))
-            differ = lhs != rhs
-            if differ.any():
-                x, y, z = np.unravel_index(int(np.argmax(differ)), differ.shape)
-                witness = (start + int(x), int(y), int(z))
+    Each step takes the smallest candidate g not reached yet and extends
+    H to H + <g> by doubling (see the :mod:`finring.analysis` docstring),
+    so each returned candidate at least doubles H: there are at most
+    log2 n."""
+    taken = []
+    while True:
+        left = candidates[~reached[candidates]]
+        if not len(left):
+            return taken
+        g = shift = int(left.min())
+        taken.append(g)
+        while True:  # reached is H + {0, .., 2^k - 1}*g and shift is 2^k*g
+            hit = ring.add_arr(reached.nonzero()[0], shift)
+            met = reached[hit].any()
+            reached[hit] = True
+            if met:
                 break
-        checks[name] = AxiomCheck(name, witness is None, witness, n ** 3, "exhaustive")
-    return checks
+            shift = ring.add_arr(shift, shift)
+        reached[g] = True  # already so in a group; ends the loop for any table
+
+
+# Both sides of each ternary ring law at (x, y, z), under broadcasting
+# operations add and mul, in the order verify_axioms reports them.
+TERNARY_LAWS = {
+    "add-associative": lambda add, mul, x, y, z: (add(add(x, y), z), add(x, add(y, z))),
+    "mul-associative": lambda add, mul, x, y, z: (mul(mul(x, y), z), mul(x, mul(y, z))),
+    "left-distributive": lambda add, mul, x, y, z: (mul(x, add(y, z)), add(mul(x, y), mul(x, z))),
+    "right-distributive": lambda add, mul, x, y, z: (mul(add(x, y), z), add(mul(x, z), mul(y, z))),
+}
+
+
+def _first_failure(law, add, mul, xs, ys, zs) -> tuple | None:
+    """The lexicographically first (x, y, z) over the grid xs x ys x zs at
+    which ``law`` fails, or None.  Runs by blocks of x rows of about
+    AXIOM_BLOCK_ELEMENTS triples in ascending x and stops at the first
+    failing block."""
+    step = block_rows(len(ys) * len(zs))
+    for lo in range(0, len(xs), step):
+        lhs, rhs = law(add, mul, xs[lo:lo + step, None, None], ys[None, :, None], zs[None, None, :])
+        differ = lhs != rhs
+        if differ.any():
+            i, j, k = np.unravel_index(int(np.argmax(differ)), differ.shape)
+            return int(xs[lo + i]), int(ys[j]), int(zs[k])
+    return None
 
 
 def _exhaustive_ternary_checks(ring: FiniteRing) -> list[AxiomCheck]:
@@ -434,46 +435,25 @@ def _exhaustive_ternary_checks(ring: FiniteRing) -> list[AxiomCheck]:
     an additive generating set S where the laws allow it (see
     :func:`verify_axioms`), by the blocked scan otherwise."""
     n = ring.order
-    ADD, MUL = (ring.row_block(op, 0, n).astype(np.intp) for op in ("add", "mul"))
-    small = np.min_scalar_type(n - 1)
-    add_v, mul_v = ADD.astype(small), MUL.astype(small)
-    # Each entry maps a row index r (a slice or an array of elements) to
-    # both sides at [x, y, z] for x in r.  The distributive sums gather
-    # with two broadcast index arrays rather than one flat index
-    # MUL[x, y] * n + MUL[x, z], which would be an intp array of 8 bytes
-    # per triple.
-    sides = {
-        "add-associative": lambda r: (add_v[ADD[r]], add_v[r][:, ADD]),
-        "mul-associative": lambda r: (mul_v[MUL[r]], mul_v[r][:, MUL]),
-        "left-distributive": lambda r: (mul_v[r][:, ADD], add_v[MUL[r, :, None], MUL[r, None, :]]),
-        "right-distributive": lambda r: (mul_v[ADD[r]], add_v[MUL[r, None, :], MUL[None, :, :]]),
-    }
-    # The same laws with one argument in S, each valid for all n^3
-    # triples only under the laws proved before it: (x+s)+y = x+(s+y) at
-    # [x, s, y], x(s+z) = xs+xz at [x, s, z], (s+y)z = sz+yz at [s, y, z]
-    # and (xs)z = x(sz) at [x, s, z].
-    reduced = {
-        "add-associative": lambda S: (add_v[ADD[:, S]], add_v[:, ADD[S]]),
-        "left-distributive": lambda S: (mul_v[:, ADD[S]], add_v[MUL[:, S, None], MUL[:, None, :]]),
-        "right-distributive": sides["right-distributive"],
-        "mul-associative": lambda S: (mul_v[MUL[:, S]], mul_v[:, MUL[S]]),
-    }
-    gens = _additive_generators(ADD)
-    step = block_rows(n * n)
+    twin = ring.materialized()
+    add, mul, every = twin.add_arr, twin.mul_arr, np.arange(n)
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    gens = np.array(grow_span(twin, reached, every) + [0])
 
-    def holds(name):
-        return all(np.array_equal(*reduced[name](gens[i:i + step]))
-                   for i in range(0, len(gens), step))
+    def holds(name):  # the law with its middle argument in S
+        return _first_failure(TERNARY_LAWS[name], add, mul, every, gens, every) is None
 
     proved = {"add-associative": holds("add-associative")}
     for name in ("left-distributive", "right-distributive"):
         proved[name] = proved["add-associative"] and holds(name)
     proved["mul-associative"] = (proved["left-distributive"] and proved["right-distributive"]
                                  and holds("mul-associative"))
-    scanned = _blocked_ternary_checks({name: side for name, side in sides.items()
-                                       if not proved[name]}, n)
-    return [scanned.get(name, AxiomCheck(name, True, None, n ** 3, "exhaustive"))
-            for name in sides]
+    checks = []
+    for name, law in TERNARY_LAWS.items():
+        witness = None if proved[name] else _first_failure(law, add, mul, every, every, every)
+        checks.append(AxiomCheck(name, witness is None, witness, n ** 3, "exhaustive"))
+    return checks
 
 
 def verify_axioms(
@@ -490,29 +470,34 @@ def verify_axioms(
     ``exhaustive_cutoff`` and otherwise checked on ``samples`` seeded
     pseudo-random triples.
 
-    The exhaustive ternary checks are decided from an additive
-    generating set S (:func:`_additive_generators`): each law holds on
-    all n^3 triples iff it holds with one argument in S, given the laws
-    proved before it, because the elements that satisfy it are closed
+    The exhaustive ternary checks read a table twin of the ring
+    (:meth:`FiniteRing.materialized`) and are decided from S + [0], where
+    S holds the candidates :func:`grow_span` takes from {0} over every
+    element.  Each element it marks is a sum of elements marked before
+    and the candidates taken, so S + [0] generates (R, +) as a magma for
+    any table, ring or not.  Each law holds on all n^3 triples iff it
+    holds with its middle argument in S + [0], given the laws proved
+    before it, because the middle arguments that satisfy it are closed
     under addition.  In order:
 
     1. (x+s)+y == x+(s+y): Light's associativity test (Clifford &
        Preston, *The Algebraic Theory of Semigroups* I, 1961), valid for
        any table;
-    2. x(s+z) == xs+xz and (s+y)z == sz+yz, once + is associative;
+    2. x(s+z) == xs+xz and (x+s)z == xz+sz, once + is associative;
     3. (xs)z == x(sz), once both distributive laws hold, which make the
        associator additive in its middle argument.
 
-    That is 4*|S|*n^2 gathered entries instead of 4*n^3.  A check that
+    That is 4*(|S|+1)*n^2 gathered entries instead of 4*n^3.  A check that
     fails, or whose precondition failed, runs the exhaustive scan over
-    blocks of x rows, each block holding all (y, z), in the narrowest
-    unsigned dtype that holds n - 1: memory stays near
+    blocks of x rows, each block holding all (y, z): memory stays near
     ``AXIOM_BLOCK_ELEMENTS`` triples per side (a few MB) rather than four
-    int32 n^3 cubes, and the scan stops at its first failing block.
-    Either way a check counts the n^3 triples it decided in ``checked``.
-    Every check reports the lexicographically first failing tuple as its
-    witness.  Both storage modes run the same code and give the same
-    report.  A negative ``seed`` raises :class:`ArgumentError`.
+    n^3 cubes, and the scan stops at its first failing block.  Every
+    path, the sampled one too, evaluates the one definition of each law
+    in :data:`TERNARY_LAWS`.  Either way a check counts the n^3 triples
+    it decided in ``checked``.  Every check reports the lexicographically
+    first failing tuple as its witness.  Both storage modes run the same
+    code and give the same report.  A negative ``seed`` raises
+    :class:`ArgumentError`.
     """
     if seed < 0:
         raise ArgumentError(f"axiom seed must be >= 0, got {seed}")
@@ -534,19 +519,10 @@ def verify_axioms(
     else:
         rng = np.random.default_rng(seed)
         xs, ys, zs = (rng.integers(0, n, size=samples) for _ in range(3))
-
-        def ternary(name, lhs, rhs):
-            mask = lhs == rhs
-            if bool(mask.all()):
-                checks.append(AxiomCheck(name, True, None, samples, "sampled"))
-            else:
-                i = int(np.argmax(~mask))
-                checks.append(AxiomCheck(name, False, (int(xs[i]), int(ys[i]), int(zs[i])), samples, "sampled"))
-
-        ternary("add-associative", add(add(xs, ys), zs), add(xs, add(ys, zs)))
-        ternary("mul-associative", mul(mul(xs, ys), zs), mul(xs, mul(ys, zs)))
-        ternary("left-distributive", mul(xs, add(ys, zs)), add(mul(xs, ys), mul(xs, zs)))
-        ternary("right-distributive", mul(add(xs, ys), zs), add(mul(xs, zs), mul(ys, zs)))
+        for name, law in TERNARY_LAWS.items():
+            failed = np.flatnonzero(np.not_equal(*law(add, mul, xs, ys, zs)))
+            witness = (int(xs[failed[0]]), int(ys[failed[0]]), int(zs[failed[0]])) if len(failed) else None
+            checks.append(AxiomCheck(name, witness is None, witness, samples, "sampled"))
 
     return AxiomReport(ring.label, n, seed, tuple(checks))
 

@@ -33,7 +33,7 @@ from .analysis import (
     sqrt_jacobson,
     units,
 )
-from .core import DEFAULT_LIMITS, DEFAULT_SEED, FiniteRing, Limits, verify_axioms
+from .core import DEFAULT_LIMITS, DEFAULT_SEED, FiniteRing, Limits, member_mask, verify_axioms
 from .expr import parse_and_build
 from .groups import cyclic, cyclic_subgroups, group_product, symmetric_3
 from .predicates import (
@@ -226,13 +226,14 @@ def _claim_c1(ctx):
             problems.append(f"U and sqrtJ share {sorted(u & sj)[:3]}")
         if (sj & idem) != {0}:
             problems.append(f"sqrtJ and Id share {sorted(sj & idem)[:3]}")
-        for x in range(ring.order):
-            p = x
-            for k in (2, 3, 4):
-                p = ring.mul(p, x)
-                if p in sj and x not in sj:
-                    problems.append(f"x={x}: x^{k} in sqrtJ but x is not")
-                    break
+        every = np.arange(ring.order)
+        in_sj = member_mask(ring.order, sj)
+        powers = [every]
+        for _ in range(3):  # x^2, x^3, x^4
+            powers.append(ring.mul_arr(powers[-1], every))
+        escapes = in_sj[np.stack(powers[1:])] & ~in_sj  # [k - 2, x]
+        for x in np.flatnonzero(escapes.any(axis=0)):
+            problems.append(f"x={x}: x^{2 + int(np.argmax(escapes[:, x]))} in sqrtJ but x is not")
         records.append(InstanceRecord(label, not problems, "; ".join(problems)))
     return "all corpus rings, all elements, powers k in {2,3,4}", records
 
@@ -419,14 +420,12 @@ def _claim_c11(ctx):
             records.append(InstanceRecord(label, True, "not 2-sqrtJU; nothing to check"))
             continue
         bad = ""
-        us = units(ring).indices()
-        for u in us:
-            u2 = ring.mul(u, u)
-            for v in us:
-                if ring.add(u2, v) == ring.one:
-                    bad = f"u={u}, v={v} gives u^2 + v = 1"
-                    break
-            if bad:
+        us = np.array(units(ring).indices())
+        for lo, block in ring.blocks("add", ring.mul_arr(us, us), us):  # u^2 + v
+            hit = block == ring.one
+            if hit.any():
+                i, j = np.unravel_index(int(np.argmax(hit)), hit.shape)
+                bad = f"u={us[lo + i]}, v={us[j]} gives u^2 + v = 1"
                 break
         records.append(InstanceRecord(f"{label} ({len(us)}^2 unit pairs)", not bad, bad))
     return "all unit pairs of every 2-sqrtJU corpus ring", records

@@ -106,6 +106,20 @@ def additive_span(ring, gens) -> set:
         reached[hit] = True
 
 
+def magma_closure(ADD, S) -> set:
+    """The closure of ``S`` under the binary operation table ``ADD``: every
+    sum of elements of S, however bracketed, and nothing else (0 only
+    if S or such a sum holds it)."""
+    ADD = np.asarray(ADD)
+    reached = set(int(s) for s in S)
+    while True:
+        cur = sorted(reached)
+        sums = set(ADD[np.ix_(cur, cur)].ravel().tolist())
+        if sums <= reached:
+            return reached
+        reached |= sums
+
+
 def round_based_closure(ring, seeds, *, ideal: bool) -> np.ndarray:
     """Sorted indices of the smallest set holding ``seeds`` that is closed
     under addition, negation and multiplication on both sides by its own

@@ -101,6 +101,10 @@ def test_table_mul_matches_dump_format():
     code, out, _ = run_cli("table", "Z/4", "mul")
     assert code == 0
     assert out.splitlines() == ["0 0 0 0", "0 1 2 3", "0 2 0 2", "0 3 2 1"]
+    code, out, _ = run_cli("table", "Z/3", "add", "--json")
+    assert code == 0
+    assert out == ('{"expr": "Z/3", "what": "add", "order": 3, "one": 1, '
+                   '"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}\n')
 
 
 def test_dump_tables_flag_roundtrips():

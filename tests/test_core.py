@@ -15,10 +15,10 @@ from finring import (
     zmod,
 )
 from finring.build import group_ring, matrix_ring, trivial_extension
-from finring.core import AXIOM_BLOCK_ELEMENTS, _additive_generators
+from finring.core import AXIOM_BLOCK_ELEMENTS, grow_span
 from finring.groups import cyclic
 
-from helpers import full_cube_ternary_checks
+from helpers import full_cube_ternary_checks, magma_closure
 
 
 def test_element_ops_zmod4():
@@ -163,14 +163,15 @@ def test_blocked_axioms_match_full_cube_on_corrupted_tables():
             assert left.witness[0] == min(x for _, x, _ in faults), faults
 
 
-def test_reduced_axioms_match_full_cube_where_laws_fail_separately():
-    # checks[-4:] are add-associative, mul-associative, left- and
-    # right-distributive
+def _laws_failing_separately():
+    """(ring, verdicts) pairs whose tables fail the ternary laws in different
+    combinations; verdicts follow checks[-4:]: add-associative,
+    mul-associative, left- and right-distributive."""
     m2 = matrix_ring(2, zmod(2))
     n = m2.order
     lie = [[m2.sub(m2.mul(x, y), m2.mul(y, x)) for y in range(n)] for x in range(n)]
     z5 = zmod(5)
-    cases = [
+    return [
         # the Lie bracket: both distributive laws hold, so the reduced
         # mul-associativity check itself must catch the failure
         (FiniteRing(n, 1, "lie", add_table=m2.add_table, mul_table=lie),
@@ -192,18 +193,53 @@ def test_reduced_axioms_match_full_cube_where_laws_fail_separately():
                     mul_table=[[0, 1, 2, 3, 4, 5, 0, 1]] * 8),
          [True, True, False, False]),
     ]
-    for ring, verdicts in cases:
+
+
+def test_reduced_axioms_match_full_cube_where_laws_fail_separately():
+    for ring, verdicts in _laws_failing_separately():
         report = verify_axioms(ring)
         assert report.checks[-4:] == full_cube_ternary_checks(ring), ring.label
         assert [c.passed for c in report.checks[-4:]] == verdicts, ring.label
 
 
+def _axiom_generators(ring):
+    """S as verify_axioms takes it: the candidates grow_span takes from {0}
+    over every element, then 0."""
+    reached = np.zeros(ring.order, dtype=bool)
+    reached[0] = True
+    return grow_span(ring, reached, np.arange(ring.order)) + [0]
+
+
+# Z/3 with its addition table corrupted so that no sum is 0: on {0, 1, 2},
+# {1, 2} add as Z/2 with identity 1, 0 + y = y, x + 0 = x + 2 and 0 + 0 = 1.
+# + is associative on every triple except those with 0 in the middle, such
+# as (1 + 0) + 1 = 2 != 1 = 1 + (0 + 1), so a generating set without 0
+# would pass Light's test.
+ZERO_ONLY_AS_SEED = FiniteRing(3, 1, "zero only as a seed", add_table=[[1, 1, 2], [2, 1, 2], [1, 2, 1]],
+                               mul_table=zmod(3).mul_table)
+
+
 def test_additive_generators():
     m = parse_and_build("M(2, Z/4)")
-    assert _additive_generators(m.add_table.astype(np.intp)).tolist() == [1, 4, 16, 64]
+    assert _axiom_generators(m) == [1, 4, 16, 64, 0]
     # x + y = x reaches nothing beyond its arguments, 0 included
-    left = np.repeat(np.arange(4)[:, None], 4, axis=1)
-    assert _additive_generators(left).tolist() == [1, 2, 3, 0]
+    left = FiniteRing(4, 1, "left", add_table=np.repeat(np.arange(4)[:, None], 4, axis=1),
+                      mul_table=zmod(4).mul_table)
+    assert _axiom_generators(left) == [1, 2, 3, 0]
+    assert _axiom_generators(ZERO_ONLY_AS_SEED) == [1, 2, 0]
+    assert magma_closure(ZERO_ONLY_AS_SEED.add_table, [1, 2]) == {1, 2}
+
+
+def test_axiom_generators_generate_the_addition_magma():
+    rings = [ring for _, ring in default_corpus().rings() if ring.order <= 256]
+    rings += [ring for ring, _ in _laws_failing_separately()] + [ZERO_ONLY_AS_SEED]
+    for ring in rings:
+        ADD = ring.row_block("add", 0, ring.order)
+        assert magma_closure(ADD, _axiom_generators(ring)) == set(range(ring.order)), ring.label
+    report = verify_axioms(ZERO_ONLY_AS_SEED)
+    assert report.checks[-4:] == full_cube_ternary_checks(ZERO_ONLY_AS_SEED)
+    assert report.checks[-4].name == "add-associative"
+    assert report.checks[-4].witness == (0, 0, 0)  # (0 + 0) + 0 = 2 != 1 = 0 + (0 + 0)
 
 
 @cache
