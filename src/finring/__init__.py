@@ -3,8 +3,8 @@ predicates built on the power radical sqrtJ(R) = {x : some x^m lies in
 J(R)}, together with a theorem-checking harness and CLI."""
 
 from .analysis import (
-    analysis,
     center,
+    generators,
     ideal_closure,
     idempotents,
     in_jacobson,

@@ -29,14 +29,14 @@ about ``AXIOM_BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
   array calls in all, each of at most n entries.  S = [1, 4, 16, 64]
   for M(2, Z/4).  This is :func:`finring.core.grow_span` over every
   element, the routine ``verify_axioms`` also takes its S from.  A
-  direct product R1 x R2 is seeded with S by its construction instead:
+  direct product R1 x R2 is given S by its construction instead:
   s*|R2| for s in S(R1) and t for t in S(R2), as (s, 0) and (0, t)
   generate its additive group (S = [1, 4] for Z/2 x Z/4).
 - C(R) is the commutant of S: x*s = s*x for every s in S makes x
   commute with every sum of generators, by distributivity, so n*|S|
   products decide it instead of n^2.
 - An additive subgroup I is a two-sided ideal iff S*I and I*S lie in
-  I, again by distributivity.  One function, :func:`_ideal_violation`,
+  I, again by distributivity.  One function, :func:`ideal_violation`,
   gives both the verdict and the message: only a set that fails this
   test is scanned against all of R, to word its first violation.
 - A generated ideal or subring is an additive span of generator
@@ -66,9 +66,10 @@ about ``AXIOM_BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
   InternalConsistencyError because it can only mean a bug, never bad
   input.
 
-Each ring carries one cache; concurrent requests for the same set see a
-single computation (a per-ring lock guards the cache), and all returned
-sets are immutable.
+Each set is a plain function of the ring, cached by
+:meth:`FiniteRing.cached` under the function's name (``"units"`` holds
+U with its inverse map): concurrent requests for the same set see a
+single computation, and all returned sets are immutable.
 """
 
 from __future__ import annotations
@@ -85,130 +86,107 @@ from .core import (
 )
 
 
-class RingAnalysis:
-    """Lazy, once-only cache of structural sets for one ring."""
+def generators(ring: FiniteRing) -> np.ndarray:
+    """An additive generating set S of (R, +), ascending (see the module
+    docstring)."""
+    def compute():
+        reached = np.zeros(ring.order, dtype=bool)
+        reached[0] = True
+        return np.array(grow_span(ring, reached, np.arange(ring.order)))
+    return ring.cached("generators", compute)
 
-    def __init__(self, ring: FiniteRing):
-        self.ring = ring
-        self.compute_counts: dict = {}
 
-    def _get(self, key, compute):
-        cache = self.ring._analysis_cache
-        with self.ring._analysis_lock:
-            if key not in cache:
-                cache[key] = compute()
-                self.compute_counts[key] = self.compute_counts.get(key, 0) + 1
-            return cache[key]
+def _units_and_inverses(ring: FiniteRing) -> tuple:
+    one = ring.one
+    us, invs = [], []
+    for lo, block in ring.blocks("mul"):
+        hits = block == one
+        rows = np.flatnonzero(hits.any(axis=1))
+        us.append(lo + rows)
+        invs.append(np.argmax(hits[rows], axis=1))
+    us, invs = np.concatenate(us), np.concatenate(invs)
+    one_sided = ring.mul_arr(invs, us) != one
+    if one_sided.any():
+        bad = us[np.argmax(one_sided)]
+        raise InternalConsistencyError(
+            f"{ring.label}: one-sided inverse of {int(bad)} is not two-sided")
+    return element_set(ring, us), dict(zip(us.tolist(), invs.tolist()))
 
-    def seed(self, key, value) -> None:
-        """Cache ``value`` under ``key`` unless a value is there already:
-        for a construction that knows a set from its factors."""
-        with self.ring._analysis_lock:
-            self.ring._analysis_cache.setdefault(key, value)
 
-    # -- additive generators -------------------------------------------
+def units(ring: FiniteRing) -> ElementSet:
+    return ring.cached("units", lambda: _units_and_inverses(ring))[0]
 
-    def generators(self) -> np.ndarray:
-        """An additive generating set S of (R, +), ascending (see the
-        module docstring)."""
-        def compute():
-            reached = np.zeros(self.ring.order, dtype=bool)
-            reached[0] = True
-            return np.array(grow_span(self.ring, reached, np.arange(self.ring.order)))
-        return self._get("generators", compute)
 
-    # -- units ---------------------------------------------------------
+def unit_inverses(ring: FiniteRing) -> dict:
+    return ring.cached("units", lambda: _units_and_inverses(ring))[1]
 
-    def _compute_units(self):
-        ring, one = self.ring, self.ring.one
-        us, invs = [], []
-        for lo, block in ring.blocks("mul"):
-            hits = block == one
-            rows = np.flatnonzero(hits.any(axis=1))
-            us.append(lo + rows)
-            invs.append(np.argmax(hits[rows], axis=1))
-        us, invs = np.concatenate(us), np.concatenate(invs)
-        one_sided = ring.mul_arr(invs, us) != one
-        if one_sided.any():
-            bad = us[np.argmax(one_sided)]
-            raise InternalConsistencyError(
-                f"{ring.label}: one-sided inverse of {int(bad)} is not two-sided")
-        return element_set(ring, us), dict(zip(us.tolist(), invs.tolist()))
 
-    def units(self) -> ElementSet:
-        return self._get("units", self._compute_units)[0]
+def _jacobson(ring: FiniteRing) -> ElementSet:
+    nil = nilpotents(ring)
+    if ideal_violation(ring, nil.members) is None:  # then J = N (module docstring)
+        return nil
+    members = quasi_regular_radical(ring)
+    violation = ideal_violation(ring, members)
+    if violation is not None:
+        raise InternalConsistencyError(
+            f"computed Jacobson radical of {ring.label} is not an ideal: {violation}")
+    return ElementSet(ring, members)
 
-    def unit_inverses(self) -> dict:
-        return self._get("units", self._compute_units)[1]
 
-    # -- Jacobson radical ----------------------------------------------
+def jacobson(ring: FiniteRing) -> ElementSet:
+    return ring.cached("jacobson", lambda: _jacobson(ring))
 
-    def _compute_jacobson(self):
-        ring = self.ring
-        nil = self.nilpotents()
-        if _ideal_violation(ring, nil.members) is None:  # then J = N (module docstring)
-            return nil
-        members = quasi_regular_radical(ring)
-        violation = _ideal_violation(ring, members)
-        if violation is not None:
-            raise InternalConsistencyError(
-                f"computed Jacobson radical of {ring.label} is not an ideal: {violation}")
-        return ElementSet(ring, members)
 
-    def jacobson(self) -> ElementSet:
-        return self._get("jacobson", self._compute_jacobson)
+def in_jacobson(ring: FiniteRing, x: int) -> bool:
+    ring._check_index(x)
+    return x in jacobson(ring).members
 
-    def in_jacobson(self, x: int) -> bool:
-        self.ring._check_index(x)
-        return x in self.jacobson().members
 
-    # -- power-radical sets --------------------------------------------
+def _power_hits(ring: FiniteRing, ideal: frozenset) -> np.ndarray:
+    """Sorted indices of the elements with some power x^m (m >= 1) in
+    the two-sided ``ideal``, by repeated squaring (see the module
+    docstring)."""
+    p = np.arange(ring.order)
+    for _ in range((ring.order - 1).bit_length()):
+        p = ring.mul_arr(p, p)
+    return np.flatnonzero(member_mask(ring.order, ideal)[p])
 
-    def _power_hits(self, ideal: frozenset) -> np.ndarray:
-        """Sorted indices of the elements with some power x^m (m >= 1) in
-        the two-sided ``ideal``, by repeated squaring (see the module
-        docstring)."""
-        ring = self.ring
-        p = np.arange(ring.order)
-        for _ in range((ring.order - 1).bit_length()):
-            p = ring.mul_arr(p, p)
-        return np.flatnonzero(member_mask(ring.order, ideal)[p])
 
-    def sqrt_jacobson(self) -> ElementSet:
-        def compute():
-            j = self.jacobson()
-            if j is self.nilpotents():  # J = N, so sqrtJ = N
-                return j
-            return element_set(self.ring, self._power_hits(j.members))
-        return self._get("sqrt_jacobson", compute)
+def sqrt_jacobson(ring: FiniteRing) -> ElementSet:
+    def compute():
+        j = jacobson(ring)
+        if j is nilpotents(ring):  # J = N, so sqrtJ = N
+            return j
+        return element_set(ring, _power_hits(ring, j.members))
+    return ring.cached("sqrt_jacobson", compute)
 
-    def in_sqrt_jacobson(self, x: int) -> bool:
-        self.ring._check_index(x)
-        return x in self.sqrt_jacobson().members
 
-    def nilpotents(self) -> ElementSet:
-        def compute():
-            return element_set(self.ring, self._power_hits(frozenset([0])))
-        return self._get("nilpotents", compute)
+def in_sqrt_jacobson(ring: FiniteRing, x: int) -> bool:
+    ring._check_index(x)
+    return x in sqrt_jacobson(ring).members
 
-    # -- pointwise sets -------------------------------------------------
 
-    def idempotents(self) -> ElementSet:
-        def compute():
-            every = np.arange(self.ring.order)
-            return element_set(self.ring, np.flatnonzero(self.ring.mul_arr(every, every) == every))
-        return self._get("idempotents", compute)
+def nilpotents(ring: FiniteRing) -> ElementSet:
+    return ring.cached("nilpotents",
+                       lambda: element_set(ring, _power_hits(ring, frozenset([0]))))
 
-    def center(self) -> ElementSet:
-        def compute():
-            ring = self.ring
-            every, gens = np.arange(ring.order), self.generators()
-            central = np.empty(ring.order, dtype=bool)
-            for lo, block in ring.blocks("mul", every, gens):  # x*s against s*x
-                xs = every[lo:lo + len(block)]
-                central[xs] = (block == ring.mul_arr(gens[None, :], xs[:, None])).all(axis=1)
-            return element_set(ring, np.flatnonzero(central))
-        return self._get("center", compute)
+
+def idempotents(ring: FiniteRing) -> ElementSet:
+    def compute():
+        every = np.arange(ring.order)
+        return element_set(ring, np.flatnonzero(ring.mul_arr(every, every) == every))
+    return ring.cached("idempotents", compute)
+
+
+def center(ring: FiniteRing) -> ElementSet:
+    def compute():
+        every, gens = np.arange(ring.order), generators(ring)
+        central = np.empty(ring.order, dtype=bool)
+        for lo, block in ring.blocks("mul", every, gens):  # x*s against s*x
+            xs = every[lo:lo + len(block)]
+            central[xs] = (block == ring.mul_arr(gens[None, :], xs[:, None])).all(axis=1)
+        return element_set(ring, np.flatnonzero(central))
+    return ring.cached("center", compute)
 
 
 def quasi_regular_radical(ring: FiniteRing) -> frozenset:
@@ -239,7 +217,7 @@ def closure(ring: FiniteRing, seeds, *, ideal: bool) -> np.ndarray:
     taken = list(new)
     while new:
         ts = np.array(new)[:, None]
-        factors = analysis(ring).generators() if ideal else np.array(taken)
+        factors = generators(ring) if ideal else np.array(taken)
         products = np.concatenate([ring.mul_arr(ts, factors[None, :]).ravel(),
                                    ring.mul_arr(factors[None, :], ts).ravel()])
         new = grow_span(ring, reached, products)
@@ -258,14 +236,14 @@ def _first_outside(ring: FiniteRing, mask: np.ndarray, op: str, xs, ys) -> tuple
     return None
 
 
-def _ideal_violation(ring: FiniteRing, members: frozenset) -> str | None:
+def ideal_violation(ring: FiniteRing, members: frozenset) -> str | None:
     """None if ``members`` is a two-sided ideal, else its first violation,
     worded.
 
     In order: 0 is a member; closure under addition (over all pairs, by
     blocks) and negation, so the set is an additive subgroup I; S*I and
     I*S lie in I for the additive generators S
-    (:meth:`RingAnalysis.generators`), which by distributivity puts R*I
+    (:func:`generators`), which by distributivity puts R*I
     and I*R in I.  Only a set that fails the last test pays for the
     scans over all of R that word its first violation."""
     if 0 not in members:
@@ -279,7 +257,7 @@ def _ideal_violation(ring: FiniteRing, members: frozenset) -> str | None:
     if not mask[negs].all():
         i = int(np.argmin(mask[negs]))
         return f"not closed under negation: -{int(arr[i])} = {int(negs[i])}"
-    gens = analysis(ring).generators()
+    gens = generators(ring)
     if (_first_outside(ring, mask, "mul", gens, arr) is None
             and _first_outside(ring, mask, "mul", arr, gens) is None):
         return None
@@ -291,52 +269,6 @@ def _ideal_violation(ring: FiniteRing, members: frozenset) -> str | None:
     if bad:
         return "not closed under right multiplication: {} * {} = {}".format(*bad)
     return None
-
-
-def analysis(ring: FiniteRing) -> RingAnalysis:
-    """The per-ring analysis cache (created on first use)."""
-    with ring._analysis_lock:
-        obj = ring._analysis_cache.get("__analysis__")
-        if obj is None:
-            obj = RingAnalysis(ring)
-            ring._analysis_cache["__analysis__"] = obj
-        return obj
-
-
-def units(ring: FiniteRing) -> ElementSet:
-    return analysis(ring).units()
-
-
-def unit_inverses(ring: FiniteRing) -> dict:
-    return analysis(ring).unit_inverses()
-
-
-def jacobson(ring: FiniteRing) -> ElementSet:
-    return analysis(ring).jacobson()
-
-
-def in_jacobson(ring: FiniteRing, x: int) -> bool:
-    return analysis(ring).in_jacobson(x)
-
-
-def sqrt_jacobson(ring: FiniteRing) -> ElementSet:
-    return analysis(ring).sqrt_jacobson()
-
-
-def in_sqrt_jacobson(ring: FiniteRing, x: int) -> bool:
-    return analysis(ring).in_sqrt_jacobson(x)
-
-
-def nilpotents(ring: FiniteRing) -> ElementSet:
-    return analysis(ring).nilpotents()
-
-
-def idempotents(ring: FiniteRing) -> ElementSet:
-    return analysis(ring).idempotents()
-
-
-def center(ring: FiniteRing) -> ElementSet:
-    return analysis(ring).center()
 
 
 def ideal_closure(ring: FiniteRing, gens) -> ElementSet:

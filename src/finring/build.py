@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _ideal_violation, analysis, closure
+from .analysis import closure, generators, ideal_violation
 from .core import (
     DEFAULT_LIMITS,
     ArgumentError,
@@ -283,7 +283,7 @@ def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
     factors' table values may be narrower than the product's indices,
     a * |R2| is formed in the product's table dtype there and in intp in
     the lazy formulas and the negation table.  The additive generators S of
-    the product (:meth:`RingAnalysis.generators`) come from its factors':
+    the product (:func:`finring.analysis.generators`) come from its factors':
     (s, 0) and (0, t) generate (R1 x R2, +).
     """
     label = label or f"{r1.label} x {r2.label}"
@@ -316,8 +316,7 @@ def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
             mul_fn=lambda x, y: pair(r1.mul_arr(x // n2, y // n2), r2.mul_arr(x % n2, y % n2)),
             neg_fn=lambda x: pair(r1.neg_arr(x // n2), r2.neg_arr(x % n2)),
         )
-    analysis(ring).seed("generators", np.union1d(analysis(r1).generators() * n2,
-                                                 analysis(r2).generators()))
+    ring.cached("generators", lambda: np.union1d(generators(r1) * n2, generators(r2)))
     return ring
 
 
@@ -498,7 +497,7 @@ def quotient(ring: FiniteRing, ideal, *, label: str | None = None,
     members = frozenset(int(x) for x in ideal)
     for x in members:
         ring._check_index(x)
-    violation = _ideal_violation(ring, members)
+    violation = ideal_violation(ring, members)
     if violation is not None:
         raise ArgumentError(f"{sorted(members)} is not an ideal of {ring.label}: {violation}")
     # the coset of x is x + I, so its smallest index is min(add(x, I))

@@ -23,6 +23,7 @@ import json
 import sys
 
 from .analysis import center, idempotents, jacobson, nilpotents, sqrt_jacobson, units
+from .build import zmod
 from .core import (
     DEFAULT_LIMITS,
     DEFAULT_SEED,
@@ -34,7 +35,7 @@ from .core import (
 )
 from .expr import ParseError, parse_and_build
 from .harness import CorpusError, default_corpus, load_corpus, run_suite
-from .predicates import CLASS_NAMES, JSON_KEYS, classify
+from .predicates import CLASS_NAMES, JSON_KEYS, UNIT_CLASSES, classify
 
 TABLE_WHAT = ("units", "jacobson", "sqrtj", "nilpotents", "idempotents", "center", "add", "mul")
 
@@ -226,8 +227,6 @@ def _is_2a3b(n: int) -> bool:
 
 
 def _cmd_enumerate(args, limits: Limits, out) -> int:
-    from .build import zmod
-
     if args.max < 2:
         raise ArgumentError(f"enumerate needs max >= 2, got {args.max}")
     rows = []
@@ -256,7 +255,7 @@ def _cmd_enumerate(args, limits: Limits, out) -> int:
         }
         print(json.dumps(payload, indent=2), file=out)
     else:
-        names = ["UU", "UJ", "2-UU", "2-UJ", "sqrtJU", "2-sqrtJU"]
+        names = list(UNIT_CLASSES)
         header = f"{'n':>4}  " + "  ".join(f"{JSON_KEYS[m]:>8}" for m in names) + "  law(2^a*3^b)  ok"
         print(header, file=out)
         for n, rep, expected, ok in rows:

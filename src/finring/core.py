@@ -25,6 +25,7 @@ import numpy as np
 
 DEFAULT_MAX_ORDER = 10_000
 DEFAULT_TABLE_THRESHOLD = 1024
+DEFAULT_GROUP_MAX = 64
 EXHAUSTIVE_AXIOM_CUTOFF = 256
 AXIOM_SAMPLE_COUNT = 100_000
 # Entries per block of every row-block loop over a ring's tables (triples
@@ -56,7 +57,7 @@ class Limits:
 
     max_order: int = DEFAULT_MAX_ORDER
     table_threshold: int = DEFAULT_TABLE_THRESHOLD
-    group_max: int = 64
+    group_max: int = DEFAULT_GROUP_MAX
 
     def check_order(self, order: int, label: str) -> None:
         if order > self.max_order:
@@ -136,7 +137,9 @@ class FiniteRing:
     table mode, the construction's formula in lazy mode) and
     :meth:`blocks`, which walks a table in row blocks of about
     ``AXIOM_BLOCK_ELEMENTS`` entries.  Instances are immutable after
-    construction and safe to share across threads.
+    construction and safe to share across threads; what is derived from
+    the operations (the structural sets of :mod:`finring.analysis`, the
+    predicates) is kept in the one per-ring cache behind :meth:`cached`.
     """
 
     def __init__(
@@ -183,8 +186,17 @@ class FiniteRing:
             self.neg_table = None
             self.mode = "lazy"
             self.add_arr, self.mul_arr, self.neg_arr = add_fn, mul_fn, neg_fn
-        self._analysis_lock = threading.RLock()
-        self._analysis_cache: dict = {}
+        self._lock = threading.RLock()
+        self._cache: dict = {}
+
+    def cached(self, key, compute: Callable):
+        """The value cached under ``key``, set to ``compute()`` on the first
+        request.  The lock is reentrant, so ``compute`` may ask for other
+        keys; concurrent first requests see a single computation."""
+        with self._lock:
+            if key not in self._cache:
+                self._cache[key] = compute()
+            return self._cache[key]
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.label!r}, order={self.order}, mode={self.mode})"

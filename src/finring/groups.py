@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ArgumentError, LimitError
-
-DEFAULT_GROUP_MAX = 64
+from .core import DEFAULT_GROUP_MAX, ArgumentError, LimitError
 
 
 class GroupTable:

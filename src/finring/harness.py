@@ -273,9 +273,8 @@ def _claim_c3(ctx):
     """2-sqrtJU(R1 x R2) iff both factors are 2-sqrtJU."""
     records = []
     pairs = 0
-    small = [(label, ring) for label, ring in ctx.rings]
-    for i, (l1, r1) in enumerate(small):
-        for l2, r2 in small[i:]:
+    for i, (l1, r1) in enumerate(ctx.rings):
+        for l2, r2 in ctx.rings[i:]:
             if r1.order * r2.order > PRODUCT_PAIR_CAP:
                 continue
             pairs += 1

@@ -30,10 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import analysis, jacobson, nilpotents, sqrt_jacobson, units
+from .analysis import jacobson, nilpotents, sqrt_jacobson, units
 from .core import ArgumentError, FiniteRing, member_mask
 
-TARGETS = ("N", "J", "sqrtJ")
+_TARGET_SETS = {"N": nilpotents, "J": jacobson, "sqrtJ": sqrt_jacobson}
+TARGETS = tuple(_TARGET_SETS)
 
 UNIT_CLASSES = {
     "UU": (1, "N"),
@@ -55,24 +56,16 @@ JSON_KEYS = {
 }
 
 
-def _target_set(ring: FiniteRing, target: str):
-    if target == "N":
-        return nilpotents(ring).members
-    if target == "J":
-        return jacobson(ring).members
-    if target == "sqrtJ":
-        return sqrt_jacobson(ring).members
-    raise ArgumentError(f"unknown target set {target!r}; expected one of {TARGETS}")
-
-
 def check_unit_class(ring: FiniteRing, power: int, target: str):
     """(verdict, witness): verdict is True iff u^power - 1 lies in the
     target set for every unit u; witness is the smallest failing unit."""
     if power not in (1, 2):
         raise ArgumentError(f"unit-class power must be 1 or 2, got {power}")
+    if target not in _TARGET_SETS:
+        raise ArgumentError(f"unknown target set {target!r}; expected one of {TARGETS}")
 
     def compute():
-        tmask = member_mask(ring.order, _target_set(ring, target))
+        tmask = member_mask(ring.order, _TARGET_SETS[target](ring).members)
         us = np.array(units(ring).indices())
         ws = us if power == 1 else ring.mul_arr(us, us)
         failing = ~tmask[ring.add_arr(ws, ring.neg(ring.one))]
@@ -80,7 +73,7 @@ def check_unit_class(ring: FiniteRing, power: int, target: str):
             return (False, int(us[np.argmax(failing)]))
         return (True, None)
 
-    return analysis(ring)._get(f"unit-class:{power}:{target}", compute)
+    return ring.cached(f"unit-class:{power}:{target}", compute)
 
 
 def is_two_sqrt_ju(ring: FiniteRing) -> bool:
@@ -100,9 +93,7 @@ def is_local(ring: FiniteRing) -> bool:
     """R/J(R) is a division ring.  Units are exactly the lifts of units
     of R/J(R), so |U(R)| = |U(R/J)| * |J|, and R/J is a division ring iff
     |U(R)| = (|R/J| - 1) * |J|, that is |U| + |J| = |R|."""
-    def compute():
-        return len(units(ring)) + len(jacobson(ring)) == ring.order
-    return analysis(ring)._get("is-local", compute)
+    return len(units(ring)) + len(jacobson(ring)) == ring.order
 
 
 def residue_field_order(ring: FiniteRing) -> int:
@@ -117,10 +108,8 @@ def is_semisimple(ring: FiniteRing) -> bool:
 def is_dedekind_finite(ring: FiniteRing) -> bool:
     """Every pair with a*b = 1 also has b*a = 1: true once the units
     scan succeeds (see the module docstring)."""
-    def compute():
-        units(ring)
-        return True
-    return analysis(ring)._get("dedekind-finite", compute)
+    units(ring)
+    return True
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import finring
+import finring.analysis as fa
 from finring import (
     FiniteRing,
     InternalConsistencyError,
-    analysis,
     bt,
     center,
     gf,
@@ -154,13 +156,20 @@ def test_unit_closed_subrings():
     assert is_unit_closed_subring(diag)
 
 
-def test_cache_is_once_only_under_concurrency():
+def test_cache_is_once_only_under_concurrency(monkeypatch):
+    calls = []
+    scan = fa._units_and_inverses
+    monkeypatch.setattr(fa, "_units_and_inverses", lambda r: calls.append(r) or scan(r))
     ring = matrix_ring(2, zmod(3))
-    cache = analysis(ring)
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda _: units(ring).members, range(32)))
     assert all(r == results[0] for r in results)
-    assert cache.compute_counts["units"] == 1
+    assert calls == [ring]
+
+
+def test_analysis_module_is_not_shadowed():
+    assert isinstance(fa, types.ModuleType)
+    assert fa.units is finring.units
 
 
 def test_inconsistent_table_is_reported_loudly():

@@ -1,6 +1,7 @@
 import pytest
 
 from finring import (
+    ArgumentError,
     bt,
     check_unit_class,
     classify,
@@ -35,6 +36,12 @@ def test_check_unit_class_examples():
     # smallest witness in UT(2, Z/5) is the diagonal unit (2, 1):
     # coords (2, 0, 1) -> 2 + 0*5 + 1*25
     assert check_unit_class(upper_triangular(2, zmod(5)), 2, "sqrtJ") == (False, 27)
+
+
+def test_unknown_target_names_the_targets():
+    with pytest.raises(ArgumentError, match=r"unknown target set 'C'; expected one of "
+                                            r"\('N', 'J', 'sqrtJ'\)"):
+        check_unit_class(zmod(3), 1, "C")
 
 
 def test_two_sqrt_ju_against_brute_force():

@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import finring.analysis as fa
 from finring import (
     ArgumentError,
     LimitError,
     Limits,
-    analysis,
     center,
     format_expr,
+    generators,
     ideal_closure,
     jacobson,
     nilpotents,
@@ -29,7 +30,7 @@ from finring import (
     subring_closure,
     zmod,
 )
-from finring.analysis import _ideal_violation, closure, quasi_regular_radical
+from finring.analysis import closure, ideal_violation, quasi_regular_radical
 from finring.harness import DEFAULT_CORPUS_LINES
 
 from helpers import (
@@ -51,7 +52,7 @@ ANALYZE_TABLE = (
 
 def assert_matches_general_path(ring):
     n = ring.order
-    assert additive_span(ring, analysis(ring).generators()) == set(range(n))
+    assert additive_span(ring, generators(ring)) == set(range(n))
     assert center(ring).members == full_commutant(ring)
     nil, j = nilpotents(ring), jacobson(ring)
     nil_is_ideal = full_scan_ideal_violation(ring, nil.members) is None
@@ -70,7 +71,7 @@ def assert_matches_general_path(ring):
     candidates += [j.members | {x} for x in rng.sample(outside, min(2, len(outside)))]
     candidates += [j.members - {x} for x in rng.sample(sorted(j.members), min(2, len(j)))]
     for members in candidates:
-        assert _ideal_violation(ring, members) == full_scan_ideal_violation(ring, members)
+        assert ideal_violation(ring, members) == full_scan_ideal_violation(ring, members)
 
 
 def assert_closures_match_rounds(table, lazy):
@@ -128,20 +129,25 @@ def test_random_expressions_match_general_path(seed, depth):
 def test_which_rings_take_the_shortcut(text, shortcut):
     ring = parse_and_build(text)
     assert (jacobson(ring) is nilpotents(ring)) == shortcut
-    assert ("units" in analysis(ring).compute_counts) == (not shortcut)
+    assert ("units" in ring._cache) == (not shortcut)
 
 
-def test_additive_generators_by_doubling():
+def test_additive_generators_by_doubling(monkeypatch):
     for limits in (Limits(), Limits(table_threshold=1)):
         m = parse_and_build("M(2, Z/4)", limits)
-        assert analysis(m).generators().tolist() == [1, 4, 16, 64]
-    assert analysis(zmod(12)).generators().tolist() == [1]
-    # a product is seeded with s*|R2| for s in S(R1) and t for t in S(R2)
+        assert generators(m).tolist() == [1, 4, 16, 64]
+    assert generators(zmod(12)).tolist() == [1]
+    # a product is given s*|R2| for s in S(R1) and t for t in S(R2) when
+    # it is built, and no span is grown over its own elements
+    spanned = []
+    grow = fa.grow_span
+    monkeypatch.setattr(fa, "grow_span", lambda r, *rest: spanned.append(r) or grow(r, *rest))
     for limits in (Limits(), Limits(table_threshold=1)):
         for text, gens in (("Z/2 x Z/4", [1, 4]), ("M(2, Z/2) x Z/3", [1, 3, 6, 12, 24])):
             ring = parse_and_build(text, limits)
-            assert analysis(ring).generators().tolist() == gens
-            assert "generators" not in analysis(ring).compute_counts
+            assert "generators" in ring._cache
+            assert generators(ring).tolist() == gens
+            assert not any(r is ring for r in spanned)
 
 
 def test_quotient_words_the_first_violation():
