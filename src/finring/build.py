@@ -25,13 +25,15 @@ witness indices are read through them):
 
 Constructions at or below the table threshold materialize full numpy
 operation tables; larger ones compute operations on demand through the
-same coordinate formulas.  A coordinate construction's table build runs
-its formula only on row 0 and the (q-1)*k generator rows c*e_i (one
-nonzero coordinate) and fills every other row x = x' + c*e_i from rows
-already built: ADD[x] = ADD[x', ADD[c*e_i]] and, by right
-distributivity, MUL[x] = ADD[MUL[x'], MUL[c*e_i]].  The fill equals the
-formula whenever the base is a ring, which every base built by this
-module or parsed from an expression is; run ``verify_axioms`` on a
+same coordinate formulas.  A coordinate construction's addition table is
+the k-fold Kronecker sum of its base's addition table (addition is
+componentwise), and its multiplication formula runs only on G x G, where
+G is 0 and the (q-1)*k generators c*e_i (one nonzero coordinate).  The
+rest of MUL is a two-sided distributive fill from entries already built:
+MUL[g, y' + c*e_i] = ADD[MUL[g, y'], MUL[g, c*e_i]] for g in G, then
+MUL[x' + c*e_i] = ADD[MUL[x'], MUL[c*e_i]] for every other row.  The fill
+equals the formula whenever the base is a ring, which every base built by
+this module or parsed from an expression is; run ``verify_axioms`` on a
 hand-made ``FiniteRing`` before using it as a base.  A direct product's
 tables are the Kronecker sum of its factors' tables (see :func:`product`).
 """
@@ -106,6 +108,20 @@ def _encode_arrays(coords, weights):
     return acc.astype(np.int32)
 
 
+def _kron_sum(t1, t2) -> np.ndarray:
+    """The Kronecker sum T[(a, b), (c, d)] = T1[a, c] * |T2| + T2[b, d] of
+    two square operation tables, as one broadcast addition into a
+    read-only table of :func:`table_dtype`.  T1's values may be narrower
+    than the result's indices, so T1 * |T2| is formed in that dtype."""
+    n1, n2 = len(t1), len(t2)
+    dtype = table_dtype(n1 * n2)
+    high = np.multiply(t1, n2, dtype=dtype)
+    table = np.empty((n1 * n2, n1 * n2), dtype=dtype)
+    np.add(high[:, None, :, None], t2[None, :, None, :], out=table.reshape(n1, n2, n1, n2))
+    table.setflags(write=False)  # handed over, so FiniteRing need not copy it
+    return table
+
+
 def _coord_ring(base, k, weights, one_coords, mul_coords, label, limits, materialize):
     """Build a ring whose elements are k coordinates over ``base``.
 
@@ -115,15 +131,16 @@ def _coord_ring(base, k, weights, one_coords, mul_coords, label, limits, materia
     serves on-demand evaluation on index arrays and the table build.
     ``weights`` must be the powers q^0..q^(k-1) in some order.
 
-    In table mode the formula runs on row 0 and the generator rows c*e_i
-    only.  The other rows are filled in ascending weight order, per
-    generator row and block of about ``AXIOM_BLOCK_ELEMENTS`` entries,
-    each block gathered straight into the final table of
-    :func:`table_dtype`.  So each table costs O(n^2) once instead of once
-    per formula term, and the fill's temporaries stay a few MB at any
-    order.  The fill equals the formula when ``base`` is a ring (see the
-    module docstring).  The negation table is the componentwise formula
-    on every element, O(n*k).
+    In table mode ADD is the k-fold Kronecker sum of the base's addition
+    table (:func:`_kron_sum`), and the formula runs only on G x G, G = {0}
+    u {c*e_i}.  Left distributivity fills the other columns of the rows in
+    G, and right distributivity the other rows, in ascending weight order.
+    The row fill runs per generator row and block of about
+    ``AXIOM_BLOCK_ELEMENTS`` entries, each block gathered straight into
+    the final table of :func:`table_dtype`, so its temporaries stay a few
+    MB at any order.  The fill equals the formula when ``base`` is a ring
+    (see the module docstring).  The negation table is the componentwise
+    formula on every element, O(n*k).
     """
     q = base.order
     order = q ** k
@@ -147,32 +164,35 @@ def _coord_ring(base, k, weights, one_coords, mul_coords, label, limits, materia
     if not table_mode:
         return FiniteRing(order, one_index, label, add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn)
 
+    # ADD is componentwise over one base table, so it is the k-fold
+    # Kronecker sum of the base's addition table, whatever the weights'
+    # order.  The base goes first so that the broadcast's inner axis is the
+    # long one.
+    base_add = base.row_block("add", 0, q)
+    add_t = np.zeros((1, 1), dtype=np.int16)
+    for _ in range(k):
+        add_t = _kron_sum(base_add, add_t)
+    # G = {0} u {c*w}.  Column y' + c*w of a row g in G, for y' < w, is
+    # MUL[g, y'] + MUL[g, c*w] by left distributivity, and row g + x' is
+    # MUL[x'] + MUL[g] by right distributivity (x' + c*w is an index sum,
+    # as x' has no coordinate at weight w or above).  Ascending w keeps
+    # the columns, then the rows, below w filled.
     steps = sorted(weights)
-    rows = np.array([0] + [c * w for w in steps for c in range(1, q)])
-    every = np.arange(order)
-    add_t = np.empty((order, order), dtype=table_dtype(order))
+    gens = np.array([0] + [c * w for w in steps for c in range(1, q)])
     mul_t = np.empty((order, order), dtype=table_dtype(order))
-    add_t[rows] = add_fn(rows[:, None], every[None, :])
-    mul_t[rows] = mul_fn(rows[:, None], every[None, :])
-    # Row g + x' for g = c*w and x' < w is x' + g, so by associativity and
-    # right distributivity ADD[g + x'] = ADD[x', ADD[g]] and MUL[g + x'] =
-    # ADD[MUL[x'], MUL[g]].  Ascending w keeps rows below w filled; MUL
-    # waits for the whole of ADD because it reads arbitrary ADD rows.
+    mul_t[gens[:, None], gens[None, :]] = mul_fn(gens[:, None], gens[None, :])
+    for w in steps:
+        for g in range(w, q * w, w):
+            mul_t[gens, g:g + w] = add_t[mul_t[gens, :w], mul_t[gens, g][:, None]]
     step = block_rows(order)
-
-    def fill(table, gather):
-        for w in steps:
-            for g in range(w, q * w, w):
-                for lo in range(0, w, step):
-                    hi = min(w, lo + step)
-                    table[g + lo:g + hi] = gather(lo, hi, g)
-
-    fill(add_t, lambda lo, hi, g: add_t[np.arange(lo, hi)[:, None], add_t[g]])
-    fill(mul_t, lambda lo, hi, g: add_t[mul_t[lo:hi], mul_t[g]])
-    add_t.setflags(write=False)  # handed over, so FiniteRing need not copy them
-    mul_t.setflags(write=False)
+    for w in steps:
+        for g in range(w, q * w, w):
+            for lo in range(0, w, step):
+                hi = min(w, lo + step)
+                mul_t[g + lo:g + hi] = add_t[mul_t[lo:hi], mul_t[g]]
+    mul_t.setflags(write=False)  # handed over, so FiniteRing need not copy it
     return FiniteRing(order, one_index, label, add_table=add_t, mul_table=mul_t,
-                      neg_table=neg_fn(every))
+                      neg_table=neg_fn(np.arange(order)))
 
 
 def _little_endian_weights(q: int, k: int) -> list[int]:
@@ -278,13 +298,12 @@ def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
     """Direct product; (a, b) is encoded as a * |R2| + b and one = (1, 1).
 
     In table mode each table is the Kronecker sum of the factors' tables,
-    OP[(a, b), (c, d)] = OP1[a, c] * |R2| + OP2[b, d], one broadcast
-    addition over the factors' full tables into the final table.  As the
-    factors' table values may be narrower than the product's indices,
-    a * |R2| is formed in the product's table dtype there and in intp in
-    the lazy formulas and the negation table.  The additive generators S of
-    the product (:func:`finring.analysis.generators`) come from its factors':
-    (s, 0) and (0, t) generate (R1 x R2, +).
+    OP[(a, b), (c, d)] = OP1[a, c] * |R2| + OP2[b, d] (:func:`_kron_sum`).
+    The lazy formulas and the negation table form a * |R2| in intp, as the
+    factors' values may be narrower than the product's indices.  The
+    additive generators S of the product
+    (:func:`finring.analysis.generators`) come from its factors': (s, 0)
+    and (0, t) generate (R1 x R2, +).
     """
     label = label or f"{r1.label} x {r2.label}"
     order = r1.order * r2.order
@@ -298,13 +317,7 @@ def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
 
     if table_mode:
         def kron(op):
-            dtype = table_dtype(order)
-            high = np.multiply(r1.row_block(op, 0, n1), n2, dtype=dtype)
-            table = np.empty((order, order), dtype=dtype)
-            np.add(high[:, None, :, None], r2.row_block(op, 0, n2)[None, :, None, :],
-                   out=table.reshape(n1, n2, n1, n2))
-            table.setflags(write=False)  # handed over, so FiniteRing need not copy it
-            return table
+            return _kron_sum(r1.row_block(op, 0, n1), r2.row_block(op, 0, n2))
 
         neg = pair(r1.neg_arr(np.arange(n1))[:, None], r2.neg_arr(np.arange(n2))[None, :])
         ring = FiniteRing(order, one_index, label, add_table=kron("add"),

@@ -312,9 +312,9 @@ class ElementSet:
     members: frozenset
 
     def __post_init__(self):
-        bad = [x for x in self.members if not 0 <= x < self.ring.order]
-        if bad:
-            raise ArgumentError(f"indices {sorted(bad)} out of range for {self.ring.label}")
+        if self.members and not (min(self.members) >= 0 and max(self.members) < self.ring.order):
+            bad = sorted(x for x in self.members if not 0 <= x < self.ring.order)
+            raise ArgumentError(f"indices {bad} out of range for {self.ring.label}")
 
     def __contains__(self, x: int) -> bool:
         return x in self.members

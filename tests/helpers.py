@@ -325,7 +325,8 @@ def full_cube_ternary_checks(ring) -> tuple:
     The straightforward form of ``verify_axioms``'s exhaustive ternary
     branch: each side is one cube indexed [x, y, z], in the smallest dtype
     that holds the indices 0..n-1, and the witness is the first failing
-    triple of ``np.argwhere``, in lexicographic order.
+    triple in lexicographic (C) order, the flat position of ``np.argmax``
+    over the failures unravelled to [x, y, z].
     """
     dtype = np.min_scalar_type(ring.order - 1)
     ADD, MUL = ring.add_table.astype(dtype), ring.mul_table.astype(dtype)
@@ -333,9 +334,10 @@ def full_cube_ternary_checks(ring) -> tuple:
 
     def ternary(name, lhs, rhs):
         mask = lhs == rhs
-        bad = np.argwhere(~mask)
-        witness = tuple(int(v) for v in bad[0]) if len(bad) else None
-        checks.append(AxiomCheck(name, bool(mask.all()), witness, mask.size, "exhaustive"))
+        holds = bool(mask.all())
+        witness = None if holds else tuple(
+            int(v) for v in np.unravel_index(np.argmax(~mask), mask.shape))
+        checks.append(AxiomCheck(name, holds, witness, mask.size, "exhaustive"))
 
     ternary("add-associative", ADD[ADD, :], ADD[:, ADD])
     ternary("mul-associative", MUL[MUL, :], MUL[:, MUL])

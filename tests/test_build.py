@@ -5,6 +5,7 @@ import pytest
 
 from finring import (
     ArgumentError,
+    FiniteRing,
     LimitError,
     Limits,
     bt,
@@ -341,6 +342,9 @@ AGREEMENT_CASES = {
     "NIL(Z/4, 3)": lambda m: poly_quotient(zmod(4), [0, 0, 0, 1], materialize=m),
     "POLYQ(Z/4, [1, 1, 1])": lambda m: poly_quotient(zmod(4), [1, 1, 1], materialize=m),
     "GR(Z/2, S3)": lambda m: group_ring(zmod(2), symmetric_3(), materialize=m),
+    # a non-cyclic base additive group (c up to 8), and a noncommutative base
+    "TE(GF(3, 2))": lambda m: trivial_extension(gf(3, 2), materialize=m),
+    "TE(UT(2, Z/2))": lambda m: trivial_extension(upper_triangular(2, zmod(2)), materialize=m),
     # products: a Kronecker sum of the factor tables in table mode
     "M(2, Z/2) x UT(2, Z/3)": lambda m: product(
         matrix_ring(2, zmod(2)), upper_triangular(2, zmod(3)), materialize=m),
@@ -372,6 +376,33 @@ def test_blocked_fill_matches_formula(monkeypatch):
             assert np.array_equal(table.row_block(op, 0, table.order),
                                   lazy.row_block(op, 0, lazy.order)), (label, op)
         assert np.array_equal(table.neg_table, lazy.neg_arr(every)), label
+
+
+def test_table_build_runs_formula_on_generator_pairs_only():
+    # The multiplication formula runs on G x G, G = {0} u {c * e_i} of
+    # 1 + (q - 1) * k elements; distributivity fills the rest.  A lazy base
+    # that records the size of every multiplication it is asked for bounds
+    # the number of pairs the formula saw.
+    z3 = zmod(3, materialize=False)
+    sizes = []
+
+    def counting_mul(x, y):
+        sizes.append(np.broadcast(x, y).size)
+        return z3.mul_arr(x, y)
+
+    base = FiniteRing(3, 1, "Z/3", add_fn=z3.add_arr, mul_fn=counting_mul, neg_fn=z3.neg_arr)
+    cases = [
+        ("M(2, Z/3)", 4, lambda b: matrix_ring(2, b, materialize=True)),
+        ("UT(2, Z/3)", 3, lambda b: upper_triangular(2, b, materialize=True)),
+        ("TE(Z/3)", 2, lambda b: trivial_extension(b, materialize=True)),
+        ("NIL(Z/3, 3)", 3, lambda b: poly_quotient(b, [0, 0, 0, 1], materialize=True)),
+    ]
+    for label, k, make in cases:
+        sizes.clear()
+        ring = make(base)
+        assert sizes and max(sizes) <= (1 + 2 * k) ** 2, label
+        for got, want in zip(op_tables(ring), op_tables(make(zmod(3)))):
+            assert np.array_equal(got, want), label
 
 
 def test_table_ring_over_lazy_base_matches_table_twin():

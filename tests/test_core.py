@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from finring import (
     ArgumentError,
+    ElementSet,
     FiniteRing,
     default_corpus,
     dump_tables,
@@ -41,6 +42,15 @@ def test_index_out_of_range():
         r.mul(0, -1)
     with pytest.raises(ArgumentError):
         r.neg(7)
+
+
+def test_element_set_range_check():
+    r = zmod(4)
+    with pytest.raises(ArgumentError) as err:
+        ElementSet(r, frozenset({7, 1, -2, 4}))
+    assert str(err.value) == "indices [-2, 4, 7] out of range for Z/4"
+    empty = ElementSet(r, frozenset())
+    assert len(empty) == 0 and empty.indices() == [] and 0 not in empty
 
 
 def test_pow():
