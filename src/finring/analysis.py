@@ -19,7 +19,7 @@ about ``AXIOM_BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
   y*x = 1", one multiplication-table row block at a time.  A failed
   confirmation is an InternalConsistencyError (finite rings are
   Dedekind finite, so it cannot legitimately happen).  This is the
-  one n^2 pass of an analysis whose N(R) is an ideal.
+  one n^2 pass of an analysis.
 - An additive generating set S of the group (R, +) (cached under
   ``"generators"``): take the smallest element g not reached yet and
   extend the reached subgroup H to H + <g> by doubling.  After k
@@ -53,18 +53,17 @@ about ``AXIOM_BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
   powers of x take at most n distinct values, so x is in sqrtJ (in N)
   iff x^(2^k) is in J (is 0) for 2^k >= n: ceil(log2 n) squarings of
   every element at once.
-- J(R) = N(R) whenever N(R) is a two-sided ideal.  A finite ring is
-  Artinian, so J(R) is nilpotent and lies in N(R), and a nil two-sided
-  ideal lies in J(R) (Lam, *A First Course in Noncommutative Rings*,
-  Lemma 4.11 and Theorem 4.12).  Then sqrtJ(R) = N(R) too.  This holds
-  for every commutative ring and for rings such as UT(n, R) over a
-  commutative R, and costs N plus the ideal test above.  Otherwise
-  (M(2, R), GR(Z/2, S3)) J(R) comes from quasi-regularity,
-  :func:`quasi_regular_radical`: x is in J(R) iff 1 - r*x is a unit
-  for every r, an n^2 scan whose result is then verified to be a
-  two-sided ideal; a verification failure raises
-  InternalConsistencyError because it can only mean a bug, never bad
-  input.
+- J(R) is the largest two-sided ideal inside N(R): a finite ring is
+  Artinian, so J(R) is nilpotent, and a nil ideal lies in J(R) (Lam,
+  *A First Course in Noncommutative Rings*, Lemma 4.11 and Thm 4.12).
+  From K = N(R), repeat K <- {x in K : x*S, S*x and x + K lie in K}
+  until K stops changing.  N(R) + J(R) lies in N(R), and each round
+  keeps K + J(R) inside K, so J(R) survives; the fixed point holds 0,
+  is closed under + (a subgroup, as R is finite) and under *S on both
+  sides, so it is an ideal inside N(R), hence J(R).  Where N(R) is an
+  ideal (every commutative ring, UT(n, R) over a commutative R) the
+  first round keeps it all, and J(R) = sqrtJ(R) = N(R) is returned as
+  the cached nilpotents; M(2, R) and GR(Z/2, S3) take a second round.
 
 Each set is a plain function of the ring, cached by
 :meth:`FiniteRing.cached` under the function's name (``"units"`` holds
@@ -121,20 +120,22 @@ def unit_inverses(ring: FiniteRing) -> dict:
     return ring.cached("units", lambda: _units_and_inverses(ring))[1]
 
 
-def _jacobson(ring: FiniteRing) -> ElementSet:
-    nil = nilpotents(ring)
-    if ideal_violation(ring, nil.members) is None:  # then J = N (module docstring)
-        return nil
-    members = quasi_regular_radical(ring)
-    violation = ideal_violation(ring, members)
-    if violation is not None:
-        raise InternalConsistencyError(
-            f"computed Jacobson radical of {ring.label} is not an ideal: {violation}")
-    return ElementSet(ring, members)
-
-
 def jacobson(ring: FiniteRing) -> ElementSet:
-    return ring.cached("jacobson", lambda: _jacobson(ring))
+    """The largest ideal inside N(R) (module docstring).  Each round tests
+    x + K only for the x of K that pass the products."""
+    def compute():
+        nil = nilpotents(ring)
+        kept, gens = np.array(nil.indices()), generators(ring)
+        while True:
+            mask = member_mask(ring.order, kept)
+            xs = kept[mask[ring.mul_arr(kept[:, None], gens[None, :])].all(axis=1)
+                      & mask[ring.mul_arr(gens[None, :], kept[:, None])].all(axis=1)]
+            xs = xs[np.concatenate([mask[block].all(axis=1)
+                                    for _, block in ring.blocks("add", xs, kept)])]
+            if len(xs) == len(kept):
+                return nil if len(kept) == len(nil) else element_set(ring, kept)
+            kept = xs
+    return ring.cached("jacobson", compute)
 
 
 def in_jacobson(ring: FiniteRing, x: int) -> bool:
@@ -187,19 +188,6 @@ def center(ring: FiniteRing) -> ElementSet:
             central[xs] = (block == ring.mul_arr(gens[None, :], xs[:, None])).all(axis=1)
         return element_set(ring, np.flatnonzero(central))
     return ring.cached("center", compute)
-
-
-def quasi_regular_radical(ring: FiniteRing) -> frozenset:
-    """J(R) by quasi-regularity: x is in J(R) iff 1 - r*x is a unit for
-    every r.  An n^2 scan by multiplication-table row blocks; the general
-    path of :func:`jacobson`, callable on its own as a reference."""
-    n = ring.order
-    unit_mask = member_mask(n, units(ring).members)
-    one_minus = ring.add_arr(ring.one, ring.neg_arr(np.arange(n)))  # 1 - t for every t
-    jm = np.ones(n, dtype=bool)
-    for _, block in ring.blocks("mul"):  # block[r, x] = r * x
-        jm &= unit_mask[one_minus[block]].all(axis=0)
-    return frozenset(np.flatnonzero(jm).tolist())
 
 
 def closure(ring: FiniteRing, seeds, *, ideal: bool) -> np.ndarray:

@@ -13,13 +13,16 @@ Global flags (accepted before or after the subcommand): --json,
 Exit codes: 0 success, 1 mathematical counterexample (a claim failed or
 an internal consistency check tripped) or any other unexpected error,
 reported in one line as an internal error, 2 usage/parse/limit error.
+An output pipe closed by its reader ends the command quietly with 0.
 Text and JSON modes report the same values.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from .analysis import center, idempotents, jacobson, nilpotents, sqrt_jacobson, units
@@ -288,7 +291,13 @@ def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
             setattr(args, name, default)
     limits = DEFAULT_LIMITS if args.max_order is None else Limits(max_order=args.max_order)
     try:
-        return _COMMANDS[args.command](args, limits, out)
+        code = _COMMANDS[args.command](args, limits, out)
+        out.flush()  # so a closed pipe shows here, not in the final flush
+        return code
+    except BrokenPipeError:  # the reader left early (``| head``): not a fault
+        with contextlib.suppress(AttributeError, OSError):  # devnull takes the last flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 0
     except (ParseError, ArgumentError, LimitError, CorpusError) as exc:
         print(f"error: {exc}", file=err)
         return 2

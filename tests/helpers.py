@@ -94,6 +94,17 @@ def full_commutant(ring) -> set:
     return set(np.flatnonzero((table == table.T).all(axis=1)).tolist())
 
 
+def quasi_regular_radical(ring) -> frozenset:
+    """J(R) by quasi-regularity: x is in J(R) iff 1 - r*x is a unit for
+    every r, with the units read off one n x n product array as the x
+    that have a y with x*y = y*x = 1."""
+    every = np.arange(ring.order)
+    table = ring.mul_arr(every[:, None], every[None, :])  # table[r, x] = r * x
+    unit_mask = ((table == ring.one) & (table.T == ring.one)).any(axis=1)
+    one_minus = ring.add_arr(ring.one, ring.neg_arr(every))  # 1 - t for every t
+    return frozenset(np.flatnonzero(unit_mask[one_minus[table]].all(axis=0)).tolist())
+
+
 def additive_span(ring, gens) -> set:
     """Everything reached from 0 by adding elements of ``gens``."""
     reached = np.zeros(ring.order, dtype=bool)

@@ -23,7 +23,7 @@ from finring import (
     upper_triangular,
     zmod,
 )
-from finring import core
+from finring import build, core
 from finring.build import smallest_irreducible
 from finring.core import table_dtype
 from finring.groups import cyclic, symmetric_3
@@ -363,19 +363,30 @@ def test_modes_agree_matrix():
             assert np.array_equal(got, want), label
 
 
+def assert_fill_matches_formula(label, make):
+    # the lazy twin's broadcast formula is the reference
+    table, lazy = make(True), make(False)
+    every = np.arange(table.order)
+    for op in ("add", "mul"):
+        assert np.array_equal(table.row_block(op, 0, table.order),
+                              lazy.row_block(op, 0, lazy.order)), (label, op)
+    assert np.array_equal(table.neg_table, lazy.neg_arr(every)), label
+
+
 def test_blocked_fill_matches_formula(monkeypatch):
+    # At the library's own block size, M(2, Z/5)'s largest weight step,
+    # 125 rows of 625 entries, crosses a block boundary and ends in a
+    # partial block.
+    rows = build.FILL_BLOCK_ELEMENTS // 625
+    assert rows < 125 and 125 % rows
+    assert_fill_matches_formula("M(2, Z/5)", lambda m: matrix_ring(2, zmod(5), materialize=m))
     # At 200 entries a block the fill of an order-n ring runs 200 // n rows
     # a block (2 at order 81), so its upper weight steps take several
-    # blocks for each generator row.  The lazy twin's broadcast formula is
-    # the reference.
+    # blocks for each generator row.
     monkeypatch.setattr(core, "AXIOM_BLOCK_ELEMENTS", 200)
+    monkeypatch.setattr(build, "FILL_BLOCK_ELEMENTS", 200)
     for label, make in AGREEMENT_CASES.items():
-        table, lazy = make(True), make(False)
-        every = np.arange(table.order)
-        for op in ("add", "mul"):
-            assert np.array_equal(table.row_block(op, 0, table.order),
-                                  lazy.row_block(op, 0, lazy.order)), (label, op)
-        assert np.array_equal(table.neg_table, lazy.neg_arr(every)), label
+        assert_fill_matches_formula(label, make)
 
 
 def test_table_build_runs_formula_on_generator_pairs_only():

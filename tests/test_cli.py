@@ -1,6 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import finring
 from finring import parse_and_build, parse_table_dump
 from finring.cli import main
 
@@ -86,6 +91,27 @@ def test_unexpected_exception_is_one_line_internal_error(monkeypatch):
     code, out, err = run_cli("analyze", "Z/4")
     assert code == 1 and not out
     assert err == "internal error (please report): RuntimeError: boom\n"
+
+
+def test_closed_output_pipe_exits_0_quietly():
+    # the reader of a pipe went away, as with `finring ... | head -c 100`
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    err = io.StringIO()
+    assert main(["analyze", "--json", "--dump-tables", "Z/4"], out=ClosedPipe(), err=err) == 0
+    assert err.getvalue() == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(finring.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "finring", "analyze", "Z/4", "--json"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_cli("analyze", "Z/4", "--json")[1]
 
 
 def test_table_sets():
