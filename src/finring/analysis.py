@@ -53,17 +53,19 @@ about ``AXIOM_BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
   powers of x take at most n distinct values, so x is in sqrtJ (in N)
   iff x^(2^k) is in J (is 0) for 2^k >= n: ceil(log2 n) squarings of
   every element at once.
-- J(R) is the largest two-sided ideal inside N(R): a finite ring is
-  Artinian, so J(R) is nilpotent, and a nil ideal lies in J(R) (Lam,
-  *A First Course in Noncommutative Rings*, Lemma 4.11 and Thm 4.12).
-  From K = N(R), repeat K <- {x in K : x*S, S*x and x + K lie in K}
-  until K stops changing.  N(R) + J(R) lies in N(R), and each round
-  keeps K + J(R) inside K, so J(R) survives; the fixed point holds 0,
-  is closed under + (a subgroup, as R is finite) and under *S on both
-  sides, so it is an ideal inside N(R), hence J(R).  Where N(R) is an
-  ideal (every commutative ring, UT(n, R) over a commutative R) the
-  first round keeps it all, and J(R) = sqrtJ(R) = N(R) is returned as
-  the cached nilpotents; M(2, R) and GR(Z/2, S3) take a second round.
+- J(R) = {x in N(R) : x*s in N(R) for every s in S}: one pass of
+  |N|*|S| products.  J(R) is nilpotent in a finite ring, so it lies in
+  N(R), and J(R)*S lies in J(R), so J(R) lies in the set.  Conversely
+  take x with every x*s nilpotent.  R/J(R) is finite and semisimple,
+  so by Wedderburn-Artin a product of rings M_k(F_q); each image of
+  x*s is nilpotent, so its trace is 0 in every factor.  S spans
+  (R, +), so tr(x*a) = 0 there for every a, and the trace form of
+  M_k(F_q) is nondegenerate, so x maps to 0: x is in J(R).  J(R) is
+  also the largest nil ideal (Lam, *A First Course in Noncommutative
+  Rings*, Lemma 4.11 and Thm 4.12), so J(R) = N(R) exactly when N(R)
+  is an ideal (every commutative ring, UT(n, R) over a commutative R);
+  then every x passes, and the cached nilpotents are returned as J(R)
+  = sqrtJ(R).  M(2, R) and GR(Z/2, S3) keep a strict subset of N(R).
 
 Each set is a plain function of the ring, cached by
 :meth:`FiniteRing.cached` under the function's name (``"units"`` holds
@@ -121,20 +123,13 @@ def unit_inverses(ring: FiniteRing) -> dict:
 
 
 def jacobson(ring: FiniteRing) -> ElementSet:
-    """The largest ideal inside N(R) (module docstring).  Each round tests
-    x + K only for the x of K that pass the products."""
+    """The x of N(R) with x*S inside N(R) (module docstring); the cached
+    nilpotents themselves when that is all of N(R), an ideal."""
     def compute():
         nil = nilpotents(ring)
-        kept, gens = np.array(nil.indices()), generators(ring)
-        while True:
-            mask = member_mask(ring.order, kept)
-            xs = kept[mask[ring.mul_arr(kept[:, None], gens[None, :])].all(axis=1)
-                      & mask[ring.mul_arr(gens[None, :], kept[:, None])].all(axis=1)]
-            xs = xs[np.concatenate([mask[block].all(axis=1)
-                                    for _, block in ring.blocks("add", xs, kept)])]
-            if len(xs) == len(kept):
-                return nil if len(kept) == len(nil) else element_set(ring, kept)
-            kept = xs
+        xs = np.array(nil.indices())
+        in_nil = member_mask(ring.order, xs)[ring.mul_arr(xs[:, None], generators(ring)[None, :])]
+        return nil if in_nil.all() else element_set(ring, xs[in_nil.all(axis=1)])
     return ring.cached("jacobson", compute)
 
 
@@ -229,11 +224,12 @@ def ideal_violation(ring: FiniteRing, members: frozenset) -> str | None:
     worded.
 
     In order: 0 is a member; closure under addition (over all pairs, by
-    blocks) and negation, so the set is an additive subgroup I; S*I and
-    I*S lie in I for the additive generators S
-    (:func:`generators`), which by distributivity puts R*I
-    and I*R in I.  Only a set that fails the last test pays for the
-    scans over all of R that word its first violation."""
+    blocks), so the set is an additive subgroup I, since -x = (k - 1)*x
+    for the additive order k of x in a finite ring; S*I and I*S lie in I
+    for the additive generators S (:func:`generators`), which by
+    distributivity puts R*I and I*R in I.  Only a set that fails the
+    last test pays for the scans over all of R that word its first
+    violation."""
     if 0 not in members:
         return "0 is missing"
     arr = np.array(sorted(members))
@@ -241,10 +237,6 @@ def ideal_violation(ring: FiniteRing, members: frozenset) -> str | None:
     bad = _first_outside(ring, mask, "add", arr, arr)
     if bad:
         return "not closed under addition: {} + {} = {}".format(*bad)
-    negs = ring.neg_arr(arr)
-    if not mask[negs].all():
-        i = int(np.argmin(mask[negs]))
-        return f"not closed under negation: -{int(arr[i])} = {int(negs[i])}"
     gens = generators(ring)
     if (_first_outside(ring, mask, "mul", gens, arr) is None
             and _first_outside(ring, mask, "mul", arr, gens) is None):

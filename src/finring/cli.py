@@ -232,6 +232,8 @@ def _is_2a3b(n: int) -> bool:
 def _cmd_enumerate(args, limits: Limits, out) -> int:
     if args.max < 2:
         raise ArgumentError(f"enumerate needs max >= 2, got {args.max}")
+    first_over = min(args.max, limits.max_order + 1)  # the sweep's first refusal, made up front
+    limits.check_order(first_over, f"Z/{first_over}")
     rows = []
     all_ok = True
     for n in range(2, args.max + 1):

@@ -721,7 +721,7 @@ def run_suite(
     if claim_ids is None:
         selected = sorted(CLAIMS, key=_claim_order)
     else:
-        selected = list(claim_ids)
+        selected = list(dict.fromkeys(claim_ids))  # a repeated id runs once
         for cid in selected:
             if cid not in CLAIMS:
                 raise CorpusError(f"unknown claim id {cid!r}; known: {', '.join(CLAIMS)}")

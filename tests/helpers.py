@@ -12,7 +12,7 @@ from math import gcd
 
 import numpy as np
 
-from finring.core import AxiomCheck
+from finring.core import AxiomCheck, FiniteRing
 from finring.expr import (
     BT,
     GF,
@@ -103,6 +103,23 @@ def quasi_regular_radical(ring) -> frozenset:
     unit_mask = ((table == ring.one) & (table.T == ring.one)).any(axis=1)
     one_minus = ring.add_arr(ring.one, ring.neg_arr(every))  # 1 - t for every t
     return frozenset(np.flatnonzero(unit_mask[one_minus[table]].all(axis=0)).tolist())
+
+
+def relabelled(ring, seed: int) -> FiniteRing:
+    """A table ring isomorphic to ``ring`` under a seeded random
+    permutation of the indices that fixes 0, so its additive generating
+    set S is no longer the one the construction's order gives."""
+    n = ring.order
+    sigma = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(n - 1)])
+    every = np.arange(n)[:, None]
+
+    def relabel(op):  # table[sigma[x], sigma[y]] = sigma[op(x, y)]
+        table = np.empty((n, n), dtype=np.intp)
+        table[np.ix_(sigma, sigma)] = sigma[op(every, every.T)]
+        return table
+
+    return FiniteRing(n, int(sigma[ring.one]), f"{ring.label} relabelled {seed}",
+                      add_table=relabel(ring.add_arr), mul_table=relabel(ring.mul_arr))
 
 
 def additive_span(ring, gens) -> set:

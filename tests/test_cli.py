@@ -6,7 +6,8 @@ import sys
 from pathlib import Path
 
 import finring
-from finring import parse_and_build, parse_table_dump
+import finring.cli as cli
+from finring import parse_and_build, parse_table_dump, zmod
 from finring.cli import main
 
 
@@ -161,6 +162,14 @@ def test_verify_json_schema():
     assert payload["axioms"] and all(a["passed"] for a in payload["axioms"])
 
 
+def test_verify_repeated_claim_runs_once():
+    code, out, _ = run_cli("verify", "--claims", "C1,C1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert [c["id"] for c in payload["claims"]] == ["C1"]
+    assert payload["summary"] == {"passed": 1, "failed": 0, "skipped": 0}
+
+
 def test_verify_corpus_errors():
     code, _, err = run_cli("verify", "--corpus", "missing.txt")
     assert code == 2 and "missing.txt" in err
@@ -184,6 +193,16 @@ def test_enumerate():
     assert verdicts[5] == verdicts[7] == verdicts[10] == verdicts[11] == "no"
     code, out, _ = run_cli("enumerate", "zmod", "2")
     assert code == 0 and out.splitlines()[1].split()[0] == "2"
+
+
+def test_enumerate_above_the_limit_builds_no_ring(monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "zmod", lambda n, **kw: built.append(n) or zmod(n, **kw))
+    code, out, err = run_cli("--max-order", "50", "enumerate", "zmod", "60")
+    assert (code, out, err) == (2, "", "error: Z/51: order 51 exceeds the limit 50\n")
+    assert built == []
+    code, out, _ = run_cli("--max-order", "50", "enumerate", "zmod", "50")
+    assert code == 0 and built == list(range(2, 51))
 
 
 def test_enumerate_json():

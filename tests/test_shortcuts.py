@@ -1,11 +1,13 @@
 """The generator-reduced analysis paths against the general ones.
 
-J(R) is the largest ideal inside N(R), found from S, and N(R) itself
-whenever N(R) is an ideal; the center is the commutant of an additive
-generating set S, ideal tests run from S, and generated ideals and
+J(R) is {x in N(R) : x*S inside N(R)} for an additive generating set
+S, and N(R) itself exactly when N(R) is an ideal; the center is the
+commutant of S, ideal tests run from S, and generated ideals and
 subrings are additive spans of generator products.  Each is compared
 here with a computation from the definitions: J(R) with
-quasi-regularity.
+quasi-regularity, also on relabelled copies of rings whose J(R) is
+smaller than N(R), where S is no longer made of matrix units or group
+elements.
 """
 
 import random
@@ -41,6 +43,7 @@ from helpers import (
     full_scan_ideal_violation,
     quasi_regular_radical,
     random_ring_expr,
+    relabelled,
     round_based_closure,
 )
 
@@ -96,9 +99,19 @@ def assert_closures_match_rounds(table, lazy):
         assert subring_closure(ring, [x], materialize=False).embedding == expected_sub
 
 
-@pytest.mark.parametrize("text", list(dict.fromkeys([*DEFAULT_CORPUS_LINES, *ANALYZE_TABLE])))
+# rings whose J(R) is a strict subset of N(R), also checked under seeded
+# relabellings: each changes S, so J is found from generating sets other
+# than the matrix units and group elements
+RELABELLED = ("M(2, Z/2)", "M(2, Z/3)", "M(3, Z/2)", "GR(Z/2, S3)")
+
+
+@pytest.mark.parametrize("text", list(dict.fromkeys([*DEFAULT_CORPUS_LINES, *ANALYZE_TABLE, *RELABELLED])))
 def test_corpus_and_benchmark_rings_match_general_path(text):
-    assert_matches_general_path(parse_and_build(text))
+    ring = parse_and_build(text)
+    assert_matches_general_path(ring)
+    if text in RELABELLED:
+        for seed in range(3):
+            assert_matches_general_path(relabelled(ring, seed))
 
 
 @pytest.mark.parametrize("text", list(dict.fromkeys([*DEFAULT_CORPUS_LINES, *ANALYZE_TABLE, "UT(2, Z/11)"])))
