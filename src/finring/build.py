@@ -567,12 +567,18 @@ def corner(ring: FiniteRing, e: int, *, label: str | None = None,
     return _inherited_subring(ring, members, e, label, limits, materialize)
 
 
-def subring_closure(ring: FiniteRing, gens, *, label: str | None = None,
-                    limits: Limits = DEFAULT_LIMITS, materialize: bool | None = None) -> Subring:
-    """Smallest subring containing gens together with 0 and 1."""
+def subring_closure(ring: FiniteRing, gens, *, members: np.ndarray | None = None,
+                    label: str | None = None, limits: Limits = DEFAULT_LIMITS,
+                    materialize: bool | None = None) -> Subring:
+    """Smallest subring containing gens together with 0 and 1.
+
+    ``members``, when given, must be that subring's sorted parent
+    indices, ``closure(ring, [ring.one] + gens, ideal=False)``, already
+    computed by the caller; it is not computed again."""
     gens = [int(x) for x in gens]
     for x in gens:
         ring._check_index(x)
     label = label or f"subring({', '.join(str(g) for g in gens)}) of {ring.label}"
-    members = closure(ring, [ring.one] + gens, ideal=False)
+    if members is None:
+        members = closure(ring, [ring.one] + gens, ideal=False)
     return _inherited_subring(ring, members, ring.one, label, limits, materialize)

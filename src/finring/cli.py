@@ -164,7 +164,7 @@ def _cmd_table(args, limits: Limits, out) -> int:
 
 def _cmd_verify(args, limits: Limits, out) -> int:
     corpus = load_corpus(args.corpus) if args.corpus else default_corpus()
-    claim_ids = args.claims.split(",") if args.claims else None
+    claim_ids = args.claims.split(",") if args.claims is not None else None
     report = run_suite(corpus, claim_ids, limits, seed=args.seed)
     skipped = len(report.skipped) if claim_ids is None else 0
     if args.json:

@@ -49,9 +49,9 @@ PRODUCT_PAIR_CAP = 256
 # Nil extensions in C10 are built for |R|^p up to this cap.
 NIL_ORDER_CAP = 729
 # Structural analysis of a single derived ring is refused above this
-# order: a full unit/J/sqrtJ scan of a lazy ring this size would blow
-# the suite's time budget.  Affected instances are reported as skipped
-# inside their (still passing) claim.
+# order: the units scan, the one n^2 pass of an analysis, would blow the
+# suite's time budget on a lazy ring this size.  Affected instances are
+# reported as skipped inside their (still passing) claim.
 ANALYSIS_ORDER_CAP = 4096
 
 
@@ -239,10 +239,23 @@ def _claim_c1(ctx):
 
 
 def _principal_ideals_in_j(ring: FiniteRing):
-    """Distinct ideals generated by single elements of J(R), plus J(R)."""
+    """Distinct ideals generated by single elements of J(R), plus J(R),
+    each with its smallest generator, in ascending order of generator.
+
+    One closure per orbit of U(R) acting on J(R) from the left: for a
+    unit u, u*z lies in <z> and z = u^-1*(u*z) lies in <u*z>, so
+    <u*z> = <z>.  Once z is closed, its orbit U*z is marked done.  An
+    unmarked z meets an orbit none of whose elements was walked yet, so
+    it is the orbit's smallest element, and every element skipped later
+    generates an ideal that ``seen`` already holds under that z."""
     j = jacobson(ring)
+    us = np.array(units(ring).indices())
+    done = np.zeros(ring.order, dtype=bool)
     seen = {}
     for z in j.indices():
+        if done[z]:
+            continue
+        done[ring.mul_arr(us, z)] = True
         ideal = ideal_closure(ring, [z])
         seen.setdefault(ideal.members, (z, ideal))
     seen.setdefault(j.members, (None, j))
@@ -307,22 +320,46 @@ def _claim_c4(ctx):
     return "nonzero idempotents of every 2-sqrtJU corpus ring", records
 
 
+def _single_generator_subrings(ring: FiniteRing, limits: Limits = DEFAULT_LIMITS):
+    """Yield (x, subring generated by 1 and x) for each distinct such
+    subring, with its smallest x, in ascending order of x.
+
+    One closure per coset of the prime subring Z*1: the subring holding
+    1 and x holds x + k*1 and back, so {1, x} and {1, x + k*1} generate
+    the same subring.  Once x is closed, its coset x + Z*1 is marked
+    done.  An unmarked x meets a coset none of whose elements was walked
+    yet, so it is the coset's smallest element, and every element skipped
+    later generates a subring already yielded with that x.  Each new
+    subring is built on the member array just computed."""
+    prime = closure(ring, [ring.one], ideal=False)
+    done = np.zeros(ring.order, dtype=bool)
+    seen = set()
+    for x in range(ring.order):
+        if done[x]:
+            continue
+        done[ring.add_arr(x, prime)] = True
+        members = closure(ring, [ring.one, x], ideal=False)
+        key = members.tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        yield x, build.subring_closure(ring, [x], members=members, limits=limits)
+
+
 def _claim_c5(ctx):
-    """Unit-closed subrings of a 2-sqrtJU ring are 2-sqrtJU."""
+    """Unit-closed subrings of a 2-sqrtJU ring are 2-sqrtJU.
+
+    The subrings are those generated by 1 and one x, each closed once
+    per coset x + Z*1, as {1, x} and {1, x + k*1} generate the same
+    subring (:func:`_single_generator_subrings`)."""
     records = []
     for label, ring in ctx.rings:
         if not ctx.pred(ring):
             records.append(InstanceRecord(label, True, "not 2-sqrtJU; nothing to check"))
             continue
         bad = ""
-        seen = set()
         tested = 0
-        for x in range(ring.order):
-            key = closure(ring, [ring.one, x], ideal=False).tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            sub = build.subring_closure(ring, [x], limits=ctx.limits)
+        for x, sub in _single_generator_subrings(ring, ctx.limits):
             if not is_unit_closed_subring(sub):
                 continue
             tested += 1

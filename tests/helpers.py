@@ -3,6 +3,9 @@
 Everything here recomputes structural data from definitions, using none
 of the library's analysis code paths (and for the Z/n oracles, none of
 the library at all), so tests compare two genuinely different routes.
+The exceptions are the two verify-loop oracles, which replay C2's and
+C5's loops without their orbit dedupes over the library's closures, so
+that a test pins the dedupes alone.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from math import gcd
 
 import numpy as np
 
+from finring import build
+from finring.analysis import closure, ideal_closure, jacobson
 from finring.core import AxiomCheck, FiniteRing
 from finring.expr import (
     BT,
@@ -201,6 +206,32 @@ def full_scan_ideal_violation(ring, members) -> str | None:
     if bad:
         return "not closed under right multiplication: {} * {} = {}".format(*bad)
     return None
+
+
+def every_principal_ideal_in_j(ring) -> list:
+    """C2's ideals by one closure for every z of J(R), ascending: the
+    distinct (smallest generator, ideal) pairs, then (None, J(R)) unless
+    J(R) is already among them."""
+    j = jacobson(ring)
+    seen = {}
+    for z in j.indices():
+        ideal = ideal_closure(ring, [z])
+        seen.setdefault(ideal.members, (z, ideal))
+    seen.setdefault(j.members, (None, j))
+    return list(seen.values())
+
+
+def every_single_generator_subring(ring):
+    """C5's subrings by one closure for every x of R, ascending, and a
+    second one, in ``build.subring_closure``, for each new subring:
+    yields (smallest x, subring generated by 1 and x)."""
+    seen = set()
+    for x in range(ring.order):
+        key = closure(ring, [ring.one, x], ideal=False).tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        yield x, build.subring_closure(ring, [x])
 
 
 def brute_unit_square_class(ring, target: set) -> bool:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import finring
 import finring.cli as cli
 from finring import parse_and_build, parse_table_dump, zmod
@@ -177,6 +179,13 @@ def test_verify_corpus_errors():
     assert code == 2
 
 
+def test_verify_empty_claim_list_exits_2():
+    for claims in ("", "C1,"):
+        code, out, err = run_cli("verify", "--claims", claims)
+        assert code == 2 and out == ""
+        assert "unknown claim id ''" in err
+
+
 def test_verify_custom_corpus(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("Z/4\nZ/9\n# done\n")
@@ -229,13 +238,28 @@ def test_usage_error_exit_2():
     assert code == 2
 
 
-def test_verify_full_run_json():
+@pytest.fixture(scope="module")
+def full_verify_json():
     code, out, _ = run_cli("verify", "--json")
     assert code == 0
-    payload = json.loads(out)
+    return json.loads(out)
+
+
+def test_verify_full_run_json(full_verify_json):
+    payload = full_verify_json
     assert payload["summary"] == {"passed": 19, "failed": 0, "skipped": 2}
     assert len(payload["claims"]) == 19
     assert {s["id"] for s in payload["skipped"]} == {"C-torsion", "C-powerseries"}
     assert payload["notes"]
     assert len(payload["axioms"]) == 47
     assert isinstance(payload["wallTime"], float)
+
+
+def test_verify_json_matches_bench_reference(full_verify_json):
+    """The report, less its seed and wall times, is the one the
+    benchmark checks every run against."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    reference = json.loads(path.read_text(encoding="utf-8"))["verify"]
+    view = {k: v for k, v in full_verify_json.items() if k not in ("seed", "wallTime")}
+    view["claims"] = [{k: v for k, v in c.items() if k != "wallTime"} for c in view["claims"]]
+    assert view == reference

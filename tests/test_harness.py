@@ -10,18 +10,24 @@ from finring import (
     classify,
     default_corpus,
     load_corpus,
+    parse_and_build,
     poly_quotient,
     run_claim,
     run_suite,
     zmod,
 )
+import finring.build
+import finring.harness as harness
 from finring.harness import (
     DEFAULT_CORPUS_LINES,
     SKIPPED_CLAIMS,
     _digit_reversal,
     _first_non_homomorphic_pair,
+    _principal_ideals_in_j,
+    _single_generator_subrings,
 )
 from finring.predicates import CLASS_NAMES
+from helpers import every_principal_ideal_in_j, every_single_generator_subring, relabelled
 
 
 def test_default_corpus_loads_and_is_varied():
@@ -163,3 +169,49 @@ def test_c16_pair_check_matches_scalar_loop(n, faults):
     expected = _scalar_first_failure(src, tgt, lambda s: int(d[s]))
     assert (expected is None) == (not faults)
     assert _first_non_homomorphic_pair(src, tgt, d) == expected
+
+
+def _dedupe_cases():
+    """Every default-corpus ring, then three seeded relabellings each of
+    M(2, Z/3) and GR(Z/2, S3), whose index order no longer follows the
+    construction."""
+    cases = [pytest.param(text, None, id=text) for text in DEFAULT_CORPUS_LINES]
+    for text in ("M(2, Z/3)", "GR(Z/2, S3)"):
+        cases += [pytest.param(text, seed, id=f"{text} relabelled {seed}") for seed in range(3)]
+    return cases
+
+
+@pytest.mark.parametrize("text, seed", _dedupe_cases())
+def test_orbit_dedupes_match_the_undeduplicated_loops(text, seed):
+    ring = parse_and_build(text)
+    if seed is not None:
+        ring = relabelled(ring, seed)
+    got = [(z, ideal.members) for z, ideal in _principal_ideals_in_j(ring)]
+    want = [(z, ideal.members) for z, ideal in every_principal_ideal_in_j(ring)]
+    assert got == want
+    got = [(x, sub.embedding, sub.ring.label) for x, sub in _single_generator_subrings(ring)]
+    want = [(x, sub.embedding, sub.ring.label) for x, sub in every_single_generator_subring(ring)]
+    assert got == want
+
+
+def test_c2_and_c5_close_once_per_orbit(monkeypatch):
+    calls = {"ideal": 0, "subring": 0}
+
+    def counting(kind, fn):
+        def wrapped(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(harness, "ideal_closure", counting("ideal", harness.ideal_closure))
+    monkeypatch.setattr(harness, "closure", counting("subring", harness.closure))
+    monkeypatch.setattr(finring.build, "closure", counting("subring", finring.build.closure))
+    corpus = Corpus("Z/16", ["Z/16"])
+    assert run_claim("C2", corpus).passed and run_claim("C5", corpus).passed
+    # J(Z/16) is the even residues, U the odd ones: orbits {0}, {8},
+    # {4, 12} and {2, 6, 10, 14}
+    orbits = {frozenset(u * z % 16 for u in range(1, 16, 2)) for z in range(0, 16, 2)}
+    assert calls["ideal"] == len(orbits) == 4
+    # Z*1 is all of Z/16, one coset: its own closure, then that of
+    # {1, 0}, and the subring is built on the latter's members
+    assert calls["subring"] == 2
