@@ -17,21 +17,16 @@ from .analysis import (
     units,
 )
 from .build import (
-    NAMED_GROUPS,
     QuotientRing,
     Subring,
     bt,
     corner,
-    cyclic,
-    cyclic_subgroups,
     gf,
-    group_product,
     group_ring,
     matrix_ring,
     poly_quotient,
     product,
     quotient,
-    subgroup_generated,
     subring_closure,
     trivial_extension,
     upper_triangular,
@@ -52,7 +47,14 @@ from .core import (
     verify_axioms,
 )
 from .expr import ParseError, evaluate, format_expr, format_group, parse, parse_and_build
-from .groups import GroupTable
+from .groups import (
+    NAMED_GROUPS,
+    GroupTable,
+    cyclic,
+    cyclic_subgroups,
+    group_product,
+    subgroup_generated,
+)
 from .harness import (
     CLAIMS,
     Corpus,

@@ -23,10 +23,21 @@ witness indices are read through them):
 - ``group_ring(R, G)``: coefficient vector indexed by group element,
   identity coefficient least significant.
 
+M, UT, TE (so BT), POLYQ (so GF and NIL) and GR are the coordinate
+constructions: free modules over the base whose basis elements e_i
+commute with the base's elements.  Each lists its k coordinates
+little-endian, coordinate i at weight |R|^i (TE lists (m, x)), and all
+of them multiply by one formula, x*y = sum x_i*y_j*(e_i*e_j), with every
+base product taken x first, then y.  A construction passes that formula
+only data: the triples (i, j, s) with e_i*e_j = e_s, and for POLYQ the
+coefficients of x^s mod f for the slots s >= deg f, which fold back
+into the coordinates with the coefficient on the right (see
+:func:`_coord_ring`).
+
 Constructions at or below the table threshold materialize full numpy
 operation tables; larger ones compute operations on demand through the
-same coordinate formulas.  A coordinate construction's addition table is
-the k-fold Kronecker sum of its base's addition table (addition is
+same formula.  A coordinate construction's addition table is the
+k-fold Kronecker sum of its base's addition table (addition is
 componentwise), and its multiplication formula runs only on G x G, where
 G is 0 and the (q-1)*k generators c*e_i (one nonzero coordinate).  The
 rest of MUL is a two-sided distributive fill from entries already built:
@@ -54,14 +65,7 @@ from .core import (
     Limits,
     table_dtype,
 )
-from .groups import (
-    NAMED_GROUPS,
-    GroupTable,
-    cyclic,
-    cyclic_subgroups,
-    group_product,
-    subgroup_generated,
-)
+from .groups import GroupTable
 
 # Entries per block of the table fill's flat takes, so that a block's intp
 # index (512 KB) stays in a core's L2 cache: with 2^20-entry blocks the
@@ -72,8 +76,6 @@ __all__ = [
     "zmod", "gf", "product", "matrix_ring", "upper_triangular",
     "trivial_extension", "bt", "poly_quotient", "group_ring",
     "quotient", "corner", "subring_closure", "Subring", "QuotientRing",
-    "cyclic", "group_product", "subgroup_generated", "cyclic_subgroups",
-    "NAMED_GROUPS", "GroupTable",
 ]
 
 
@@ -98,18 +100,11 @@ class QuotientRing:
         return self.projection[x]
 
 
-def _decode_matrix(order: int, radices, weights) -> np.ndarray:
-    idx = np.arange(order, dtype=np.int64)
-    dec = np.empty((order, len(radices)), dtype=np.int64)
-    for i, (r, w) in enumerate(zip(radices, weights)):
-        dec[:, i] = (idx // w) % r
-    return dec
-
-def _encode_arrays(coords, weights):
-    acc = None
-    for c, w in zip(coords, weights):
-        term = np.asarray(c, dtype=np.int64) * w
-        acc = term if acc is None else acc + term
+def _encode(coords, q: int):
+    """The index sum(coords[i] * q^i) of little-endian coordinates, as int32."""
+    acc = 0
+    for c in reversed(coords):
+        acc = acc * q + np.asarray(c, dtype=np.int64)
     return acc.astype(np.int32)
 
 
@@ -127,14 +122,21 @@ def _kron_sum(t1, t2) -> np.ndarray:
     return table
 
 
-def _coord_ring(base, k, weights, one_coords, mul_coords, label, limits, materialize):
-    """Build a ring whose elements are k coordinates over ``base``.
+def _coord_ring(base, k, one_coords, terms, label, limits, materialize, reduce=()):
+    """Build a ring whose elements are k coordinates over ``base``, listed
+    little-endian: index = sum(coord[i] * q^i), q = |base|.
 
-    Addition and negation are componentwise; multiplication comes from
-    ``mul_coords(xc, yc) -> zc``, written with the base ring's
-    broadcasting ``add_arr``/``mul_arr``/``neg_arr`` so the same formula
-    serves on-demand evaluation on index arrays and the table build.
-    ``weights`` must be the powers q^0..q^(k-1) in some order.
+    Coordinate i is the coefficient of a basis element e_i that commutes
+    with the base, so one formula multiplies every such ring:
+    x*y = sum x_i*y_j*(e_i*e_j), each base product taken x first, then y.
+    ``terms`` lists the triples (i, j, s) with e_i*e_j = e_s, and the
+    products of a slot s are summed there.  A slot s >= k is a power
+    beyond the basis: ``reduce[s - k]`` lists its coefficients over
+    e_0..e_(k-1), and the slot folds into coordinate t as
+    slot * reduce[s - k][t], coefficient on the right.  Addition and
+    negation are componentwise.  The formula is written with the base's
+    broadcasting ``add_arr``/``mul_arr``, so it serves on-demand
+    evaluation on index arrays and the table build alike.
 
     In table mode ADD is the k-fold Kronecker sum of the base's addition
     table (:func:`_kron_sum`), and the formula runs only on G x G, G = {0}
@@ -151,38 +153,45 @@ def _coord_ring(base, k, weights, one_coords, mul_coords, label, limits, materia
     order = q ** k
     limits.check_order(order, label)
     table_mode = materialize if materialize is not None else order <= limits.table_threshold
-    dec = _decode_matrix(order, [q] * k, weights)
-    one_index = int(_encode_arrays(one_coords, weights))
-
-    def coords(x):
-        return [dec[x, i] for i in range(k)]
+    dec = np.unravel_index(np.arange(order), (q,) * k, order="F")  # dec[i][x]: coordinate i of x
 
     def add_fn(x, y):
-        return _encode_arrays([base.add_arr(a, b) for a, b in zip(coords(x), coords(y))], weights)
+        return _encode([base.add_arr(a[x], a[y]) for a in dec], q)
 
     def mul_fn(x, y):
-        return _encode_arrays(mul_coords(coords(x), coords(y)), weights)
+        xc, yc = [a[x] for a in dec], [a[y] for a in dec]
+        slots = {}
+        for i, j, s in terms:
+            term = base.mul_arr(xc[i], yc[j])
+            slots[s] = base.add_arr(slots[s], term) if s in slots else term
+        zc = [slots[s] for s in range(k)]
+        for s, coeffs in enumerate(reduce, start=k):
+            for t, c in enumerate(coeffs):
+                if c:
+                    zc[t] = base.add_arr(zc[t], base.mul_arr(slots[s], c))
+        return _encode(zc, q)
 
     def neg_fn(x):
-        return _encode_arrays([base.neg_arr(a) for a in coords(x)], weights)
+        return _encode([base.neg_arr(a[x]) for a in dec], q)
 
+    one_index = int(_encode(one_coords, q))
     if not table_mode:
         return FiniteRing(order, one_index, label, add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn)
 
     # ADD is componentwise over one base table, so it is the k-fold
-    # Kronecker sum of the base's addition table, whatever the weights'
-    # order.  The base goes first so that the broadcast's inner axis is the
-    # long one.
+    # Kronecker sum of the base's addition table.  The base goes first so
+    # that the broadcast's inner axis is the long one.
     base_add = base.row_block("add", 0, q)
     add_t = np.zeros((1, 1), dtype=np.int16)
     for _ in range(k):
         add_t = _kron_sum(base_add, add_t)
-    # G = {0} u {c*w}.  Column y' + c*w of a row g in G, for y' < w, is
-    # MUL[g, y'] + MUL[g, c*w] by left distributivity, and row g + x' is
-    # MUL[x'] + MUL[g] by right distributivity (x' + c*w is an index sum,
-    # as x' has no coordinate at weight w or above).  Ascending w keeps
-    # the columns, then the rows, below w filled.
-    steps = sorted(weights)
+    # G = {0} u {c*w}, w = q^i the weight of e_i.  Column y' + c*w of a row
+    # g in G, for y' < w, is MUL[g, y'] + MUL[g, c*w] by left
+    # distributivity, and row g + x' is MUL[x'] + MUL[g] by right
+    # distributivity (x' + c*w is an index sum, as x' has no coordinate at
+    # weight w or above).  Ascending w keeps the columns, then the rows,
+    # below w filled.
+    steps = [q ** i for i in range(k)]
     gens = np.array([0] + [c * w for w in steps for c in range(1, q)])
     mul_t = np.empty((order, order), dtype=table_dtype(order))
     mul_t[gens[:, None], gens[None, :]] = mul_fn(gens[:, None], gens[None, :])
@@ -201,10 +210,6 @@ def _coord_ring(base, k, weights, one_coords, mul_coords, label, limits, materia
     mul_t.setflags(write=False)  # handed over, so FiniteRing need not copy it
     return FiniteRing(order, one_index, label, add_table=add_t, mul_table=mul_t,
                       neg_table=neg_fn(np.arange(order)))
-
-
-def _little_endian_weights(q: int, k: int) -> list[int]:
-    return [q ** i for i in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +347,11 @@ def matrix_ring(m: int, base: FiniteRing, *, label: str | None = None,
     label = label or f"M({m}, {base.label})"
     k = m * m
     limits.check_power(base.order, k, label)
-    weights = _little_endian_weights(base.order, k)
     one_coords = [base.one if r == c else 0 for r in range(m) for c in range(m)]
-
-    def mul_coords(xc, yc):
-        zc = []
-        for r in range(m):
-            for c in range(m):
-                acc = None
-                for t in range(m):
-                    term = base.mul_arr(xc[r * m + t], yc[t * m + c])
-                    acc = term if acc is None else base.add_arr(acc, term)
-                zc.append(acc)
-        return zc
-
-    return _coord_ring(base, k, weights, one_coords, mul_coords, label, limits, materialize)
+    # the matrix units: E_rt * E_tc = E_rc
+    terms = [(r * m + t, t * m + c, r * m + c)
+             for r in range(m) for c in range(m) for t in range(m)]
+    return _coord_ring(base, k, one_coords, terms, label, limits, materialize)
 
 
 def upper_triangular(m: int, base: FiniteRing, *, label: str | None = None,
@@ -368,37 +363,23 @@ def upper_triangular(m: int, base: FiniteRing, *, label: str | None = None,
     limits.check_power(base.order, m * (m + 1) // 2, label)
     cells = [(i, j) for i in range(m) for j in range(i, m)]
     pos = {cell: i for i, cell in enumerate(cells)}
-    k = len(cells)
-    weights = _little_endian_weights(base.order, k)
     one_coords = [base.one if i == j else 0 for (i, j) in cells]
-
-    def mul_coords(xc, yc):
-        zc = []
-        for (i, j) in cells:
-            acc = None
-            for t in range(i, j + 1):
-                term = base.mul_arr(xc[pos[(i, t)]], yc[pos[(t, j)]])
-                acc = term if acc is None else base.add_arr(acc, term)
-            zc.append(acc)
-        return zc
-
-    return _coord_ring(base, k, weights, one_coords, mul_coords, label, limits, materialize)
+    terms = [(pos[i, t], pos[t, j], pos[i, j]) for (i, j) in cells for t in range(i, j + 1)]
+    return _coord_ring(base, len(cells), one_coords, terms, label, limits, materialize)
 
 
 def trivial_extension(base: FiniteRing, *, label: str | None = None,
                       limits: Limits = DEFAULT_LIMITS, materialize: bool | None = None) -> FiniteRing:
-    """Pairs (x, m) with (x,m)(y,n) = (xy, xn + my); one = (1, 0)."""
+    """Pairs (x, m) with (x,m)(y,n) = (xy, xn + my); one = (1, 0).
+
+    The coordinates are listed (m, x), little-endian like every coordinate
+    construction, so (x, m) is encoded as x * |R| + m: e_0 = (0, 1) and
+    the identity e_1 = (1, 0), with e_1*e_1 = e_1, e_1*e_0 = e_0*e_1 = e_0
+    and e_0*e_0 = 0.
+    """
     label = label or f"TE({base.label})"
-    q = base.order
-    weights = [q, 1]  # (x, m) -> x*q + m
-    one_coords = [base.one, 0]
-
-    def mul_coords(xc, yc):
-        x, xm = xc
-        y, ym = yc
-        return [base.mul_arr(x, y), base.add_arr(base.mul_arr(x, ym), base.mul_arr(xm, y))]
-
-    return _coord_ring(base, 2, weights, one_coords, mul_coords, label, limits, materialize)
+    terms = [(1, 1, 1), (1, 0, 0), (0, 1, 0)]
+    return _coord_ring(base, 2, [0, base.one], terms, label, limits, materialize)
 
 
 def bt(base: FiniteRing, *, label: str | None = None,
@@ -435,35 +416,16 @@ def poly_quotient(base: FiniteRing, coeffs, *, label: str | None = None,
             raise ArgumentError(f"coefficient index {c} out of range for {base.label}")
     label = label or f"POLYQ({base.label}, [{', '.join(str(c) for c in coeffs)}])"
     limits.check_power(base.order, d, label)
-    q = base.order
-    weights = _little_endian_weights(q, d)
     one_coords = [base.one] + [0] * (d - 1)
-
-    # x^t mod f for t = d .. 2d-2, as base element index vectors
+    terms = [(i, j, i + j) for i in range(d) for j in range(d)]
+    # x^s mod f, as base element index vectors, for the slots s = d .. 2d-2
+    # of a product; x^(s+1) = x * x^s, whose top term folds back by x^d = -f
     negf = [base.neg(c) for c in coeffs[:d]]
-    reductions = {d: list(negf)}
-    for t in range(d, 2 * d - 2):
-        prev = reductions[t]
-        shifted = [0] + prev[: d - 1]
-        top = prev[d - 1]
-        reductions[t + 1] = [base.add(s, base.mul(top, nf)) for s, nf in zip(shifted, negf)]
-
-    def mul_coords(xc, yc):
-        conv = [None] * (2 * d - 1)
-        for i in range(d):
-            for j in range(d):
-                term = base.mul_arr(xc[i], yc[j])
-                t = i + j
-                conv[t] = term if conv[t] is None else base.add_arr(conv[t], term)
-        zc = list(conv[:d])
-        for t in range(d, 2 * d - 1):
-            c = conv[t]
-            for s, rc in enumerate(reductions[t]):
-                if rc != 0:
-                    zc[s] = base.add_arr(zc[s], base.mul_arr(c, rc))
-        return zc
-
-    return _coord_ring(base, d, weights, one_coords, mul_coords, label, limits, materialize)
+    reduce, power = [], negf
+    for _ in range(d - 1):
+        reduce.append(power)
+        power = [base.add(s, base.mul(power[-1], nf)) for s, nf in zip([0] + power[:-1], negf)]
+    return _coord_ring(base, d, one_coords, terms, label, limits, materialize, reduce)
 
 
 def group_ring(base: FiniteRing, group: GroupTable, *, label: str | None = None,
@@ -476,24 +438,9 @@ def group_ring(base: FiniteRing, group: GroupTable, *, label: str | None = None,
     """
     label = label or f"GR({base.label}, {group.label})"
     k = group.order
-    weights = _little_endian_weights(base.order, k)
     one_coords = [base.one] + [0] * (k - 1)
-    pairs_for = [[] for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            pairs_for[group.op(i, j)].append((i, j))
-
-    def mul_coords(xc, yc):
-        zc = []
-        for t in range(k):
-            acc = None
-            for i, j in pairs_for[t]:
-                term = base.mul_arr(xc[i], yc[j])
-                acc = term if acc is None else base.add_arr(acc, term)
-            zc.append(acc)
-        return zc
-
-    return _coord_ring(base, k, weights, one_coords, mul_coords, label, limits, materialize)
+    terms = [(i, j, group.op(i, j)) for i in range(k) for j in range(k)]
+    return _coord_ring(base, k, one_coords, terms, label, limits, materialize)
 
 
 # ---------------------------------------------------------------------------

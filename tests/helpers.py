@@ -329,6 +329,77 @@ def group_ring_mul_oracle(a, b, table, q: int):
     return tuple(out)
 
 
+def little_endian_coords(idx: int, k: int, q: int) -> tuple:
+    """The k base-q digits of ``idx``, least significant first."""
+    return tuple((idx // q ** i) % q for i in range(k))
+
+
+# ---------------------------------------------------------------------------
+# Schoolbook construction oracles over any base ring, by scalar base.mul and
+# base.add.  Each base product is taken x first, then y, so over a
+# noncommutative base they tell a construction from the same construction
+# over the opposite ring, which is a ring too.
+
+
+def base_sum(base, values) -> int:
+    acc = 0
+    for v in values:
+        acc = base.add(acc, v)
+    return acc
+
+
+def matrix_mul_over(base, a, b, m: int) -> tuple:
+    """Multiply m x m matrices over ``base`` given as flat row-major tuples."""
+    return tuple(base_sum(base, (base.mul(a[r * m + t], b[t * m + c]) for t in range(m)))
+                 for r in range(m) for c in range(m))
+
+
+def upper_triangular_mul_over(base, a, b, m: int) -> tuple:
+    """Multiply upper-triangular matrices given by their row-major
+    upper-triangle entries, as full matrices with zeros below the diagonal."""
+    cells = [(i, j) for i in range(m) for j in range(i, m)]
+
+    def full(entries):
+        flat = [0] * (m * m)
+        for (i, j), v in zip(cells, entries):
+            flat[i * m + j] = v
+        return flat
+
+    prod = matrix_mul_over(base, full(a), full(b), m)
+    return tuple(prod[i * m + j] for i, j in cells)
+
+
+def trivial_extension_mul_over(base, a, b) -> tuple:
+    """(x, m)(y, n) = (xy, xn + my) over ``base``."""
+    (x, m), (y, n) = a, b
+    return base.mul(x, y), base.add(base.mul(x, n), base.mul(m, y))
+
+
+def poly_mul_over(base, a, b, f) -> tuple:
+    """Multiply coefficient vectors (c0 first) over ``base`` with x central,
+    then reduce by long division by the monic ``f``: the top term c*x^s
+    becomes c*x^(s-d) * (x^d - f)."""
+    d = len(f) - 1
+    prod = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = base.add(prod[i + j], base.mul(ai, bj))
+    for s in range(2 * d - 2, d - 1, -1):
+        for t in range(d):
+            prod[s - d + t] = base.sub(prod[s - d + t], base.mul(prod[s], f[t]))
+    return tuple(prod[:d])
+
+
+def group_ring_mul_over(base, a, b, group) -> tuple:
+    """Convolve coefficient tuples over ``group``'s Cayley table."""
+    out = [0] * group.order
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            g = group.op(i, j)
+            out[g] = base.add(out[g], base.mul(ai, bj))
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Random expression trees for round-trip property tests
 

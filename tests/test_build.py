@@ -28,7 +28,18 @@ from finring.build import smallest_irreducible
 from finring.core import table_dtype
 from finring.groups import cyclic, symmetric_3
 
-from helpers import group_ring_mul_oracle, mat_decode, mat_index, mat_mul_oracle
+from helpers import (
+    group_ring_mul_oracle,
+    group_ring_mul_over,
+    little_endian_coords,
+    mat_decode,
+    mat_index,
+    mat_mul_oracle,
+    matrix_mul_over,
+    poly_mul_over,
+    trivial_extension_mul_over,
+    upper_triangular_mul_over,
+)
 
 
 def same_verdicts(r1, r2) -> bool:
@@ -176,6 +187,12 @@ def test_poly_quotient():
     assert all(any(field.mul(x, y) == 1 for y in range(4)) for x in range(1, 4))
     degree1 = poly_quotient(zmod(6), [0, 1])  # R[x]/(x)
     assert same_verdicts(degree1, zmod(6))
+    # R[x]/(x - 1): x = 1, and a product of constants has no slot of
+    # degree 1 to fold, so the tables are Z/6's in both modes
+    for materialize in (True, False):
+        shifted = poly_quotient(zmod(6), [5, 1], materialize=materialize)
+        for got, want in zip(scalar_op_tables(shifted), op_tables(zmod(6))):
+            assert np.array_equal(got, want), materialize
     with pytest.raises(ArgumentError):
         poly_quotient(zmod(4), [0, 2])  # non-monic
     with pytest.raises(ArgumentError):
@@ -215,6 +232,46 @@ def test_group_ring_small_values():
     g = 2  # 0 + 1*g
     assert r.mul(g, g) == 1
     assert r.add(1, 2) == 3  # 1 + g
+
+
+# UT(2, Z/2) is the smallest noncommutative base: coordinates (a, b, d) of
+# [[a, b], [0, d]], index a + 2b + 4d, identity 5, centre {0, 5}.
+UT2 = upper_triangular(2, zmod(2))
+NONCOMMUTATIVE_BASE_CASES = {
+    # label: (build in a mode, k, oracle on little-endian coordinate tuples)
+    "M(2, UT(2, Z/2))": (lambda m: matrix_ring(2, UT2, materialize=m), 4,
+                         lambda a, b: matrix_mul_over(UT2, a, b, 2)),
+    "UT(2, UT(2, Z/2))": (lambda m: upper_triangular(2, UT2, materialize=m), 3,
+                          lambda a, b: upper_triangular_mul_over(UT2, a, b, 2)),
+    # TE's little-endian coordinates are (m, x)
+    "TE(UT(2, Z/2))": (lambda m: trivial_extension(UT2, materialize=m), 2,
+                       lambda a, b: trivial_extension_mul_over(UT2, a[::-1], b[::-1])[::-1]),
+    # x^3 + x + 1, central coefficients; products reach x^4, so two slots fold
+    "POLYQ(UT(2, Z/2), [5, 5, 0, 5])": (
+        lambda m: poly_quotient(UT2, [5, 5, 0, 5], materialize=m), 3,
+        lambda a, b: poly_mul_over(UT2, a, b, [5, 5, 0, 5])),
+    "GR(UT(2, Z/2), C3)": (lambda m: group_ring(UT2, cyclic(3), materialize=m), 3,
+                           lambda a, b: group_ring_mul_over(UT2, a, b, cyclic(3))),
+}
+
+
+@pytest.mark.parametrize("label", NONCOMMUTATIVE_BASE_CASES)
+def test_base_products_are_taken_x_then_y(label):
+    # Over a commutative base a construction equals the same construction
+    # over the opposite ring, so only a noncommutative base pins the order
+    # of the base products.  Every product on order 64, a seeded sample
+    # above; M(2, UT(2, Z/2)) (order 4096) is lazy only.
+    make, k, oracle = NONCOMMUTATIVE_BASE_CASES[label]
+    for materialize in (True, False) if UT2.order ** k <= 512 else (False,):
+        ring = make(materialize)
+        if ring.order <= 64:
+            x, y = (a.ravel() for a in np.indices((ring.order, ring.order)))
+        else:
+            x, y = np.random.default_rng(2026).integers(0, ring.order, size=(2, 1500))
+        got = ring.mul_arr(x, y)
+        for a, b, ab in zip(x.tolist(), y.tolist(), got.tolist()):
+            want = oracle(little_endian_coords(a, k, 8), little_endian_coords(b, k, 8))
+            assert ab == mat_index(want, 8), (label, ring.mode, a, b)
 
 
 def test_quotient():
@@ -331,8 +388,8 @@ def scalar_op_tables(ring):
             np.array([ring.neg(x) for x in n]))
 
 
-# One input per coordinate construction, orders <= 81.  TE has the
-# weights [q, 1]; bases with q >= 3 fill rows c * e_i with c >= 2.
+# One input per coordinate construction, orders <= 81, each laid out
+# little-endian; bases with q >= 3 fill rows c * e_i with c >= 2.
 AGREEMENT_CASES = {
     "M(2, Z/3)": lambda m: matrix_ring(2, zmod(3), materialize=m),
     "UT(3, Z/2)": lambda m: upper_triangular(3, zmod(2), materialize=m),
