@@ -401,7 +401,8 @@ def poly_quotient(base: FiniteRing, coeffs, *, label: str | None = None,
 
     ``coeffs`` lists the modulus little-endian as base element indices;
     the last entry must be the index of 1 (monic, so reduction is
-    division-free).  The adjoined x is central.
+    division-free).  The adjoined x is central, so every coefficient
+    must be central in ``base``.
     """
     coeffs = [int(c) for c in coeffs]
     d = len(coeffs) - 1
@@ -416,6 +417,12 @@ def poly_quotient(base: FiniteRing, coeffs, *, label: str | None = None,
             raise ArgumentError(f"coefficient index {c} out of range for {base.label}")
     label = label or f"POLYQ({base.label}, [{', '.join(str(c) for c in coeffs)}])"
     limits.check_power(base.order, d, label)
+    # x is central, so f must be: by distributivity, c commutes with R
+    # once it commutes with R's additive generators
+    gens = generators(base)
+    for c in coeffs[:d]:
+        if not np.array_equal(base.mul_arr(c, gens), base.mul_arr(gens, c)):
+            raise ArgumentError(f"coefficient index {c} is not central in {base.label}")
     one_coords = [base.one] + [0] * (d - 1)
     terms = [(i, j, i + j) for i in range(d) for j in range(d)]
     # x^s mod f, as base element index vectors, for the slots s = d .. 2d-2

@@ -20,11 +20,15 @@ them.  Parse errors never raise bare exceptions out of the module: they
 are ParseError values carrying a byte offset and the expected tokens.
 Expressions nest at most MAX_NESTING levels deep; every parenthesised
 or constructor argument and every further product factor is one level.
+
+Apart from Z/n and the infix product, a construction is one `_TERMS`
+entry plus its AST class and its builder: the parser, `format_expr`,
+`evaluate` and the lexer's keyword list all read the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import build
 from .analysis import ideal_closure, jacobson
@@ -124,15 +128,65 @@ class NamedG:
     name: str
 
 
-RING_NODES = (Zmod, GF, Product, Matrix, UpperTri, TE, BT, Nil, PolyQ,
-              GroupRing, ModJ, Corner, Quot)
-GROUP_NODES = (CyclicG, GProd, NamedG)
+# -- the term table ----------------------------------------------------------
+
+# Argument kinds of a keyword term KW "(" arg {"," arg} ")".
+_RING, _GROUP = "Expr", "GExpr"
+
+
+@dataclass(frozen=True)
+class _Int:
+    """An INT argument, named ``what`` in errors, at least ``minimum``."""
+    what: str
+    minimum: int | None = None
+
+
+@dataclass(frozen=True)
+class _IntList:
+    """A bracketed INT list; one of fewer than ``shortest`` entries is the
+    error ``too_short`` at the term's keyword."""
+    what: str
+    shortest: int = 1
+    too_short: str = ""
+
+
+def _nil(inner: FiniteRing, p: int, *, label: str, limits: Limits) -> FiniteRing:
+    # x^p has p + 1 coefficients, so bound p before building them
+    limits.check_power(inner.order, p, label)
+    return build.poly_quotient(inner, [0] * p + [inner.one], label=label, limits=limits)
+
+
+# keyword -> (AST class, argument kinds in field order, builder).  The
+# builder takes the fields, ring and group fields evaluated, plus label=
+# and limits=.
+_TERMS = {
+    "GF": (GF, (_Int("characteristic", 2), _Int("extension degree", 1)), build.gf),
+    "M": (Matrix, (_Int("matrix size", 1), _RING), build.matrix_ring),
+    "UT": (UpperTri, (_Int("matrix size", 2), _RING), build.upper_triangular),
+    "TE": (TE, (_RING,), build.trivial_extension),
+    "BT": (BT, (_RING,), build.bt),
+    "NIL": (Nil, (_RING, _Int("nilpotency degree", 1)), _nil),
+    "POLYQ": (PolyQ, (_RING, _IntList("coefficient index", 2,
+                                     "polynomial modulus needs degree >= 1")),
+              build.poly_quotient),
+    "GR": (GroupRing, (_RING, _GROUP), build.group_ring),
+    "MODJ": (ModJ, (_RING,), lambda r, **kw: build.quotient(r, jacobson(r), **kw).ring),
+    "CORNER": (Corner, (_RING, _Int("idempotent index", 0)),
+               lambda r, e, **kw: build.corner(r, e, **kw).ring),
+    "QUOT": (Quot, (_RING, _IntList("generator index")),
+             lambda r, gens, **kw: build.quotient(r, ideal_closure(r, gens), **kw).ring),
+}
+_KEYWORD_OF = {node: kw for kw, (node, _, _) in _TERMS.items()}
+
+
+def _fields(node) -> list:
+    return [getattr(node, f.name) for f in fields(node)]
 
 
 # -- lexer -------------------------------------------------------------------
 
-_KEYWORDS = ["CORNER", "POLYQ", "MODJ", "QUOT", "NIL", "GF", "GR", "UT",
-             "TE", "BT", "S3", "D4", "Q8", "Z", "C", "M"]
+# longest first, so that a keyword wins over its prefix (CORNER over C)
+_KEYWORDS = sorted([*_TERMS, "Z", "C", *NAMED_GROUPS], key=len, reverse=True)
 _PUNCT = {"(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK",
           ",": "COMMA", "/": "SLASH", "x": "PROD"}
 
@@ -183,7 +237,6 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -196,11 +249,10 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, value=None, expected: str | None = None) -> _Token:
+    def expect(self, kind: str, expected: str | None = None) -> _Token:
         tok = self.peek()
-        if tok.kind != kind or (value is not None and tok.value != value):
-            want = expected or (value if value is not None else kind)
-            raise ParseError(f"unexpected {self._describe(tok)}", tok.pos, (str(want),))
+        if tok.kind != kind:
+            raise ParseError(f"unexpected {self._describe(tok)}", tok.pos, (expected or kind,))
         return self.advance()
 
     @staticmethod
@@ -219,18 +271,25 @@ class _Parser:
             raise ParseError(f"expression nested more than {MAX_NESTING} levels deep",
                              self.peek().pos)
 
-    def parse_expr(self):
+    def parse_chain(self, parse_term, product):
+        """Term { "x" Term } with "(" chain ")" as a term, right-associated."""
         outer = self.depth
-        self.deeper()
-        terms = [self.parse_term()]
-        while self.peek().kind == "PROD":
-            self.advance()
+        terms = []
+        while True:
             self.deeper()
-            terms.append(self.parse_term())
+            if self.peek().kind == "LPAREN":
+                self.advance()
+                terms.append(self.parse_chain(parse_term, product))
+                self.expect("RPAREN")
+            else:
+                terms.append(parse_term())
+            if self.peek().kind != "PROD":
+                break
+            self.advance()
         self.depth = outer
         node = terms[-1]
         for t in reversed(terms[:-1]):
-            node = Product(t, node)
+            node = product(t, node)
         return node
 
     def parse_int_list(self, what: str) -> tuple:
@@ -242,123 +301,52 @@ class _Parser:
         self.expect("RBRACK")
         return tuple(values)
 
-    def parse_term(self):
-        tok = self.peek()
-        if tok.kind == "LPAREN":
-            self.advance()
-            node = self.parse_expr()
-            self.expect("RPAREN")
-            return node
+    def keyword(self, position: str, accepted) -> _Token:
+        """The keyword that starts a ring or group term."""
+        tok = self.advance()
         if tok.kind != "KW":
             raise ParseError(f"unexpected {self._describe(tok)}", tok.pos,
-                             ("a ring term",))
-        kw = self.advance().value
-        if kw == "Z":
+                             (f"a {position} term",))
+        if tok.value not in accepted:
+            raise ParseError(f"unexpected keyword {tok.value!r} in {position} position",
+                             tok.pos, (f"a {position} term",))
+        return tok
+
+    def parse_term(self):
+        tok = self.keyword("ring", {"Z", *_TERMS})
+        if tok.value == "Z":
             self.expect("SLASH")
             return Zmod(self.expect_int("modulus", 2))
-        if kw == "GF":
-            self.expect("LPAREN")
-            p = self.expect_int("characteristic", 2)
-            self.expect("COMMA")
-            k = self.expect_int("extension degree", 1)
-            self.expect("RPAREN")
-            return GF(p, k)
-        if kw == "M":
-            self.expect("LPAREN")
-            m = self.expect_int("matrix size", 1)
-            self.expect("COMMA")
-            inner = self.parse_expr()
-            self.expect("RPAREN")
-            return Matrix(m, inner)
-        if kw == "UT":
-            self.expect("LPAREN")
-            m = self.expect_int("matrix size", 2)
-            self.expect("COMMA")
-            inner = self.parse_expr()
-            self.expect("RPAREN")
-            return UpperTri(m, inner)
-        if kw in ("TE", "BT", "MODJ"):
-            self.expect("LPAREN")
-            inner = self.parse_expr()
-            self.expect("RPAREN")
-            return {"TE": TE, "BT": BT, "MODJ": ModJ}[kw](inner)
-        if kw == "NIL":
-            self.expect("LPAREN")
-            inner = self.parse_expr()
-            self.expect("COMMA")
-            p = self.expect_int("nilpotency degree", 1)
-            self.expect("RPAREN")
-            return Nil(inner, p)
-        if kw == "POLYQ":
-            self.expect("LPAREN")
-            inner = self.parse_expr()
-            self.expect("COMMA")
-            coeffs = self.parse_int_list("coefficient index")
-            if len(coeffs) < 2:
-                raise ParseError("polynomial modulus needs degree >= 1", tok.pos)
-            self.expect("RPAREN")
-            return PolyQ(inner, coeffs)
-        if kw == "GR":
-            self.expect("LPAREN")
-            inner = self.parse_expr()
-            self.expect("COMMA")
-            group = self.parse_gexpr()
-            self.expect("RPAREN")
-            return GroupRing(inner, group)
-        if kw == "CORNER":
-            self.expect("LPAREN")
-            inner = self.parse_expr()
-            self.expect("COMMA")
-            index = self.expect_int("idempotent index", 0)
-            self.expect("RPAREN")
-            return Corner(inner, index)
-        if kw == "QUOT":
-            self.expect("LPAREN")
-            inner = self.parse_expr()
-            self.expect("COMMA")
-            gens = self.parse_int_list("generator index")
-            self.expect("RPAREN")
-            return Quot(inner, gens)
-        raise ParseError(f"unexpected keyword {kw!r} in ring position", tok.pos,
-                         ("a ring term",))
-
-    def parse_gexpr(self):
-        outer = self.depth
-        self.deeper()
-        terms = [self.parse_gterm()]
-        while self.peek().kind == "PROD":
-            self.advance()
-            self.deeper()
-            terms.append(self.parse_gterm())
-        self.depth = outer
-        node = terms[-1]
-        for t in reversed(terms[:-1]):
-            node = GProd(t, node)
-        return node
+        node, kinds, _ = _TERMS[tok.value]
+        self.expect("LPAREN")
+        args = []
+        for kind in kinds:
+            if args:
+                self.expect("COMMA")
+            if kind is _RING:
+                args.append(self.parse_chain(self.parse_term, Product))
+            elif kind is _GROUP:
+                args.append(self.parse_chain(self.parse_gterm, GProd))
+            elif isinstance(kind, _Int):
+                args.append(self.expect_int(kind.what, kind.minimum))
+            else:
+                args.append(self.parse_int_list(kind.what))
+                if len(args[-1]) < kind.shortest:
+                    raise ParseError(kind.too_short, tok.pos)
+        self.expect("RPAREN")
+        return node(*args)
 
     def parse_gterm(self):
-        tok = self.peek()
-        if tok.kind == "LPAREN":
-            self.advance()
-            node = self.parse_gexpr()
-            self.expect("RPAREN")
-            return node
-        if tok.kind != "KW":
-            raise ParseError(f"unexpected {self._describe(tok)}", tok.pos,
-                             ("a group term",))
-        kw = self.advance().value
-        if kw == "C":
+        tok = self.keyword("group", {"C", *NAMED_GROUPS})
+        if tok.value == "C":
             return CyclicG(self.expect_int("cyclic order", 1))
-        if kw in NAMED_GROUPS:
-            return NamedG(kw)
-        raise ParseError(f"unexpected keyword {kw!r} in group position", tok.pos,
-                         ("a group term",))
+        return NamedG(tok.value)
 
 
 def parse(text: str):
     """Parse a ring expression to its AST."""
     parser = _Parser(text)
-    node = parser.parse_expr()
+    node = parser.parse_chain(parser.parse_term, Product)
     tok = parser.peek()
     if tok.kind != "EOF":
         raise ParseError(f"unexpected {parser._describe(tok)} after expression", tok.pos,
@@ -369,40 +357,35 @@ def parse(text: str):
 # -- formatting --------------------------------------------------------------
 
 
+def _format_product(node, format_factor) -> str:
+    # the parser right-associates, so a product on the left needs parentheses
+    left = format_factor(node.left)
+    if isinstance(node.left, type(node)):
+        left = f"({left})"
+    return f"{left} x {format_factor(node.right)}"
+
+
 def format_expr(node) -> str:
     """Canonical text; parse(format_expr(e)) is structurally equal to e."""
     if isinstance(node, Zmod):
         return f"Z/{node.n}"
-    if isinstance(node, GF):
-        return f"GF({node.p}, {node.k})"
     if isinstance(node, Product):
-        left = format_expr(node.left)
-        if isinstance(node.left, Product):
-            left = f"({left})"
-        return f"{left} x {format_expr(node.right)}"
-    if isinstance(node, Matrix):
-        return f"M({node.m}, {format_expr(node.inner)})"
-    if isinstance(node, UpperTri):
-        return f"UT({node.m}, {format_expr(node.inner)})"
-    if isinstance(node, TE):
-        return f"TE({format_expr(node.inner)})"
-    if isinstance(node, BT):
-        return f"BT({format_expr(node.inner)})"
-    if isinstance(node, Nil):
-        return f"NIL({format_expr(node.inner)}, {node.p})"
-    if isinstance(node, PolyQ):
-        coeffs = ", ".join(str(c) for c in node.coeffs)
-        return f"POLYQ({format_expr(node.inner)}, [{coeffs}])"
-    if isinstance(node, GroupRing):
-        return f"GR({format_expr(node.inner)}, {format_group(node.group)})"
-    if isinstance(node, ModJ):
-        return f"MODJ({format_expr(node.inner)})"
-    if isinstance(node, Corner):
-        return f"CORNER({format_expr(node.inner)}, {node.index})"
-    if isinstance(node, Quot):
-        gens = ", ".join(str(g) for g in node.gens)
-        return f"QUOT({format_expr(node.inner)}, [{gens}])"
-    raise TypeError(f"not a ring expression node: {node!r}")
+        return _format_product(node, format_expr)
+    kw = _KEYWORD_OF.get(type(node))
+    if kw is None:
+        raise TypeError(f"not a ring expression node: {node!r}")
+    _, kinds, _ = _TERMS[kw]
+    args = []
+    for kind, value in zip(kinds, _fields(node)):
+        if kind is _RING:
+            args.append(format_expr(value))
+        elif kind is _GROUP:
+            args.append(format_group(value))
+        elif isinstance(kind, _IntList):
+            args.append(f"[{', '.join(str(v) for v in value)}]")
+        else:
+            args.append(str(value))
+    return f"{kw}({', '.join(args)})"
 
 
 def format_group(node) -> str:
@@ -411,10 +394,7 @@ def format_group(node) -> str:
     if isinstance(node, NamedG):
         return node.name
     if isinstance(node, GProd):
-        left = format_group(node.left)
-        if isinstance(node.left, GProd):
-            left = f"({left})"
-        return f"{left} x {format_group(node.right)}"
+        return _format_product(node, format_group)
     raise TypeError(f"not a group expression node: {node!r}")
 
 
@@ -436,50 +416,24 @@ def evaluate_group(node, limits: Limits = DEFAULT_LIMITS) -> GroupTable:
 
 
 def evaluate(node, limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
-    """Build the ring an expression denotes; the label is format_expr(node)."""
+    """Build the ring an expression denotes, labelled format_expr(node);
+    subexpressions are built in field order, left before right."""
     label = format_expr(node)
     if isinstance(node, Zmod):
         return build.zmod(node.n, label=label, limits=limits)
-    if isinstance(node, GF):
-        return build.gf(node.p, node.k, label=label, limits=limits)
     if isinstance(node, Product):
         return build.product(
             evaluate(node.left, limits), evaluate(node.right, limits),
             label=label, limits=limits)
-    if isinstance(node, Matrix):
-        return build.matrix_ring(node.m, evaluate(node.inner, limits),
-                                 label=label, limits=limits)
-    if isinstance(node, UpperTri):
-        return build.upper_triangular(node.m, evaluate(node.inner, limits),
-                                      label=label, limits=limits)
-    if isinstance(node, TE):
-        return build.trivial_extension(evaluate(node.inner, limits),
-                                       label=label, limits=limits)
-    if isinstance(node, BT):
-        return build.bt(evaluate(node.inner, limits), label=label, limits=limits)
-    if isinstance(node, Nil):
-        inner = evaluate(node.inner, limits)
-        limits.check_power(inner.order, node.p, label)
-        coeffs = [0] * node.p + [inner.one]
-        return build.poly_quotient(inner, coeffs, label=label, limits=limits)
-    if isinstance(node, PolyQ):
-        return build.poly_quotient(evaluate(node.inner, limits), list(node.coeffs),
-                                   label=label, limits=limits)
-    if isinstance(node, GroupRing):
-        return build.group_ring(evaluate(node.inner, limits),
-                                evaluate_group(node.group, limits),
-                                label=label, limits=limits)
-    if isinstance(node, ModJ):
-        inner = evaluate(node.inner, limits)
-        return build.quotient(inner, jacobson(inner), label=label, limits=limits).ring
-    if isinstance(node, Corner):
-        inner = evaluate(node.inner, limits)
-        return build.corner(inner, node.index, label=label, limits=limits).ring
-    if isinstance(node, Quot):
-        inner = evaluate(node.inner, limits)
-        ideal = ideal_closure(inner, node.gens)
-        return build.quotient(inner, ideal, label=label, limits=limits).ring
-    raise TypeError(f"not a ring expression node: {node!r}")
+    _, kinds, builder = _TERMS[_KEYWORD_OF[type(node)]]
+    args = []
+    for kind, value in zip(kinds, _fields(node)):
+        if kind is _RING:
+            value = evaluate(value, limits)
+        elif kind is _GROUP:
+            value = evaluate_group(value, limits)
+        args.append(value)
+    return builder(*args, label=label, limits=limits)
 
 
 def parse_and_build(text: str, limits: Limits = DEFAULT_LIMITS) -> FiniteRing:

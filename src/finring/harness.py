@@ -114,7 +114,7 @@ def load_corpus(path: str) -> Corpus:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
     expressions = []
     for line in raw.splitlines():

@@ -193,10 +193,13 @@ def test_poly_quotient():
         shifted = poly_quotient(zmod(6), [5, 1], materialize=materialize)
         for got, want in zip(scalar_op_tables(shifted), op_tables(zmod(6))):
             assert np.array_equal(got, want), materialize
-    with pytest.raises(ArgumentError):
-        poly_quotient(zmod(4), [0, 2])  # non-monic
-    with pytest.raises(ArgumentError):
-        poly_quotient(zmod(4), [1])  # degree 0
+    # non-monic, degree 0, and coefficients outside the centre {0, 5} of
+    # UT(2, Z/2) and {0, 9} of M(2, Z/2)
+    for base, coeffs in ((zmod(4), [0, 2]), (zmod(4), [1]),
+                         (upper_triangular(2, zmod(2)), [2, 0, 5]),
+                         (matrix_ring(2, zmod(2)), [2, 0, 9])):
+        with pytest.raises(ArgumentError, match="monic|degree|index 2 is not central"):
+            poly_quotient(base, coeffs)
 
 
 def test_poly_quotient_nontrivial_reduction():

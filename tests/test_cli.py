@@ -65,6 +65,8 @@ def test_analyze_errors_exit_2():
     assert code == 2
     code, _, err = run_cli("analyze", "M(2, M(2, Z/4))")
     assert code == 2 and "M(2, M(2, Z/4))" in err
+    code, _, err = run_cli("analyze", "POLYQ(UT(2, Z/2), [2, 0, 5])")
+    assert code == 2 and "coefficient index 2 is not central" in err
     code, _, err = run_cli("analyze", "(" * 2000 + "Z/2" + ")" * 2000)
     assert code == 2 and "nested more than" in err
 
@@ -172,9 +174,13 @@ def test_verify_repeated_claim_runs_once():
     assert payload["summary"] == {"passed": 1, "failed": 0, "skipped": 0}
 
 
-def test_verify_corpus_errors():
+def test_verify_corpus_errors(tmp_path):
     code, _, err = run_cli("verify", "--corpus", "missing.txt")
     assert code == 2 and "missing.txt" in err
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"Z/4\n\xff\n")
+    code, _, err = run_cli("verify", "--corpus", str(latin1))
+    assert code == 2 and "cannot read corpus file" in err
     code, _, err = run_cli("verify", "--claims", "C99")
     assert code == 2
 

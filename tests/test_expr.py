@@ -71,6 +71,52 @@ def test_parse_errors_carry_offsets():
         parse("")
 
 
+# (text, message, position, expected): at least one malformed input per
+# keyword, plus stray tokens, trailing input and end of input.
+PARSE_ERROR_CASES = [
+    ("Z/", "unexpected end of input", 2, ("integer (modulus)",)),
+    ("Z/1", "modulus must be >= 2, got 1", 2, ()),
+    ("M(2 Z/2)", "unexpected token 'Z'", 4, ("COMMA",)),
+    ("M(2, Z/2", "unexpected end of input", 8, ("RPAREN",)),
+    ("M(0, Z/2)", "matrix size must be >= 1, got 0", 2, ()),
+    ("GF(2)", "unexpected token ')'", 4, ("COMMA",)),
+    ("GF(1, 2)", "characteristic must be >= 2, got 1", 3, ()),
+    ("GF(2, 0)", "extension degree must be >= 1, got 0", 6, ()),
+    ("UT(1, Z/2)", "matrix size must be >= 2, got 1", 3, ()),
+    ("TE Z/2", "unexpected token 'Z'", 3, ("LPAREN",)),
+    ("BT(Z/2", "unexpected end of input", 6, ("RPAREN",)),
+    ("MODJ()", "unexpected token ')'", 5, ("a ring term",)),
+    ("NIL(Z/2, 0)", "nilpotency degree must be >= 1, got 0", 9, ()),
+    ("NIL(Z/2)", "unexpected token ')'", 7, ("COMMA",)),
+    ("POLYQ(Z/2, [1])", "polynomial modulus needs degree >= 1", 0, ()),
+    ("POLYQ(Z/2, [1)", "unexpected token ')'", 13, ("RBRACK",)),
+    ("POLYQ(Z/2, 1)", "unexpected token 1", 11, ("LBRACK",)),
+    ("QUOT(Z/4, [])", "unexpected token ']'", 11, ("integer (generator index)",)),
+    ("QUOT(Z/4, [2,])", "unexpected token ']'", 13, ("integer (generator index)",)),
+    ("CORNER(Z/4 1)", "unexpected token 1", 11, ("COMMA",)),
+    ("CORNER(Z/4, )", "unexpected token ')'", 12, ("integer (idempotent index)",)),
+    ("GR(Z/2, M)", "unexpected keyword 'M' in group position", 8, ("a group term",)),
+    ("GR(Z/2, C0)", "cyclic order must be >= 1, got 0", 9, ()),
+    ("GR(Z/2, (C2 x S3)", "unexpected end of input", 17, ("RPAREN",)),
+    ("GR(Z/2 x, C2)", "unexpected token ','", 8, ("a ring term",)),
+    ("S3", "unexpected keyword 'S3' in ring position", 0, ("a ring term",)),
+    ("C2", "unexpected keyword 'C' in ring position", 0, ("a ring term",)),
+    ("Z/4 )", "unexpected token ')' after expression", 4, ("end of input",)),
+    ("Z/2 x", "unexpected end of input", 5, ("a ring term",)),
+    ("[1]", "unexpected token '['", 0, ("a ring term",)),
+    ("W/3", "unknown token 'W'", 0, ()),
+    ("", "unexpected end of input", 0, ("a ring term",)),
+]
+
+
+def test_parse_error_paths():
+    for text, message, position, expected in PARSE_ERROR_CASES:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        got = (err.value.message, err.value.position, err.value.expected)
+        assert got == (message, position, expected), text
+
+
 def test_parse_bound_errors():
     for bad in ("Z/1", "Z/0", "UT(1, Z/2)", "GF(1, 2)", "GF(2, 0)", "M(0, Z/2)", "C0",
                 "GR(Z/2, C0)", "NIL(Z/2, 0)", "POLYQ(Z/2, [1])"):

@@ -72,6 +72,13 @@ def test_missing_corpus_file():
         load_corpus("does-not-exist.txt")
 
 
+def test_non_utf8_corpus_file(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"Z/4\n\xff\n")
+    with pytest.raises(CorpusError, match="cannot read corpus file"):
+        load_corpus(str(path))
+
+
 def test_unknown_claim_id():
     with pytest.raises(CorpusError):
         run_claim("C99", default_corpus())
