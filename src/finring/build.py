@@ -34,9 +34,14 @@ coefficients of x^s mod f for the slots s >= deg f, which fold back
 into the coordinates with the coefficient on the right (see
 :func:`_coord_ring`).
 
-Constructions at or below the table threshold materialize full numpy
-operation tables; larger ones compute operations on demand through the
-same formula.  A coordinate construction's addition table is the
+A ring's storage mode follows from its order and one setting,
+``limits.table_threshold`` (:class:`finring.core.Limits`): a ring of
+order at or below it materializes full numpy operation tables, a larger
+one computes its operations on demand through the same formula.  The
+rule holds for every ring a call builds: the inner rings of ``bt`` and
+``gf``, and the quotients, corners and generated subrings too.
+
+A coordinate construction's addition table is the
 k-fold Kronecker sum of its base's addition table (addition is
 componentwise), and its multiplication formula runs only on G x G, where
 G is 0 and the (q-1)*k generators c*e_i (one nonzero coordinate).  The
@@ -96,9 +101,6 @@ class QuotientRing:
     parent: FiniteRing
     projection: tuple
 
-    def project(self, x: int) -> int:
-        return self.projection[x]
-
 
 def _encode(coords, q: int):
     """The index sum(coords[i] * q^i) of little-endian coordinates, as int32."""
@@ -122,7 +124,7 @@ def _kron_sum(t1, t2) -> np.ndarray:
     return table
 
 
-def _coord_ring(base, k, one_coords, terms, label, limits, materialize, reduce=()):
+def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
     """Build a ring whose elements are k coordinates over ``base``, listed
     little-endian: index = sum(coord[i] * q^i), q = |base|.
 
@@ -152,7 +154,7 @@ def _coord_ring(base, k, one_coords, terms, label, limits, materialize, reduce=(
     q = base.order
     order = q ** k
     limits.check_order(order, label)
-    table_mode = materialize if materialize is not None else order <= limits.table_threshold
+    table_mode = order <= limits.table_threshold
     dec = np.unravel_index(np.arange(order), (q,) * k, order="F")  # dec[i][x]: coordinate i of x
 
     def add_fn(x, y):
@@ -216,14 +218,13 @@ def _coord_ring(base, k, one_coords, terms, label, limits, materialize, reduce=(
 # Leaf constructions
 
 
-def zmod(n: int, *, label: str | None = None, limits: Limits = DEFAULT_LIMITS,
-         materialize: bool | None = None) -> FiniteRing:
+def zmod(n: int, *, label: str | None = None, limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
     """Integers modulo n; element i is the residue i, one = 1."""
     if n < 2:
         raise ArgumentError(f"Z/n needs n >= 2, got {n}")
     label = label or f"Z/{n}"
     limits.check_order(n, label)
-    table_mode = materialize if materialize is not None else n <= limits.table_threshold
+    table_mode = n <= limits.table_threshold
     ring = FiniteRing(
         n, 1, label,
         add_fn=lambda x, y: (x + y) % n,
@@ -281,8 +282,7 @@ def smallest_irreducible(p: int, k: int) -> list[int]:
     raise ArgumentError(f"no irreducible polynomial of degree {k} over F_{p}")  # unreachable
 
 
-def gf(p: int, k: int, *, label: str | None = None, limits: Limits = DEFAULT_LIMITS,
-       materialize: bool | None = None) -> FiniteRing:
+def gf(p: int, k: int, *, label: str | None = None, limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
     """The field of order p^k as F_p[x] modulo its canonical irreducible."""
     if k < 1:
         raise ArgumentError(f"GF needs extension degree >= 1, got {k}")
@@ -292,7 +292,7 @@ def gf(p: int, k: int, *, label: str | None = None, limits: Limits = DEFAULT_LIM
         raise ArgumentError(f"GF needs a prime, got {p}")
     f = smallest_irreducible(p, k)
     base = zmod(p, limits=limits)
-    return poly_quotient(base, f, label=label, limits=limits, materialize=materialize)
+    return poly_quotient(base, f, label=label, limits=limits)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +300,7 @@ def gf(p: int, k: int, *, label: str | None = None, limits: Limits = DEFAULT_LIM
 
 
 def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
-            limits: Limits = DEFAULT_LIMITS, materialize: bool | None = None) -> FiniteRing:
+            limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
     """Direct product; (a, b) is encoded as a * |R2| + b and one = (1, 1).
 
     In table mode each table is the Kronecker sum of the factors' tables,
@@ -316,7 +316,7 @@ def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
     limits.check_order(order, label)
     n1, n2 = r1.order, r2.order
     one_index = r1.one * n2 + r2.one
-    table_mode = materialize if materialize is not None else order <= limits.table_threshold
+    table_mode = order <= limits.table_threshold
 
     def pair(a, b):
         return np.multiply(a, n2, dtype=np.intp) + b
@@ -340,7 +340,7 @@ def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
 
 
 def matrix_ring(m: int, base: FiniteRing, *, label: str | None = None,
-                limits: Limits = DEFAULT_LIMITS, materialize: bool | None = None) -> FiniteRing:
+                limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
     """m x m matrices over ``base``, row-major encoding, one = identity matrix."""
     if m < 1:
         raise ArgumentError(f"matrix size must be >= 1, got {m}")
@@ -351,11 +351,11 @@ def matrix_ring(m: int, base: FiniteRing, *, label: str | None = None,
     # the matrix units: E_rt * E_tc = E_rc
     terms = [(r * m + t, t * m + c, r * m + c)
              for r in range(m) for c in range(m) for t in range(m)]
-    return _coord_ring(base, k, one_coords, terms, label, limits, materialize)
+    return _coord_ring(base, k, one_coords, terms, label, limits)
 
 
 def upper_triangular(m: int, base: FiniteRing, *, label: str | None = None,
-                     limits: Limits = DEFAULT_LIMITS, materialize: bool | None = None) -> FiniteRing:
+                     limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
     """Upper-triangular m x m matrices over ``base`` (m >= 2)."""
     if m < 2:
         raise ArgumentError(f"upper-triangular size must be >= 2, got {m}")
@@ -365,11 +365,11 @@ def upper_triangular(m: int, base: FiniteRing, *, label: str | None = None,
     pos = {cell: i for i, cell in enumerate(cells)}
     one_coords = [base.one if i == j else 0 for (i, j) in cells]
     terms = [(pos[i, t], pos[t, j], pos[i, j]) for (i, j) in cells for t in range(i, j + 1)]
-    return _coord_ring(base, len(cells), one_coords, terms, label, limits, materialize)
+    return _coord_ring(base, len(cells), one_coords, terms, label, limits)
 
 
 def trivial_extension(base: FiniteRing, *, label: str | None = None,
-                      limits: Limits = DEFAULT_LIMITS, materialize: bool | None = None) -> FiniteRing:
+                      limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
     """Pairs (x, m) with (x,m)(y,n) = (xy, xn + my); one = (1, 0).
 
     The coordinates are listed (m, x), little-endian like every coordinate
@@ -379,11 +379,11 @@ def trivial_extension(base: FiniteRing, *, label: str | None = None,
     """
     label = label or f"TE({base.label})"
     terms = [(1, 1, 1), (1, 0, 0), (0, 1, 0)]
-    return _coord_ring(base, 2, [0, base.one], terms, label, limits, materialize)
+    return _coord_ring(base, 2, [0, base.one], terms, label, limits)
 
 
 def bt(base: FiniteRing, *, label: str | None = None,
-       limits: Limits = DEFAULT_LIMITS, materialize: bool | None = None) -> FiniteRing:
+       limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
     """The nested trivial extension TE(TE(R)) on quadruples (x, p, y, q).
 
     Defined literally as the iterated construction, so its tables equal
@@ -392,11 +392,11 @@ def bt(base: FiniteRing, *, label: str | None = None,
     label = label or f"BT({base.label})"
     limits.check_order(base.order ** 4, label)
     inner = trivial_extension(base, limits=limits)
-    return trivial_extension(inner, label=label, limits=limits, materialize=materialize)
+    return trivial_extension(inner, label=label, limits=limits)
 
 
 def poly_quotient(base: FiniteRing, coeffs, *, label: str | None = None,
-                  limits: Limits = DEFAULT_LIMITS, materialize: bool | None = None) -> FiniteRing:
+                  limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
     """R[x] modulo a monic polynomial, little-endian coefficient encoding.
 
     ``coeffs`` lists the modulus little-endian as base element indices;
@@ -432,11 +432,11 @@ def poly_quotient(base: FiniteRing, coeffs, *, label: str | None = None,
     for _ in range(d - 1):
         reduce.append(power)
         power = [base.add(s, base.mul(power[-1], nf)) for s, nf in zip([0] + power[:-1], negf)]
-    return _coord_ring(base, d, one_coords, terms, label, limits, materialize, reduce)
+    return _coord_ring(base, d, one_coords, terms, label, limits, reduce)
 
 
 def group_ring(base: FiniteRing, group: GroupTable, *, label: str | None = None,
-               limits: Limits = DEFAULT_LIMITS, materialize: bool | None = None) -> FiniteRing:
+               limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
     """Formal sums over ``group`` with coefficients in ``base``.
 
     Coefficient vectors are indexed by group element, identity
@@ -447,7 +447,7 @@ def group_ring(base: FiniteRing, group: GroupTable, *, label: str | None = None,
     k = group.order
     one_coords = [base.one] + [0] * (k - 1)
     terms = [(i, j, group.op(i, j)) for i in range(k) for j in range(k)]
-    return _coord_ring(base, k, one_coords, terms, label, limits, materialize)
+    return _coord_ring(base, k, one_coords, terms, label, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +455,7 @@ def group_ring(base: FiniteRing, group: GroupTable, *, label: str | None = None,
 
 
 def quotient(ring: FiniteRing, ideal, *, label: str | None = None,
-             limits: Limits = DEFAULT_LIMITS, materialize: bool | None = None) -> QuotientRing:
+             limits: Limits = DEFAULT_LIMITS) -> QuotientRing:
     """R/I for a two-sided ideal I, with the projection map.
 
     Coset representatives are the smallest index in each coset, and the
@@ -476,7 +476,7 @@ def quotient(ring: FiniteRing, ideal, *, label: str | None = None,
     if proj[ring.one] == proj[0]:
         raise ArgumentError(f"ideal of {ring.label} contains 1; the quotient is the zero ring")
     label = label or f"{ring.label} mod ideal({len(members)})"
-    table_mode = materialize if materialize is not None else m <= limits.table_threshold
+    table_mode = m <= limits.table_threshold
     out = FiniteRing(
         m, int(proj[ring.one]), label,
         add_fn=lambda a, b: proj[ring.add_arr(reps[a], reps[b])],
@@ -487,7 +487,7 @@ def quotient(ring: FiniteRing, ideal, *, label: str | None = None,
 
 
 def _inherited_subring(ring: FiniteRing, members: np.ndarray, one_parent: int, label: str,
-                       limits: Limits, materialize: bool | None) -> Subring:
+                       limits: Limits) -> Subring:
     """The subring on the sorted parent indices ``members``."""
     m = len(members)
     lookup = np.full(ring.order, -1)
@@ -498,7 +498,7 @@ def _inherited_subring(ring: FiniteRing, members: np.ndarray, one_parent: int, l
         mul_fn=lambda a, b: lookup[ring.mul_arr(members[a], members[b])],
         neg_fn=lambda a: lookup[ring.neg_arr(members[a])],
     )
-    table_mode = materialize if materialize is not None else m <= limits.table_threshold
+    table_mode = m <= limits.table_threshold
     if table_mode:
         try:
             out = out.materialized()
@@ -509,7 +509,7 @@ def _inherited_subring(ring: FiniteRing, members: np.ndarray, one_parent: int, l
 
 
 def corner(ring: FiniteRing, e: int, *, label: str | None = None,
-           limits: Limits = DEFAULT_LIMITS, materialize: bool | None = None) -> Subring:
+           limits: Limits = DEFAULT_LIMITS) -> Subring:
     """The corner ring eRe for a nonzero idempotent e; its identity is e."""
     ring._check_index(e)
     if e == 0:
@@ -518,12 +518,11 @@ def corner(ring: FiniteRing, e: int, *, label: str | None = None,
         raise ArgumentError(f"{e} is not idempotent in {ring.label}: e*e = {ring.mul(e, e)}")
     members = np.unique(ring.mul_arr(ring.mul_arr(e, np.arange(ring.order)), e))
     label = label or f"CORNER({ring.label}, {e})"
-    return _inherited_subring(ring, members, e, label, limits, materialize)
+    return _inherited_subring(ring, members, e, label, limits)
 
 
 def subring_closure(ring: FiniteRing, gens, *, members: np.ndarray | None = None,
-                    label: str | None = None, limits: Limits = DEFAULT_LIMITS,
-                    materialize: bool | None = None) -> Subring:
+                    label: str | None = None, limits: Limits = DEFAULT_LIMITS) -> Subring:
     """Smallest subring containing gens together with 0 and 1.
 
     ``members``, when given, must be that subring's sorted parent
@@ -535,4 +534,4 @@ def subring_closure(ring: FiniteRing, gens, *, members: np.ndarray | None = None
     label = label or f"subring({', '.join(str(g) for g in gens)}) of {ring.label}"
     if members is None:
         members = closure(ring, [ring.one] + gens, ideal=False)
-    return _inherited_subring(ring, members, ring.one, label, limits, materialize)
+    return _inherited_subring(ring, members, ring.one, label, limits)

@@ -57,7 +57,6 @@ class Limits:
 
     max_order: int = DEFAULT_MAX_ORDER
     table_threshold: int = DEFAULT_TABLE_THRESHOLD
-    group_max: int = DEFAULT_GROUP_MAX
 
     def check_order(self, order: int, label: str) -> None:
         if order > self.max_order:
@@ -466,19 +465,13 @@ def _exhaustive_ternary_checks(ring: FiniteRing) -> list[AxiomCheck]:
     return checks
 
 
-def verify_axioms(
-    ring: FiniteRing,
-    *,
-    exhaustive_cutoff: int = EXHAUSTIVE_AXIOM_CUTOFF,
-    samples: int = AXIOM_SAMPLE_COUNT,
-    seed: int = DEFAULT_SEED,
-) -> AxiomReport:
+def verify_axioms(ring: FiniteRing, *, seed: int = DEFAULT_SEED) -> AxiomReport:
     """Check the ring axioms; failures are reported, never raised.
 
     Unary and binary axioms are always exhaustive.  The ternary axioms
     (associativity, distributivity) are exhaustive for order <=
-    ``exhaustive_cutoff`` and otherwise checked on ``samples`` seeded
-    pseudo-random triples.
+    ``EXHAUSTIVE_AXIOM_CUTOFF`` and otherwise checked on
+    ``AXIOM_SAMPLE_COUNT`` pseudo-random triples drawn from ``seed``.
 
     The exhaustive ternary checks read a table twin of the ring
     (:meth:`FiniteRing.materialized`) and are decided from S + [0], where
@@ -524,15 +517,15 @@ def verify_axioms(
     unary("one-is-identity", (mul(ring.one, every) == every) & (mul(every, ring.one) == every))
     checks.append(AxiomCheck("one-differs-from-zero", ring.one != 0, None, 1, "exhaustive"))
 
-    if n <= exhaustive_cutoff:
+    if n <= EXHAUSTIVE_AXIOM_CUTOFF:
         checks.extend(_exhaustive_ternary_checks(ring))
     else:
         rng = np.random.default_rng(seed)
-        xs, ys, zs = (rng.integers(0, n, size=samples) for _ in range(3))
+        xs, ys, zs = (rng.integers(0, n, size=AXIOM_SAMPLE_COUNT) for _ in range(3))
         for name, law in TERNARY_LAWS.items():
             failed = np.flatnonzero(np.not_equal(*law(add, mul, xs, ys, zs)))
             witness = (int(xs[failed[0]]), int(ys[failed[0]]), int(zs[failed[0]])) if len(failed) else None
-            checks.append(AxiomCheck(name, witness is None, witness, samples, "sampled"))
+            checks.append(AxiomCheck(name, witness is None, witness, AXIOM_SAMPLE_COUNT, "sampled"))
 
     return AxiomReport(ring.label, n, seed, tuple(checks))
 

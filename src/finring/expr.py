@@ -401,17 +401,13 @@ def format_group(node) -> str:
 # -- evaluation --------------------------------------------------------------
 
 
-def evaluate_group(node, limits: Limits = DEFAULT_LIMITS) -> GroupTable:
+def evaluate_group(node) -> GroupTable:
     if isinstance(node, CyclicG):
-        return cyclic(node.n, group_max=limits.group_max)
+        return cyclic(node.n)
     if isinstance(node, NamedG):
         return NAMED_GROUPS[node.name]()
     if isinstance(node, GProd):
-        return group_product(
-            evaluate_group(node.left, limits),
-            evaluate_group(node.right, limits),
-            group_max=limits.group_max,
-        )
+        return group_product(evaluate_group(node.left), evaluate_group(node.right))
     raise TypeError(f"not a group expression node: {node!r}")
 
 
@@ -431,7 +427,7 @@ def evaluate(node, limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
         if kind is _RING:
             value = evaluate(value, limits)
         elif kind is _GROUP:
-            value = evaluate_group(value, limits)
+            value = evaluate_group(value)
         args.append(value)
     return builder(*args, label=label, limits=limits)
 

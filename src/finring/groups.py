@@ -59,24 +59,24 @@ class GroupTable:
         return k
 
 
-def _check_group_order(order: int, label: str, group_max: int) -> None:
-    if order > group_max:
-        raise LimitError(f"{label}: group order {order} exceeds the limit {group_max}")
+def _check_group_order(order: int, label: str) -> None:
+    if order > DEFAULT_GROUP_MAX:
+        raise LimitError(f"{label}: group order {order} exceeds the limit {DEFAULT_GROUP_MAX}")
 
 
-def cyclic(n: int, group_max: int = DEFAULT_GROUP_MAX) -> GroupTable:
+def cyclic(n: int) -> GroupTable:
     if n < 1:
         raise ArgumentError(f"cyclic group order must be >= 1, got {n}")
-    _check_group_order(n, f"C{n}", group_max)
+    _check_group_order(n, f"C{n}")
     idx = np.arange(n)
     return GroupTable((idx[:, None] + idx[None, :]) % n, f"C{n}")
 
 
-def group_product(g: GroupTable, h: GroupTable, group_max: int = DEFAULT_GROUP_MAX) -> GroupTable:
+def group_product(g: GroupTable, h: GroupTable) -> GroupTable:
     """Direct product; element (a, b) is encoded as a * |H| + b."""
     label = f"{g.label} x {h.label}"
     order = g.order * h.order
-    _check_group_order(order, label, group_max)
+    _check_group_order(order, label)
     a = np.arange(order) // h.order
     b = np.arange(order) % h.order
     table = g.table[np.ix_(a, a)] * h.order + h.table[np.ix_(b, b)]

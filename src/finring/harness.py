@@ -202,9 +202,6 @@ class _Ctx:
         self.rings = rings          # list[(expr_text, FiniteRing)]
         self.limits = limits
 
-    def pred(self, ring: FiniteRing) -> bool:
-        return is_two_sqrt_ju(ring)
-
 
 def _zn(ctx, n: int) -> FiniteRing:
     return build.zmod(n, limits=ctx.limits)
@@ -266,7 +263,7 @@ def _claim_c2(ctx):
     """2-sqrtJU passes to and lifts from R/I for every ideal I inside J(R)."""
     records = []
     for label, ring in ctx.rings:
-        base = ctx.pred(ring)
+        base = is_two_sqrt_ju(ring)
         jm = jacobson(ring).members
         bad = ""
         ideals = _principal_ideals_in_j(ring)
@@ -275,8 +272,8 @@ def _claim_c2(ctx):
                 bad = f"ideal({gen}) escapes J(R)"
                 break
             q = build.quotient(ring, ideal, limits=ctx.limits).ring
-            if ctx.pred(q) != base:
-                bad = f"quotient by ideal({gen}) of size {len(ideal)} disagrees: {ctx.pred(q)} vs {base}"
+            if is_two_sqrt_ju(q) != base:
+                bad = f"quotient by ideal({gen}) of size {len(ideal)} disagrees: {is_two_sqrt_ju(q)} vs {base}"
                 break
         records.append(InstanceRecord(f"{label} ({len(ideals)} ideals)", not bad, bad))
     return "per ring: all principal ideals generated by one element of J(R), plus J(R)", records
@@ -292,12 +289,12 @@ def _claim_c3(ctx):
                 continue
             pairs += 1
             prod = build.product(r1, r2, limits=ctx.limits)
-            lhs = ctx.pred(prod)
-            rhs = ctx.pred(r1) and ctx.pred(r2)
+            lhs = is_two_sqrt_ju(prod)
+            rhs = is_two_sqrt_ju(r1) and is_two_sqrt_ju(r2)
             if lhs != rhs:
                 records.append(InstanceRecord(
                     f"{l1} x {l2}", False,
-                    f"product verdict {lhs}, factor verdicts {ctx.pred(r1)}/{ctx.pred(r2)}"))
+                    f"product verdict {lhs}, factor verdicts {is_two_sqrt_ju(r1)}/{is_two_sqrt_ju(r2)}"))
     records.append(InstanceRecord(f"{pairs} corpus pairs agreed", True))
     return f"unordered corpus pairs with |R1|*|R2| <= {PRODUCT_PAIR_CAP}", records
 
@@ -306,14 +303,14 @@ def _claim_c4(ctx):
     """A 2-sqrtJU ring passes to every corner eRe."""
     records = []
     for label, ring in ctx.rings:
-        if not ctx.pred(ring):
+        if not is_two_sqrt_ju(ring):
             records.append(InstanceRecord(label, True, "not 2-sqrtJU; nothing to check"))
             continue
         bad = ""
         es = [e for e in idempotents(ring).indices() if e != 0]
         for e in es:
             sub = build.corner(ring, e, limits=ctx.limits)
-            if not ctx.pred(sub.ring):
+            if not is_two_sqrt_ju(sub.ring):
                 bad = f"corner at e={e} (order {sub.ring.order}) is not 2-sqrtJU"
                 break
         records.append(InstanceRecord(f"{label} ({len(es)} corners)", not bad, bad))
@@ -354,7 +351,7 @@ def _claim_c5(ctx):
     subring (:func:`_single_generator_subrings`)."""
     records = []
     for label, ring in ctx.rings:
-        if not ctx.pred(ring):
+        if not is_two_sqrt_ju(ring):
             records.append(InstanceRecord(label, True, "not 2-sqrtJU; nothing to check"))
             continue
         bad = ""
@@ -363,30 +360,25 @@ def _claim_c5(ctx):
             if not is_unit_closed_subring(sub):
                 continue
             tested += 1
-            if not ctx.pred(sub.ring):
+            if not is_two_sqrt_ju(sub.ring):
                 bad = f"unit-closed subring generated by {x} (order {sub.ring.order}) fails"
                 break
         records.append(InstanceRecord(f"{label} ({tested} unit-closed subrings)", not bad, bad))
     return "single-generator subrings of every 2-sqrtJU corpus ring that are unit-closed", records
 
 
-def _division_instances(ctx):
-    extras = [build.gf(p, k, limits=ctx.limits)
-              for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2))]
-    pool = list(ctx.rings) + [(r.label, r) for r in extras]
-    return pool
-
-
 def _claim_c6(ctx):
     """A division ring is 2-sqrtJU exactly when it has 2 or 3 elements."""
     records = []
-    for label, ring in _division_instances(ctx):
+    extras = [build.gf(p, k, limits=ctx.limits)
+              for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2))]
+    for label, ring in list(ctx.rings) + [(r.label, r) for r in extras]:
         if not is_division(ring):
             continue
-        ok = ctx.pred(ring) == (ring.order in (2, 3))
+        ok = is_two_sqrt_ju(ring) == (ring.order in (2, 3))
         records.append(InstanceRecord(
             f"{label} (order {ring.order})", ok,
-            "" if ok else f"verdict {ctx.pred(ring)} breaks the order-2-or-3 law"))
+            "" if ok else f"verdict {is_two_sqrt_ju(ring)} breaks the order-2-or-3 law"))
     return "division rings among the corpus plus GF(2), GF(3), GF(4), GF(5), GF(7), GF(9)", records
 
 
@@ -397,10 +389,10 @@ def _claim_c7(ctx):
         if not is_local(ring):
             continue
         m = residue_field_order(ring)
-        ok = ctx.pred(ring) == (m in (2, 3))
+        ok = is_two_sqrt_ju(ring) == (m in (2, 3))
         records.append(InstanceRecord(
             f"{label} (|R/J| = {m})", ok,
-            "" if ok else f"verdict {ctx.pred(ring)} breaks the residue-order law"))
+            "" if ok else f"verdict {is_two_sqrt_ju(ring)} breaks the residue-order law"))
     return "local rings in the corpus", records
 
 
@@ -414,10 +406,10 @@ def _claim_c8(ctx):
             for fac in combo[1:]:
                 ring = build.product(ring, fac, limits=ctx.limits)
             expected = all(f.order in (2, 3) for f in combo)
-            ok = ctx.pred(ring) == expected
+            ok = is_two_sqrt_ju(ring) == expected
             label = " x ".join(f.label for f in combo)
             records.append(InstanceRecord(label, ok,
-                                          "" if ok else f"verdict {ctx.pred(ring)}, expected {expected}"))
+                                          "" if ok else f"verdict {is_two_sqrt_ju(ring)}, expected {expected}"))
     return "products of up to three factors from {F2, F3, F4, F5}", records
 
 
@@ -427,7 +419,7 @@ def _claim_c9(ctx):
     for label, ring in ctx.rings:
         two = ring.add(ring.one, ring.one)
         lhs = check_unit_class(ring, 1, "sqrtJ")[0]
-        rhs = ctx.pred(ring) and two in jacobson(ring).members
+        rhs = is_two_sqrt_ju(ring) and two in jacobson(ring).members
         records.append(InstanceRecord(label, lhs == rhs,
                                       "" if lhs == rhs else f"sqrtJU={lhs} but 2-sqrtJU&2inJ={rhs}"))
     return "all corpus rings", records
@@ -442,27 +434,31 @@ def _claim_c10(ctx):
             if n ** p > NIL_ORDER_CAP:
                 continue
             ext = build.poly_quotient(base, [0] * p + [base.one], limits=ctx.limits)
-            ok = ctx.pred(base) == ctx.pred(ext)
+            ok = is_two_sqrt_ju(base) == is_two_sqrt_ju(ext)
             records.append(InstanceRecord(f"NIL(Z/{n}, {p})", ok,
-                                          "" if ok else f"base {ctx.pred(base)} vs extension {ctx.pred(ext)}"))
+                                          "" if ok else f"base {is_two_sqrt_ju(base)} vs extension {is_two_sqrt_ju(ext)}"))
     return f"bases Z/n for n in {{2,3,4,5,6,9}} with n^p <= {NIL_ORDER_CAP}, p in {{2,3}}", records
 
 
 def _claim_c11(ctx):
-    """In a 2-sqrtJU ring no unit pair satisfies u^2 + v = 1."""
+    """In a 2-sqrtJU ring no unit pair satisfies u^2 + v = 1.
+
+    For a unit u only v = 1 - u^2 solves u^2 + v = 1, so each u is tested
+    once, by whether 1 - u^2 is a unit; the first such u is the first
+    failing pair in row-major order."""
     records = []
     for label, ring in ctx.rings:
-        if not ctx.pred(ring):
+        if not is_two_sqrt_ju(ring):
             records.append(InstanceRecord(label, True, "not 2-sqrtJU; nothing to check"))
             continue
         bad = ""
-        us = np.array(units(ring).indices())
-        for lo, block in ring.blocks("add", ring.mul_arr(us, us), us):  # u^2 + v
-            hit = block == ring.one
-            if hit.any():
-                i, j = np.unravel_index(int(np.argmax(hit)), hit.shape)
-                bad = f"u={us[lo + i]}, v={us[j]} gives u^2 + v = 1"
-                break
+        u = units(ring)
+        us = np.array(u.indices())
+        vs = ring.add_arr(ring.one, ring.neg_arr(ring.mul_arr(us, us)))
+        hit = member_mask(ring.order, u.members)[vs]
+        if hit.any():
+            i = int(np.argmax(hit))
+            bad = f"u={us[i]}, v={vs[i]} gives u^2 + v = 1"
         records.append(InstanceRecord(f"{label} ({len(us)}^2 unit pairs)", not bad, bad))
     return "all unit pairs of every 2-sqrtJU corpus ring", records
 
@@ -521,8 +517,8 @@ def _claim_c14(ctx):
         te = build.trivial_extension(base, limits=ctx.limits)
         q = base.order
         problems = []
-        if ctx.pred(base) != ctx.pred(te):
-            problems.append(f"iff fails: base {ctx.pred(base)}, TE {ctx.pred(te)}")
+        if is_two_sqrt_ju(base) != is_two_sqrt_ju(te):
+            problems.append(f"iff fails: base {is_two_sqrt_ju(base)}, TE {is_two_sqrt_ju(te)}")
         if units(te).members != _te_set(units(base).members, q):
             problems.append("U(TE) does not match {(u, m): u in U(R)}")
         if jacobson(te).members != _te_set(jacobson(base).members, q):
@@ -550,7 +546,7 @@ def _claim_c15(ctx):
     for m, n in ((2, 2), (2, 4), (3, 2), (2, 5)):
         base = _zn(ctx, n)
         ut = build.upper_triangular(m, base, limits=ctx.limits)
-        up, bp = ctx.pred(ut), ctx.pred(base)
+        up, bp = is_two_sqrt_ju(ut), is_two_sqrt_ju(base)
         ok = (not up) or bp
         records.append(InstanceRecord(
             f"UT({m}, Z/{n})", ok,
@@ -587,9 +583,9 @@ def _claim_c16(ctx):
     for n in (2, 3, 5):
         base = _zn(ctx, n)
         btr = build.bt(base, limits=ctx.limits)
-        ok = ctx.pred(base) == ctx.pred(btr)
+        ok = is_two_sqrt_ju(base) == is_two_sqrt_ju(btr)
         records.append(InstanceRecord(f"BT(Z/{n}) iff", ok,
-                                      "" if ok else f"base {ctx.pred(base)} vs BT {ctx.pred(btr)}"))
+                                      "" if ok else f"base {is_two_sqrt_ju(base)} vs BT {is_two_sqrt_ju(btr)}"))
     for n in (2, 3):
         base = _zn(ctx, n)
         inner = build.poly_quotient(base, [0, 0, base.one], limits=ctx.limits)
@@ -631,16 +627,16 @@ def _claim_c17(ctx):
         base = _zn(ctx, n)
         group = _make_group(gname)
         rg = build.group_ring(base, group, limits=ctx.limits)
-        if not ctx.pred(rg):
+        if not is_two_sqrt_ju(rg):
             records.append(InstanceRecord(rg.label, True, "RG not 2-sqrtJU; nothing to check"))
             continue
         problems = []
-        if not ctx.pred(base):
+        if not is_two_sqrt_ju(base):
             problems.append("coefficient ring fails")
         subgroups = cyclic_subgroups(group)
         for sub in subgroups:
             rh = build.group_ring(base, sub, limits=ctx.limits)
-            if not ctx.pred(rh):
+            if not is_two_sqrt_ju(rh):
                 problems.append(f"R[{sub.label}] (order {rh.order}) fails")
                 break
         records.append(InstanceRecord(f"{rg.label} (+{len(subgroups)} subgroups)",
@@ -661,7 +657,7 @@ def _claim_c18(ctx):
         if group.is_two_group():
             problems.append(f"{group.label} is a 2-group; bad instance")
         rg = build.group_ring(base, group, limits=ctx.limits)
-        if ctx.pred(rg):
+        if is_two_sqrt_ju(rg):
             problems.append(f"{rg.label} is 2-sqrtJU despite the hypotheses")
         records.append(InstanceRecord(f"GR(Z/{n}, {gname})", not problems, "; ".join(problems)))
     return "GR(Z/4, C3), GR(Z/2, C3), GR(Z/2, S3)", records
@@ -682,14 +678,14 @@ def _claim_c19(ctx):
             continue
         three = base.add(base.add(base.one, base.one), base.one)
         problems = []
-        if not ctx.pred(base):
+        if not is_two_sqrt_ju(base):
             problems.append("hypothesis: base is not 2-sqrtJU")
         if three not in jacobson(base).members:
             problems.append("hypothesis: 3 not in J(R)")
         if not group.is_two_group():
             problems.append(f"hypothesis: {group.label} is not a 2-group")
         rg = build.group_ring(base, group, limits=ctx.limits)
-        if not ctx.pred(rg):
+        if not is_two_sqrt_ju(rg):
             problems.append(f"{rg.label} is not 2-sqrtJU")
         records.append(InstanceRecord(f"GR(Z/{n}, {gname})", not problems, "; ".join(problems)))
     return "GR(Z/9, C2), GR(Z/3, C2), GR(Z/3, C2xC2); GR(Z/9, C2xC2) when within caps", records
@@ -744,7 +740,6 @@ def run_suite(
     claim_ids=None,
     limits: Limits = DEFAULT_LIMITS,
     seed: int = DEFAULT_SEED,
-    check_axioms: bool = True,
 ) -> SuiteReport:
     """Run all (or the filtered) claims plus an axiom pre-flight.
 
@@ -766,11 +761,10 @@ def run_suite(
     start = time.perf_counter()
     rings = corpus.rings(limits)
     axiom_records = []
-    if check_axioms:
-        for label, ring in rings:
-            report = verify_axioms(ring, seed=seed)
-            first_bad = "" if report.passed else report.failures()[0].name + f" (witness {report.failures()[0].witness})"
-            axiom_records.append((label, report.passed, first_bad))
+    for label, ring in rings:
+        report = verify_axioms(ring, seed=seed)
+        first_bad = "" if report.passed else report.failures()[0].name + f" (witness {report.failures()[0].witness})"
+        axiom_records.append((label, report.passed, first_bad))
     if all(ok for _, ok, _ in axiom_records):
         results = [run_claim(cid, corpus, limits) for cid in selected]
     else:

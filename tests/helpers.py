@@ -17,7 +17,7 @@ import numpy as np
 
 from finring import build
 from finring.analysis import closure, ideal_closure, jacobson
-from finring.core import AxiomCheck, FiniteRing
+from finring.core import DEFAULT_MAX_ORDER, AxiomCheck, FiniteRing, Limits
 from finring.expr import (
     BT,
     GF,
@@ -36,6 +36,12 @@ from finring.expr import (
     UpperTri,
     Zmod,
 )
+
+# The storage mode of every ring a construction builds, chosen by the one
+# setting that selects it: all tables up to the default order limit, or
+# all lazy.
+TABLE = Limits(table_threshold=DEFAULT_MAX_ORDER)
+LAZY = Limits(table_threshold=1)
 
 # ---------------------------------------------------------------------------
 # Oracles over a FiniteRing (definition-level scans via ring ops only)
@@ -232,6 +238,18 @@ def every_single_generator_subring(ring):
             continue
         seen.add(key)
         yield x, build.subring_closure(ring, [x])
+
+
+def unit_square_sum_scan(ring) -> str:
+    """C11's failure text by scanning every unit pair (u, v) for
+    u^2 + v = 1 in row-major order: the first pair found, or ""."""
+    us = np.array(sorted(brute_units(ring)))
+    for lo, block in ring.blocks("add", ring.mul_arr(us, us), us):  # u^2 + v
+        hit = block == ring.one
+        if hit.any():
+            i, j = np.unravel_index(int(np.argmax(hit)), hit.shape)
+            return f"u={us[lo + i]}, v={us[j]} gives u^2 + v = 1"
+    return ""
 
 
 def brute_unit_square_class(ring, target: set) -> bool:

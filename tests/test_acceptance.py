@@ -35,7 +35,7 @@ from finring import (
 from finring.cli import main as cli_main
 from finring.groups import cyclic
 
-from helpers import is_2a3b, radical, random_ring_expr, zn_two_sqrt_ju
+from helpers import LAZY, TABLE, is_2a3b, radical, random_ring_expr, zn_two_sqrt_ju
 
 
 def _report(number: int, ok: bool, detail: str):
@@ -170,9 +170,9 @@ def test_criterion_10_invariant_claims_exhaustive():
 def test_criterion_11_engineering_invariants():
     # (a) table vs on-demand agreement, element for element
     agree = True
-    for make in (lambda m: group_ring(zmod(2), cyclic(4), materialize=m),
-                 lambda m: matrix_ring(2, zmod(4), materialize=m)):
-        table, lazy = make(True), make(False)
+    for make in (lambda m: group_ring(zmod(2), cyclic(4), limits=m),
+                 lambda m: matrix_ring(2, zmod(4), limits=m)):
+        table, lazy = make(TABLE), make(LAZY)
         assert table.mode == "table" and lazy.mode == "lazy"
         x, y = np.arange(table.order)[:, None], np.arange(table.order)[None, :]
         for op in ("add_arr", "mul_arr"):

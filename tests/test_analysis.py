@@ -33,6 +33,8 @@ from finring import (
 from finring.groups import cyclic, symmetric_3
 
 from helpers import (
+    LAZY,
+    TABLE,
     brute_center,
     brute_idempotents,
     brute_jacobson,
@@ -53,8 +55,8 @@ SAMPLE_RINGS = [
     group_ring(zmod(3), cyclic(2)),
     product(zmod(4), zmod(3)),
     bt(zmod(2)),
-    group_ring(zmod(2), symmetric_3(), materialize=False),
-    zmod(40, materialize=False),
+    group_ring(zmod(2), symmetric_3(), limits=LAZY),
+    zmod(40, limits=LAZY),
 ]
 
 
@@ -138,8 +140,8 @@ def test_ideal_closure():
     ut = upper_triangular(2, zmod(2))
     assert ideal_closure(ut, [2]).indices() == [0, 2]
     # lazy path agrees with the vectorized path
-    lazy = group_ring(zmod(2), cyclic(2), materialize=False)
-    table = group_ring(zmod(2), cyclic(2), materialize=True)
+    lazy = group_ring(zmod(2), cyclic(2), limits=LAZY)
+    table = group_ring(zmod(2), cyclic(2), limits=TABLE)
     assert ideal_closure(lazy, [3]).members == ideal_closure(table, [3]).members
 
 

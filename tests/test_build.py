@@ -29,6 +29,8 @@ from finring.core import table_dtype
 from finring.groups import cyclic, symmetric_3
 
 from helpers import (
+    LAZY,
+    TABLE,
     group_ring_mul_oracle,
     group_ring_mul_over,
     little_endian_coords,
@@ -189,10 +191,10 @@ def test_poly_quotient():
     assert same_verdicts(degree1, zmod(6))
     # R[x]/(x - 1): x = 1, and a product of constants has no slot of
     # degree 1 to fold, so the tables are Z/6's in both modes
-    for materialize in (True, False):
-        shifted = poly_quotient(zmod(6), [5, 1], materialize=materialize)
+    for limits in (TABLE, LAZY):
+        shifted = poly_quotient(zmod(6), [5, 1], limits=limits)
         for got, want in zip(scalar_op_tables(shifted), op_tables(zmod(6))):
-            assert np.array_equal(got, want), materialize
+            assert np.array_equal(got, want), limits
     # non-monic, degree 0, and coefficients outside the centre {0, 5} of
     # UT(2, Z/2) and {0, 9} of M(2, Z/2)
     for base, coeffs in ((zmod(4), [0, 2]), (zmod(4), [1]),
@@ -216,7 +218,7 @@ def test_poly_quotient_nontrivial_reduction():
 def test_group_ring_against_inline_oracle():
     base = zmod(3)
     g = symmetric_3()
-    ring = group_ring(base, g, materialize=False)
+    ring = group_ring(base, g, limits=LAZY)
     assert ring.order == 3 ** 6 and ring.mode == "lazy"
     table = [[g.op(i, j) for j in range(6)] for i in range(6)]
     rng = np.random.default_rng(7)
@@ -242,18 +244,18 @@ def test_group_ring_small_values():
 UT2 = upper_triangular(2, zmod(2))
 NONCOMMUTATIVE_BASE_CASES = {
     # label: (build in a mode, k, oracle on little-endian coordinate tuples)
-    "M(2, UT(2, Z/2))": (lambda m: matrix_ring(2, UT2, materialize=m), 4,
+    "M(2, UT(2, Z/2))": (lambda m: matrix_ring(2, UT2, limits=m), 4,
                          lambda a, b: matrix_mul_over(UT2, a, b, 2)),
-    "UT(2, UT(2, Z/2))": (lambda m: upper_triangular(2, UT2, materialize=m), 3,
+    "UT(2, UT(2, Z/2))": (lambda m: upper_triangular(2, UT2, limits=m), 3,
                           lambda a, b: upper_triangular_mul_over(UT2, a, b, 2)),
     # TE's little-endian coordinates are (m, x)
-    "TE(UT(2, Z/2))": (lambda m: trivial_extension(UT2, materialize=m), 2,
+    "TE(UT(2, Z/2))": (lambda m: trivial_extension(UT2, limits=m), 2,
                        lambda a, b: trivial_extension_mul_over(UT2, a[::-1], b[::-1])[::-1]),
     # x^3 + x + 1, central coefficients; products reach x^4, so two slots fold
     "POLYQ(UT(2, Z/2), [5, 5, 0, 5])": (
-        lambda m: poly_quotient(UT2, [5, 5, 0, 5], materialize=m), 3,
+        lambda m: poly_quotient(UT2, [5, 5, 0, 5], limits=m), 3,
         lambda a, b: poly_mul_over(UT2, a, b, [5, 5, 0, 5])),
-    "GR(UT(2, Z/2), C3)": (lambda m: group_ring(UT2, cyclic(3), materialize=m), 3,
+    "GR(UT(2, Z/2), C3)": (lambda m: group_ring(UT2, cyclic(3), limits=m), 3,
                            lambda a, b: group_ring_mul_over(UT2, a, b, cyclic(3))),
 }
 
@@ -265,8 +267,8 @@ def test_base_products_are_taken_x_then_y(label):
     # of the base products.  Every product on order 64, a seeded sample
     # above; M(2, UT(2, Z/2)) (order 4096) is lazy only.
     make, k, oracle = NONCOMMUTATIVE_BASE_CASES[label]
-    for materialize in (True, False) if UT2.order ** k <= 512 else (False,):
-        ring = make(materialize)
+    for limits in (TABLE, LAZY) if UT2.order ** k <= 512 else (LAZY,):
+        ring = make(limits)
         if ring.order <= 64:
             x, y = (a.ravel() for a in np.indices((ring.order, ring.order)))
         else:
@@ -394,22 +396,22 @@ def scalar_op_tables(ring):
 # One input per coordinate construction, orders <= 81, each laid out
 # little-endian; bases with q >= 3 fill rows c * e_i with c >= 2.
 AGREEMENT_CASES = {
-    "M(2, Z/3)": lambda m: matrix_ring(2, zmod(3), materialize=m),
-    "UT(3, Z/2)": lambda m: upper_triangular(3, zmod(2), materialize=m),
-    "TE(Z/9)": lambda m: trivial_extension(zmod(9), materialize=m),
-    "BT(Z/3)": lambda m: bt(zmod(3), materialize=m),
-    "GF(3, 3)": lambda m: gf(3, 3, materialize=m),
-    "NIL(Z/4, 3)": lambda m: poly_quotient(zmod(4), [0, 0, 0, 1], materialize=m),
-    "POLYQ(Z/4, [1, 1, 1])": lambda m: poly_quotient(zmod(4), [1, 1, 1], materialize=m),
-    "GR(Z/2, S3)": lambda m: group_ring(zmod(2), symmetric_3(), materialize=m),
+    "M(2, Z/3)": lambda m: matrix_ring(2, zmod(3), limits=m),
+    "UT(3, Z/2)": lambda m: upper_triangular(3, zmod(2), limits=m),
+    "TE(Z/9)": lambda m: trivial_extension(zmod(9), limits=m),
+    "BT(Z/3)": lambda m: bt(zmod(3), limits=m),
+    "GF(3, 3)": lambda m: gf(3, 3, limits=m),
+    "NIL(Z/4, 3)": lambda m: poly_quotient(zmod(4), [0, 0, 0, 1], limits=m),
+    "POLYQ(Z/4, [1, 1, 1])": lambda m: poly_quotient(zmod(4), [1, 1, 1], limits=m),
+    "GR(Z/2, S3)": lambda m: group_ring(zmod(2), symmetric_3(), limits=m),
     # a non-cyclic base additive group (c up to 8), and a noncommutative base
-    "TE(GF(3, 2))": lambda m: trivial_extension(gf(3, 2), materialize=m),
-    "TE(UT(2, Z/2))": lambda m: trivial_extension(upper_triangular(2, zmod(2)), materialize=m),
+    "TE(GF(3, 2))": lambda m: trivial_extension(gf(3, 2), limits=m),
+    "TE(UT(2, Z/2))": lambda m: trivial_extension(upper_triangular(2, zmod(2)), limits=m),
     # products: a Kronecker sum of the factor tables in table mode
     "M(2, Z/2) x UT(2, Z/3)": lambda m: product(
-        matrix_ring(2, zmod(2)), upper_triangular(2, zmod(3)), materialize=m),
+        matrix_ring(2, zmod(2)), upper_triangular(2, zmod(3)), limits=m),
     "Z/2 x (TE(Z/2) x Z/3)": lambda m: product(
-        zmod(2), product(trivial_extension(zmod(2)), zmod(3)), materialize=m),
+        zmod(2), product(trivial_extension(zmod(2)), zmod(3)), limits=m),
 }
 
 
@@ -417,7 +419,7 @@ def test_modes_agree_matrix():
     # The lazy ring runs the coordinate formula pair by pair, so it is an
     # independent reference for the table build's distributive fill.
     for label, make in AGREEMENT_CASES.items():
-        table, lazy = make(True), make(False)
+        table, lazy = make(TABLE), make(LAZY)
         assert table.mode == "table" and lazy.mode == "lazy", label
         for got, want in zip(op_tables(table), scalar_op_tables(lazy)):
             assert np.array_equal(got, want), label
@@ -425,7 +427,7 @@ def test_modes_agree_matrix():
 
 def assert_fill_matches_formula(label, make):
     # the lazy twin's broadcast formula is the reference
-    table, lazy = make(True), make(False)
+    table, lazy = make(TABLE), make(LAZY)
     every = np.arange(table.order)
     for op in ("add", "mul"):
         assert np.array_equal(table.row_block(op, 0, table.order),
@@ -439,7 +441,7 @@ def test_blocked_fill_matches_formula(monkeypatch):
     # partial block.
     rows = build.FILL_BLOCK_ELEMENTS // 625
     assert rows < 125 and 125 % rows
-    assert_fill_matches_formula("M(2, Z/5)", lambda m: matrix_ring(2, zmod(5), materialize=m))
+    assert_fill_matches_formula("M(2, Z/5)", lambda m: matrix_ring(2, zmod(5), limits=m))
     # At 200 entries a block the fill of an order-n ring runs 200 // n rows
     # a block (2 at order 81), so its upper weight steps take several
     # blocks for each generator row.
@@ -454,7 +456,7 @@ def test_table_build_runs_formula_on_generator_pairs_only():
     # 1 + (q - 1) * k elements; distributivity fills the rest.  A lazy base
     # that records the size of every multiplication it is asked for bounds
     # the number of pairs the formula saw.
-    z3 = zmod(3, materialize=False)
+    z3 = zmod(3, limits=LAZY)
     sizes = []
 
     def counting_mul(x, y):
@@ -463,10 +465,10 @@ def test_table_build_runs_formula_on_generator_pairs_only():
 
     base = FiniteRing(3, 1, "Z/3", add_fn=z3.add_arr, mul_fn=counting_mul, neg_fn=z3.neg_arr)
     cases = [
-        ("M(2, Z/3)", 4, lambda b: matrix_ring(2, b, materialize=True)),
-        ("UT(2, Z/3)", 3, lambda b: upper_triangular(2, b, materialize=True)),
-        ("TE(Z/3)", 2, lambda b: trivial_extension(b, materialize=True)),
-        ("NIL(Z/3, 3)", 3, lambda b: poly_quotient(b, [0, 0, 0, 1], materialize=True)),
+        ("M(2, Z/3)", 4, lambda b: matrix_ring(2, b, limits=TABLE)),
+        ("UT(2, Z/3)", 3, lambda b: upper_triangular(2, b, limits=TABLE)),
+        ("TE(Z/3)", 2, lambda b: trivial_extension(b, limits=TABLE)),
+        ("NIL(Z/3, 3)", 3, lambda b: poly_quotient(b, [0, 0, 0, 1], limits=TABLE)),
     ]
     for label, k, make in cases:
         sizes.clear()
@@ -478,11 +480,11 @@ def test_table_build_runs_formula_on_generator_pairs_only():
 
 def test_table_ring_over_lazy_base_matches_table_twin():
     pairs = [
-        (trivial_extension(zmod(9, materialize=False), materialize=True),
+        (trivial_extension(zmod(9, limits=LAZY), limits=TABLE),
          trivial_extension(zmod(9))),
-        (upper_triangular(2, zmod(5, materialize=False), materialize=True),
+        (upper_triangular(2, zmod(5, limits=LAZY), limits=TABLE),
          upper_triangular(2, zmod(5))),
-        (product(upper_triangular(2, zmod(3), materialize=False), zmod(4), materialize=True),
+        (product(upper_triangular(2, zmod(3), limits=LAZY), zmod(4), limits=TABLE),
          product(upper_triangular(2, zmod(3)), zmod(4))),
     ]
     for over_lazy, twin in pairs:
@@ -493,8 +495,8 @@ def test_table_ring_over_lazy_base_matches_table_twin():
 
 def test_derived_rings_from_lazy_parent_match_table_twin():
     # quotient, corner, and subring closure must work off scalar ops too
-    table = group_ring(zmod(2), cyclic(2), materialize=True)
-    lazy = group_ring(zmod(2), cyclic(2), materialize=False)
+    table = group_ring(zmod(2), cyclic(2), limits=TABLE)
+    lazy = group_ring(zmod(2), cyclic(2), limits=LAZY)
     qt = quotient(table, [0, 3])
     ql = quotient(lazy, [0, 3])
     assert ql.projection == qt.projection
@@ -503,8 +505,8 @@ def test_derived_rings_from_lazy_parent_match_table_twin():
     with pytest.raises(ArgumentError):
         quotient(lazy, [0, 1])
 
-    ptable = product(zmod(2), zmod(3), materialize=True)
-    plazy = product(zmod(2), zmod(3), materialize=False)
+    ptable = product(zmod(2), zmod(3), limits=TABLE)
+    plazy = product(zmod(2), zmod(3), limits=LAZY)
     ct, cl = corner(ptable, 3), corner(plazy, 3)
     assert ct.embedding == cl.embedding
     assert np.array_equal(ct.ring.mul_table, cl.ring.mul_table)
@@ -519,7 +521,7 @@ def test_tables_are_int16_and_read_only():
     rings = [
         zmod(7), m2, gf(2, 4), trivial_extension(zmod(4)), upper_triangular(2, zmod(3)),
         group_ring(zmod(2), symmetric_3()), product(zmod(4), m2),
-        product(zmod(3, materialize=False), zmod(5), materialize=True),
+        product(zmod(3, limits=LAZY), zmod(5), limits=TABLE),
         quotient(zmod(12), [0, 4, 8]).ring, corner(m2, 1).ring, subring_closure(m2, [2]).ring,
     ]
     for ring in rings:

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 from functools import cache
 
 import numpy as np
@@ -15,11 +17,12 @@ from finring import (
     verify_axioms,
     zmod,
 )
+from finring import build, harness
 from finring.build import group_ring, matrix_ring, trivial_extension
-from finring.core import AXIOM_BLOCK_ELEMENTS, grow_span
-from finring.groups import cyclic
+from finring.core import AXIOM_BLOCK_ELEMENTS, Limits, grow_span
+from finring.groups import cyclic, group_product
 
-from helpers import full_cube_ternary_checks, magma_closure
+from helpers import LAZY, TABLE, full_cube_ternary_checks, magma_closure
 
 
 def test_element_ops_zmod4():
@@ -106,8 +109,8 @@ def test_characteristic():
     zmod(6),
     group_ring(zmod(4), cyclic(2)),
     matrix_ring(2, zmod(3)),
-    group_ring(zmod(2), cyclic(2), materialize=False),  # lazy, exhaustive ternary
-    zmod(300, materialize=False),                       # lazy, sampled ternary
+    group_ring(zmod(2), cyclic(2), limits=LAZY),  # lazy, exhaustive ternary
+    zmod(300, limits=LAZY),                       # lazy, sampled ternary
 ])
 def test_axioms_pass(ring):
     report = verify_axioms(ring)
@@ -297,11 +300,11 @@ def test_axioms_reject_negative_seed():
 
 
 def test_lazy_and_table_modes_agree_small():
-    for make in (lambda m: zmod(12, materialize=m),
-                 lambda m: trivial_extension(zmod(4), materialize=m),
-                 lambda m: group_ring(zmod(3), cyclic(2), materialize=m)):
-        table = make(True)
-        lazy = make(False)
+    for make in (lambda m: zmod(12, limits=m),
+                 lambda m: trivial_extension(zmod(4), limits=m),
+                 lambda m: group_ring(zmod(3), cyclic(2), limits=m)):
+        table = make(TABLE)
+        lazy = make(LAZY)
         assert table.mode == "table" and lazy.mode == "lazy"
         n = table.order
         for x in range(n):
@@ -391,3 +394,33 @@ def test_ring_rejects_table_entries_out_of_range():
     ragged = [[0, 1, 2, 3], [1, 2, 3], [2, 3, 0, 1], [3, 0, 1, 2]]
     with pytest.raises(ArgumentError, match="order x order"):
         FiniteRing(4, 1, "ragged", add_table=ragged, mul_table=z4.mul_table)
+
+
+def test_settable_options_inventory():
+    # Limits is the one way to configure a construction, and
+    # table_threshold the one storage-mode setting; a new parameter or
+    # field shows up here as a diff.
+    constructions = {name: getattr(build, name) for name in build.__all__
+                     if inspect.isfunction(getattr(build, name))}
+    entry_points = {fn.__name__: fn for fn in (verify_axioms, harness.run_suite, cyclic, group_product)}
+    got = {name: list(inspect.signature(fn).parameters)
+           for name, fn in {**constructions, **entry_points}.items()}
+    assert got == {
+        "zmod": ["n", "label", "limits"],
+        "gf": ["p", "k", "label", "limits"],
+        "product": ["r1", "r2", "label", "limits"],
+        "matrix_ring": ["m", "base", "label", "limits"],
+        "upper_triangular": ["m", "base", "label", "limits"],
+        "trivial_extension": ["base", "label", "limits"],
+        "bt": ["base", "label", "limits"],
+        "poly_quotient": ["base", "coeffs", "label", "limits"],
+        "group_ring": ["base", "group", "label", "limits"],
+        "quotient": ["ring", "ideal", "label", "limits"],
+        "corner": ["ring", "e", "label", "limits"],
+        "subring_closure": ["ring", "gens", "members", "label", "limits"],
+        "verify_axioms": ["ring", "seed"],
+        "run_suite": ["corpus", "claim_ids", "limits", "seed"],
+        "cyclic": ["n"],
+        "group_product": ["g", "h"],
+    }
+    assert [f.name for f in dataclasses.fields(Limits)] == ["max_order", "table_threshold"]

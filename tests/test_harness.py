@@ -26,8 +26,13 @@ from finring.harness import (
     _principal_ideals_in_j,
     _single_generator_subrings,
 )
-from finring.predicates import CLASS_NAMES
-from helpers import every_principal_ideal_in_j, every_single_generator_subring, relabelled
+from finring.predicates import CLASS_NAMES, is_two_sqrt_ju
+from helpers import (
+    every_principal_ideal_in_j,
+    every_single_generator_subring,
+    relabelled,
+    unit_square_sum_scan,
+)
 
 
 def test_default_corpus_loads_and_is_varied():
@@ -96,9 +101,9 @@ def test_single_claim_run():
 
 def test_suite_filter_and_determinism():
     corpus = default_corpus()
-    r1 = run_suite(corpus, ["C13", "C6"], check_axioms=False)
+    r1 = run_suite(corpus, ["C13", "C6"])
     assert [c.claim_id for c in r1.results] == ["C6", "C13"]
-    r2 = run_suite(corpus, ["C13", "C6"], check_axioms=False)
+    r2 = run_suite(corpus, ["C13", "C6"])
     strip = lambda rep: [(c.claim_id, c.records) for c in rep.results]
     assert strip(r1) == strip(r2)
 
@@ -106,7 +111,7 @@ def test_suite_filter_and_determinism():
 def test_skipped_claims_reported():
     ids = {s.claim_id for s in SKIPPED_CLAIMS}
     assert ids == {"C-torsion", "C-powerseries"}
-    report = run_suite(default_corpus(), ["C13"], check_axioms=False)
+    report = run_suite(default_corpus(), ["C13"])
     assert {s.claim_id for s in report.skipped} == ids
 
 
@@ -199,6 +204,19 @@ def test_orbit_dedupes_match_the_undeduplicated_loops(text, seed):
     got = [(x, sub.embedding, sub.ring.label) for x, sub in _single_generator_subrings(ring)]
     want = [(x, sub.embedding, sub.ring.label) for x, sub in every_single_generator_subring(ring)]
     assert got == want
+
+
+def test_c11_membership_matches_the_pair_scan(monkeypatch):
+    # C11 tests 1 - u^2 for membership in U; the oracle scans every sum
+    # u^2 + v of a unit pair.  With the class predicate forced true, the
+    # corpus rings outside the class, where such pairs exist, run the
+    # check too, so the failure texts are compared.
+    outside = [ring for _, ring in default_corpus().rings() if not is_two_sqrt_ju(ring)]
+    monkeypatch.setattr(harness, "is_two_sqrt_ju", lambda ring: True)
+    result = run_claim("C11", Corpus("outside the class", [], prebuilt=outside))
+    notes = [rec.note for rec in result.records]
+    assert notes == [unit_square_sum_scan(ring) for ring in outside]
+    assert notes[[ring.label for ring in outside].index("Z/5")] == "u=2, v=2 gives u^2 + v = 1"
 
 
 def test_c2_and_c5_close_once_per_orbit(monkeypatch):

@@ -39,7 +39,7 @@ from finring import (
 )
 from finring.core import AXIOM_BLOCK_ELEMENTS
 
-from helpers import random_ring_expr
+from helpers import LAZY, TABLE, random_ring_expr
 
 SETS = (units, jacobson, sqrt_jacobson, nilpotents, idempotents, center)
 
@@ -50,7 +50,7 @@ def structural_sets(ring):
 
 def test_lazy_ring_of_two_blocks_agrees_with_table_twin():
     lazy = upper_triangular(2, zmod(11))
-    table = upper_triangular(2, zmod(11), materialize=True)
+    table = upper_triangular(2, zmod(11), limits=TABLE)
     assert lazy.mode == "lazy" and table.mode == "table"
     n = lazy.order
     assert n == 1331 and -(-n // (AXIOM_BLOCK_ELEMENTS // n)) == 2
@@ -77,7 +77,7 @@ def test_lazy_ring_of_two_blocks_agrees_with_table_twin():
     ql, qt = quotient(lazy, jacobson(lazy)), quotient(table, jacobson(table))
     assert ql.projection == qt.projection
     assert dump_tables(ql.ring) == dump_tables(qt.ring)
-    q_lazy = quotient(lazy, jacobson(lazy), materialize=False)
+    q_lazy = quotient(lazy, jacobson(lazy), limits=LAZY)
     assert q_lazy.ring.mode == "lazy" and dump_tables(q_lazy.ring) == dump_tables(qt.ring)
 
     e = 1  # the matrix unit e11
@@ -85,20 +85,26 @@ def test_lazy_ring_of_two_blocks_agrees_with_table_twin():
     assert cl.embedding == ct.embedding and dump_tables(cl.ring) == dump_tables(ct.ring)
     sl, st_ = subring_closure(lazy, [12]), subring_closure(table, [12])  # e11 + e12
     assert sl.embedding == st_.embedding and dump_tables(sl.ring) == dump_tables(st_.ring)
+    # the same derived rings kept lazy: their operations go through the
+    # parent's formula and the member lookup
+    for derived, twin in ((corner(lazy, e, limits=LAZY), ct),
+                          (subring_closure(lazy, [12], limits=LAZY), st_)):
+        assert derived.ring.mode == "lazy" and derived.embedding == twin.embedding
+        assert dump_tables(derived.ring) == dump_tables(twin.ring)
     for gens in ([11], [12], [1, 121]):
         assert ideal_closure(lazy, gens).members == ideal_closure(table, gens).members
 
 
 def test_lazy_subring_closure_closes_its_seeds():
     # 0 and 1 alone generate the prime subring, which here is all of Z/3
-    for ring in (zmod(3, materialize=False), zmod(3)):
+    for ring in (zmod(3, limits=LAZY), zmod(3)):
         assert subring_closure(ring, []).embedding == (0, 1, 2)
 
 
 def test_axiom_reports_agree_across_modes():
-    for make in (lambda m: zmod(300, materialize=m),
-                 lambda m: matrix_ring(2, zmod(3), materialize=m)):
-        assert verify_axioms(make(False)).checks == verify_axioms(make(True)).checks
+    for make in (lambda m: zmod(300, limits=m),
+                 lambda m: matrix_ring(2, zmod(3), limits=m)):
+        assert verify_axioms(make(LAZY)).checks == verify_axioms(make(TABLE)).checks
     # a corrupted row of Z/300: the sampled checks fail, and the lazy twin
     # draws the same triples (three seeded rng.integers calls), so it
     # reports the same witnesses

@@ -22,7 +22,7 @@ from finring import (
 from finring.groups import cyclic, group_product, symmetric_3
 from finring.predicates import UNIT_CLASSES
 
-from helpers import brute_sqrt_jacobson, brute_unit_square_class
+from helpers import LAZY, brute_sqrt_jacobson, brute_unit_square_class
 
 
 def test_check_unit_class_examples():
@@ -76,7 +76,7 @@ def test_dedekind_finite():
     assert is_dedekind_finite(zmod(12))
     assert is_dedekind_finite(matrix_ring(2, zmod(3)))
     assert is_dedekind_finite(upper_triangular(2, zmod(2)))
-    assert is_dedekind_finite(group_ring(zmod(2), symmetric_3(), materialize=False))
+    assert is_dedekind_finite(group_ring(zmod(2), symmetric_3(), limits=LAZY))
 
 
 def test_classify_examples():

@@ -38,6 +38,7 @@ from finring.analysis import closure, ideal_violation
 from finring.harness import DEFAULT_CORPUS_LINES
 
 from helpers import (
+    LAZY,
     additive_span,
     full_commutant,
     full_scan_ideal_violation,
@@ -96,7 +97,7 @@ def assert_closures_match_rounds(table, lazy):
     expected_sub = tuple(round_based_closure(table, [0, one, x], ideal=False).tolist())
     for ring in (table, lazy):
         assert ideal_closure(ring, [x, y]).indices() == expected_ideal
-        assert subring_closure(ring, [x], materialize=False).embedding == expected_sub
+        assert subring_closure(ring, [x], limits=LAZY).embedding == expected_sub
 
 
 # rings whose J(R) is a strict subset of N(R), also checked under seeded
