@@ -16,10 +16,14 @@ ring through ``add_arr``/``mul_arr``/``neg_arr`` and row blocks of
 about ``AXIOM_BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
 
 - Units come from the scan "find y with x*y = 1, then confirm
-  y*x = 1", one multiplication-table row block at a time.  A failed
-  confirmation is an InternalConsistencyError (finite rings are
-  Dedekind finite, so it cannot legitimately happen).  This is the
-  one n^2 pass of an analysis.
+  y*x = 1", one multiplication-table row block at a time: one argmax
+  over ``block == one`` gives the first hit of every row, and a row
+  whose entry there is not 1 has no hit, so x is no unit.  The y found
+  are confirmed in one call.  A failed confirmation is an
+  InternalConsistencyError (finite rings are Dedekind finite, so it
+  cannot legitimately happen).  This is the one n^2 pass of an
+  analysis.  U and its inverses are cached as index arrays; the dict
+  of :func:`unit_inverses` is built from them on request.
 - An additive generating set S of the group (R, +) (cached under
   ``"generators"``): take the smallest element g not reached yet and
   extend the reached subgroup H to H + <g> by doubling.  After k
@@ -30,8 +34,10 @@ about ``AXIOM_BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
   for M(2, Z/4).  This is :func:`finring.core.grow_span` over every
   element, the routine ``verify_axioms`` also takes its S from.  A
   direct product R1 x R2 is given S by its construction instead:
-  s*|R2| for s in S(R1) and t for t in S(R2), as (s, 0) and (0, t)
-  generate its additive group (S = [1, 4] for Z/2 x Z/4).
+  t for t in S(R2), then s*|R2| for s in S(R1), as (0, t) and (s, 0)
+  generate its additive group (S = [1, 4] for Z/2 x Z/4).  Neither S
+  holds 0, so every t is below |R2| and every s*|R2| at least |R2|:
+  the concatenation is ascending and distinct as it stands.
 - C(R) is the commutant of S: x*s = s*x for every s in S makes x
   commute with every sum of generators, by distributivity, so n*|S|
   products decide it instead of n^2.
@@ -51,8 +57,12 @@ about ``AXIOM_BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
 - sqrtJ and N use repeated squaring.  J(R) and {0} are ideals, so once
   a power x^m lies in one of them every higher power does too, and the
   powers of x take at most n distinct values, so x is in sqrtJ (in N)
-  iff x^(2^k) is in J (is 0) for 2^k >= n: ceil(log2 n) squarings of
-  every element at once.
+  iff x^(2^k) is in J (is 0) for 2^k >= n.  The squaring map
+  :func:`squares` is one ``mul_arr`` call over every element, cached;
+  as x^(2^(i+1)) = squares[x^(2^i)], the array of every x^(2^k) is
+  k - 1 gathers from it, cached too, and N and sqrtJ both read it.
+  The idempotents (x*x = x) and the unit-class test's u^2 read
+  :func:`squares` as well.
 - J(R) = {x in N(R) : x*s in N(R) for every s in S}: one pass of
   |N|*|S| products.  J(R) is nilpotent in a finite ring, so it lies in
   N(R), and J(R)*S lies in J(R), so J(R) lies in the set.  Conversely
@@ -69,7 +79,7 @@ about ``AXIOM_BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
 
 Each set is a plain function of the ring, cached by
 :meth:`FiniteRing.cached` under the function's name (``"units"`` holds
-U with its inverse map): concurrent requests for the same set see a
+U with the array of its inverses): concurrent requests for the same set see a
 single computation, and all returned sets are immutable.
 """
 
@@ -77,14 +87,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    ElementSet,
-    FiniteRing,
-    InternalConsistencyError,
-    element_set,
-    grow_span,
-    member_mask,
-)
+from .core import ElementSet, FiniteRing, InternalConsistencyError, grow_span, member_mask
 
 
 def generators(ring: FiniteRing) -> np.ndarray:
@@ -97,21 +100,38 @@ def generators(ring: FiniteRing) -> np.ndarray:
     return ring.cached("generators", compute)
 
 
+def squares(ring: FiniteRing) -> np.ndarray:
+    """x*x at every index x, by one ``mul_arr`` call; cached."""
+    return ring.cached("squares", lambda: ring.mul_arr(np.arange(ring.order), np.arange(ring.order)))
+
+
+def _high_powers(ring: FiniteRing) -> np.ndarray:
+    """x^(2^k) at every index x, for the least k >= 1 with 2^k >= n, by
+    k - 1 gathers from :func:`squares` (module docstring); cached."""
+    def compute():
+        sq = p = squares(ring)
+        for _ in range((ring.order - 1).bit_length() - 1):
+            p = sq[p]
+        return p
+    return ring.cached("high_powers", compute)
+
+
 def _units_and_inverses(ring: FiniteRing) -> tuple:
+    """U and the inverse of each unit, as an index array in U's order."""
     one = ring.one
     us, invs = [], []
     for lo, block in ring.blocks("mul"):
-        hits = block == one
-        rows = np.flatnonzero(hits.any(axis=1))
+        first = np.argmax(block == one, axis=1)
+        rows = np.flatnonzero(block[np.arange(len(block)), first] == one)
         us.append(lo + rows)
-        invs.append(np.argmax(hits[rows], axis=1))
+        invs.append(first[rows])
     us, invs = np.concatenate(us), np.concatenate(invs)
     one_sided = ring.mul_arr(invs, us) != one
     if one_sided.any():
         bad = us[np.argmax(one_sided)]
         raise InternalConsistencyError(
             f"{ring.label}: one-sided inverse of {int(bad)} is not two-sided")
-    return element_set(ring, us), dict(zip(us.tolist(), invs.tolist()))
+    return ElementSet(ring, us), invs
 
 
 def units(ring: FiniteRing) -> ElementSet:
@@ -119,7 +139,10 @@ def units(ring: FiniteRing) -> ElementSet:
 
 
 def unit_inverses(ring: FiniteRing) -> dict:
-    return ring.cached("units", lambda: _units_and_inverses(ring))[1]
+    def compute():
+        u, invs = ring.cached("units", lambda: _units_and_inverses(ring))
+        return dict(zip(u.indices(), invs.tolist()))
+    return ring.cached("unit_inverses", compute)
 
 
 def jacobson(ring: FiniteRing) -> ElementSet:
@@ -127,25 +150,15 @@ def jacobson(ring: FiniteRing) -> ElementSet:
     nilpotents themselves when that is all of N(R), an ideal."""
     def compute():
         nil = nilpotents(ring)
-        xs = np.array(nil.indices())
+        xs = nil.array
         in_nil = member_mask(ring.order, xs)[ring.mul_arr(xs[:, None], generators(ring)[None, :])]
-        return nil if in_nil.all() else element_set(ring, xs[in_nil.all(axis=1)])
+        return nil if in_nil.all() else ElementSet(ring, xs[in_nil.all(axis=1)])
     return ring.cached("jacobson", compute)
 
 
 def in_jacobson(ring: FiniteRing, x: int) -> bool:
     ring._check_index(x)
-    return x in jacobson(ring).members
-
-
-def _power_hits(ring: FiniteRing, ideal: frozenset) -> np.ndarray:
-    """Sorted indices of the elements with some power x^m (m >= 1) in
-    the two-sided ``ideal``, by repeated squaring (see the module
-    docstring)."""
-    p = np.arange(ring.order)
-    for _ in range((ring.order - 1).bit_length()):
-        p = ring.mul_arr(p, p)
-    return np.flatnonzero(member_mask(ring.order, ideal)[p])
+    return x in jacobson(ring)
 
 
 def sqrt_jacobson(ring: FiniteRing) -> ElementSet:
@@ -153,25 +166,22 @@ def sqrt_jacobson(ring: FiniteRing) -> ElementSet:
         j = jacobson(ring)
         if j is nilpotents(ring):  # J = N, so sqrtJ = N
             return j
-        return element_set(ring, _power_hits(ring, j.members))
+        return ElementSet(ring, np.flatnonzero(member_mask(ring.order, j.array)[_high_powers(ring)]))
     return ring.cached("sqrt_jacobson", compute)
 
 
 def in_sqrt_jacobson(ring: FiniteRing, x: int) -> bool:
     ring._check_index(x)
-    return x in sqrt_jacobson(ring).members
+    return x in sqrt_jacobson(ring)
 
 
 def nilpotents(ring: FiniteRing) -> ElementSet:
-    return ring.cached("nilpotents",
-                       lambda: element_set(ring, _power_hits(ring, frozenset([0]))))
+    return ring.cached("nilpotents", lambda: ElementSet(ring, np.flatnonzero(_high_powers(ring) == 0)))
 
 
 def idempotents(ring: FiniteRing) -> ElementSet:
-    def compute():
-        every = np.arange(ring.order)
-        return element_set(ring, np.flatnonzero(ring.mul_arr(every, every) == every))
-    return ring.cached("idempotents", compute)
+    return ring.cached("idempotents",
+                       lambda: ElementSet(ring, np.flatnonzero(squares(ring) == np.arange(ring.order))))
 
 
 def center(ring: FiniteRing) -> ElementSet:
@@ -181,7 +191,7 @@ def center(ring: FiniteRing) -> ElementSet:
         for lo, block in ring.blocks("mul", every, gens):  # x*s against s*x
             xs = every[lo:lo + len(block)]
             central[xs] = (block == ring.mul_arr(gens[None, :], xs[:, None])).all(axis=1)
-        return element_set(ring, np.flatnonzero(central))
+        return ElementSet(ring, np.flatnonzero(central))
     return ring.cached("center", compute)
 
 
@@ -223,20 +233,28 @@ def ideal_violation(ring: FiniteRing, members: frozenset) -> str | None:
     """None if ``members`` is a two-sided ideal, else its first violation,
     worded.
 
-    In order: 0 is a member; closure under addition (over all pairs, by
-    blocks), so the set is an additive subgroup I, since -x = (k - 1)*x
-    for the additive order k of x in a finite ring; S*I and I*S lie in I
-    for the additive generators S (:func:`generators`), which by
-    distributivity puts R*I and I*R in I.  Only a set that fails the
-    last test pays for the scans over all of R that word its first
-    violation."""
+    In order: 0 is a member; closure under addition, so the set is an
+    additive subgroup I, since -x = (k - 1)*x for the additive order k of
+    x in a finite ring; S*I and I*S lie in I for the additive generators
+    S (:func:`generators`), which by distributivity puts R*I and I*R in
+    I.  Closure under addition is decided from the additive span of the
+    set grown from {0} by :func:`finring.core.grow_span`: the span must
+    be the set itself, and I + t lie in I for each t the growth took.
+    Both hold for any table where + is closed, and in a ring either one
+    is enough, as I + t inside I means I + t = I in a finite group and
+    the t generate I.  The second costs at most |I| * log2 |I| sums in a
+    ring; on a table whose + is no group, where the span can be the set
+    although a sum leaves it, it still tests every pair with a taken t.
+    Only a set that fails a test pays for the scans, over all pairs of
+    the set or over all of R, that word its first violation."""
     if 0 not in members:
         return "0 is missing"
     arr = np.array(sorted(members))
     mask = member_mask(ring.order, arr)
-    bad = _first_outside(ring, mask, "add", arr, arr)
-    if bad:
-        return "not closed under addition: {} + {} = {}".format(*bad)
+    span = member_mask(ring.order, [0])
+    taken = np.array(grow_span(ring, span, arr), dtype=np.intp)
+    if span.sum() != len(arr) or _first_outside(ring, mask, "add", arr, taken):
+        return "not closed under addition: {} + {} = {}".format(*_first_outside(ring, mask, "add", arr, arr))
     gens = generators(ring)
     if (_first_outside(ring, mask, "mul", gens, arr) is None
             and _first_outside(ring, mask, "mul", arr, gens) is None):
@@ -256,7 +274,7 @@ def ideal_closure(ring: FiniteRing, gens) -> ElementSet:
     gens = [int(x) for x in gens]
     for x in gens:
         ring._check_index(x)
-    return element_set(ring, closure(ring, gens, ideal=True))
+    return ElementSet(ring, closure(ring, gens, ideal=True))
 
 
 def is_unit_closed_subring(sub) -> bool:

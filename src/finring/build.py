@@ -308,8 +308,9 @@ def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
     The lazy formulas and the negation table form a * |R2| in intp, as the
     factors' values may be narrower than the product's indices.  The
     additive generators S of the product
-    (:func:`finring.analysis.generators`) come from its factors': (s, 0)
-    and (0, t) generate (R1 x R2, +).
+    (:func:`finring.analysis.generators`) come from its factors': (0, t)
+    and (s, 0) generate (R1 x R2, +), and S(R2) followed by S(R1)*|R2|
+    is already ascending, as no S holds 0.
     """
     label = label or f"{r1.label} x {r2.label}"
     order = r1.order * r2.order
@@ -335,7 +336,7 @@ def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
             mul_fn=lambda x, y: pair(r1.mul_arr(x // n2, y // n2), r2.mul_arr(x % n2, y % n2)),
             neg_fn=lambda x: pair(r1.neg_arr(x // n2), r2.neg_arr(x % n2)),
         )
-    ring.cached("generators", lambda: np.union1d(generators(r1) * n2, generators(r2)))
+    ring.cached("generators", lambda: np.concatenate([generators(r2), generators(r1) * n2]))
     return ring
 
 

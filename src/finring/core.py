@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -95,7 +96,9 @@ def block_rows(width: int) -> int:
 def _freeze(table, shape: tuple, shape_error: str) -> np.ndarray:
     """A read-only copy (or view) of ``table`` in ``table_dtype(shape[0])``,
     checked before the cast: the shape, an integer dtype and entries in
-    0..shape[0]-1.
+    0..shape[0]-1.  An int16 table of order <= 2^15 is range-checked by
+    one reduction, the max of its uint16 view, where a negative entry
+    reads as 2^15 or more; a signed table of another dtype by min and max.
 
     A writable array is copied, so the caller's own array stays writable
     and later writes to it do not reach the ring; a read-only
@@ -109,7 +112,8 @@ def _freeze(table, shape: tuple, shape_error: str) -> np.ndarray:
         raise ArgumentError(shape_error)
     if arr.dtype.kind not in "iu":
         raise ArgumentError(f"table entries must be integers, got dtype {arr.dtype}")
-    if arr.min() < 0 or arr.max() >= shape[0]:
+    checked = arr.view(np.uint16) if arr.dtype == np.int16 and shape[0] <= 1 << 15 else arr
+    if (checked.dtype.kind == "i" and checked.min() < 0) or checked.max() >= shape[0]:
         raise ArgumentError(f"table entries must lie in 0..{shape[0] - 1}")
     frozen = np.ascontiguousarray(arr, dtype=table_dtype(shape[0]))
     if frozen is arr and arr.flags.writeable:
@@ -300,17 +304,29 @@ class FiniteRing:
                           mul_table=tables["mul"], neg_table=self.neg_arr(np.arange(n)))
 
 
-@dataclass(frozen=True)
 class ElementSet:
-    """A subset of a ring's element indices with O(1) membership."""
+    """A subset of a ring's element indices, held as its ascending index
+    array ``array``.  ``members``, the frozenset behind O(1) membership,
+    is built on first use; length, iteration and ``indices`` read the
+    array.  Any collection of indices is accepted; an index array is
+    taken to be ascending and distinct already, as the structural sets
+    of :mod:`finring.analysis` hand it over, and is kept as a read-only
+    view."""
 
-    ring: FiniteRing
-    members: frozenset
+    def __init__(self, ring: FiniteRing, members):
+        if not isinstance(members, np.ndarray):
+            members = np.array(sorted(members), dtype=np.intp)
+        arr = members.view()
+        arr.setflags(write=False)
+        if len(arr) and (arr[0] < 0 or arr[-1] >= ring.order):
+            bad = arr[(arr < 0) | (arr >= ring.order)].tolist()
+            raise ArgumentError(f"indices {bad} out of range for {ring.label}")
+        self.ring = ring
+        self.array = arr
 
-    def __post_init__(self):
-        if self.members and not (min(self.members) >= 0 and max(self.members) < self.ring.order):
-            bad = sorted(x for x in self.members if not 0 <= x < self.ring.order)
-            raise ArgumentError(f"indices {bad} out of range for {self.ring.label}")
+    @cached_property
+    def members(self) -> frozenset:
+        return frozenset(self.array.tolist())
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
@@ -319,22 +335,18 @@ class ElementSet:
         return iter(self.indices())
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.array)
 
     def indices(self) -> list[int]:
         """Sorted member indices (the external report form)."""
-        return sorted(self.members)
+        return self.array.tolist()
 
 
-def element_set(ring: FiniteRing, members) -> ElementSet:
-    """An ElementSet from an index array or list."""
-    return ElementSet(ring, frozenset(np.asarray(members).tolist()))
-
-
-def member_mask(n: int, members) -> np.ndarray:
-    """A boolean array over the indices 0..n-1, True exactly at ``members``."""
+def member_mask(n: int, indices) -> np.ndarray:
+    """A boolean array over the indices 0..n-1, True exactly at the index
+    array (or list) ``indices``."""
     mask = np.zeros(n, dtype=bool)
-    mask[list(members)] = True
+    mask[indices] = True
     return mask
 
 

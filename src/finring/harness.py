@@ -83,17 +83,18 @@ class Corpus:
     """An ordered list of ring expressions, evaluated on first use.
 
     A parse/build failure on any line aborts the whole load with the
-    offending line (atomic failure).  ``prebuilt`` lets tests inject raw
+    offending line (atomic failure).  The rings are built once per
+    ``limits`` and kept under them.  ``prebuilt`` lets tests inject raw
     rings (e.g. corrupted tables) that no expression denotes.
     """
 
     name: str
     expressions: list
     prebuilt: list = field(default_factory=list)
-    _rings: list | None = None
+    _rings: dict = field(default_factory=dict)
 
     def rings(self, limits: Limits = DEFAULT_LIMITS) -> list:
-        if self._rings is None:
+        if limits not in self._rings:
             out = []
             for i, text in enumerate(self.expressions, start=1):
                 try:
@@ -101,8 +102,8 @@ class Corpus:
                 except Exception as exc:
                     raise CorpusError(f"cannot build corpus entry: {exc}", i, text) from exc
             out.extend((ring.label, ring) for ring in self.prebuilt)
-            self._rings = out
-        return self._rings
+            self._rings[limits] = out
+        return self._rings[limits]
 
 
 def default_corpus() -> Corpus:
@@ -224,7 +225,7 @@ def _claim_c1(ctx):
         if (sj & idem) != {0}:
             problems.append(f"sqrtJ and Id share {sorted(sj & idem)[:3]}")
         every = np.arange(ring.order)
-        in_sj = member_mask(ring.order, sj)
+        in_sj = member_mask(ring.order, sqrt_jacobson(ring).array)
         powers = [every]
         for _ in range(3):  # x^2, x^3, x^4
             powers.append(ring.mul_arr(powers[-1], every))
@@ -246,7 +247,7 @@ def _principal_ideals_in_j(ring: FiniteRing):
     it is the orbit's smallest element, and every element skipped later
     generates an ideal that ``seen`` already holds under that z."""
     j = jacobson(ring)
-    us = np.array(units(ring).indices())
+    us = units(ring).array
     done = np.zeros(ring.order, dtype=bool)
     seen = {}
     for z in j.indices():
@@ -452,10 +453,9 @@ def _claim_c11(ctx):
             records.append(InstanceRecord(label, True, "not 2-sqrtJU; nothing to check"))
             continue
         bad = ""
-        u = units(ring)
-        us = np.array(u.indices())
+        us = units(ring).array
         vs = ring.add_arr(ring.one, ring.neg_arr(ring.mul_arr(us, us)))
-        hit = member_mask(ring.order, u.members)[vs]
+        hit = member_mask(ring.order, us)[vs]
         if hit.any():
             i = int(np.argmax(hit))
             bad = f"u={us[i]}, v={vs[i]} gives u^2 + v = 1"

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import jacobson, nilpotents, sqrt_jacobson, units
+from .analysis import jacobson, nilpotents, sqrt_jacobson, squares, units
 from .core import ArgumentError, FiniteRing, member_mask
 
 _TARGET_SETS = {"N": nilpotents, "J": jacobson, "sqrtJ": sqrt_jacobson}
@@ -65,9 +65,9 @@ def check_unit_class(ring: FiniteRing, power: int, target: str):
         raise ArgumentError(f"unknown target set {target!r}; expected one of {TARGETS}")
 
     def compute():
-        tmask = member_mask(ring.order, _TARGET_SETS[target](ring).members)
-        us = np.array(units(ring).indices())
-        ws = us if power == 1 else ring.mul_arr(us, us)
+        tmask = member_mask(ring.order, _TARGET_SETS[target](ring).array)
+        us = units(ring).array
+        ws = us if power == 1 else squares(ring)[us]
         failing = ~tmask[ring.add_arr(ws, ring.neg(ring.one))]
         if failing.any():
             return (False, int(us[np.argmax(failing)]))

@@ -36,6 +36,7 @@ from finring.expr import (
     UpperTri,
     Zmod,
 )
+from finring.harness import PRODUCT_PAIR_CAP
 
 # The storage mode of every ring a construction builds, chosen by the one
 # setting that selects it: all tables up to the default order limit, or
@@ -182,7 +183,9 @@ def round_based_closure(ring, seeds, *, ideal: bool) -> np.ndarray:
 
 def full_scan_ideal_violation(ring, members) -> str | None:
     """The first failing ideal law of ``members`` over all of I x I, -I,
-    R x I and I x R, in that order, worded as ``quotient`` words it."""
+    R x I and I x R, in that order, worded as ``quotient`` words it.
+    This is the |I|^2 pair scan for closure under addition that the
+    span test of ``ideal_violation`` is compared with."""
     if 0 not in members:
         return "0 is missing"
     arr = np.array(sorted(members))
@@ -212,6 +215,14 @@ def full_scan_ideal_violation(ring, members) -> str | None:
     if bad:
         return "not closed under right multiplication: {} * {} = {}".format(*bad)
     return None
+
+
+def c3_pairs(rings) -> list:
+    """The pairs (R1, R2) whose products verify's C3 builds from the
+    corpus ``rings``: unordered, R1 first in corpus order, and
+    |R1|*|R2| <= PRODUCT_PAIR_CAP."""
+    return [(r1, r2) for i, r1 in enumerate(rings) for r2 in rings[i:]
+            if r1.order * r2.order <= PRODUCT_PAIR_CAP]
 
 
 def every_principal_ideal_in_j(ring) -> list:

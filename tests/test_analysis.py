@@ -1,3 +1,5 @@
+import itertools
+import random
 import types
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,10 +9,12 @@ import pytest
 import finring
 import finring.analysis as fa
 from finring import (
+    ArgumentError,
     FiniteRing,
     InternalConsistencyError,
     bt,
     center,
+    default_corpus,
     gf,
     group_ring,
     ideal_closure,
@@ -41,6 +45,7 @@ from helpers import (
     brute_nilpotents,
     brute_sqrt_jacobson,
     brute_units,
+    c3_pairs,
     radical,
     zn_jacobson,
 )
@@ -194,3 +199,34 @@ def test_elementset_reports_sorted_indices():
     assert s.indices() == sorted(s.indices())
     assert 2 in s and 6 not in s
     assert len(s) == 4
+
+
+def test_product_sample_matches_brute_force_in_both_modes():
+    # a seeded sample of the direct products verify's C3 builds, each in
+    # table and lazy storage against the oracles on the table product;
+    # then the table product's own tables go back through FiniteRing with
+    # one entry -1 or n, as int16 (one reduction over the uint16 view)
+    # and as int64 (min and max)
+    corpus = default_corpus()
+    table_pairs, lazy_pairs = (c3_pairs([r for _, r in corpus.rings(m)]) for m in (TABLE, LAZY))
+    for k in random.Random(19).sample(range(len(table_pairs)), 20):
+        table, lazy = product(*table_pairs[k], limits=TABLE), product(*lazy_pairs[k], limits=LAZY)
+        assert (table.mode, lazy.mode) == ("table", "lazy")
+        inverses = brute_units(table)
+        expected = {units: set(inverses), jacobson: brute_jacobson(table),
+                    sqrt_jacobson: brute_sqrt_jacobson(table), nilpotents: brute_nilpotents(table),
+                    idempotents: brute_idempotents(table)}
+        for ring in (table, lazy):
+            assert unit_inverses(ring) == inverses, ring
+            for fn, members in expected.items():
+                got = fn(ring)
+                assert got.members == members, (ring, fn.__name__)
+                assert (np.diff(got.array) > 0).all()
+                assert got.indices() == sorted(members) == list(got) and len(got) == len(members)
+        n = table.order
+        for op, value, dtype in itertools.product(("add", "mul"), (-1, n), (np.int16, np.int64)):
+            tables = {"add_table": table.add_table.astype(dtype), "mul_table": table.mul_table.astype(dtype)}
+            tables[f"{op}_table"][n - 1, n // 2] = value
+            with pytest.raises(ArgumentError) as err:
+                FiniteRing(n, table.one, "bad", **tables)
+            assert str(err.value) == f"table entries must lie in 0..{n - 1}"

@@ -11,6 +11,8 @@ from finring import (
     bt,
     classify,
     corner,
+    default_corpus,
+    generators,
     gf,
     group_ring,
     jacobson,
@@ -25,12 +27,13 @@ from finring import (
 )
 from finring import build, core
 from finring.build import smallest_irreducible
-from finring.core import table_dtype
+from finring.core import grow_span, table_dtype
 from finring.groups import cyclic, symmetric_3
 
 from helpers import (
     LAZY,
     TABLE,
+    c3_pairs,
     group_ring_mul_oracle,
     group_ring_mul_over,
     little_endian_coords,
@@ -542,3 +545,18 @@ def test_lazy_product_beyond_int16_indices():
     assert np.array_equal(ring.neg_arr(x), -a % 200 * 200 + -b % 200)
     for i in range(20):
         assert ring.mul(int(x[i]), int(y[i])) == a[i] * c[i] % 200 * 200 + b[i] * d[i] % 200
+
+
+@pytest.mark.parametrize("limits", [TABLE, LAZY], ids=["table", "lazy"])
+def test_product_generators_ascend_and_span(limits):
+    # S(R2) followed by S(R1)*|R2| on every product verify's C3 builds:
+    # strictly ascending, the sorted union, and a span of the product
+    for r1, r2 in c3_pairs([r for _, r in default_corpus().rings(limits)]):
+        ring = product(r1, r2, limits=limits)
+        s = generators(ring)
+        assert (np.diff(s) > 0).all()
+        assert np.array_equal(s, np.union1d(generators(r1) * r2.order, generators(r2)))
+        reached = np.zeros(ring.order, dtype=bool)
+        reached[0] = True
+        grow_span(ring, reached, s)
+        assert reached.all(), ring

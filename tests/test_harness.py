@@ -6,6 +6,7 @@ from finring import (
     Corpus,
     CorpusError,
     FiniteRing,
+    Limits,
     bt,
     classify,
     default_corpus,
@@ -240,3 +241,16 @@ def test_c2_and_c5_close_once_per_orbit(monkeypatch):
     # Z*1 is all of Z/16, one coset: its own closure, then that of
     # {1, 0}, and the subring is built on the latter's members
     assert calls["subring"] == 2
+
+
+def test_corpus_rebuilds_rings_under_other_limits():
+    corpus = default_corpus()
+    assert {ring.mode for _, ring in corpus.rings()} == {"table"}
+    assert {ring.mode for _, ring in corpus.rings(Limits(table_threshold=1))} == {"lazy"}
+
+
+def test_corpus_checks_a_later_smaller_max_order():
+    corpus = default_corpus()
+    corpus.rings()
+    with pytest.raises(CorpusError, match="exceeds the limit 100"):
+        corpus.rings(Limits(max_order=100))

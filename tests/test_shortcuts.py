@@ -35,10 +35,11 @@ from finring import (
     zmod,
 )
 from finring.analysis import closure, ideal_violation
-from finring.harness import DEFAULT_CORPUS_LINES
+from finring.harness import DEFAULT_CORPUS_LINES, _principal_ideals_in_j
 
 from helpers import (
     LAZY,
+    TABLE,
     additive_span,
     full_commutant,
     full_scan_ideal_violation,
@@ -179,3 +180,28 @@ def test_quotient_words_the_first_violation():
         with pytest.raises(ArgumentError, match=re.escape(message) + "$"):
             quotient(m2, members)
 
+
+@pytest.mark.parametrize("limits", [TABLE, LAZY], ids=["table", "lazy"])
+def test_ideal_test_matches_pair_scan_on_corpus_ideals_and_failing_sets(limits):
+    # the span test against the |I|^2 pair scan, on C2's ideals of every
+    # corpus ring up to order 256 and on sets that fail each law in turn:
+    # 0 left out, {0, 1} and J + 1 (addition), x*R and R*x (a one-sided
+    # multiplication law where x*R is not two-sided)
+    words = set()
+    for text in DEFAULT_CORPUS_LINES:
+        ring = parse_and_build(text, limits)
+        n, every = ring.order, np.arange(ring.order)
+        if n > 256:
+            continue
+        j = jacobson(ring).members
+        sets = [ideal.members for _, ideal in _principal_ideals_in_j(ring)]
+        sets += [frozenset(range(n)), frozenset(range(1, n)), frozenset({0, ring.one}),
+                 frozenset(ring.add_arr(ring.one, np.array(sorted(j))).tolist()) | {0}]
+        for x in range(1, min(n, 6)):
+            sets += [frozenset(ring.mul_arr(x, every).tolist()), frozenset(ring.mul_arr(every, x).tolist())]
+        for members in sets:
+            got = ideal_violation(ring, members)
+            assert got == full_scan_ideal_violation(ring, members), (ring, sorted(members))
+            words.add(got and got.split(":")[0])
+    assert words == {None, "0 is missing", "not closed under addition",
+                     "not closed under left multiplication", "not closed under right multiplication"}
