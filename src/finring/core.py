@@ -257,13 +257,13 @@ class FiniteRing:
         return orbit
 
     def characteristic(self) -> int:
-        """Smallest k >= 1 with k * 1 = 0."""
-        k = 1
+        """Smallest k >= 1 with k * 1 = 0; at most the order in a ring."""
         cur = self.one
-        while cur != 0:
+        for k in range(1, self.order + 1):
+            if cur == 0:
+                return k
             cur = self.add(cur, self.one)
-            k += 1
-        return k
+        raise ArgumentError(f"{self.label}: no k <= {self.order} has k * 1 = 0; not a ring")
 
     def row_block(self, op: str, lo: int, hi: int) -> np.ndarray:
         """Rows lo:hi of the ``op`` ("add" or "mul") table against every
@@ -587,6 +587,8 @@ def parse_table_dump(text: str, label: str = "table-ring") -> FiniteRing:
         if any(not 0 <= v < n for row in table for v in row):
             raise ArgumentError("table entry out of range")
         return table
+    if any(r.strip() for r in rows[2 * n:]):
+        raise ArgumentError("table dump has lines after the multiplication table")
     add = parse_block(rows[:n])
     mul = parse_block(rows[n:2 * n])
     return FiniteRing(n, one, label, add_table=add, mul_table=mul)

@@ -1,8 +1,10 @@
 """Replay the library's theorem claims over a corpus of finite rings.
 
-Each claim quantifies a statement over the corpus (and over derived
-rings it builds: quotients, corners, generated subrings, products of
-corpus pairs under a size cap) and reports pass/fail per instance with
+Each claim quantifies a statement over the corpus, over derived rings
+it builds (quotients, corners, generated subrings, products of corpus
+pairs under a size cap) or over fixed instances, which are expression
+texts built by parse_and_build; C17 takes the corpus entries whose text
+is a GR(R, G) term.  Each reports pass/fail per instance with
 witnesses.  Universally quantified statements are *checked*, never
 proven: a passing claim means "no counterexample found over the listed
 instances", and every claim records its quantification domain.
@@ -34,8 +36,8 @@ from .analysis import (
     units,
 )
 from .core import DEFAULT_LIMITS, DEFAULT_SEED, FiniteRing, Limits, member_mask, verify_axioms
-from .expr import parse_and_build
-from .groups import cyclic, cyclic_subgroups, group_product, symmetric_3
+from .expr import GroupRing, ParseError, evaluate, evaluate_group, parse, parse_and_build
+from .groups import cyclic_subgroups
 from .predicates import (
     check_unit_class,
     is_division,
@@ -46,8 +48,6 @@ from .predicates import (
 
 # Pair products in C3 are built for |R1|*|R2| up to this cap.
 PRODUCT_PAIR_CAP = 256
-# Nil extensions in C10 are built for |R|^p up to this cap.
-NIL_ORDER_CAP = 729
 # Structural analysis of a single derived ring is refused above this
 # order: the units scan, the one n^2 pass of an analysis, would blow the
 # suite's time budget on a lazy ring this size.  Affected instances are
@@ -150,9 +150,6 @@ class ClaimResult:
     def passed(self) -> bool:
         return all(r.ok for r in self.records)
 
-    def failures(self) -> list:
-        return [r for r in self.records if not r.ok]
-
 
 @dataclass(frozen=True)
 class SkippedClaim:
@@ -198,24 +195,39 @@ REPORT_NOTES = (
 )
 
 
-class _Ctx:
-    def __init__(self, rings, limits: Limits):
-        self.rings = rings          # list[(expr_text, FiniteRing)]
-        self.limits = limits
-
-
-def _zn(ctx, n: int) -> FiniteRing:
-    return build.zmod(n, limits=ctx.limits)
-
-
 # ---------------------------------------------------------------------------
 # Claims
 
 
-def _claim_c1(ctx):
+def _record(subject: str, problems: list, note: str = "") -> InstanceRecord:
+    """Passes iff ``problems`` is empty; the note lists them, else is ``note``."""
+    return InstanceRecord(subject, not problems, "; ".join(problems) or note)
+
+
+def _in_class(rings, records: list, prefix: str = ""):
+    """Yield the 2-sqrtJU entries of ``rings``; record the others as passing."""
+    for label, ring in rings:
+        if is_two_sqrt_ju(ring):
+            yield label, ring
+        else:
+            records.append(InstanceRecord(label, True, f"{prefix}not 2-sqrtJU; nothing to check"))
+
+
+def _group_ring_parts(text: str, limits: Limits):
+    """(R, G) if ``text`` parses to a GR(R, G) term at top level, else None."""
+    try:
+        node = parse(text)
+    except ParseError:
+        return None
+    if not isinstance(node, GroupRing):
+        return None
+    return evaluate(node.inner, limits), evaluate_group(node.group)
+
+
+def _claim_c1(rings, limits):
     """U and sqrtJ disjoint; sqrtJ meets Id only in 0; power-root closure."""
     records = []
-    for label, ring in ctx.rings:
+    for label, ring in rings:
         u = units(ring).members
         sj = sqrt_jacobson(ring).members
         idem = idempotents(ring).members
@@ -232,7 +244,7 @@ def _claim_c1(ctx):
         escapes = in_sj[np.stack(powers[1:])] & ~in_sj  # [k - 2, x]
         for x in np.flatnonzero(escapes.any(axis=0)):
             problems.append(f"x={x}: x^{2 + int(np.argmax(escapes[:, x]))} in sqrtJ but x is not")
-        records.append(InstanceRecord(label, not problems, "; ".join(problems)))
+        records.append(_record(label, problems))
     return "all corpus rings, all elements, powers k in {2,3,4}", records
 
 
@@ -260,61 +272,57 @@ def _principal_ideals_in_j(ring: FiniteRing):
     return list(seen.values())
 
 
-def _claim_c2(ctx):
+def _claim_c2(rings, limits):
     """2-sqrtJU passes to and lifts from R/I for every ideal I inside J(R)."""
     records = []
-    for label, ring in ctx.rings:
+    for label, ring in rings:
         base = is_two_sqrt_ju(ring)
         jm = jacobson(ring).members
-        bad = ""
+        problems = []
         ideals = _principal_ideals_in_j(ring)
         for gen, ideal in ideals:
             if not ideal.members <= jm:
-                bad = f"ideal({gen}) escapes J(R)"
+                problems.append(f"ideal({gen}) escapes J(R)")
                 break
-            q = build.quotient(ring, ideal, limits=ctx.limits).ring
+            q = build.quotient(ring, ideal, limits=limits).ring
             if is_two_sqrt_ju(q) != base:
-                bad = f"quotient by ideal({gen}) of size {len(ideal)} disagrees: {is_two_sqrt_ju(q)} vs {base}"
+                problems.append(f"quotient by ideal({gen}) of size {len(ideal)} disagrees: {is_two_sqrt_ju(q)} vs {base}")
                 break
-        records.append(InstanceRecord(f"{label} ({len(ideals)} ideals)", not bad, bad))
+        records.append(_record(f"{label} ({len(ideals)} ideals)", problems))
     return "per ring: all principal ideals generated by one element of J(R), plus J(R)", records
 
 
-def _claim_c3(ctx):
+def _claim_c3(rings, limits):
     """2-sqrtJU(R1 x R2) iff both factors are 2-sqrtJU."""
     records = []
     pairs = 0
-    for i, (l1, r1) in enumerate(ctx.rings):
-        for l2, r2 in ctx.rings[i:]:
+    for i, (l1, r1) in enumerate(rings):
+        for l2, r2 in rings[i:]:
             if r1.order * r2.order > PRODUCT_PAIR_CAP:
                 continue
             pairs += 1
-            prod = build.product(r1, r2, limits=ctx.limits)
+            prod = build.product(r1, r2, limits=limits)
             lhs = is_two_sqrt_ju(prod)
             rhs = is_two_sqrt_ju(r1) and is_two_sqrt_ju(r2)
             if lhs != rhs:
-                records.append(InstanceRecord(
-                    f"{l1} x {l2}", False,
-                    f"product verdict {lhs}, factor verdicts {is_two_sqrt_ju(r1)}/{is_two_sqrt_ju(r2)}"))
+                records.append(_record(f"{l1} x {l2}", [
+                    f"product verdict {lhs}, factor verdicts {is_two_sqrt_ju(r1)}/{is_two_sqrt_ju(r2)}"]))
     records.append(InstanceRecord(f"{pairs} corpus pairs agreed", True))
     return f"unordered corpus pairs with |R1|*|R2| <= {PRODUCT_PAIR_CAP}", records
 
 
-def _claim_c4(ctx):
+def _claim_c4(rings, limits):
     """A 2-sqrtJU ring passes to every corner eRe."""
     records = []
-    for label, ring in ctx.rings:
-        if not is_two_sqrt_ju(ring):
-            records.append(InstanceRecord(label, True, "not 2-sqrtJU; nothing to check"))
-            continue
-        bad = ""
+    for label, ring in _in_class(rings, records):
+        problems = []
         es = [e for e in idempotents(ring).indices() if e != 0]
         for e in es:
-            sub = build.corner(ring, e, limits=ctx.limits)
+            sub = build.corner(ring, e, limits=limits)
             if not is_two_sqrt_ju(sub.ring):
-                bad = f"corner at e={e} (order {sub.ring.order}) is not 2-sqrtJU"
+                problems.append(f"corner at e={e} (order {sub.ring.order}) is not 2-sqrtJU")
                 break
-        records.append(InstanceRecord(f"{label} ({len(es)} corners)", not bad, bad))
+        records.append(_record(f"{label} ({len(es)} corners)", problems))
     return "nonzero idempotents of every 2-sqrtJU corpus ring", records
 
 
@@ -344,149 +352,129 @@ def _single_generator_subrings(ring: FiniteRing, limits: Limits = DEFAULT_LIMITS
         yield x, build.subring_closure(ring, [x], members=members, limits=limits)
 
 
-def _claim_c5(ctx):
+def _claim_c5(rings, limits):
     """Unit-closed subrings of a 2-sqrtJU ring are 2-sqrtJU.
 
     The subrings are those generated by 1 and one x, each closed once
     per coset x + Z*1, as {1, x} and {1, x + k*1} generate the same
     subring (:func:`_single_generator_subrings`)."""
     records = []
-    for label, ring in ctx.rings:
-        if not is_two_sqrt_ju(ring):
-            records.append(InstanceRecord(label, True, "not 2-sqrtJU; nothing to check"))
-            continue
-        bad = ""
+    for label, ring in _in_class(rings, records):
+        problems = []
         tested = 0
-        for x, sub in _single_generator_subrings(ring, ctx.limits):
+        for x, sub in _single_generator_subrings(ring, limits):
             if not is_unit_closed_subring(sub):
                 continue
             tested += 1
             if not is_two_sqrt_ju(sub.ring):
-                bad = f"unit-closed subring generated by {x} (order {sub.ring.order}) fails"
+                problems.append(f"unit-closed subring generated by {x} (order {sub.ring.order}) fails")
                 break
-        records.append(InstanceRecord(f"{label} ({tested} unit-closed subrings)", not bad, bad))
+        records.append(_record(f"{label} ({tested} unit-closed subrings)", problems))
     return "single-generator subrings of every 2-sqrtJU corpus ring that are unit-closed", records
 
 
-def _claim_c6(ctx):
+def _claim_c6(rings, limits):
     """A division ring is 2-sqrtJU exactly when it has 2 or 3 elements."""
     records = []
-    extras = [build.gf(p, k, limits=ctx.limits)
-              for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2))]
-    for label, ring in list(ctx.rings) + [(r.label, r) for r in extras]:
+    extras = [(text, parse_and_build(text, limits)) for text in
+              ("GF(2, 1)", "GF(3, 1)", "GF(2, 2)", "GF(5, 1)", "GF(7, 1)", "GF(3, 2)")]
+    for label, ring in list(rings) + extras:
         if not is_division(ring):
             continue
         ok = is_two_sqrt_ju(ring) == (ring.order in (2, 3))
-        records.append(InstanceRecord(
-            f"{label} (order {ring.order})", ok,
-            "" if ok else f"verdict {is_two_sqrt_ju(ring)} breaks the order-2-or-3 law"))
+        records.append(_record(f"{label} (order {ring.order})",
+                               [] if ok else [f"verdict {is_two_sqrt_ju(ring)} breaks the order-2-or-3 law"]))
     return "division rings among the corpus plus GF(2), GF(3), GF(4), GF(5), GF(7), GF(9)", records
 
 
-def _claim_c7(ctx):
+def _claim_c7(rings, limits):
     """A local ring is 2-sqrtJU exactly when |R/J(R)| is 2 or 3."""
     records = []
-    for label, ring in ctx.rings:
+    for label, ring in rings:
         if not is_local(ring):
             continue
         m = residue_field_order(ring)
         ok = is_two_sqrt_ju(ring) == (m in (2, 3))
-        records.append(InstanceRecord(
-            f"{label} (|R/J| = {m})", ok,
-            "" if ok else f"verdict {is_two_sqrt_ju(ring)} breaks the residue-order law"))
+        records.append(_record(f"{label} (|R/J| = {m})",
+                               [] if ok else [f"verdict {is_two_sqrt_ju(ring)} breaks the residue-order law"]))
     return "local rings in the corpus", records
 
 
-def _claim_c8(ctx):
+def _claim_c8(rings, limits):
     """Products of finite fields are 2-sqrtJU iff every factor is F2 or F3."""
-    fields = [build.gf(p, k, limits=ctx.limits) for p, k in ((2, 1), (3, 1), (2, 2), (5, 1))]
+    fields = [parse_and_build(text, limits) for text in ("GF(2, 1)", "GF(3, 1)", "GF(2, 2)", "GF(5, 1)")]
     records = []
     for size in (1, 2, 3):
         for combo in combinations_with_replacement(fields, size):
             ring = combo[0]
             for fac in combo[1:]:
-                ring = build.product(ring, fac, limits=ctx.limits)
+                ring = build.product(ring, fac, limits=limits)
             expected = all(f.order in (2, 3) for f in combo)
             ok = is_two_sqrt_ju(ring) == expected
             label = " x ".join(f.label for f in combo)
-            records.append(InstanceRecord(label, ok,
-                                          "" if ok else f"verdict {is_two_sqrt_ju(ring)}, expected {expected}"))
+            records.append(_record(label, [] if ok else [f"verdict {is_two_sqrt_ju(ring)}, expected {expected}"]))
     return "products of up to three factors from {F2, F3, F4, F5}", records
 
 
-def _claim_c9(ctx):
+def _claim_c9(rings, limits):
     """sqrtJU holds iff the ring is 2-sqrtJU and 2 lies in J(R)."""
     records = []
-    for label, ring in ctx.rings:
+    for label, ring in rings:
         two = ring.add(ring.one, ring.one)
         lhs = check_unit_class(ring, 1, "sqrtJ")[0]
         rhs = is_two_sqrt_ju(ring) and two in jacobson(ring).members
-        records.append(InstanceRecord(label, lhs == rhs,
-                                      "" if lhs == rhs else f"sqrtJU={lhs} but 2-sqrtJU&2inJ={rhs}"))
+        records.append(_record(label, [] if lhs == rhs else [f"sqrtJU={lhs} but 2-sqrtJU&2inJ={rhs}"]))
     return "all corpus rings", records
 
 
-def _claim_c10(ctx):
+def _claim_c10(rings, limits):
     """2-sqrtJU transfers between R and R[x]/(x^p) for p in {2, 3}."""
     records = []
     for n in (2, 3, 4, 5, 6, 9):
-        base = _zn(ctx, n)
+        base = is_two_sqrt_ju(parse_and_build(f"Z/{n}", limits))
         for p in (2, 3):
-            if n ** p > NIL_ORDER_CAP:
-                continue
-            ext = build.poly_quotient(base, [0] * p + [base.one], limits=ctx.limits)
-            ok = is_two_sqrt_ju(base) == is_two_sqrt_ju(ext)
-            records.append(InstanceRecord(f"NIL(Z/{n}, {p})", ok,
-                                          "" if ok else f"base {is_two_sqrt_ju(base)} vs extension {is_two_sqrt_ju(ext)}"))
-    return f"bases Z/n for n in {{2,3,4,5,6,9}} with n^p <= {NIL_ORDER_CAP}, p in {{2,3}}", records
+            text = f"NIL(Z/{n}, {p})"
+            ext = is_two_sqrt_ju(parse_and_build(text, limits))
+            records.append(_record(text, [] if base == ext else [f"base {base} vs extension {ext}"]))
+    return "bases Z/n for n in {2,3,4,5,6,9} with n^p <= 729, p in {2,3}", records
 
 
-def _claim_c11(ctx):
+def _claim_c11(rings, limits):
     """In a 2-sqrtJU ring no unit pair satisfies u^2 + v = 1.
 
     For a unit u only v = 1 - u^2 solves u^2 + v = 1, so each u is tested
     once, by whether 1 - u^2 is a unit; the first such u is the first
     failing pair in row-major order."""
     records = []
-    for label, ring in ctx.rings:
-        if not is_two_sqrt_ju(ring):
-            records.append(InstanceRecord(label, True, "not 2-sqrtJU; nothing to check"))
-            continue
-        bad = ""
+    for label, ring in _in_class(rings, records):
+        problems = []
         us = units(ring).array
         vs = ring.add_arr(ring.one, ring.neg_arr(ring.mul_arr(us, us)))
         hit = member_mask(ring.order, us)[vs]
         if hit.any():
             i = int(np.argmax(hit))
-            bad = f"u={us[i]}, v={vs[i]} gives u^2 + v = 1"
-        records.append(InstanceRecord(f"{label} ({len(us)}^2 unit pairs)", not bad, bad))
+            problems.append(f"u={us[i]}, v={vs[i]} gives u^2 + v = 1")
+        records.append(_record(f"{label} ({len(us)}^2 unit pairs)", problems))
     return "all unit pairs of every 2-sqrtJU corpus ring", records
 
 
-def _claim_c12(ctx):
+def _claim_c12(rings, limits):
     """Central sqrtJ elements already lie in J."""
     records = []
-    for label, ring in ctx.rings:
+    for label, ring in rings:
         escaped = (sqrt_jacobson(ring).members & center(ring).members) - jacobson(ring).members
-        records.append(InstanceRecord(label, not escaped,
-                                      "" if not escaped else f"central sqrtJ elements outside J: {sorted(escaped)[:3]}"))
+        records.append(_record(label, [f"central sqrtJ elements outside J: {sorted(escaped)[:3]}"] if escaped else []))
     return "all corpus rings", records
 
 
-def _matrix_witness_index(base: FiniteRing) -> int:
-    # the matrix with rows (1,1),(1,0): coordinates (1,1,1,0), entry (0,0)
-    # least significant
-    q = base.order
-    return base.one * (1 + q + q * q)
-
-
-def _claim_c13(ctx):
+def _claim_c13(rings, limits):
     """M(2, R) is never 2-sqrtJU; the witness matrix (1,1;1,0) fails."""
     records = []
     for n in (2, 3, 4):
-        base = _zn(ctx, n)
-        ring = build.matrix_ring(2, base, limits=ctx.limits)
-        w = _matrix_witness_index(base)
+        text = f"M(2, Z/{n})"
+        ring = parse_and_build(text, limits)
+        # rows (1,1),(1,0): coordinates (1,1,1,0), entry (0,0) least significant
+        w = 1 + n + n * n
         problems = []
         verdict, reported = check_unit_class(ring, 2, "sqrtJ")
         if verdict:
@@ -499,8 +487,7 @@ def _claim_c13(ctx):
             t = ring.sub(ring.mul(reported, reported), ring.one)
             if reported not in units(ring).members or t in sqrt_jacobson(ring).members:
                 problems.append(f"reported witness {reported} is not a valid counterexample")
-        records.append(InstanceRecord(f"M(2, Z/{n}) [witness index {w}]",
-                                      not problems, "; ".join(problems)))
+        records.append(_record(f"{text} [witness index {w}]", problems))
     return "M(2, Z/n) for n in {2, 3, 4}", records
 
 
@@ -508,13 +495,12 @@ def _te_set(base_members, q: int) -> frozenset:
     return frozenset(z * q + m for z in base_members for m in range(q))
 
 
-def _claim_c14(ctx):
+def _claim_c14(rings, limits):
     """TE(R) is 2-sqrtJU iff R is; displayed U/J set formulas; sqrtJ reading."""
     records = []
-    bases = [_zn(ctx, n) for n in (2, 3, 4, 5, 9)]
-    bases.append(build.matrix_ring(2, _zn(ctx, 2), limits=ctx.limits))
-    for base in bases:
-        te = build.trivial_extension(base, limits=ctx.limits)
+    for text in ("Z/2", "Z/3", "Z/4", "Z/5", "Z/9", "M(2, Z/2)"):
+        base = parse_and_build(text, limits)
+        te = parse_and_build(f"TE({text})", limits)
         q = base.order
         problems = []
         if is_two_sqrt_ju(base) != is_two_sqrt_ju(te):
@@ -528,29 +514,26 @@ def _claim_c14(ctx):
         reading_b = computed == _te_set(jacobson(base).members, q)
         if not (reading_a or reading_b):
             problems.append("sqrtJ(TE) matches neither candidate description")
-        if problems:
-            note = "; ".join(problems)
-        elif reading_a and reading_b:
+        if reading_a and reading_b:
             note = "sqrtJ reading: both candidates coincide (sqrtJ(R) = J(R) here)"
         elif reading_a:
             note = "sqrtJ reading: first components in sqrtJ(R); the J(R) reading fails here"
         else:
             note = "sqrtJ reading: first components in J(R); the sqrtJ(R) reading fails here"
-        records.append(InstanceRecord(f"TE({base.label})", not problems, note))
+        records.append(_record(f"TE({text})", problems, note))
     return "bases Z/2, Z/3, Z/4, Z/5, Z/9 and M(2, Z/2) (the readings differ only on the last)", records
 
 
-def _claim_c15(ctx):
+def _claim_c15(rings, limits):
     """If UT(n, R) is 2-sqrtJU then so is R."""
     records = []
     for m, n in ((2, 2), (2, 4), (3, 2), (2, 5)):
-        base = _zn(ctx, n)
-        ut = build.upper_triangular(m, base, limits=ctx.limits)
-        up, bp = is_two_sqrt_ju(ut), is_two_sqrt_ju(base)
+        text = f"UT({m}, Z/{n})"
+        up = is_two_sqrt_ju(parse_and_build(text, limits))
+        bp = is_two_sqrt_ju(parse_and_build(f"Z/{n}", limits))
         ok = (not up) or bp
         records.append(InstanceRecord(
-            f"UT({m}, Z/{n})", ok,
-            f"UT {up}, base {bp}" if not ok else f"UT verdict {up}, base verdict {bp}"))
+            text, ok, f"UT {up}, base {bp}" if not ok else f"UT verdict {up}, base verdict {bp}"))
     return "UT(2, Z/2), UT(2, Z/4), UT(3, Z/2), UT(2, Z/5)", records
 
 
@@ -577,20 +560,17 @@ def _first_non_homomorphic_pair(src: FiniteRing, tgt: FiniteRing, d: np.ndarray)
     return f"not {'additive' if not_additive[i, j] else 'multiplicative'} at ({i}, {j})"
 
 
-def _claim_c16(ctx):
+def _claim_c16(rings, limits):
     """BT(R) is 2-sqrtJU iff R is; R[x,y]/(x^2,y^2) is isomorphic to BT(R)."""
     records = []
+    bts = {}
     for n in (2, 3, 5):
-        base = _zn(ctx, n)
-        btr = build.bt(base, limits=ctx.limits)
-        ok = is_two_sqrt_ju(base) == is_two_sqrt_ju(btr)
-        records.append(InstanceRecord(f"BT(Z/{n}) iff", ok,
-                                      "" if ok else f"base {is_two_sqrt_ju(base)} vs BT {is_two_sqrt_ju(btr)}"))
+        base = is_two_sqrt_ju(parse_and_build(f"Z/{n}", limits))
+        bts[n] = parse_and_build(f"BT(Z/{n})", limits)
+        ext = is_two_sqrt_ju(bts[n])
+        records.append(_record(f"BT(Z/{n}) iff", [] if base == ext else [f"base {base} vs BT {ext}"]))
     for n in (2, 3):
-        base = _zn(ctx, n)
-        inner = build.poly_quotient(base, [0, 0, base.one], limits=ctx.limits)
-        src = build.poly_quotient(inner, [0, 0, inner.one], limits=ctx.limits)
-        tgt = build.bt(base, limits=ctx.limits)
+        src, tgt = parse_and_build(f"NIL(NIL(Z/{n}, 2), 2)", limits), bts[n]
         problems = []
         d = _digit_reversal(np.arange(src.order), n)
         if not np.array_equal(np.sort(d), np.arange(tgt.order)):
@@ -600,81 +580,57 @@ def _claim_c16(ctx):
         bad = _first_non_homomorphic_pair(src, tgt, d)
         if bad:
             problems.append(bad)
-        records.append(InstanceRecord(
-            f"Z/{n}[x,y]/(x^2,y^2) -> BT(Z/{n}) ({src.order}^2 pairs)",
-            not problems, "; ".join(problems)))
+        records.append(_record(f"Z/{n}[x,y]/(x^2,y^2) -> BT(Z/{n}) ({src.order}^2 pairs)", problems))
     return "iff over bases Z/2, Z/3, Z/5; exhaustive isomorphism check over Z/2, Z/3", records
 
 
-_GROUP_RING_INSTANCES = (
-    (2, "C2"), (2, "C3"), (2, "C4"), (2, "C2xC2"),
-    (4, "C2"), (4, "C3"), (3, "C2"), (9, "C2"), (2, "S3"),
-)
-
-
-def _make_group(name: str):
-    if name == "C2xC2":
-        return group_product(cyclic(2), cyclic(2))
-    if name == "S3":
-        return symmetric_3()
-    return cyclic(int(name[1:]))
-
-
-def _claim_c17(ctx):
+def _claim_c17(rings, limits):
     """2-sqrtJU group rings force the coefficient ring and all RH, H <= G."""
     records = []
-    for n, gname in _GROUP_RING_INSTANCES:
-        base = _zn(ctx, n)
-        group = _make_group(gname)
-        rg = build.group_ring(base, group, limits=ctx.limits)
-        if not is_two_sqrt_ju(rg):
-            records.append(InstanceRecord(rg.label, True, "RG not 2-sqrtJU; nothing to check"))
-            continue
+    parts = {label: _group_ring_parts(label, limits) for label, _ in rings}
+    for label, rg in _in_class([(l, r) for l, r in rings if parts[l]], records, "RG "):
+        base, group = parts[label]
         problems = []
         if not is_two_sqrt_ju(base):
             problems.append("coefficient ring fails")
         subgroups = cyclic_subgroups(group)
         for sub in subgroups:
-            rh = build.group_ring(base, sub, limits=ctx.limits)
+            rh = build.group_ring(base, sub, limits=limits)
             if not is_two_sqrt_ju(rh):
                 problems.append(f"R[{sub.label}] (order {rh.order}) fails")
                 break
-        records.append(InstanceRecord(f"{rg.label} (+{len(subgroups)} subgroups)",
-                                      not problems, "; ".join(problems)))
+        records.append(_record(f"{label} (+{len(subgroups)} subgroups)", problems))
     return "corpus group rings; subgroups realized as cyclic subgroups plus G itself", records
 
 
-def _claim_c18(ctx):
+def _claim_c18(rings, limits):
     """2 in J(R) and G not a 2-group force RG out of the class."""
     records = []
-    for n, gname in ((4, "C3"), (2, "C3"), (2, "S3")):
-        base = _zn(ctx, n)
-        group = _make_group(gname)
+    for text in ("GR(Z/4, C3)", "GR(Z/2, C3)", "GR(Z/2, S3)"):
+        base, group = _group_ring_parts(text, limits)
         two = base.add(base.one, base.one)
         problems = []
         if two not in jacobson(base).members:
             problems.append("hypothesis 2 in J(R) does not hold for this instance")
         if group.is_two_group():
             problems.append(f"{group.label} is a 2-group; bad instance")
-        rg = build.group_ring(base, group, limits=ctx.limits)
+        rg = build.group_ring(base, group, limits=limits)
         if is_two_sqrt_ju(rg):
             problems.append(f"{rg.label} is 2-sqrtJU despite the hypotheses")
-        records.append(InstanceRecord(f"GR(Z/{n}, {gname})", not problems, "; ".join(problems)))
+        records.append(_record(text, problems))
     return "GR(Z/4, C3), GR(Z/2, C3), GR(Z/2, S3)", records
 
 
-def _claim_c19(ctx):
+def _claim_c19(rings, limits):
     """R 2-sqrtJU, 3 in J(R), G a finite 2-group: RG is 2-sqrtJU."""
     records = []
-    cap = min(ctx.limits.max_order, ANALYSIS_ORDER_CAP)
-    for n, gname in ((9, "C2"), (3, "C2"), (3, "C2xC2"), (9, "C2xC2")):
-        base = _zn(ctx, n)
-        group = _make_group(gname)
-        order = n ** group.order
+    cap = min(limits.max_order, ANALYSIS_ORDER_CAP)
+    for text in ("GR(Z/9, C2)", "GR(Z/3, C2)", "GR(Z/3, C2xC2)", "GR(Z/9, C2xC2)"):
+        base, group = _group_ring_parts(text, limits)
+        order = base.order ** group.order
         if order > cap:
             records.append(InstanceRecord(
-                f"GR(Z/{n}, {gname})", True,
-                f"instance skipped: order {order} exceeds the analysis cap {cap}"))
+                text, True, f"instance skipped: order {order} exceeds the analysis cap {cap}"))
             continue
         three = base.add(base.add(base.one, base.one), base.one)
         problems = []
@@ -684,10 +640,10 @@ def _claim_c19(ctx):
             problems.append("hypothesis: 3 not in J(R)")
         if not group.is_two_group():
             problems.append(f"hypothesis: {group.label} is not a 2-group")
-        rg = build.group_ring(base, group, limits=ctx.limits)
+        rg = build.group_ring(base, group, limits=limits)
         if not is_two_sqrt_ju(rg):
             problems.append(f"{rg.label} is not 2-sqrtJU")
-        records.append(InstanceRecord(f"GR(Z/{n}, {gname})", not problems, "; ".join(problems)))
+        records.append(_record(text, problems))
     return "GR(Z/9, C2), GR(Z/3, C2), GR(Z/3, C2xC2); GR(Z/9, C2xC2) when within caps", records
 
 
@@ -721,17 +677,13 @@ SKIPPED_CLAIMS = (
 )
 
 
-def _claim_order(claim_id: str) -> int:
-    return int(claim_id[1:])
-
-
 def run_claim(claim_id: str, corpus: Corpus, limits: Limits = DEFAULT_LIMITS) -> ClaimResult:
     if claim_id not in CLAIMS:
         raise CorpusError(f"unknown claim id {claim_id!r}; known: {', '.join(CLAIMS)}")
     title, fn = CLAIMS[claim_id]
-    ctx = _Ctx(corpus.rings(limits), limits)
+    rings = corpus.rings(limits)
     start = time.perf_counter()
-    domain, records = fn(ctx)
+    domain, records = fn(rings, limits)
     return ClaimResult(claim_id, title, domain, tuple(records), time.perf_counter() - start)
 
 
@@ -750,14 +702,11 @@ def run_suite(
     would only report nonsense or trip consistency errors).
     """
     corpus = corpus or default_corpus()
-    if claim_ids is None:
-        selected = sorted(CLAIMS, key=_claim_order)
-    else:
-        selected = list(dict.fromkeys(claim_ids))  # a repeated id runs once
-        for cid in selected:
-            if cid not in CLAIMS:
-                raise CorpusError(f"unknown claim id {cid!r}; known: {', '.join(CLAIMS)}")
-        selected.sort(key=_claim_order)
+    claim_ids = list(CLAIMS if claim_ids is None else claim_ids)
+    for cid in claim_ids:
+        if cid not in CLAIMS:
+            raise CorpusError(f"unknown claim id {cid!r}; known: {', '.join(CLAIMS)}")
+    selected = [cid for cid in CLAIMS if cid in claim_ids]  # in id order, each once
     start = time.perf_counter()
     rings = corpus.rings(limits)
     axiom_records = []

@@ -498,9 +498,14 @@ def full_cube_ternary_checks(ring) -> tuple:
             int(v) for v in np.unravel_index(np.argmax(~mask), mask.shape))
         checks.append(AxiomCheck(name, holds, witness, mask.size, "exhaustive"))
 
-    ternary("add-associative", ADD[ADD, :], ADD[:, ADD])
-    ternary("mul-associative", MUL[MUL, :], MUL[:, MUL])
-    ternary("left-distributive", MUL[:, ADD],
+    def inner_right(T, U):
+        # [x, y, z] -> T[x, U[y, z]], built C-contiguous like the other side
+        # (T[:, U] is strided, and comparing it with a C-order cube is slow)
+        return T[np.arange(len(T))[:, None, None], U[None]]
+
+    ternary("add-associative", ADD[ADD, :], inner_right(ADD, ADD))
+    ternary("mul-associative", MUL[MUL, :], inner_right(MUL, MUL))
+    ternary("left-distributive", inner_right(MUL, ADD),
             ADD[MUL[:, :, None], MUL[:, None, :]])
     ternary("right-distributive", MUL[ADD, :],
             ADD[MUL[:, None, :], MUL[None, :, :]])

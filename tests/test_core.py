@@ -105,6 +105,15 @@ def test_characteristic():
     assert times(c // 3) != 0
 
 
+def test_characteristic_stops_on_a_table_where_1_never_sums_to_0():
+    # 1 + 1 = 2, 2 + 1 = 1: the multiples of 1 cycle through {1, 2}
+    ring = FiniteRing(3, 1, "no-char", add_table=[[0, 1, 2], [1, 2, 1], [2, 1, 0]],
+                      mul_table=[[0, 0, 0], [0, 1, 2], [0, 2, 1]])
+    assert not verify_axioms(ring).passed
+    with pytest.raises(ArgumentError, match="no-char: no k <= 3"):
+        ring.characteristic()
+
+
 @pytest.mark.parametrize("ring", [
     zmod(6),
     group_ring(zmod(4), cyclic(2)),
@@ -345,6 +354,8 @@ def test_parse_table_dump_rejects_garbage():
         parse_table_dump("order x\none 1\n")
     with pytest.raises(ArgumentError):
         parse_table_dump("order 2\none 1\n0 1\n1 a\n\n0 0\n0 1\n")  # entry not an integer
+    with pytest.raises(ArgumentError, match="after the multiplication table"):
+        parse_table_dump("order 2\none 1\n0 1\n1 0\n\n0 0\n0 1\n5 5\n")  # trailing row
 
 
 def test_ring_validation():

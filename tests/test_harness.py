@@ -143,6 +143,14 @@ def test_c19_caps_the_large_instance():
     assert len(skipped) == 1 and "GR(Z/9, C2xC2)" in skipped[0].subject
 
 
+def test_c17_walks_the_group_rings_of_the_given_corpus():
+    result = run_claim("C17", Corpus("x", ["GR(Z/3, C2)"]))
+    assert [(rec.subject, rec.ok) for rec in result.records] == [("GR(Z/3, C2) (+2 subgroups)", True)]
+    assert run_claim("C17", Corpus("x", ["Z/4"])).records == ()
+    # a group ring inside a product is not a GR term at top level
+    assert run_claim("C17", Corpus("x", ["GR(Z/2, C2) x Z/3"])).records == ()
+
+
 def test_every_claim_id_known():
     assert sorted(CLAIMS, key=lambda c: int(c[1:])) == [f"C{i}" for i in range(1, 20)]
 
