@@ -13,7 +13,7 @@ associativity.
 
 Algorithm notes (one code path for both storage modes, reading the
 ring through ``add_arr``/``mul_arr``/``neg_arr`` and row blocks of
-about ``AXIOM_BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
+about ``BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
 
 - Units come from the scan "find y with x*y = 1, then confirm
   y*x = 1", one multiplication-table row block at a time: one argmax

@@ -68,14 +68,10 @@ from .core import (
     FiniteRing,
     InternalConsistencyError,
     Limits,
+    block_rows,
     table_dtype,
 )
 from .groups import GroupTable
-
-# Entries per block of the table fill's flat takes, so that a block's intp
-# index (512 KB) stays in a core's L2 cache: with 2^20-entry blocks the
-# builds of GF(2, 10) and NIL(Z/4, 5) (4 and 2 MB indices) took 1.5-1.7x.
-FILL_BLOCK_ELEMENTS = 1 << 16
 
 __all__ = [
     "zmod", "gf", "product", "matrix_ring", "upper_triangular",
@@ -144,9 +140,10 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
     table (:func:`_kron_sum`), and the formula runs only on G x G, G = {0}
     u {c*e_i}.  Left distributivity fills the other columns of the rows in
     G, and right distributivity the other rows, in ascending weight order.
-    The row fill runs per generator row and block of
-    ``FILL_BLOCK_ELEMENTS`` entries, each block one flat take from the
-    raveled ADD at MUL[x']*n + MUL[g], straight into the final table.  The
+    The row fill runs per generator row and block of ``BLOCK_ELEMENTS``
+    entries (:func:`finring.core.block_rows`), each block one flat take
+    from the raveled ADD at MUL[x']*n + MUL[g], straight into the final
+    table; a block's intp index then stays in a core's L2 cache.  The
     fill equals the formula when ``base`` is a ring (see the module
     docstring).  The negation table is the componentwise formula on every
     element, O(n*k).
@@ -200,7 +197,7 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
     for w in steps:
         for g in range(w, q * w, w):
             mul_t[gens, g:g + w] = add_t[mul_t[gens, :w], mul_t[gens, g][:, None]]
-    step = max(1, FILL_BLOCK_ELEMENTS // order)
+    step = block_rows(order)
     for w in steps:
         for g in range(w, q * w, w):
             for lo in range(0, w, step):

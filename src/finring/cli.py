@@ -34,7 +34,8 @@ from .core import (
     InternalConsistencyError,
     LimitError,
     Limits,
-    dump_tables,
+    dump_lines,
+    table_lines,
 )
 from .expr import ParseError, parse_and_build
 from .harness import CorpusError, default_corpus, load_corpus, run_suite
@@ -137,7 +138,7 @@ def _cmd_analyze(args, limits: Limits, out) -> int:
                 line += f"   (witness unit {report.witnesses[name]})"
             print(line, file=out)
     if args.dump_tables:
-        print(dump_tables(ring), end="", file=out)
+        out.writelines(dump_lines(ring))
     return 0
 
 
@@ -149,16 +150,16 @@ def _cmd_table(args, limits: Limits, out) -> int:
             print(json.dumps({"expr": ring.label, "what": args.what, "indices": indices}), file=out)
         else:
             print(" ".join(str(i) for i in indices), file=out)
+    elif args.json:  # json.dumps framing up to the table's "[", then one row block at a time
+        out.write(json.dumps({"expr": ring.label, "what": args.what, "order": ring.order,
+                              "one": ring.one, "table": []})[:-2])
+        for lo, block in ring.blocks(args.what):
+            out.write((", " if lo else "") + json.dumps(block.tolist())[1:-1])
+        out.write("]}\n")
     else:
-        rows = [row for _, block in ring.blocks(args.what) for row in block.tolist()]
-        if args.json:
-            print(json.dumps({"expr": ring.label, "what": args.what, "order": ring.order,
-                              "one": ring.one, "table": rows}), file=out)
-        else:
-            for row in rows:
-                print(" ".join(str(v) for v in row), file=out)
+        out.writelines(table_lines(ring, args.what))
     if args.dump_tables:
-        print(dump_tables(ring), end="", file=out)
+        out.writelines(dump_lines(ring))
     return 0
 
 
@@ -281,16 +282,16 @@ _COMMANDS = {
 _FLAG_DEFAULTS = {"json": False, "max_order": None, "seed": DEFAULT_SEED, "dump_tables": False}
 
 
-def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
+def main(argv=None, out=None, err=None) -> int:
+    out, err = out or sys.stdout, err or sys.stderr  # read per call, so redirects reach them
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
+    try:  # argparse prints usage errors to sys.stderr and exits 2, --help to sys.stdout and 0
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     for name, default in _FLAG_DEFAULTS.items():
-        if not hasattr(args, name):
-            setattr(args, name, default)
+        vars(args).setdefault(name, default)
     limits = DEFAULT_LIMITS if args.max_order is None else Limits(max_order=args.max_order)
     try:
         code = _COMMANDS[args.command](args, limits, out)

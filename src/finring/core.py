@@ -20,6 +20,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterator
 
 import numpy as np
@@ -29,9 +30,9 @@ DEFAULT_TABLE_THRESHOLD = 1024
 DEFAULT_GROUP_MAX = 64
 EXHAUSTIVE_AXIOM_CUTOFF = 256
 AXIOM_SAMPLE_COUNT = 100_000
-# Entries per block of every row-block loop over a ring's tables (triples
-# per block in the exhaustive ternary axiom checks).
-AXIOM_BLOCK_ELEMENTS = 1 << 20
+# Entries (triples in the ternary axiom scan) per block of every row-block
+# loop over a ring's tables: a block's intp array, 512 KB, fits in L2 cache.
+BLOCK_ELEMENTS = 1 << 16
 # Fixed seed for sampled axiom checks, "R1NG" read as a big-endian int.
 DEFAULT_SEED = int.from_bytes(b"R1NG", "big")
 
@@ -88,9 +89,9 @@ def table_dtype(order: int) -> type:
 
 
 def block_rows(width: int) -> int:
-    """Rows of ``width`` entries per block of about AXIOM_BLOCK_ELEMENTS
+    """Rows of ``width`` entries per block of about BLOCK_ELEMENTS
     entries, at least one."""
-    return max(1, AXIOM_BLOCK_ELEMENTS // width)
+    return max(1, BLOCK_ELEMENTS // width)
 
 
 def _freeze(table, shape: tuple, shape_error: str) -> np.ndarray:
@@ -139,7 +140,7 @@ class FiniteRing:
     broadcasting ``add_arr``/``mul_arr``/``neg_arr`` (fancy indexing in
     table mode, the construction's formula in lazy mode) and
     :meth:`blocks`, which walks a table in row blocks of about
-    ``AXIOM_BLOCK_ELEMENTS`` entries.  Instances are immutable after
+    ``BLOCK_ELEMENTS`` entries.  Instances are immutable after
     construction and safe to share across threads; what is derived from
     the operations (the structural sets of :mod:`finring.analysis`, the
     predicates) is kept in the one per-ring cache behind :meth:`cached`.
@@ -275,11 +276,10 @@ class FiniteRing:
         return fn(np.arange(lo, min(hi, self.order))[:, None], np.arange(self.order)[None, :])
 
     def blocks(self, op: str, xs=None, ys=None) -> Iterator[tuple[int, np.ndarray]]:
-        """(lo, block) over ascending blocks of about AXIOM_BLOCK_ELEMENTS
+        """(lo, block) over ascending blocks of about BLOCK_ELEMENTS
         entries, with block[i, j] = op(xs[lo + i], ys[j]) for index arrays
         ``xs`` and ``ys``.  Without them the blocks are whole rows of the
-        table (:meth:`row_block`), so a table ring of order <= 1024 is one
-        block."""
+        table (:meth:`row_block`)."""
         if xs is None:
             step = block_rows(self.order)
             for lo in range(0, self.order, step):
@@ -311,7 +311,8 @@ class ElementSet:
     array.  Any collection of indices is accepted; an index array is
     taken to be ascending and distinct already, as the structural sets
     of :mod:`finring.analysis` hand it over, and is kept as a read-only
-    view."""
+    view.  The ring is read for the range check only and is not kept, so
+    a set cached by its ring forms no reference cycle with it."""
 
     def __init__(self, ring: FiniteRing, members):
         if not isinstance(members, np.ndarray):
@@ -321,7 +322,6 @@ class ElementSet:
         if len(arr) and (arr[0] < 0 or arr[-1] >= ring.order):
             bad = arr[(arr < 0) | (arr >= ring.order)].tolist()
             raise ArgumentError(f"indices {bad} out of range for {ring.label}")
-        self.ring = ring
         self.array = arr
 
     @cached_property
@@ -436,8 +436,7 @@ TERNARY_LAWS = {
 def _first_failure(law, add, mul, xs, ys, zs) -> tuple | None:
     """The lexicographically first (x, y, z) over the grid xs x ys x zs at
     which ``law`` fails, or None.  Runs by blocks of x rows of about
-    AXIOM_BLOCK_ELEMENTS triples in ascending x and stops at the first
-    failing block."""
+    BLOCK_ELEMENTS triples in ascending x, up to the first failing block."""
     step = block_rows(len(ys) * len(zs))
     for lo in range(0, len(xs), step):
         lhs, rhs = law(add, mul, xs[lo:lo + step, None, None], ys[None, :, None], zs[None, None, :])
@@ -505,7 +504,7 @@ def verify_axioms(ring: FiniteRing, *, seed: int = DEFAULT_SEED) -> AxiomReport:
     That is 4*(|S|+1)*n^2 gathered entries instead of 4*n^3.  A check that
     fails, or whose precondition failed, runs the exhaustive scan over
     blocks of x rows, each block holding all (y, z): memory stays near
-    ``AXIOM_BLOCK_ELEMENTS`` triples per side (a few MB) rather than four
+    ``BLOCK_ELEMENTS`` triples per side (512 KB as intp) rather than four
     n^3 cubes, and the scan stops at its first failing block.  Every
     path, the sampled one too, evaluates the one definition of each law
     in :data:`TERNARY_LAWS`.  Either way a check counts the n^3 triples
@@ -550,15 +549,20 @@ def verify_axioms(ring: FiniteRing, *, seed: int = DEFAULT_SEED) -> AxiomReport:
 # holds op(r, c).
 
 
+def table_lines(ring: FiniteRing, op: str) -> Iterator[str]:
+    """The rows of the ``op`` table as lines, made one row block at a time."""
+    for _, block in ring.blocks(op):
+        yield from (" ".join(map(str, row)) + "\n" for row in block.tolist())
+
+
+def dump_lines(ring: FiniteRing) -> Iterator[str]:
+    """The lines of :func:`dump_tables`, made one row block at a time."""
+    return chain([f"order {ring.order}\none {ring.one}\n"], table_lines(ring, "add"), ["\n"],
+                 table_lines(ring, "mul"))
+
+
 def dump_tables(ring: FiniteRing) -> str:
-    n = ring.order
-    lines = [f"order {n}", f"one {ring.one}"]
-    for i, op in enumerate(("add", "mul")):
-        if i:
-            lines.append("")
-        for _, block in ring.blocks(op):
-            lines.extend(" ".join(map(str, row)) for row in block.tolist())
-    return "\n".join(lines) + "\n"
+    return "".join(dump_lines(ring))
 
 
 def parse_table_dump(text: str, label: str = "table-ring") -> FiniteRing:
@@ -571,12 +575,10 @@ def parse_table_dump(text: str, label: str = "table-ring") -> FiniteRing:
         one = int(raw[1].split()[1])
     except (IndexError, ValueError):
         raise ArgumentError(f"malformed table dump header: {raw[0]!r}, {raw[1]!r}") from None
-    rows = raw[2:]
     # one blank separator line between the two tables
-    expected = 2 * n + 1
-    rows = [r for i, r in enumerate(rows) if not (i == n and r.strip() == "")]
+    rows = [r for i, r in enumerate(raw[2:]) if not (i == n and r.strip() == "")]
     if len(rows) < 2 * n:
-        raise ArgumentError(f"table dump needs {expected} table lines, got {len(raw) - 2}")
+        raise ArgumentError(f"table dump needs {2 * n + 1} table lines, got {len(raw) - 2}")
     def parse_block(block):
         try:
             table = [[int(v) for v in line.split()] for line in block]

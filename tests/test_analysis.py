@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import types
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,6 +16,7 @@ from finring import (
     InternalConsistencyError,
     bt,
     center,
+    corner,
     default_corpus,
     gf,
     group_ring,
@@ -21,11 +24,13 @@ from finring import (
     idempotents,
     in_jacobson,
     in_sqrt_jacobson,
+    is_two_sqrt_ju,
     is_unit_closed_subring,
     jacobson,
     matrix_ring,
     nilpotents,
     product,
+    quotient,
     sqrt_jacobson,
     subring_closure,
     trivial_extension,
@@ -230,3 +235,26 @@ def test_product_sample_matches_brute_force_in_both_modes():
             with pytest.raises(ArgumentError) as err:
                 FiniteRing(n, table.one, "bad", **tables)
             assert str(err.value) == f"table entries must lie in 0..{n - 1}"
+
+
+def test_analysed_derived_rings_are_freed_without_the_collector():
+    # No cached set refers back to its ring, so reference counting alone
+    # frees a derived ring, and its filled cache, at its last reference.
+    parent = upper_triangular(2, zmod(4))
+    derived = {
+        "product": lambda: product(zmod(3), parent),
+        "lazy product": lambda: product(zmod(3), parent, limits=LAZY),
+        "quotient": lambda: quotient(parent, jacobson(parent)).ring,
+        "corner": lambda: corner(parent, 1).ring,
+        "subring": lambda: subring_closure(parent, [4]).ring,
+    }
+    gc.disable()
+    try:
+        for name, make in derived.items():
+            ring = make()
+            is_two_sqrt_ju(ring)
+            ref = weakref.ref(ring)
+            del ring
+            assert ref() is None, name
+    finally:
+        gc.enable()

@@ -442,14 +442,13 @@ def test_blocked_fill_matches_formula(monkeypatch):
     # At the library's own block size, M(2, Z/5)'s largest weight step,
     # 125 rows of 625 entries, crosses a block boundary and ends in a
     # partial block.
-    rows = build.FILL_BLOCK_ELEMENTS // 625
+    rows = core.block_rows(625)
     assert rows < 125 and 125 % rows
     assert_fill_matches_formula("M(2, Z/5)", lambda m: matrix_ring(2, zmod(5), limits=m))
     # At 200 entries a block the fill of an order-n ring runs 200 // n rows
     # a block (2 at order 81), so its upper weight steps take several
     # blocks for each generator row.
-    monkeypatch.setattr(core, "AXIOM_BLOCK_ELEMENTS", 200)
-    monkeypatch.setattr(build, "FILL_BLOCK_ELEMENTS", 200)
+    monkeypatch.setattr(core, "BLOCK_ELEMENTS", 200)
     for label, make in AGREEMENT_CASES.items():
         assert_fill_matches_formula(label, make)
 

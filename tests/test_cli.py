@@ -9,7 +9,7 @@ import pytest
 
 import finring
 import finring.cli as cli
-from finring import parse_and_build, parse_table_dump, zmod
+from finring import dump_tables, parse_and_build, parse_table_dump, zmod
 from finring.cli import main
 
 
@@ -71,19 +71,27 @@ def test_analyze_errors_exit_2():
     assert code == 2 and "nested more than" in err
 
 
-def test_max_order_below_2_is_usage_error(capsys):
+def test_max_order_below_2_is_usage_error():
     for value in ("-3", "1"):
-        code, out, _ = run_cli("analyze", "Z/4", "--max-order", value)
+        code, out, err = run_cli("analyze", "Z/4", "--max-order", value)
         assert code == 2 and not out
-        assert f"--max-order: must be >= 2, got {value}" in capsys.readouterr().err
+        assert f"--max-order: must be >= 2, got {value}" in err
     assert run_cli("analyze", "Z/2", "--max-order", "2")[0] == 0
 
 
-def test_negative_seed_is_usage_error(capsys):
+def test_negative_seed_is_usage_error():
     for argv in (["verify", "--seed", "-1"], ["--seed", "-1", "analyze", "Z/4"]):
-        code, out, _ = run_cli(*argv)
+        code, out, err = run_cli(*argv)
         assert code == 2 and not out
-        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert "--seed: must be >= 0, got -1" in err
+
+
+def test_argparse_writes_to_the_given_streams(capsys):
+    code, out, err = run_cli("--help")
+    assert code == 0 and "usage: finring" in out and not err
+    code, out, err = run_cli("bogus")
+    assert code == 2 and not out and "invalid choice: 'bogus'" in err
+    assert capsys.readouterr() == ("", "")
 
 
 def test_unexpected_exception_is_one_line_internal_error(monkeypatch):
@@ -109,12 +117,15 @@ def test_closed_output_pipe_exits_0_quietly():
     assert err.getvalue() == ""
 
 
-def test_python_dash_m_runs_the_cli():
+def _env_with_src():
     src = str(Path(finring.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_python_dash_m_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "finring", "analyze", "Z/4", "--json"],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_env_with_src(), timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == run_cli("analyze", "Z/4", "--json")[1]
 
@@ -136,6 +147,48 @@ def test_table_mul_matches_dump_format():
     assert code == 0
     assert out == ('{"expr": "Z/3", "what": "add", "order": 3, "one": 1, '
                    '"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}\n')
+
+
+def _whole_table_outputs(ring, what):
+    """The reference text and JSON of ``finring table <expr> what``, built
+    from the list of all rows at once."""
+    rows = [row for _, block in ring.blocks(what) for row in block.tolist()]
+    text = "".join(" ".join(str(v) for v in row) + "\n" for row in rows)
+    return text, json.dumps({"expr": ring.label, "what": what, "order": ring.order,
+                             "one": ring.one, "table": rows}) + "\n"
+
+
+@pytest.mark.parametrize("expr, mode", [("UT(2, Z/7)", "table"), ("Z/1025", "lazy")])
+def test_streamed_tables_match_the_whole_table_format(expr, mode):
+    ring = parse_and_build(expr)
+    assert ring.mode == mode and len(list(ring.blocks("mul"))) > 1
+    whole = {what: _whole_table_outputs(ring, what) for what in ("add", "mul")}
+    text, js = whole["mul"]
+    assert run_cli("table", expr, "mul") == (0, text, "")
+    assert run_cli("table", expr, "mul", "--json") == (0, js, "")
+    dump = f"order {ring.order}\none {ring.one}\n{whole['add'][0]}\n{whole['mul'][0]}"
+    assert dump_tables(ring) == dump
+    assert run_cli("analyze", expr, "--dump-tables") == (0, run_cli("analyze", expr)[1] + dump, "")
+
+
+def test_table_output_peak_stays_small():
+    # finring table "UT(2, Z/13)" mul writes 2197^2 entries.  Written one
+    # row block at a time they add about 5 MB to the peak RSS of a process
+    # that printed a small table; built as one list and one string, 180 MB.
+    script = (
+        "import os, resource\n"
+        "from finring.cli import main\n"
+        "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "with open(os.devnull, 'w') as out:\n"
+        "    main(['table', 'Z/6', 'mul'], out=out)\n"
+        "    before = peak()\n"
+        "    assert main(['table', 'UT(2, Z/13)', 'mul'], out=out) == 0\n"
+        "print(peak() - before)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_env_with_src(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 16 * 1024  # KB: the peak RSS rose by less than 16 MB
 
 
 def test_dump_tables_flag_roundtrips():

@@ -19,7 +19,7 @@ from finring import (
 )
 from finring import build, harness
 from finring.build import group_ring, matrix_ring, trivial_extension
-from finring.core import AXIOM_BLOCK_ELEMENTS, Limits, grow_span
+from finring.core import Limits, block_rows, grow_span
 from finring.groups import cyclic, group_product
 
 from helpers import LAZY, TABLE, full_cube_ternary_checks, magma_closure
@@ -167,13 +167,13 @@ def test_blocked_axioms_match_full_cube_on_corpus():
 
 
 def test_blocked_axioms_match_full_cube_on_corrupted_tables():
-    m = parse_and_build("M(2, Z/4)")
+    m = parse_and_build("UT(2, Z/5)")
     n = m.order
-    rows = AXIOM_BLOCK_ELEMENTS // (n * n)
+    rows = block_rows(n * n)
     assert 1 < rows < n
     first, middle, last = 3, (n // rows // 2) * rows + 2, n - 6
     cases = [[(table, x, 7)] for table in ("add", "mul") for x in (first, middle, last)]
-    cases.append([("mul", last, 7), ("mul", middle, 200)])
+    cases.append([("mul", last, 7), ("mul", middle, n - 1)])
     for faults in cases:
         ring = _corrupted(m, faults)
         report = verify_axioms(ring)

@@ -37,7 +37,7 @@ from finring import (
     verify_axioms,
     zmod,
 )
-from finring.core import AXIOM_BLOCK_ELEMENTS
+from finring.core import block_rows
 
 from helpers import LAZY, TABLE, random_ring_expr
 
@@ -49,15 +49,15 @@ def structural_sets(ring):
 
 
 def test_lazy_ring_of_two_blocks_agrees_with_table_twin():
-    lazy = upper_triangular(2, zmod(11))
-    table = upper_triangular(2, zmod(11), limits=TABLE)
+    lazy = upper_triangular(2, zmod(7), limits=LAZY)
+    table = upper_triangular(2, zmod(7), limits=TABLE)
     assert lazy.mode == "lazy" and table.mode == "table"
     n = lazy.order
-    assert n == 1331 and -(-n // (AXIOM_BLOCK_ELEMENTS // n)) == 2
-    # Closed forms on (a, b; 0, d) = a + 11 b + 121 d, so a bug shared by
+    assert n == 343 and -(-n // block_rows(n)) == 2
+    # Closed forms on (a, b; 0, d) = a + 7 b + 49 d, so a bug shared by
     # both modes (a block offset, say) shows too.
     x = np.arange(n)
-    a, b, d = x % 11, x // 11 % 11, x // 121
+    a, b, d = x % 7, x // 7 % 7, x // 49
 
     def where(cond):
         return frozenset(np.flatnonzero(cond).tolist())
@@ -65,14 +65,14 @@ def test_lazy_ring_of_two_blocks_agrees_with_table_twin():
     radical = where((a == 0) & (d == 0))
     assert structural_sets(lazy) == structural_sets(table) == [
         where((a != 0) & (d != 0)), radical, radical, radical,
-        where((a * a % 11 == a) & (d * d % 11 == d) & (b * (a + d - 1) % 11 == 0)),
+        where((a * a % 7 == a) & (d * d % 7 == d) & (b * (a + d - 1) % 7 == 0)),
         where((b == 0) & (a == d)),
     ]
     assert unit_inverses(lazy) == unit_inverses(table)
     assert classify(lazy) == classify(table)
     verdicts = classify(lazy).verdicts
     assert verdicts.pop("dedekind-finite") and not any(verdicts.values())
-    assert set(classify(lazy).witnesses.values()) == {123}  # diag(2, 1)
+    assert set(classify(lazy).witnesses.values()) == {51}  # diag(2, 1)
 
     ql, qt = quotient(lazy, jacobson(lazy)), quotient(table, jacobson(table))
     assert ql.projection == qt.projection
@@ -83,15 +83,15 @@ def test_lazy_ring_of_two_blocks_agrees_with_table_twin():
     e = 1  # the matrix unit e11
     cl, ct = corner(lazy, e), corner(table, e)
     assert cl.embedding == ct.embedding and dump_tables(cl.ring) == dump_tables(ct.ring)
-    sl, st_ = subring_closure(lazy, [12]), subring_closure(table, [12])  # e11 + e12
+    sl, st_ = subring_closure(lazy, [8]), subring_closure(table, [8])  # e11 + e12
     assert sl.embedding == st_.embedding and dump_tables(sl.ring) == dump_tables(st_.ring)
     # the same derived rings kept lazy: their operations go through the
     # parent's formula and the member lookup
     for derived, twin in ((corner(lazy, e, limits=LAZY), ct),
-                          (subring_closure(lazy, [12], limits=LAZY), st_)):
+                          (subring_closure(lazy, [8], limits=LAZY), st_)):
         assert derived.ring.mode == "lazy" and derived.embedding == twin.embedding
         assert dump_tables(derived.ring) == dump_tables(twin.ring)
-    for gens in ([11], [12], [1, 121]):
+    for gens in ([7], [8], [1, 49]):
         assert ideal_closure(lazy, gens).members == ideal_closure(table, gens).members
 
 
@@ -156,12 +156,14 @@ def test_random_expressions_agree_with_all_lazy_twin(seed, depth):
 
 def test_block_offsets_in_reported_witnesses():
     # Not a ring: add(x, y) = 7 exactly when x > y >= 1000, else 0.  At
-    # order 1500 a table block holds 699 rows, so both first failures lie
-    # in the second block.
+    # order 1500 a block holds fewer than 1000 rows, and row 1000 is not
+    # the first of its block, so both first failures lie inside a later
+    # block.
     n = 1500
     odd = FiniteRing(n, 1, "odd", add_fn=lambda x, y: np.where((x > y) & (y >= 1000), 7, 0),
                      mul_fn=lambda x, y: 0 * (x + y), neg_fn=lambda x: 0 * x)
-    assert AXIOM_BLOCK_ELEMENTS // n == 699
+    rows = block_rows(n)
+    assert rows < 1000 and 1000 % rows
     commutative = verify_axioms(odd).checks[0]
     assert commutative.name == "add-commutative" and commutative.witness == (1000, 1001)
     with pytest.raises(ArgumentError, match=r"not closed under addition: 1001 \+ 1000 = 7$"):
