@@ -44,7 +44,9 @@ about ``BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
 - An additive subgroup I is a two-sided ideal iff S*I and I*S lie in
   I, again by distributivity.  One function, :func:`ideal_violation`,
   gives both the verdict and the message: only a set that fails this
-  test is scanned against all of R, to word its first violation.
+  test is scanned against all of R, to word its first violation.  Every
+  such test and scan is :func:`finring.core.first_failure` over a grid
+  of pairs, which stops at its first failing block.
 - A generated ideal or subring is an additive span of generator
   products (:func:`closure`).  The span V grows from the seeds by the
   doubling above, and each candidate that enlarges it joins a set T
@@ -87,7 +89,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ElementSet, FiniteRing, InternalConsistencyError, grow_span, member_mask
+from .core import (ElementSet, FiniteRing, InternalConsistencyError, first_failure, grow_span,
+                   member_mask)
 
 
 def generators(ring: FiniteRing) -> np.ndarray:
@@ -221,12 +224,9 @@ def closure(ring: FiniteRing, seeds, *, ideal: bool) -> np.ndarray:
 def _first_outside(ring: FiniteRing, mask: np.ndarray, op: str, xs, ys) -> tuple | None:
     """The first (x, y, op(x, y)) over xs x ys, in that order, whose
     value lies outside ``mask``; None if there is none."""
-    for lo, block in ring.blocks(op, xs, ys):
-        outside = ~mask[block]
-        if outside.any():
-            i, j = np.unravel_index(int(np.argmax(outside)), outside.shape)
-            return int(xs[lo + i]), int(ys[j]), int(block[i, j])
-    return None
+    fn = ring.add_arr if op == "add" else ring.mul_arr
+    pair = first_failure(lambda x, y: ~mask[fn(x, y)], xs, ys)
+    return None if pair is None else (*pair, int(fn(*pair)))
 
 
 def ideal_violation(ring: FiniteRing, members: frozenset) -> str | None:

@@ -452,6 +452,25 @@ def group_ring(base: FiniteRing, group: GroupTable, *, label: str | None = None,
 # Derived rings: quotients, corners, generated subrings
 
 
+def _induced_ring(ring: FiniteRing, lift: np.ndarray, down: np.ndarray, one: int, label: str,
+                  limits: Limits) -> FiniteRing:
+    """The ring on 0..len(lift)-1 with a op b = down[lift[a] op lift[b]]
+    and identity down[one], in table mode up to the threshold."""
+    out = FiniteRing(
+        len(lift), int(down[one]), label,
+        add_fn=lambda a, b: down[ring.add_arr(lift[a], lift[b])],
+        mul_fn=lambda a, b: down[ring.mul_arr(lift[a], lift[b])],
+        neg_fn=lambda a: down[ring.neg_arr(lift[a])],
+    )
+    if len(lift) > limits.table_threshold:
+        return out
+    try:
+        return out.materialized()
+    except ArgumentError:  # a -1 from down: an operation left the lifted set
+        raise InternalConsistencyError(
+            f"{label}: member set is not closed under the inherited operations") from None
+
+
 def quotient(ring: FiniteRing, ideal, *, label: str | None = None,
              limits: Limits = DEFAULT_LIMITS) -> QuotientRing:
     """R/I for a two-sided ideal I, with the projection map.
@@ -470,40 +489,20 @@ def quotient(ring: FiniteRing, ideal, *, label: str | None = None,
     rep = np.concatenate([block.min(axis=1) for _, block in
                           ring.blocks("add", np.arange(ring.order), np.array(sorted(members)))])
     reps, proj = np.unique(rep, return_inverse=True)
-    m = len(reps)
     if proj[ring.one] == proj[0]:
         raise ArgumentError(f"ideal of {ring.label} contains 1; the quotient is the zero ring")
     label = label or f"{ring.label} mod ideal({len(members)})"
-    table_mode = m <= limits.table_threshold
-    out = FiniteRing(
-        m, int(proj[ring.one]), label,
-        add_fn=lambda a, b: proj[ring.add_arr(reps[a], reps[b])],
-        mul_fn=lambda a, b: proj[ring.mul_arr(reps[a], reps[b])],
-        neg_fn=lambda a: proj[ring.neg_arr(reps[a])],
-    )
-    return QuotientRing(out.materialized() if table_mode else out, ring, tuple(proj.tolist()))
+    return QuotientRing(_induced_ring(ring, reps, proj, ring.one, label, limits), ring,
+                        tuple(proj.tolist()))
 
 
 def _inherited_subring(ring: FiniteRing, members: np.ndarray, one_parent: int, label: str,
                        limits: Limits) -> Subring:
     """The subring on the sorted parent indices ``members``."""
-    m = len(members)
     lookup = np.full(ring.order, -1)
-    lookup[members] = np.arange(m)
-    out = FiniteRing(
-        m, int(lookup[one_parent]), label,
-        add_fn=lambda a, b: lookup[ring.add_arr(members[a], members[b])],
-        mul_fn=lambda a, b: lookup[ring.mul_arr(members[a], members[b])],
-        neg_fn=lambda a: lookup[ring.neg_arr(members[a])],
-    )
-    table_mode = m <= limits.table_threshold
-    if table_mode:
-        try:
-            out = out.materialized()
-        except ArgumentError:  # a -1 from lookup: an operation left the member set
-            raise InternalConsistencyError(
-                f"{label}: member set is not closed under the inherited operations") from None
-    return Subring(out, ring, tuple(members.tolist()))
+    lookup[members] = np.arange(len(members))
+    return Subring(_induced_ring(ring, members, lookup, one_parent, label, limits), ring,
+                   tuple(members.tolist()))
 
 
 def corner(ring: FiniteRing, e: int, *, label: str | None = None,
@@ -519,17 +518,12 @@ def corner(ring: FiniteRing, e: int, *, label: str | None = None,
     return _inherited_subring(ring, members, e, label, limits)
 
 
-def subring_closure(ring: FiniteRing, gens, *, members: np.ndarray | None = None,
-                    label: str | None = None, limits: Limits = DEFAULT_LIMITS) -> Subring:
-    """Smallest subring containing gens together with 0 and 1.
-
-    ``members``, when given, must be that subring's sorted parent
-    indices, ``closure(ring, [ring.one] + gens, ideal=False)``, already
-    computed by the caller; it is not computed again."""
+def subring_closure(ring: FiniteRing, gens, *, label: str | None = None,
+                    limits: Limits = DEFAULT_LIMITS) -> Subring:
+    """Smallest subring containing gens together with 0 and 1."""
     gens = [int(x) for x in gens]
     for x in gens:
         ring._check_index(x)
     label = label or f"subring({', '.join(str(g) for g in gens)}) of {ring.label}"
-    if members is None:
-        members = closure(ring, [ring.one] + gens, ideal=False)
-    return _inherited_subring(ring, members, ring.one, label, limits)
+    return _inherited_subring(ring, closure(ring, [ring.one] + gens, ideal=False), ring.one, label,
+                              limits)

@@ -17,6 +17,7 @@ sampling above it).
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -308,15 +309,16 @@ class ElementSet:
     """A subset of a ring's element indices, held as its ascending index
     array ``array``.  ``members``, the frozenset behind O(1) membership,
     is built on first use; length, iteration and ``indices`` read the
-    array.  Any collection of indices is accepted; an index array is
-    taken to be ascending and distinct already, as the structural sets
-    of :mod:`finring.analysis` hand it over, and is kept as a read-only
-    view.  The ring is read for the range check only and is not kept, so
-    a set cached by its ring forms no reference cycle with it."""
+    array.  Any collection of indices is accepted, sorted and with
+    repeats dropped; an index array is taken to be ascending and distinct
+    already, as the structural sets of :mod:`finring.analysis` hand it
+    over, and is kept as a read-only view.  The ring is read for the
+    range check only and is not kept, so a set cached by its ring forms
+    no reference cycle with it."""
 
     def __init__(self, ring: FiniteRing, members):
         if not isinstance(members, np.ndarray):
-            members = np.array(sorted(members), dtype=np.intp)
+            members = np.array(sorted(set(members)), dtype=np.intp)
         arr = members.view()
         arr.setflags(write=False)
         if len(arr) and (arr[0] < 0 or arr[-1] >= ring.order):
@@ -350,6 +352,28 @@ def member_mask(n: int, indices) -> np.ndarray:
     return mask
 
 
+def first_failure(fails: Callable, *axes) -> tuple | None:
+    """The lexicographically first tuple of the grid axes[0] x axes[1] x ...
+    at which ``fails`` holds; None if there is none or an axis is empty.
+    ``fails`` gets axis i reshaped along dimension i and broadcasts to a
+    boolean array with one dimension per axis.  The grid is walked in
+    ascending blocks of axes[0] rows of about ``BLOCK_ELEMENTS`` entries,
+    up to the first failing block."""
+    k = len(axes)
+    shaped = [np.asarray(a).reshape((1,) * i + (-1,) + (1,) * (k - 1 - i))
+              for i, a in enumerate(axes)]
+    width = math.prod(a.size for a in shaped[1:])
+    if not width:
+        return None
+    step = block_rows(width)
+    for lo in range(0, shaped[0].size, step):
+        failed = fails(shaped[0][lo:lo + step], *shaped[1:])
+        if failed.any():
+            at = np.unravel_index(int(np.argmax(failed)), failed.shape)
+            return tuple(int(a.flat[i]) for a, i in zip(shaped, (lo + at[0], *at[1:])))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Axiom verification
 
@@ -381,20 +405,6 @@ class AxiomReport:
 def _first_false(mask: np.ndarray) -> tuple | None:
     bad = np.flatnonzero(~mask)
     return (int(bad[0]),) if len(bad) else None
-
-
-def _commutativity_check(ring: FiniteRing) -> AxiomCheck:
-    """add(x, y) == add(y, x) over all pairs, by row blocks; the witness
-    is the lexicographically first failing pair."""
-    every = np.arange(ring.order)
-    witness = None
-    for lo, block in ring.blocks("add"):
-        differ = block != ring.add_arr(every[None, :], every[lo:lo + len(block), None])
-        if differ.any():
-            x, y = np.unravel_index(int(np.argmax(differ)), differ.shape)
-            witness = (lo + int(x), int(y))
-            break
-    return AxiomCheck("add-commutative", witness is None, witness, ring.order ** 2, "exhaustive")
 
 
 def grow_span(ring: FiniteRing, reached: np.ndarray, candidates: np.ndarray) -> list[int]:
@@ -433,20 +443,6 @@ TERNARY_LAWS = {
 }
 
 
-def _first_failure(law, add, mul, xs, ys, zs) -> tuple | None:
-    """The lexicographically first (x, y, z) over the grid xs x ys x zs at
-    which ``law`` fails, or None.  Runs by blocks of x rows of about
-    BLOCK_ELEMENTS triples in ascending x, up to the first failing block."""
-    step = block_rows(len(ys) * len(zs))
-    for lo in range(0, len(xs), step):
-        lhs, rhs = law(add, mul, xs[lo:lo + step, None, None], ys[None, :, None], zs[None, None, :])
-        differ = lhs != rhs
-        if differ.any():
-            i, j, k = np.unravel_index(int(np.argmax(differ)), differ.shape)
-            return int(xs[lo + i]), int(ys[j]), int(zs[k])
-    return None
-
-
 def _exhaustive_ternary_checks(ring: FiniteRing) -> list[AxiomCheck]:
     """Associativity and distributivity over all n^3 triples, decided from
     an additive generating set S where the laws allow it (see
@@ -461,8 +457,12 @@ def _exhaustive_ternary_checks(ring: FiniteRing) -> list[AxiomCheck]:
     reached[0] = True
     gens = np.array(grow_span(twin, reached, every) + [0])
 
+    def fails(name):
+        law = TERNARY_LAWS[name]
+        return lambda x, y, z: np.not_equal(*law(add, mul, x, y, z))
+
     def holds(name):  # the law with its middle argument in S
-        return _first_failure(TERNARY_LAWS[name], add, mul, every, gens, every) is None
+        return first_failure(fails(name), every, gens, every) is None
 
     proved = {"add-associative": holds("add-associative")}
     for name in ("left-distributive", "right-distributive"):
@@ -470,8 +470,8 @@ def _exhaustive_ternary_checks(ring: FiniteRing) -> list[AxiomCheck]:
     proved["mul-associative"] = (proved["left-distributive"] and proved["right-distributive"]
                                  and holds("mul-associative"))
     checks = []
-    for name, law in TERNARY_LAWS.items():
-        witness = None if proved[name] else _first_failure(law, add, mul, every, every, every)
+    for name in TERNARY_LAWS:
+        witness = None if proved[name] else first_failure(fails(name), every, every, every)
         checks.append(AxiomCheck(name, witness is None, witness, n ** 3, "exhaustive"))
     return checks
 
@@ -502,23 +502,24 @@ def verify_axioms(ring: FiniteRing, *, seed: int = DEFAULT_SEED) -> AxiomReport:
        associator additive in its middle argument.
 
     That is 4*(|S|+1)*n^2 gathered entries instead of 4*n^3.  A check that
-    fails, or whose precondition failed, runs the exhaustive scan over
-    blocks of x rows, each block holding all (y, z): memory stays near
-    ``BLOCK_ELEMENTS`` triples per side (512 KB as intp) rather than four
-    n^3 cubes, and the scan stops at its first failing block.  Every
-    path, the sampled one too, evaluates the one definition of each law
-    in :data:`TERNARY_LAWS`.  Either way a check counts the n^3 triples
-    it decided in ``checked``.  Every check reports the lexicographically
-    first failing tuple as its witness.  Both storage modes run the same
-    code and give the same report.  A negative ``seed`` raises
-    :class:`ArgumentError`.
+    fails, or whose precondition failed, scans all n^3 triples.  The
+    reduced checks, that scan and commutativity are :func:`first_failure`
+    over their grids, by blocks of ``BLOCK_ELEMENTS`` triples (512 KB per
+    side as intp) rather than n^3 cubes, up to the first failing block.
+    Every path, the sampled one too, evaluates the one definition of each
+    law in :data:`TERNARY_LAWS`.  Either way a check counts the n^3
+    triples it decided in ``checked``.  Every check reports the
+    lexicographically first failing tuple as its witness.  Both storage
+    modes run the same code and give the same report.  A negative
+    ``seed`` raises :class:`ArgumentError`.
     """
     if seed < 0:
         raise ArgumentError(f"axiom seed must be >= 0, got {seed}")
     n = ring.order
     add, mul, neg = ring.add_arr, ring.mul_arr, ring.neg_arr
     every = np.arange(n)
-    checks = [_commutativity_check(ring)]
+    witness = first_failure(lambda x, y: add(x, y) != add(y, x), every, every)
+    checks = [AxiomCheck("add-commutative", witness is None, witness, n ** 2, "exhaustive")]
 
     def unary(name, mask):
         checks.append(AxiomCheck(name, bool(mask.all()), _first_false(mask), n, "exhaustive"))

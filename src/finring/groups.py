@@ -1,37 +1,39 @@
 """Finite groups as validated Cayley tables (identity at index 0).
 
 These feed the group-ring construction.  Validation is exhaustive:
-associativity over all triples (vectorized), two-sided identity at
-index 0, and existence of inverses.  A group is a 2-group exactly when
-its order is a power of 2.
+associativity over all triples (:func:`finring.core.first_failure`),
+two-sided identity at index 0, and existence of inverses.  A group is a
+2-group exactly when its order is a power of 2.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_GROUP_MAX, ArgumentError, LimitError
+from .core import DEFAULT_GROUP_MAX, ArgumentError, LimitError, _freeze, first_failure
 
 
 class GroupTable:
     """A finite group given by its Cayley table on indices 0..order-1."""
 
     def __init__(self, table, label: str):
-        arr = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
-        n = arr.shape[0]
-        if arr.shape != (n, n) or n < 1:
-            raise ArgumentError(f"group table must be square and nonempty, got {arr.shape}")
-        if arr.min() < 0 or arr.max() >= n:
-            raise ArgumentError("group table entry out of range")
+        try:
+            n = len(table)
+        except TypeError:  # a scalar
+            n = 0
+        shape_error = f"{label}: group table must be square and nonempty"
+        if not n:
+            raise ArgumentError(shape_error)
+        arr = _freeze(table, (n, n), shape_error)  # checked before its cast, as for a FiniteRing
         if not (np.array_equal(arr[0], np.arange(n)) and np.array_equal(arr[:, 0], np.arange(n))):
             raise ArgumentError(f"{label}: index 0 is not a two-sided identity")
-        if not np.array_equal(arr[arr, :], arr[:, arr]):
-            bad = np.argwhere(arr[arr, :] != arr[:, arr])[0]
-            raise ArgumentError(f"{label}: operation not associative at {tuple(int(v) for v in bad)}")
+        every = np.arange(n)
+        bad = first_failure(lambda a, b, c: arr[arr[a, b], c] != arr[a, arr[b, c]], every, every, every)
+        if bad:
+            raise ArgumentError(f"{label}: operation not associative at {bad}")
         inv = np.argwhere(arr == 0)
         if len(inv) < n or len(set(int(p[0]) for p in inv)) != n:
             raise ArgumentError(f"{label}: some element has no inverse")
-        arr.setflags(write=False)
         self.order = n
         self.table = arr
         self.identity = 0

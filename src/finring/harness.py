@@ -35,7 +35,8 @@ from .analysis import (
     sqrt_jacobson,
     units,
 )
-from .core import DEFAULT_LIMITS, DEFAULT_SEED, FiniteRing, Limits, member_mask, verify_axioms
+from .core import (DEFAULT_LIMITS, DEFAULT_SEED, FiniteRing, Limits, first_failure, member_mask,
+                   verify_axioms)
 from .expr import GroupRing, ParseError, evaluate, evaluate_group, parse, parse_and_build
 from .groups import cyclic_subgroups
 from .predicates import (
@@ -349,7 +350,8 @@ def _single_generator_subrings(ring: FiniteRing, limits: Limits = DEFAULT_LIMITS
         if key in seen:
             continue
         seen.add(key)
-        yield x, build.subring_closure(ring, [x], members=members, limits=limits)
+        yield x, build._inherited_subring(ring, members, ring.one, f"subring({x}) of {ring.label}",
+                                          limits)
 
 
 def _claim_c5(rings, limits):
@@ -551,13 +553,13 @@ def _first_non_homomorphic_pair(src: FiniteRing, tgt: FiniteRing, d: np.ndarray)
     a -> d[a] fails to carry src's addition or multiplication to tgt's,
     worded "not additive" when addition fails there and "not
     multiplicative" otherwise; None if there is none."""
-    a, b = np.arange(src.order)[:, None], np.arange(src.order)[None, :]
-    not_additive = d[src.add_arr(a, b)] != tgt.add_arr(d[a], d[b])
-    failing = not_additive | (d[src.mul_arr(a, b)] != tgt.mul_arr(d[a], d[b]))
-    if not failing.any():
-        return None
-    i, j = np.unravel_index(int(np.argmax(failing)), failing.shape)
-    return f"not {'additive' if not_additive[i, j] else 'multiplicative'} at ({i}, {j})"
+    def not_additive(a, b):
+        return d[src.add_arr(a, b)] != tgt.add_arr(d[a], d[b])
+
+    every = np.arange(src.order)
+    pair = first_failure(lambda a, b: not_additive(a, b) | (d[src.mul_arr(a, b)] != tgt.mul_arr(d[a], d[b])),
+                         every, every)
+    return pair and f"not {'additive' if not_additive(*pair) else 'multiplicative'} at {pair}"
 
 
 def _claim_c16(rings, limits):

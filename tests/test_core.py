@@ -19,7 +19,8 @@ from finring import (
 )
 from finring import build, harness
 from finring.build import group_ring, matrix_ring, trivial_extension
-from finring.core import Limits, block_rows, grow_span
+from finring import core
+from finring.core import Limits, block_rows, first_failure, grow_span
 from finring.groups import cyclic, group_product
 
 from helpers import LAZY, TABLE, full_cube_ternary_checks, magma_closure
@@ -54,6 +55,31 @@ def test_element_set_range_check():
     assert str(err.value) == "indices [-2, 4, 7] out of range for Z/4"
     empty = ElementSet(r, frozenset())
     assert len(empty) == 0 and empty.indices() == [] and 0 not in empty
+
+
+def test_element_set_drops_repeats():
+    s = ElementSet(zmod(4), [2, 1, 1, 2])
+    assert len(s) == 2 and s.indices() == [1, 2] and list(s) == [1, 2]
+
+
+@pytest.mark.parametrize("lengths", [(700,), (90, 30), (25, 7, 6), (0,), (40, 0), (9, 0, 5), (0, 4, 4)])
+def test_first_failure_matches_argwhere(monkeypatch, lengths):
+    # 64 entries a block: every grid but the empty ones spans several blocks
+    monkeypatch.setattr(core, "BLOCK_ELEMENTS", 64)
+    rng = np.random.default_rng(sum(lengths))
+    # distinct axis values out of order, so a wrong offset or axis shows
+    axes = [rng.permutation(3 * n)[:n] + 1 for n in lengths]
+    position = [np.zeros(3 * n + 1, dtype=np.intp) for n in lengths]
+    for pos, axis in zip(position, axes):
+        pos[axis] = np.arange(len(axis))
+    last_only = np.zeros(lengths, dtype=bool)
+    last_only.flat[-1:] = True
+    for mask in (np.zeros(lengths, dtype=bool), last_only, rng.random(lengths) < 0.002,
+                 rng.random(lengths) < 0.05, np.ones(lengths, dtype=bool)):
+        hits = np.argwhere(mask)
+        expected = tuple(int(a[i]) for a, i in zip(axes, hits[0])) if len(hits) else None
+        got = first_failure(lambda *vs: mask[tuple(p[v] for p, v in zip(position, vs))], *axes)
+        assert got == expected
 
 
 def test_pow():
@@ -428,7 +454,7 @@ def test_settable_options_inventory():
         "group_ring": ["base", "group", "label", "limits"],
         "quotient": ["ring", "ideal", "label", "limits"],
         "corner": ["ring", "e", "label", "limits"],
-        "subring_closure": ["ring", "gens", "members", "label", "limits"],
+        "subring_closure": ["ring", "gens", "label", "limits"],
         "verify_axioms": ["ring", "seed"],
         "run_suite": ["corpus", "claim_ids", "limits", "seed"],
         "cyclic": ["n"],

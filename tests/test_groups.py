@@ -61,6 +61,20 @@ def test_validation_rejects_bad_tables():
         )
 
 
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1.5], [1, 0]], "must be integers"),  # not truncated to [[0, 1], [1, 0]]
+    ([[0, 1], [1]], "square and nonempty"),  # ragged
+    ([[0, 1, 2], [1, 2, 0]], "square and nonempty"),
+    ([], "square and nonempty"),
+    (0, "square and nonempty"),
+    ([[0, 2], [1, 0]], "must lie in 0..1"),
+    ([[0, 1], [1, -1]], "must lie in 0..1"),
+])
+def test_validation_rejects_malformed_tables(table, message):
+    with pytest.raises(ArgumentError, match=message):
+        GroupTable(table, "bad")
+
+
 def test_group_limit():
     with pytest.raises(LimitError):
         cyclic(65)
