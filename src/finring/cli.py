@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -63,7 +64,11 @@ def _at_least(minimum: int, base: int):
     return integer
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.  argparse reads
+    sys.stdout and sys.stderr only when it prints, so the redirection
+    in :func:`main` still reaches every call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit JSON instead of text")

@@ -11,8 +11,10 @@ knows which mode a ring is in: everything else reads a ring through
 ``add_arr``/``mul_arr``/``neg_arr`` and :meth:`FiniteRing.blocks`.
 
 Nothing here checks the ring axioms on construction -- that is what
-:func:`verify_axioms` is for (exhaustive up to a cutoff, seeded random
-sampling above it).
+:func:`verify_axioms` is for: exact through order
+``EXHAUSTIVE_AXIOM_CUTOFF`` (1024, which covers every ring of the default
+corpus), from far fewer evaluations than the n^3 triples, and by seeded
+random sampling of the ternary laws above it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 DEFAULT_MAX_ORDER = 10_000
 DEFAULT_TABLE_THRESHOLD = 1024
 DEFAULT_GROUP_MAX = 64
-EXHAUSTIVE_AXIOM_CUTOFF = 256
+EXHAUSTIVE_AXIOM_CUTOFF = 1024
 AXIOM_SAMPLE_COUNT = 100_000
 # Entries (triples in the ternary axiom scan) per block of every row-block
 # loop over a ring's tables: a block's intp array, 512 KB, fits in L2 cache.
@@ -267,14 +269,16 @@ class FiniteRing:
             cur = self.add(cur, self.one)
         raise ArgumentError(f"{self.label}: no k <= {self.order} has k * 1 = 0; not a ring")
 
-    def row_block(self, op: str, lo: int, hi: int) -> np.ndarray:
-        """Rows lo:hi of the ``op`` ("add" or "mul") table against every
-        column: a slice view of the stored table in table mode, the
-        formula evaluated on index arrays in lazy mode."""
+    def row_block(self, op: str, lo: int, hi: int, cols: slice = slice(None)) -> np.ndarray:
+        """Rows lo:hi of the ``op`` ("add" or "mul") table against the
+        columns ``cols`` (every column by default): a slice view of the
+        stored table in table mode, the formula evaluated on index arrays
+        in lazy mode."""
         if self.mode == "table":
-            return (self.add_table if op == "add" else self.mul_table)[lo:hi]
+            return (self.add_table if op == "add" else self.mul_table)[lo:hi, cols]
         fn = self.add_arr if op == "add" else self.mul_arr
-        return fn(np.arange(lo, min(hi, self.order))[:, None], np.arange(self.order)[None, :])
+        every = np.arange(self.order)
+        return fn(every[lo:hi, None], every[None, cols])
 
     def blocks(self, op: str, xs=None, ys=None) -> Iterator[tuple[int, np.ndarray]]:
         """(lo, block) over ascending blocks of about BLOCK_ELEMENTS
@@ -292,8 +296,10 @@ class FiniteRing:
             yield lo, fn(xs[lo:lo + step, None], ys[None, :])
 
     def materialized(self) -> "FiniteRing":
-        """This ring in table mode, its tables filled by row blocks straight
-        into :func:`table_dtype`."""
+        """This ring in table mode: itself if it is one, else a copy whose
+        tables are filled by row blocks straight into :func:`table_dtype`."""
+        if self.mode == "table":
+            return self
         n = self.order
         tables = {}
         for op in ("add", "mul"):
@@ -309,16 +315,19 @@ class ElementSet:
     """A subset of a ring's element indices, held as its ascending index
     array ``array``.  ``members``, the frozenset behind O(1) membership,
     is built on first use; length, iteration and ``indices`` read the
-    array.  Any collection of indices is accepted, sorted and with
-    repeats dropped; an index array is taken to be ascending and distinct
-    already, as the structural sets of :mod:`finring.analysis` hand it
-    over, and is kept as a read-only view.  The ring is read for the
-    range check only and is not kept, so a set cached by its ring forms
-    no reference cycle with it."""
+    array.  Any collection of integer indices is accepted, sorted and
+    with repeats dropped; an index array is taken to be ascending and
+    distinct already, as the structural sets of :mod:`finring.analysis`
+    hand it over, and is kept as a read-only view.  Indices of any other
+    dtype (floats, say) raise :class:`ArgumentError` rather than being
+    truncated.  The ring is read for the range check only and is not
+    kept, so a set cached by its ring forms no reference cycle with it."""
 
     def __init__(self, ring: FiniteRing, members):
         if not isinstance(members, np.ndarray):
-            members = np.array(sorted(set(members)), dtype=np.intp)
+            members = np.array(sorted(set(members)) or np.empty(0, dtype=np.intp))
+        if members.dtype.kind not in "iu":
+            raise ArgumentError(f"element indices must be integers, got dtype {members.dtype}")
         arr = members.view()
         arr.setflags(write=False)
         if len(arr) and (arr[0] < 0 or arr[-1] >= ring.order):
@@ -443,10 +452,34 @@ TERNARY_LAWS = {
 }
 
 
-def _exhaustive_ternary_checks(ring: FiniteRing) -> list[AxiomCheck]:
+def _first_noncommuting_pair(ring: FiniteRing) -> tuple | None:
+    """The lexicographically first (x, y) with x + y != y + x, or None.
+
+    Row block lo:hi is compared against columns lo:n only, as
+    add(lo:hi, lo:n) against the transpose of add(lo:n, lo:hi), so x + y
+    and y + x are evaluated once for each unordered pair {x, y}: n^2
+    evaluations in all, against 2n^2 for comparing whole rows.  The first
+    failing pair (x, y) has x < y, since (y, x) fails too and x != y, so
+    it lies in x's block, and it is that block's first failure: an
+    earlier one there would be a failing pair, or the mirror of one, that
+    precedes (x, y)."""
+    n, lo = ring.order, 0
+    while lo < n:
+        hi = min(n, lo + block_rows(n - lo))
+        sums = ring.row_block("add", lo, hi, slice(lo, None))  # x + y for x in lo:hi, y >= lo
+        failed = sums != ring.row_block("add", lo, n, slice(lo, hi)).T
+        if failed.any():
+            x, y = np.unravel_index(int(np.argmax(failed)), failed.shape)
+            return lo + int(x), lo + int(y)
+        lo = hi
+    return None
+
+
+def _exhaustive_ternary_checks(ring: FiniteRing, abelian: bool) -> list[AxiomCheck]:
     """Associativity and distributivity over all n^3 triples, decided from
-    an additive generating set S where the laws allow it (see
-    :func:`verify_axioms`), by the blocked scan otherwise."""
+    an additive generating set S + [0] where the laws allow it (see
+    :func:`verify_axioms`), by the blocked scan otherwise.  ``abelian``
+    says that + is commutative, with 0 as identity and inverses."""
     n, twin = ring.order, ring.materialized()
 
     def flat(table):  # one flat take at x*n + y: half the cost of table[x, y] in int16
@@ -461,14 +494,16 @@ def _exhaustive_ternary_checks(ring: FiniteRing) -> list[AxiomCheck]:
         law = TERNARY_LAWS[name]
         return lambda x, y, z: np.not_equal(*law(add, mul, x, y, z))
 
-    def holds(name):  # the law with its middle argument in S
-        return first_failure(fails(name), every, gens, every) is None
+    def holds(name, *axes):
+        return first_failure(fails(name), *axes) is None
 
-    proved = {"add-associative": holds("add-associative")}
-    for name in ("left-distributive", "right-distributive"):
-        proved[name] = proved["add-associative"] and holds(name)
+    middle = (every, gens, every)  # the middle argument in S0
+    proved = {"add-associative": holds("add-associative", *middle)}
+    proved["right-distributive"] = proved["add-associative"] and holds("right-distributive", *middle)
+    proved["left-distributive"] = (abelian and proved["right-distributive"]
+                                   and holds("left-distributive", gens, every, gens))
     proved["mul-associative"] = (proved["left-distributive"] and proved["right-distributive"]
-                                 and holds("mul-associative"))
+                                 and holds("mul-associative", gens, gens, gens))
     checks = []
     for name in TERNARY_LAWS:
         witness = None if proved[name] else first_failure(fails(name), every, every, every)
@@ -479,46 +514,53 @@ def _exhaustive_ternary_checks(ring: FiniteRing) -> list[AxiomCheck]:
 def verify_axioms(ring: FiniteRing, *, seed: int = DEFAULT_SEED) -> AxiomReport:
     """Check the ring axioms; failures are reported, never raised.
 
-    Unary and binary axioms are always exhaustive.  The ternary axioms
-    (associativity, distributivity) are exhaustive for order <=
-    ``EXHAUSTIVE_AXIOM_CUTOFF`` and otherwise checked on
+    Unary and binary axioms are always exhaustive; commutativity of +
+    evaluates each unordered pair once (:func:`_first_noncommuting_pair`).
+    The ternary axioms (associativity, distributivity) are exhaustive for
+    order <= ``EXHAUSTIVE_AXIOM_CUTOFF`` and otherwise checked on
     ``AXIOM_SAMPLE_COUNT`` pseudo-random triples drawn from ``seed``.
 
     The exhaustive ternary checks read a table twin of the ring
-    (:meth:`FiniteRing.materialized`) and are decided from S + [0], where
-    S holds the candidates :func:`grow_span` takes from {0} over every
-    element.  Each element it marks is a sum of elements marked before
-    and the candidates taken, so S + [0] generates (R, +) as a magma for
-    any table, ring or not.  Each law holds on all n^3 triples iff it
-    holds with its middle argument in S + [0], given the laws proved
-    before it, because the middle arguments that satisfy it are closed
-    under addition.  In order:
+    (:meth:`FiniteRing.materialized`) and are decided from S0 = S + [0],
+    where S holds the candidates :func:`grow_span` takes from {0} over
+    every element.  Each element it marks is a sum of elements marked
+    before and the candidates taken, so S0 generates (R, +) as a magma
+    for any table, ring or not: a set of elements that holds S0 and is
+    closed under + is all of R.  Each reduced check below holds iff its
+    law holds on all n^3 triples, given the laws proved before it,
+    because the arguments that satisfy it are closed under +.  In order:
 
-    1. (x+s)+y == x+(s+y): Light's associativity test (Clifford &
-       Preston, *The Algebraic Theory of Semigroups* I, 1961), valid for
-       any table;
-    2. x(s+z) == xs+xz and (x+s)z == xz+sz, once + is associative;
-    3. (xs)z == x(sz), once both distributive laws hold, which make the
-       associator additive in its middle argument.
+    1. (x+s)+y == x+(s+y) over R x S0 x R: Light's associativity test
+       (Clifford & Preston, *The Algebraic Theory of Semigroups* I,
+       1961), valid for any table;
+    2. (x+s)z == xz+sz over R x S0 x R, once + is associative;
+    3. s(y+t) == sy+st over S0 x R x S0, once (R, +) is an abelian group
+       and (2) holds.  For each s the t that satisfy it for every y are
+       closed under +, so L_s: y -> sy is additive; and (2) says
+       L_(x1+x2) = L_x1 + L_x2, a sum of additive maps of an abelian
+       group, so the x with L_x additive are closed under + too;
+    4. (st)u == s(tu) over S0^3, once both distributive laws hold: they
+       carry the law from x1 and x2 to x1 + x2 in each argument in turn.
 
-    That is 4*(|S|+1)*n^2 gathered entries instead of 4*n^3.  A check that
-    fails, or whose precondition failed, scans all n^3 triples.  The
-    reduced checks, that scan and commutativity are :func:`first_failure`
-    over their grids, by blocks of ``BLOCK_ELEMENTS`` triples (512 KB per
-    side as intp) rather than n^3 cubes, up to the first failing block.
-    Every path, the sampled one too, evaluates the one definition of each
-    law in :data:`TERNARY_LAWS`.  Either way a check counts the n^3
-    triples it decided in ``checked``.  Every check reports the
-    lexicographically first failing tuple as its witness.  Both storage
-    modes run the same code and give the same report.  A negative
-    ``seed`` raises :class:`ArgumentError`.
+    That is 2*|S0|*n^2 + |S0|^2*n + |S0|^3 gathered entries instead of
+    4*n^3.  A check that fails, or whose precondition failed, scans all
+    n^3 triples.  The reduced checks and that scan are
+    :func:`first_failure` over their grids, by blocks of
+    ``BLOCK_ELEMENTS`` triples (512 KB per side as intp) rather than n^3
+    cubes, up to the first failing block.  Every path, the sampled one
+    too, evaluates the one definition of each law in
+    :data:`TERNARY_LAWS`.  Either way a check counts the n^3 triples it
+    decided in ``checked``.  Every check reports the lexicographically
+    first failing tuple as its witness.  Both storage modes run the same
+    code and give the same report.  A negative ``seed`` raises
+    :class:`ArgumentError`.
     """
     if seed < 0:
         raise ArgumentError(f"axiom seed must be >= 0, got {seed}")
     n = ring.order
     add, mul, neg = ring.add_arr, ring.mul_arr, ring.neg_arr
     every = np.arange(n)
-    witness = first_failure(lambda x, y: add(x, y) != add(y, x), every, every)
+    witness = _first_noncommuting_pair(ring)
     checks = [AxiomCheck("add-commutative", witness is None, witness, n ** 2, "exhaustive")]
 
     def unary(name, mask):
@@ -526,11 +568,12 @@ def verify_axioms(ring: FiniteRing, *, seed: int = DEFAULT_SEED) -> AxiomReport:
 
     unary("zero-is-additive-identity", (add(0, every) == every) & (add(every, 0) == every))
     unary("additive-inverse", add(every, neg(every)) == 0)
+    abelian = all(c.passed for c in checks)
     unary("one-is-identity", (mul(ring.one, every) == every) & (mul(every, ring.one) == every))
     checks.append(AxiomCheck("one-differs-from-zero", ring.one != 0, None, 1, "exhaustive"))
 
     if n <= EXHAUSTIVE_AXIOM_CUTOFF:
-        checks.extend(_exhaustive_ternary_checks(ring))
+        checks.extend(_exhaustive_ternary_checks(ring, abelian))
     else:
         rng = np.random.default_rng(seed)
         xs, ys, zs = (rng.integers(0, n, size=AXIOM_SAMPLE_COUNT) for _ in range(3))

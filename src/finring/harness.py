@@ -698,7 +698,7 @@ def run_suite(
     """Run all (or the filtered) claims plus an axiom pre-flight.
 
     The pre-flight runs verify_axioms on every corpus ring (exhaustive
-    ternary checks up to order 256, seeded sampling above); failures are
+    ternary checks up to order 1024, seeded sampling above); failures are
     counted like claim failures, and claims are not evaluated over a
     corpus that failed the pre-flight (structural analysis of a non-ring
     would only report nonsense or trip consistency errors).

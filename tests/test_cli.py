@@ -94,6 +94,27 @@ def test_argparse_writes_to_the_given_streams(capsys):
     assert capsys.readouterr() == ("", "")
 
 
+def test_one_parser_serves_calls_with_different_streams():
+    assert cli._build_parser() is cli._build_parser()
+    code, out, err = run_cli("analyze")
+    assert code == 2 and not out and "the following arguments are required: expr" in err
+    code, out, err = run_cli("analyze", "Z/4", "--json")
+    assert code == 0 and not err and json.loads(out)["order"] == 4
+    code, out, err = run_cli("--help")
+    assert code == 0 and "usage: finring" in out and not err
+
+
+def test_verify_never_imports_numpy_random():
+    # every default-corpus ring is checked exhaustively, so no sampler runs
+    script = ("import io, sys\n"
+              "from finring import cli\n"
+              "code = cli.main(['verify', '--json'], out=io.StringIO())\n"
+              "print(code, 'numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_env_with_src(), timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0 False\n")
+
+
 def test_unexpected_exception_is_one_line_internal_error(monkeypatch):
     from finring import cli
 

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import random
 from functools import cache
 
 import numpy as np
@@ -21,7 +22,7 @@ from finring import build, harness
 from finring.build import group_ring, matrix_ring, trivial_extension
 from finring import core
 from finring.core import Limits, block_rows, first_failure, grow_span
-from finring.groups import cyclic, group_product
+from finring.groups import cyclic, group_product, symmetric_3
 
 from helpers import LAZY, TABLE, full_cube_ternary_checks, magma_closure
 
@@ -60,6 +61,13 @@ def test_element_set_range_check():
 def test_element_set_drops_repeats():
     s = ElementSet(zmod(4), [2, 1, 1, 2])
     assert len(s) == 2 and s.indices() == [1, 2] and list(s) == [1, 2]
+
+
+def test_element_set_rejects_non_integer_indices():
+    # neither truncated (a list) nor kept as floats (an array)
+    for members in ([1.5, 2.7], np.array([1.5, 2.7])):
+        with pytest.raises(ArgumentError, match="element indices must be integers, got dtype float64"):
+            ElementSet(zmod(4), members)
 
 
 @pytest.mark.parametrize("lengths", [(700,), (90, 30), (25, 7, 6), (0,), (40, 0), (9, 0, 5), (0, 4, 4)])
@@ -145,7 +153,7 @@ def test_characteristic_stops_on_a_table_where_1_never_sums_to_0():
     group_ring(zmod(4), cyclic(2)),
     matrix_ring(2, zmod(3)),
     group_ring(zmod(2), cyclic(2), limits=LAZY),  # lazy, exhaustive ternary
-    zmod(300, limits=LAZY),                       # lazy, sampled ternary
+    zmod(1100, limits=LAZY),                      # lazy, sampled ternary
 ])
 def test_axioms_pass(ring):
     report = verify_axioms(ring)
@@ -165,7 +173,7 @@ def test_axioms_catch_corrupted_identity():
 
 
 def test_axioms_sampled_policy_above_cutoff():
-    r = zmod(300)
+    r = zmod(1100, limits=TABLE)
     report = verify_axioms(r)
     assert report.passed
     policies = {c.name: c.policy for c in report.checks}
@@ -174,6 +182,50 @@ def test_axioms_sampled_policy_above_cutoff():
     # sampling is seeded: identical reports on reruns
     again = verify_axioms(r)
     assert [c.policy for c in report.checks] == [c.policy for c in again.checks]
+
+
+def test_default_corpus_axioms_are_exhaustive():
+    for label, ring in default_corpus().rings():
+        report = verify_axioms(ring)
+        assert report.passed, label
+        assert {c.policy for c in report.checks} == {"exhaustive"}, label
+
+
+def test_exhaustive_axioms_catch_every_single_mul_fault():
+    # Z/257, just above the old sampling cutoff of 256: each of 40 random
+    # in-range changes to one MUL entry fails the exhaustive report
+    # (1.3-2.4 s in all on a 2-vCPU x86-64 VM, mostly the n^3 witness
+    # scans of the failing laws)
+    ring = zmod(257)
+    n, rng = ring.order, random.Random(3)
+    for _ in range(40):
+        mul = np.array(ring.mul_table)
+        x, y = rng.randrange(n), rng.randrange(n)
+        mul[x, y] = (mul[x, y] + rng.randrange(1, n)) % n
+        report = verify_axioms(FiniteRing(n, ring.one, "corrupted", add_table=ring.add_table,
+                                          mul_table=mul))
+        assert not report.passed, (x, y)
+        assert {c.policy for c in report.checks} == {"exhaustive"}
+        assert not all(c.passed for c in report.checks[-4:]), (x, y)
+
+
+@pytest.mark.parametrize("block_elements", [core.BLOCK_ELEMENTS, 1000])
+def test_commutativity_witness_is_the_first_asymmetric_entry(monkeypatch, block_elements):
+    # with 1000 entries a block, row block lo holds 1000 // (n - lo) rows,
+    # so the faults in rows 150-240 lie in a later block than row 0
+    monkeypatch.setattr(core, "BLOCK_ELEMENTS", block_elements)
+    m = parse_and_build("M(2, Z/4)")
+    n = m.order
+    for faults in ([("add", 200, 150)], [("add", 5, 3)], [("add", 240, 250), ("add", 230, 170)]):
+        ring = _corrupted(m, faults)
+        A = ring.add_table
+        expected = tuple(int(v) for v in np.argwhere(A != A.T)[0])
+        lazy = FiniteRing(n, m.one, "lazy twin", add_fn=lambda x, y: A[x, y],
+                          mul_fn=lambda x, y: ring.mul_table[x, y], neg_fn=lambda x: ring.neg_table[x])
+        for twin in (ring, lazy):
+            check = verify_axioms(twin).checks[0]
+            assert check.name == "add-commutative" and check.witness == expected, faults
+    assert verify_axioms(m).checks[0].passed
 
 
 def _corrupted(ring, faults):
@@ -211,6 +263,11 @@ def test_blocked_axioms_match_full_cube_on_corrupted_tables():
             assert left.witness[0] == min(x for _, x, _ in faults), faults
 
 
+# S3 relabelled so that its transpositions are 1, 2 and 3
+_S3_ORDER = [0, 1, 2, 5, 3, 4]
+_S3 = np.argsort(_S3_ORDER)[symmetric_3().table[np.ix_(_S3_ORDER, _S3_ORDER)]]
+
+
 def _laws_failing_separately():
     """(ring, verdicts) pairs whose tables fail the ternary laws in different
     combinations; verdicts follow checks[-4:]: add-associative,
@@ -240,6 +297,14 @@ def _laws_failing_separately():
         (FiniteRing(8, 1, "xor", add_table=np.bitwise_xor.outer(range(8), range(8)),
                     mul_table=[[0, 1, 2, 3, 4, 5, 0, 1]] * 8),
          [True, True, False, False]),
+        # + is S3 with 1, 2, 3 its transpositions, so S0 = {1, 2, 3, 0};
+        # x * y = x for an odd permutation y, else 0.  Right
+        # distributivity holds, and so does s(y + t) = sy + st for s, t in
+        # S0, but 4(1 + 1) = 0 != 4 + 4 at the 3-cycle 4: without an
+        # abelian +, left distributivity cannot be decided on S0 x R x S0
+        (FiniteRing(6, 1, "S3", add_table=_S3,
+                    mul_table=[[x if y in (1, 2, 3) else 0 for y in range(6)] for x in range(6)]),
+         [True, True, False, True]),
     ]
 
 
@@ -275,6 +340,8 @@ def test_additive_generators():
                       mul_table=zmod(4).mul_table)
     assert _axiom_generators(left) == [1, 2, 3, 0]
     assert _axiom_generators(ZERO_ONLY_AS_SEED) == [1, 2, 0]
+    s3 = FiniteRing(6, 1, "S3", add_table=_S3, mul_table=_S3)
+    assert _axiom_generators(s3) == [1, 2, 3, 0]
     assert magma_closure(ZERO_ONLY_AS_SEED.add_table, [1, 2]) == {1, 2}
 
 

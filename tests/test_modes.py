@@ -102,23 +102,23 @@ def test_lazy_subring_closure_closes_its_seeds():
 
 
 def test_axiom_reports_agree_across_modes():
-    for make in (lambda m: zmod(300, limits=m),
+    for make in (lambda m: zmod(1100, limits=m),
                  lambda m: matrix_ring(2, zmod(3), limits=m)):
         assert verify_axioms(make(LAZY)).checks == verify_axioms(make(TABLE)).checks
-    # a corrupted row of Z/300: the sampled checks fail, and the lazy twin
+    # a corrupted row of Z/1100: the sampled checks fail, and the lazy twin
     # draws the same triples (three seeded rng.integers calls), so it
     # reports the same witnesses
-    z = zmod(300)
+    z = zmod(1100, limits=TABLE)
     mul = np.array(z.mul_table)
-    mul[7] = (mul[7] + 1) % 300
-    table = FiniteRing(300, 1, "corrupted", add_table=z.add_table, mul_table=mul)
-    lazy = FiniteRing(300, 1, "corrupted", add_fn=lambda x, y: z.add_table[x, y],
+    mul[7] = (mul[7] + 1) % 1100
+    table = FiniteRing(1100, 1, "corrupted", add_table=z.add_table, mul_table=mul)
+    lazy = FiniteRing(1100, 1, "corrupted", add_fn=lambda x, y: z.add_table[x, y],
                       mul_fn=lambda x, y: mul[x, y], neg_fn=lambda x: z.neg_table[x])
     report = verify_axioms(table)
     assert not report.passed and report.checks == verify_axioms(lazy).checks
     sampled = {c.name: c.witness for c in report.failures() if c.policy == "sampled"}
-    assert sampled == {"mul-associative": (119, 7, 98), "left-distributive": (7, 167, 279),
-                       "right-distributive": (54, 253, 217)}
+    assert sampled == {"mul-associative": (76, 7, 465), "left-distributive": (7, 152, 309),
+                       "right-distributive": (76, 7, 465)}
 
 
 ALL_LAZY = Limits(max_order=256, table_threshold=1)
