@@ -271,10 +271,7 @@ def ideal_violation(ring: FiniteRing, members: frozenset) -> str | None:
 
 def ideal_closure(ring: FiniteRing, gens) -> ElementSet:
     """Smallest two-sided ideal containing ``gens``."""
-    gens = [int(x) for x in gens]
-    for x in gens:
-        ring._check_index(x)
-    return ElementSet(ring, closure(ring, gens, ideal=True))
+    return ElementSet(ring, closure(ring, ring.index_array(gens), ideal=True))
 
 
 def is_unit_closed_subring(sub) -> bool:

@@ -479,15 +479,13 @@ def quotient(ring: FiniteRing, ideal, *, label: str | None = None,
     quotient relabels representatives in ascending order (so the coset
     of 0 is element 0).
     """
-    members = frozenset(int(x) for x in ideal)
-    for x in members:
-        ring._check_index(x)
-    violation = ideal_violation(ring, members)
+    members = np.unique(ring.index_array(ideal))
+    violation = ideal_violation(ring, frozenset(members.tolist()))
     if violation is not None:
-        raise ArgumentError(f"{sorted(members)} is not an ideal of {ring.label}: {violation}")
+        raise ArgumentError(f"{members.tolist()} is not an ideal of {ring.label}: {violation}")
     # the coset of x is x + I, so its smallest index is min(add(x, I))
     rep = np.concatenate([block.min(axis=1) for _, block in
-                          ring.blocks("add", np.arange(ring.order), np.array(sorted(members)))])
+                          ring.blocks("add", np.arange(ring.order), members)])
     reps, proj = np.unique(rep, return_inverse=True)
     if proj[ring.one] == proj[0]:
         raise ArgumentError(f"ideal of {ring.label} contains 1; the quotient is the zero ring")
@@ -521,9 +519,7 @@ def corner(ring: FiniteRing, e: int, *, label: str | None = None,
 def subring_closure(ring: FiniteRing, gens, *, label: str | None = None,
                     limits: Limits = DEFAULT_LIMITS) -> Subring:
     """Smallest subring containing gens together with 0 and 1."""
-    gens = [int(x) for x in gens]
-    for x in gens:
-        ring._check_index(x)
+    gens = ring.index_array(gens).tolist()
     label = label or f"subring({', '.join(str(g) for g in gens)}) of {ring.label}"
     return _inherited_subring(ring, closure(ring, [ring.one] + gens, ideal=False), ring.one, label,
                               limits)

@@ -8,7 +8,7 @@ Commands:
     finring enumerate <family> <max>       predicate sweep over a family
 
 Global flags (accepted before or after the subcommand): --json,
---max-order N, --seed S, --dump-tables.
+--max-order N, --seed S, and --dump-tables (analyze and table only).
 
 Exit codes: 0 success, 1 mathematical counterexample (a claim failed or
 an internal consistency check tripped) or any other unexpected error,
@@ -299,6 +299,8 @@ def main(argv=None, out=None, err=None) -> int:
         vars(args).setdefault(name, default)
     limits = DEFAULT_LIMITS if args.max_order is None else Limits(max_order=args.max_order)
     try:
+        if args.dump_tables and args.command not in ("analyze", "table"):
+            raise ArgumentError("--dump-tables applies to analyze and table only")
         code = _COMMANDS[args.command](args, limits, out)
         out.flush()  # so a closed pipe shows here, not in the final flush
         return code

@@ -209,8 +209,23 @@ class FiniteRing:
         return f"FiniteRing({self.label!r}, order={self.order}, mode={self.mode})"
 
     def _check_index(self, x: int) -> None:
+        """An int or NumPy integer (not a bool) in 0..order-1, else ArgumentError."""
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            raise ArgumentError(f"element index {x!r} is not an integer")
         if not 0 <= x < self.order:
             raise ArgumentError(f"element index {x} out of range for {self.label} (order {self.order})")
+
+    def index_array(self, xs) -> np.ndarray:
+        """``xs`` (indices or an index array) as an index array, checked at
+        once as :meth:`_check_index` checks one: an integer dtype, so bools
+        and floats raise ArgumentError, and entries in 0..order-1."""
+        arr = xs if isinstance(xs, np.ndarray) else np.array(list(xs) or np.empty(0, dtype=np.intp))
+        if arr.dtype.kind not in "iu":
+            raise ArgumentError(f"element indices must be integers, got dtype {arr.dtype}")
+        if arr.size and (arr.min() < 0 or arr.max() >= self.order):
+            bad = arr[(arr < 0) | (arr >= self.order)].tolist()
+            raise ArgumentError(f"indices {bad} out of range for {self.label}")
+        return arr
 
     def add(self, x: int, y: int) -> int:
         self._check_index(x)
@@ -316,23 +331,24 @@ class ElementSet:
     array ``array``.  ``members``, the frozenset behind O(1) membership,
     is built on first use; length, iteration and ``indices`` read the
     array.  Any collection of integer indices is accepted, sorted and
-    with repeats dropped; an index array is taken to be ascending and
-    distinct already, as the structural sets of :mod:`finring.analysis`
-    hand it over, and is kept as a read-only view.  Indices of any other
-    dtype (floats, say) raise :class:`ArgumentError` rather than being
-    truncated.  The ring is read for the range check only and is not
-    kept, so a set cached by its ring forms no reference cycle with it."""
+    with repeats dropped; an index array must be ascending and distinct
+    already, as the structural sets of :mod:`finring.analysis` hand it
+    over, and is kept as a read-only view.  Indices of any other dtype
+    (floats, say) raise :class:`ArgumentError` rather than being
+    truncated.  The ring is read for the checks only and is not kept, so
+    a set cached by its ring forms no reference cycle with it."""
 
     def __init__(self, ring: FiniteRing, members):
         if not isinstance(members, np.ndarray):
             members = np.array(sorted(set(members)) or np.empty(0, dtype=np.intp))
-        if members.dtype.kind not in "iu":
-            raise ArgumentError(f"element indices must be integers, got dtype {members.dtype}")
         arr = members.view()
         arr.setflags(write=False)
-        if len(arr) and (arr[0] < 0 or arr[-1] >= ring.order):
-            bad = arr[(arr < 0) | (arr >= ring.order)].tolist()
-            raise ArgumentError(f"indices {bad} out of range for {ring.label}")
+        # an ascending array needs only its ends range-checked; a failing
+        # array is worded by the full check
+        if arr.dtype.kind not in "iu" or (len(arr) and (
+                arr[0] < 0 or arr[-1] >= ring.order or not (arr[1:] > arr[:-1]).all())):
+            ring.index_array(arr)
+            raise ArgumentError("element indices must be ascending and distinct")
         self.array = arr
 
     @cached_property

@@ -21,14 +21,14 @@ are ParseError values carrying a byte offset and the expected tokens.
 Expressions nest at most MAX_NESTING levels deep; every parenthesised
 or constructor argument and every further product factor is one level.
 
-Apart from Z/n and the infix product, a construction is one `_TERMS`
-entry plus its AST class and its builder: the parser, `format_expr`,
-`evaluate` and the lexer's keyword list all read the table.
+`parse` returns `Term(keyword, args)` nodes.  Apart from Z/n and the
+infix product, a construction is one `_TERMS` entry and its builder:
+the parser, `format_expr`, `evaluate` and the lexer read the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import build
 from .analysis import ideal_closure, jacobson
@@ -50,82 +50,14 @@ class ParseError(ValueError):
         super().__init__(f"{message} at offset {position}{suffix}")
 
 
-# -- AST ---------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
-class Zmod:
-    n: int
-
-@dataclass(frozen=True)
-class GF:
-    p: int
-    k: int
-
-@dataclass(frozen=True)
-class Product:
-    left: object
-    right: object
-
-@dataclass(frozen=True)
-class Matrix:
-    m: int
-    inner: object
-
-@dataclass(frozen=True)
-class UpperTri:
-    m: int
-    inner: object
-
-@dataclass(frozen=True)
-class TE:
-    inner: object
-
-@dataclass(frozen=True)
-class BT:
-    inner: object
-
-@dataclass(frozen=True)
-class Nil:
-    inner: object
-    p: int
-
-@dataclass(frozen=True)
-class PolyQ:
-    inner: object
-    coeffs: tuple
-
-@dataclass(frozen=True)
-class GroupRing:
-    inner: object
-    group: object
-
-@dataclass(frozen=True)
-class ModJ:
-    inner: object
-
-@dataclass(frozen=True)
-class Corner:
-    inner: object
-    index: int
-
-@dataclass(frozen=True)
-class Quot:
-    inner: object
-    gens: tuple
-
-@dataclass(frozen=True)
-class CyclicG:
-    n: int
-
-@dataclass(frozen=True)
-class GProd:
-    left: object
-    right: object
-
-@dataclass(frozen=True)
-class NamedG:
-    name: str
+class Term:
+    """An expression node: ``keyword`` is "Z", "x" (a ring or group
+    product), "C", a named group or a `_TERMS` keyword, and ``args`` holds
+    its arguments in grammar order, subexpressions as Terms and INT lists
+    as tuples."""
+    keyword: str
+    args: tuple
 
 
 # -- the term table ----------------------------------------------------------
@@ -156,31 +88,25 @@ def _nil(inner: FiniteRing, p: int, *, label: str, limits: Limits) -> FiniteRing
     return build.poly_quotient(inner, [0] * p + [inner.one], label=label, limits=limits)
 
 
-# keyword -> (AST class, argument kinds in field order, builder).  The
-# builder takes the fields, ring and group fields evaluated, plus label=
+# keyword -> (argument kinds in grammar order, builder).  The builder
+# takes the arguments, ring and group arguments evaluated, plus label=
 # and limits=.
 _TERMS = {
-    "GF": (GF, (_Int("characteristic", 2), _Int("extension degree", 1)), build.gf),
-    "M": (Matrix, (_Int("matrix size", 1), _RING), build.matrix_ring),
-    "UT": (UpperTri, (_Int("matrix size", 2), _RING), build.upper_triangular),
-    "TE": (TE, (_RING,), build.trivial_extension),
-    "BT": (BT, (_RING,), build.bt),
-    "NIL": (Nil, (_RING, _Int("nilpotency degree", 1)), _nil),
-    "POLYQ": (PolyQ, (_RING, _IntList("coefficient index", 2,
-                                     "polynomial modulus needs degree >= 1")),
+    "GF": ((_Int("characteristic", 2), _Int("extension degree", 1)), build.gf),
+    "M": ((_Int("matrix size", 1), _RING), build.matrix_ring),
+    "UT": ((_Int("matrix size", 2), _RING), build.upper_triangular),
+    "TE": ((_RING,), build.trivial_extension),
+    "BT": ((_RING,), build.bt),
+    "NIL": ((_RING, _Int("nilpotency degree", 1)), _nil),
+    "POLYQ": ((_RING, _IntList("coefficient index", 2, "polynomial modulus needs degree >= 1")),
               build.poly_quotient),
-    "GR": (GroupRing, (_RING, _GROUP), build.group_ring),
-    "MODJ": (ModJ, (_RING,), lambda r, **kw: build.quotient(r, jacobson(r), **kw).ring),
-    "CORNER": (Corner, (_RING, _Int("idempotent index", 0)),
+    "GR": ((_RING, _GROUP), build.group_ring),
+    "MODJ": ((_RING,), lambda r, **kw: build.quotient(r, jacobson(r), **kw).ring),
+    "CORNER": ((_RING, _Int("idempotent index", 0)),
                lambda r, e, **kw: build.corner(r, e, **kw).ring),
-    "QUOT": (Quot, (_RING, _IntList("generator index")),
+    "QUOT": ((_RING, _IntList("generator index")),
              lambda r, gens, **kw: build.quotient(r, ideal_closure(r, gens), **kw).ring),
 }
-_KEYWORD_OF = {node: kw for kw, (node, _, _) in _TERMS.items()}
-
-
-def _fields(node) -> list:
-    return [getattr(node, f.name) for f in fields(node)]
 
 
 # -- lexer -------------------------------------------------------------------
@@ -271,7 +197,7 @@ class _Parser:
             raise ParseError(f"expression nested more than {MAX_NESTING} levels deep",
                              self.peek().pos)
 
-    def parse_chain(self, parse_term, product):
+    def parse_chain(self, parse_term):
         """Term { "x" Term } with "(" chain ")" as a term, right-associated."""
         outer = self.depth
         terms = []
@@ -279,7 +205,7 @@ class _Parser:
             self.deeper()
             if self.peek().kind == "LPAREN":
                 self.advance()
-                terms.append(self.parse_chain(parse_term, product))
+                terms.append(self.parse_chain(parse_term))
                 self.expect("RPAREN")
             else:
                 terms.append(parse_term())
@@ -289,7 +215,7 @@ class _Parser:
         self.depth = outer
         node = terms[-1]
         for t in reversed(terms[:-1]):
-            node = product(t, node)
+            node = Term("x", (t, node))
         return node
 
     def parse_int_list(self, what: str) -> tuple:
@@ -316,17 +242,17 @@ class _Parser:
         tok = self.keyword("ring", {"Z", *_TERMS})
         if tok.value == "Z":
             self.expect("SLASH")
-            return Zmod(self.expect_int("modulus", 2))
-        node, kinds, _ = _TERMS[tok.value]
+            return Term("Z", (self.expect_int("modulus", 2),))
+        kinds, _ = _TERMS[tok.value]
         self.expect("LPAREN")
         args = []
         for kind in kinds:
             if args:
                 self.expect("COMMA")
             if kind is _RING:
-                args.append(self.parse_chain(self.parse_term, Product))
+                args.append(self.parse_chain(self.parse_term))
             elif kind is _GROUP:
-                args.append(self.parse_chain(self.parse_gterm, GProd))
+                args.append(self.parse_chain(self.parse_gterm))
             elif isinstance(kind, _Int):
                 args.append(self.expect_int(kind.what, kind.minimum))
             else:
@@ -334,19 +260,19 @@ class _Parser:
                 if len(args[-1]) < kind.shortest:
                     raise ParseError(kind.too_short, tok.pos)
         self.expect("RPAREN")
-        return node(*args)
+        return Term(tok.value, tuple(args))
 
     def parse_gterm(self):
         tok = self.keyword("group", {"C", *NAMED_GROUPS})
         if tok.value == "C":
-            return CyclicG(self.expect_int("cyclic order", 1))
-        return NamedG(tok.value)
+            return Term("C", (self.expect_int("cyclic order", 1),))
+        return Term(tok.value, ())
 
 
 def parse(text: str):
     """Parse a ring expression to its AST."""
     parser = _Parser(text)
-    node = parser.parse_chain(parser.parse_term, Product)
+    node = parser.parse_chain(parser.parse_term)
     tok = parser.peek()
     if tok.kind != "EOF":
         raise ParseError(f"unexpected {parser._describe(tok)} after expression", tok.pos,
@@ -357,78 +283,54 @@ def parse(text: str):
 # -- formatting --------------------------------------------------------------
 
 
-def _format_product(node, format_factor) -> str:
-    # the parser right-associates, so a product on the left needs parentheses
-    left = format_factor(node.left)
-    if isinstance(node.left, type(node)):
-        left = f"({left})"
-    return f"{left} x {format_factor(node.right)}"
+def _format_arg(value) -> str:
+    if isinstance(value, Term):
+        return format_expr(value)
+    return f"[{', '.join(map(str, value))}]" if isinstance(value, tuple) else str(value)
 
 
-def format_expr(node) -> str:
-    """Canonical text; parse(format_expr(e)) is structurally equal to e."""
-    if isinstance(node, Zmod):
-        return f"Z/{node.n}"
-    if isinstance(node, Product):
-        return _format_product(node, format_expr)
-    kw = _KEYWORD_OF.get(type(node))
-    if kw is None:
-        raise TypeError(f"not a ring expression node: {node!r}")
-    _, kinds, _ = _TERMS[kw]
-    args = []
-    for kind, value in zip(kinds, _fields(node)):
-        if kind is _RING:
-            args.append(format_expr(value))
-        elif kind is _GROUP:
-            args.append(format_group(value))
-        elif isinstance(kind, _IntList):
-            args.append(f"[{', '.join(str(v) for v in value)}]")
-        else:
-            args.append(str(value))
-    return f"{kw}({', '.join(args)})"
+def format_expr(node: Term) -> str:
+    """Canonical text; parse(format_expr(e)) is structurally equal to e.
+    Ring and group keywords are disjoint and "x" reads the same in both,
+    so this formats group expressions too."""
+    kw, args = node.keyword, node.args
+    if kw == "x":  # the parser right-associates, so a product on the left needs parentheses
+        left, right = map(format_expr, args)
+        return f"({left}) x {right}" if args[0].keyword == "x" else f"{left} x {right}"
+    if kw == "Z":
+        return f"Z/{args[0]}"
+    if kw == "C":
+        return f"C{args[0]}"
+    if kw in NAMED_GROUPS:
+        return kw
+    return f"{kw}({', '.join(map(_format_arg, args))})"
 
 
-def format_group(node) -> str:
-    if isinstance(node, CyclicG):
-        return f"C{node.n}"
-    if isinstance(node, NamedG):
-        return node.name
-    if isinstance(node, GProd):
-        return _format_product(node, format_group)
-    raise TypeError(f"not a group expression node: {node!r}")
+format_group = format_expr
 
 
 # -- evaluation --------------------------------------------------------------
 
 
-def evaluate_group(node) -> GroupTable:
-    if isinstance(node, CyclicG):
-        return cyclic(node.n)
-    if isinstance(node, NamedG):
-        return NAMED_GROUPS[node.name]()
-    if isinstance(node, GProd):
-        return group_product(evaluate_group(node.left), evaluate_group(node.right))
-    raise TypeError(f"not a group expression node: {node!r}")
+def evaluate_group(node: Term) -> GroupTable:
+    if node.keyword == "x":
+        return group_product(*map(evaluate_group, node.args))
+    if node.keyword == "C":
+        return cyclic(node.args[0])
+    return NAMED_GROUPS[node.keyword]()
 
 
-def evaluate(node, limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
+def evaluate(node: Term, limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
     """Build the ring an expression denotes, labelled format_expr(node);
-    subexpressions are built in field order, left before right."""
+    subexpressions are built in argument order, left before right."""
     label = format_expr(node)
-    if isinstance(node, Zmod):
-        return build.zmod(node.n, label=label, limits=limits)
-    if isinstance(node, Product):
-        return build.product(
-            evaluate(node.left, limits), evaluate(node.right, limits),
-            label=label, limits=limits)
-    _, kinds, builder = _TERMS[_KEYWORD_OF[type(node)]]
-    args = []
-    for kind, value in zip(kinds, _fields(node)):
-        if kind is _RING:
-            value = evaluate(value, limits)
-        elif kind is _GROUP:
-            value = evaluate_group(value)
-        args.append(value)
+    if node.keyword == "Z":
+        return build.zmod(node.args[0], label=label, limits=limits)
+    if node.keyword == "x":
+        return build.product(*(evaluate(r, limits) for r in node.args), label=label, limits=limits)
+    kinds, builder = _TERMS[node.keyword]
+    args = [evaluate(v, limits) if kind is _RING else evaluate_group(v) if kind is _GROUP else v
+            for kind, v in zip(kinds, node.args)]
     return builder(*args, label=label, limits=limits)
 
 

@@ -37,7 +37,7 @@ from .analysis import (
 )
 from .core import (DEFAULT_LIMITS, DEFAULT_SEED, FiniteRing, Limits, first_failure, member_mask,
                    verify_axioms)
-from .expr import GroupRing, ParseError, evaluate, evaluate_group, parse, parse_and_build
+from .expr import ParseError, evaluate, evaluate_group, parse, parse_and_build
 from .groups import cyclic_subgroups
 from .predicates import (
     check_unit_class,
@@ -220,9 +220,9 @@ def _group_ring_parts(text: str, limits: Limits):
         node = parse(text)
     except ParseError:
         return None
-    if not isinstance(node, GroupRing):
+    if node.keyword != "GR":
         return None
-    return evaluate(node.inner, limits), evaluate_group(node.group)
+    return evaluate(node.args[0], limits), evaluate_group(node.args[1])
 
 
 def _claim_c1(rings, limits):

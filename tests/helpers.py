@@ -18,24 +18,7 @@ import numpy as np
 from finring import build
 from finring.analysis import closure, ideal_closure, jacobson
 from finring.core import DEFAULT_MAX_ORDER, AxiomCheck, FiniteRing, Limits
-from finring.expr import (
-    BT,
-    GF,
-    Corner,
-    CyclicG,
-    GProd,
-    GroupRing,
-    Matrix,
-    ModJ,
-    NamedG,
-    Nil,
-    PolyQ,
-    Product,
-    Quot,
-    TE,
-    UpperTri,
-    Zmod,
-)
+from finring.expr import Term
 from finring.harness import PRODUCT_PAIR_CAP
 
 # The storage mode of every ring a construction builds, chosen by the one
@@ -115,6 +98,22 @@ def quasi_regular_radical(ring) -> frozenset:
     unit_mask = ((table == ring.one) & (table.T == ring.one)).any(axis=1)
     one_minus = ring.add_arr(ring.one, ring.neg_arr(every))  # 1 - t for every t
     return frozenset(np.flatnonzero(unit_mask[one_minus[table]].all(axis=0)).tolist())
+
+
+def power_law_mod_j(ring, k: int) -> bool:
+    """True iff x^k - x lies in J(R) for every x, J(R) read from
+    :func:`quasi_regular_radical`: no units enter.
+
+    The units-free criteria for the six unit classes of a finite ring:
+    UU = UJ = sqrtJU iff k = 2 holds (R/J(R) is Boolean), and
+    2-UU = 2-UJ = 2-sqrtJU iff k = 3 holds (R/J(R) is a product of
+    copies of F_2 and F_3)."""
+    in_j = np.zeros(ring.order, dtype=bool)
+    in_j[list(quasi_regular_radical(ring))] = True
+    every = power = np.arange(ring.order)
+    for _ in range(k - 1):
+        power = ring.mul_arr(power, every)
+    return bool(in_j[ring.add_arr(power, ring.neg_arr(every))].all())
 
 
 def relabelled(ring, seed: int) -> FiniteRing:
@@ -437,9 +436,9 @@ def random_group_expr(rng: random.Random, depth: int):
     if depth <= 0 or rng.random() < 0.55:
         choice = rng.randrange(4)
         if choice == 0:
-            return NamedG(rng.choice(["S3", "D4", "Q8"]))
-        return CyclicG(rng.randint(1, 8))
-    return GProd(random_group_expr(rng, depth - 1), random_group_expr(rng, depth - 1))
+            return Term(rng.choice(["S3", "D4", "Q8"]), ())
+        return Term("C", (rng.randint(1, 8),))
+    return Term("x", (random_group_expr(rng, depth - 1), random_group_expr(rng, depth - 1)))
 
 
 def random_ring_expr(rng: random.Random, depth: int):
@@ -447,31 +446,31 @@ def random_ring_expr(rng: random.Random, depth: int):
     ones are far outside evaluation limits on purpose)."""
     if depth <= 0 or rng.random() < 0.3:
         if rng.random() < 0.7:
-            return Zmod(rng.randint(2, 64))
-        return GF(rng.choice([2, 3, 5, 7]), rng.randint(1, 3))
+            return Term("Z", (rng.randint(2, 64),))
+        return Term("GF", (rng.choice([2, 3, 5, 7]), rng.randint(1, 3)))
     kind = rng.randrange(11)
     inner = random_ring_expr(rng, depth - 1)
     if kind == 0:
-        return Product(inner, random_ring_expr(rng, depth - 1))
+        return Term("x", (inner, random_ring_expr(rng, depth - 1)))
     if kind == 1:
-        return Matrix(rng.randint(1, 3), inner)
+        return Term("M", (rng.randint(1, 3), inner))
     if kind == 2:
-        return UpperTri(rng.randint(2, 3), inner)
+        return Term("UT", (rng.randint(2, 3), inner))
     if kind == 3:
-        return TE(inner)
+        return Term("TE", (inner,))
     if kind == 4:
-        return BT(inner)
+        return Term("BT", (inner,))
     if kind == 5:
-        return Nil(inner, rng.randint(1, 4))
+        return Term("NIL", (inner, rng.randint(1, 4)))
     if kind == 6:
-        return GroupRing(inner, random_group_expr(rng, depth - 1))
+        return Term("GR", (inner, random_group_expr(rng, depth - 1)))
     if kind == 7:
-        return PolyQ(inner, tuple(rng.randint(0, 8) for _ in range(rng.randint(2, 5))))
+        return Term("POLYQ", (inner, tuple(rng.randint(0, 8) for _ in range(rng.randint(2, 5)))))
     if kind == 8:
-        return ModJ(inner)
+        return Term("MODJ", (inner,))
     if kind == 9:
-        return Corner(inner, rng.randint(0, 30))
-    return Quot(inner, tuple(rng.randint(0, 30) for _ in range(rng.randint(1, 3))))
+        return Term("CORNER", (inner, rng.randint(0, 30)))
+    return Term("QUOT", (inner, tuple(rng.randint(0, 30) for _ in range(rng.randint(1, 3)))))
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,13 @@ def test_dump_tables_flag_roundtrips():
     assert ring.mul(2, 2) == direct.mul(2, 2) == 1
 
 
+def test_dump_tables_outside_analyze_and_table_exits_2():
+    message = "error: --dump-tables applies to analyze and table only\n"
+    for argv in (("verify", "--claims", "C13", "--dump-tables"),
+                 ("--dump-tables", "enumerate", "zmod", "4")):
+        assert run_cli(*argv) == (2, "", message)
+
+
 def test_verify_single_claim():
     code, out, _ = run_cli("verify", "--claims", "C13")
     assert code == 0

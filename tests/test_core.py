@@ -18,7 +18,7 @@ from finring import (
     verify_axioms,
     zmod,
 )
-from finring import build, harness
+from finring import analysis, build, harness
 from finring.build import group_ring, matrix_ring, trivial_extension
 from finring import core
 from finring.core import Limits, block_rows, first_failure, grow_span
@@ -68,6 +68,46 @@ def test_element_set_rejects_non_integer_indices():
     for members in ([1.5, 2.7], np.array([1.5, 2.7])):
         with pytest.raises(ArgumentError, match="element indices must be integers, got dtype float64"):
             ElementSet(zmod(4), members)
+
+
+def test_element_set_rejects_unsorted_repeated_or_hidden_out_of_range_arrays():
+    for members in (np.array([3, 1, 3]), np.array([1, 1])):
+        with pytest.raises(ArgumentError, match="ascending and distinct"):
+            ElementSet(zmod(4), members)
+    # 9 out of range, also between in-range ends
+    for members in (np.array([1, 9, 2]), np.array([1, 2, 9])):
+        with pytest.raises(ArgumentError, match=r"indices \[9\] out of range for Z/4"):
+            ElementSet(zmod(4), members)
+    with pytest.raises(ArgumentError, match="got dtype bool"):
+        ElementSet(zmod(4), np.array([False, True]))
+    assert ElementSet(zmod(4), np.array([0, 2, 3])).indices() == [0, 2, 3]
+
+
+def test_every_scalar_intake_rejects_non_integer_indices():
+    z4 = zmod(4)
+    scalar = "is not an integer"
+    array = "element indices must be integers"
+    cases = [
+        (lambda: zmod(2000).add(1.5, 2), scalar),  # lazy
+        (lambda: zmod(5).add(1.5, 2), scalar),  # table
+        (lambda: zmod(5).add(True, 1), scalar),
+        (lambda: zmod(5).mul(np.bool_(True), 1), scalar),
+        (lambda: z4.neg(2.0), scalar),
+        (lambda: build.corner(z4, 1.5), scalar),
+        (lambda: analysis.in_jacobson(z4, 2.0), scalar),
+        (lambda: analysis.in_sqrt_jacobson(z4, 2.0), scalar),
+        (lambda: analysis.ideal_closure(z4, [2.5]), array),
+        (lambda: analysis.ideal_closure(z4, [True]), array),
+        (lambda: build.subring_closure(z4, [2.7]), array),
+        (lambda: build.quotient(z4, [0, 2.9]), array),
+    ]
+    for call, message in cases:
+        with pytest.raises(ArgumentError, match=message):
+            call()
+    # integers of every kind still pass
+    assert zmod(5).add(np.int64(3), np.uint8(4)) == 2
+    assert analysis.ideal_closure(z4, np.array([2], dtype=np.int16)).indices() == [0, 2]
+    assert build.quotient(z4, (0, 2)).ring.order == 2
 
 
 @pytest.mark.parametrize("lengths", [(700,), (90, 30), (25, 7, 6), (0,), (40, 0), (9, 0, 5), (0, 4, 4)])

@@ -1,5 +1,7 @@
 import random
+import re
 import string
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,41 +18,40 @@ from finring import (
     parse,
     parse_and_build,
 )
-from finring.expr import (
-    GF,
-    MAX_NESTING,
-    CyclicG,
-    GProd,
-    GroupRing,
-    Matrix,
-    Product,
-    TE,
-    Zmod,
-)
+from finring.expr import _TERMS, MAX_NESTING, Term
+from finring.groups import NAMED_GROUPS
 
 from helpers import random_ring_expr
 
 
+def Z(n):
+    return Term("Z", (n,))
+
+
+def C(n):
+    return Term("C", (n,))
+
+
 def test_parse_examples():
-    assert parse("Z/4") == Zmod(4)
-    assert parse("GR(Z/9, C2 x C2)") == GroupRing(Zmod(9), GProd(CyclicG(2), CyclicG(2)))
-    assert parse("M(2, Z/2 x Z/3)") == Matrix(2, Product(Zmod(2), Zmod(3)))
-    assert parse("TE(GF(3, 2))") == TE(GF(3, 2))
-    assert parse("  Z/2xZ/3  ") == Product(Zmod(2), Zmod(3))
+    assert parse("Z/4") == Z(4)
+    assert parse("GR(Z/9, C2 x C2)") == Term("GR", (Z(9), Term("x", (C(2), C(2)))))
+    assert parse("M(2, Z/2 x Z/3)") == Term("M", (2, Term("x", (Z(2), Z(3)))))
+    assert parse("TE(GF(3, 2))") == Term("TE", (Term("GF", (3, 2)),))
+    assert parse("  Z/2xZ/3  ") == Term("x", (Z(2), Z(3)))
 
 
 def test_product_right_associates():
     node = parse("Z/2 x Z/3 x Z/5")
-    assert node == Product(Zmod(2), Product(Zmod(3), Zmod(5)))
+    assert node == Term("x", (Z(2), Term("x", (Z(3), Z(5)))))
     assert format_expr(node) == "Z/2 x Z/3 x Z/5"
-    nested = Product(Product(Zmod(2), Zmod(3)), Zmod(5))
+    nested = Term("x", (Term("x", (Z(2), Z(3))), Z(5)))
     assert format_expr(nested) == "(Z/2 x Z/3) x Z/5"
     assert parse(format_expr(nested)) == nested
 
 
 def test_format_examples():
-    assert format_expr(Zmod(4)) == "Z/4"
-    assert format_expr(GroupRing(Zmod(2), CyclicG(3))) == "GR(Z/2, C3)"
+    assert format_expr(Z(4)) == "Z/4"
+    assert format_expr(Term("GR", (Z(2), C(3)))) == "GR(Z/2, C3)"
     assert format_expr(parse("POLYQ( Z/2 , [0,0,1] )")) == "POLYQ(Z/2, [0, 0, 1])"
     assert format_expr(parse("QUOT(Z/12,[4])")) == "QUOT(Z/12, [4])"
 
@@ -178,7 +179,7 @@ def test_size_parameters_are_limited_before_any_work():
             parse_and_build(text, FUZZ_LIMITS)
     # int() reads decimal digits of any script, but not '\u00b2' and not
     # more than its digit limit
-    assert parse("Z/\u0663") == Zmod(3)
+    assert parse("Z/\u0663") == Z(3)
     for text in ("Z/\u00b2", "Z/" + "9" * 5000):
         with pytest.raises(ParseError) as err:
             parse(text)
@@ -187,12 +188,12 @@ def test_size_parameters_are_limited_before_any_work():
 
 def test_nesting_depth_cap():
     at_cap = "(" * (MAX_NESTING - 1) + "Z/2" + ")" * (MAX_NESTING - 1)
-    assert parse(at_cap) == Zmod(2)
+    assert parse(at_cap) == Z(2)
     assert parse_and_build(at_cap).order == 2
     chain = " x ".join(["Z/2"] * MAX_NESTING)
     assert format_expr(parse(chain)) == chain
     group_chain = "GR(Z/2, " + " x ".join(["C1"] * (MAX_NESTING - 1)) + ")"
-    assert parse(group_chain).inner == Zmod(2)
+    assert parse(group_chain).args[0] == Z(2)
     for past_cap in ("(" + at_cap + ")", chain + " x Z/2", group_chain.replace("C1)", "C1 x C1)")):
         with pytest.raises(ParseError, match="nested more than"):
             parse(past_cap)
@@ -259,3 +260,29 @@ def test_evaluate_argument_errors_propagate():
         parse_and_build("POLYQ(Z/4, [1, 2])")  # non-monic
     with pytest.raises(ArgumentError):
         parse_and_build("QUOT(Z/12, [99])")  # index out of range
+
+
+def _readme_grammar() -> dict:
+    """Rule name -> alternatives of the grammar block in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Expression language", 1)[1].split("```")[1]
+    rules = re.findall(r"^(\w+)\s*:=(.*?)(?=^\w+\s*:=|\Z)", block, re.M | re.S)
+    return {name: [alt.strip() for alt in body.split("|")] for name, body in rules}
+
+
+def test_readme_grammar_lists_every_keyword():
+    # each alternative of Term and GTerm, filled in, parses to its keyword
+    # and round-trips once, so the README and the term table cannot drift
+    grammar = _readme_grammar()
+    fill = {"[INT, ...]": "[0, 1]", "INT": "2", "GExpr": "C2", "Expr": "Z/2"}
+    found = set()
+    for rule, wrap in (("Term", "{}"), ("GTerm", "GR(Z/2, {})")):
+        for alt in grammar[rule]:
+            if alt.startswith('"("'):
+                continue
+            for hole, value in fill.items():
+                alt = alt.replace(hole, value)
+            node = parse(wrap.format(alt))
+            assert parse(format_expr(node)) == node, alt
+            found.add(node.keyword if rule == "Term" else node.args[1].keyword)
+    assert found == {"Z", *_TERMS, "C", *NAMED_GROUPS}

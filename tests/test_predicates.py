@@ -1,10 +1,16 @@
+import random
+
 import pytest
 
 from finring import (
     ArgumentError,
+    LimitError,
+    Limits,
     bt,
     check_unit_class,
     classify,
+    default_corpus,
+    format_expr,
     gf,
     group_ring,
     is_dedekind_finite,
@@ -14,6 +20,7 @@ from finring import (
     is_sqrt_ju,
     is_two_sqrt_ju,
     matrix_ring,
+    parse_and_build,
     product,
     trivial_extension,
     upper_triangular,
@@ -22,7 +29,14 @@ from finring import (
 from finring.groups import cyclic, group_product, symmetric_3
 from finring.predicates import UNIT_CLASSES
 
-from helpers import LAZY, brute_sqrt_jacobson, brute_unit_square_class
+from helpers import (
+    LAZY,
+    brute_sqrt_jacobson,
+    brute_unit_square_class,
+    power_law_mod_j,
+    random_ring_expr,
+    relabelled,
+)
 
 
 def test_check_unit_class_examples():
@@ -147,3 +161,33 @@ def test_sqrtju_iff_two_in_radical():
     for ring in CORPUS_SAMPLE:
         two = ring.add(ring.one, ring.one)
         assert is_sqrt_ju(ring) == (is_two_sqrt_ju(ring) and two in jacobson(ring).members)
+
+
+def _assert_units_free_criteria(ring):
+    verdicts = classify(ring).verdicts
+    square, cube = power_law_mod_j(ring, 2), power_law_mod_j(ring, 3)
+    assert verdicts["UU"] == verdicts["UJ"] == verdicts["sqrtJU"] == square, ring.label
+    assert verdicts["2-UU"] == verdicts["2-UJ"] == verdicts["2-sqrtJU"] == cube, ring.label
+
+
+def test_unit_classes_match_units_free_criteria():
+    corpus = [ring for _, ring in default_corpus().rings()]
+    for ring in corpus:
+        _assert_units_free_criteria(ring)
+    for ring in corpus:
+        if ring.order <= 256:
+            for seed in range(2):
+                _assert_units_free_criteria(relabelled(ring, seed))
+    rng = random.Random(24)
+    built = 0
+    while built < 150:
+        text = format_expr(random_ring_expr(rng, rng.randint(1, 3)))
+        try:
+            rings = [parse_and_build(text, Limits(max_order=256, table_threshold=t))
+                     for t in (256, 1)]
+        except (LimitError, ArgumentError):
+            continue
+        assert [r.mode for r in rings] == ["table", "lazy"]
+        for ring in rings:
+            _assert_units_free_criteria(ring)
+        built += 1
