@@ -46,14 +46,13 @@ from .core import (
     parse_table_dump,
     verify_axioms,
 )
-from .expr import ParseError, evaluate, format_expr, format_group, parse, parse_and_build
+from .expr import ParseError, evaluate, format_expr, parse, parse_and_build
 from .groups import (
     NAMED_GROUPS,
     GroupTable,
     cyclic,
     cyclic_subgroups,
     group_product,
-    subgroup_generated,
 )
 from .harness import (
     CLAIMS,

@@ -218,8 +218,16 @@ class FiniteRing:
     def index_array(self, xs) -> np.ndarray:
         """``xs`` (indices or an index array) as an index array, checked at
         once as :meth:`_check_index` checks one: an integer dtype, so bools
-        and floats raise ArgumentError, and entries in 0..order-1."""
-        arr = xs if isinstance(xs, np.ndarray) else np.array(list(xs) or np.empty(0, dtype=np.intp))
+        and floats raise ArgumentError, and entries in 0..order-1.  A bool
+        among other entries of a list, which NumPy would cast to 0 or 1, is
+        rejected as well."""
+        if isinstance(xs, np.ndarray):
+            arr = xs
+        else:
+            xs = list(xs)
+            if any(isinstance(x, (bool, np.bool_)) for x in xs):
+                raise ArgumentError("element indices must be integers, got a bool")
+            arr = np.array(xs or np.empty(0, dtype=np.intp))
         if arr.dtype.kind not in "iu":
             raise ArgumentError(f"element indices must be integers, got dtype {arr.dtype}")
         if arr.size and (arr.min() < 0 or arr.max() >= self.order):
@@ -243,37 +251,6 @@ class FiniteRing:
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
-
-    def pow(self, x: int, k: int) -> int:
-        """x multiplied by itself k times, k >= 1 (x^0 is deliberately undefined)."""
-        self._check_index(x)
-        if k < 1:
-            raise ArgumentError(f"pow exponent must be >= 1, got {k}")
-        acc = None
-        base = x
-        while k:
-            if k & 1:
-                acc = base if acc is None else self.mul(acc, base)
-            k >>= 1
-            if k:
-                base = self.mul(base, base)
-        return acc
-
-    def power_orbit(self, x: int) -> list[int]:
-        """Distinct values x, x^2, x^3, ... in order of first appearance.
-
-        Stops at the first repeat; the successor of the last entry is
-        therefore already in the list.  Length <= order.
-        """
-        self._check_index(x)
-        seen = set()
-        orbit = []
-        cur = x
-        while cur not in seen:
-            seen.add(cur)
-            orbit.append(cur)
-            cur = self.mul(cur, x)
-        return orbit
 
     def characteristic(self) -> int:
         """Smallest k >= 1 with k * 1 = 0; at most the order in a ring."""
@@ -340,7 +317,7 @@ class ElementSet:
 
     def __init__(self, ring: FiniteRing, members):
         if not isinstance(members, np.ndarray):
-            members = np.array(sorted(set(members)) or np.empty(0, dtype=np.intp))
+            members = np.unique(ring.index_array(sorted(members)))  # out-of-range ones worded in order
         arr = members.view()
         arr.setflags(write=False)
         # an ascending array needs only its ends range-checked; a failing

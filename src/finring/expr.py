@@ -306,9 +306,6 @@ def format_expr(node: Term) -> str:
     return f"{kw}({', '.join(map(_format_arg, args))})"
 
 
-format_group = format_expr
-
-
 # -- evaluation --------------------------------------------------------------
 
 

@@ -2,11 +2,20 @@
 
 These feed the group-ring construction.  Validation is exhaustive:
 associativity over all triples (:func:`finring.core.first_failure`),
-two-sided identity at index 0, and existence of inverses.  A group is a
-2-group exactly when its order is a power of 2.
+two-sided identity at index 0, and a right inverse in every row (which
+makes an associative table with identity a group).  A group is a 2-group
+exactly when its order is a power of 2.
+
+The named groups come from one builder, :func:`_from_elements`, which
+tabulates the composition of a list of elements, identity first: S3 and
+D4 as permutations, Q8 as unit quaternions.  :func:`cyclic_subgroups`
+reads the powers a^0..a^(n-1) of every a off one power table, n gathers
+from the Cayley table.
 """
 
 from __future__ import annotations
+
+from itertools import permutations
 
 import numpy as np
 
@@ -31,14 +40,12 @@ class GroupTable:
         bad = first_failure(lambda a, b, c: arr[arr[a, b], c] != arr[a, arr[b, c]], every, every, every)
         if bad:
             raise ArgumentError(f"{label}: operation not associative at {bad}")
-        inv = np.argwhere(arr == 0)
-        if len(inv) < n or len(set(int(p[0]) for p in inv)) != n:
+        if not (arr == 0).any(axis=1).all():
             raise ArgumentError(f"{label}: some element has no inverse")
         self.order = n
         self.table = arr
         self.identity = 0
         self.label = label
-        self._inverse = {int(a): int(b) for a, b in inv}
 
     def __repr__(self):
         return f"GroupTable({self.label!r}, order={self.order})"
@@ -46,19 +53,8 @@ class GroupTable:
     def op(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def inverse(self, a: int) -> int:
-        return self._inverse[a]
-
     def is_two_group(self) -> bool:
-        n = self.order
-        return n & (n - 1) == 0
-
-    def element_order(self, a: int) -> int:
-        k, cur = 1, a
-        while cur != 0:
-            cur = self.op(cur, a)
-            k += 1
-        return k
+        return self.order & (self.order - 1) == 0
 
 
 def _check_group_order(order: int, label: str) -> None:
@@ -85,60 +81,38 @@ def group_product(g: GroupTable, h: GroupTable) -> GroupTable:
     return GroupTable(table, label)
 
 
-def _from_permutations(perms: list[tuple], label: str) -> GroupTable:
-    # composition (p * q)(i) = p[q[i]]; permutations listed identity-first
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = [[index[tuple(p[q[i]] for i in range(len(p)))] for q in perms] for p in perms]
-    return GroupTable(table, label)
+def _from_elements(elements: list, compose, label: str) -> GroupTable:
+    """The group of ``elements`` (identity first) under ``compose``, element i at index i."""
+    index = {x: i for i, x in enumerate(elements)}
+    return GroupTable([[index[compose(x, y)] for y in elements] for x in elements], label)
+
+
+def _compose(p: tuple, q: tuple) -> tuple:
+    """Permutations composed as (p * q)(i) = p[q[i]]."""
+    return tuple(p[i] for i in q)
+
+
+def _hamilton(x: tuple, y: tuple) -> tuple:
+    """The product of quaternions (a, b, c, d) = a + bi + cj + dk."""
+    (a, b, c, d), (e, f, g, h) = x, y
+    return a*e - b*f - c*g - d*h, a*f + b*e + c*h - d*g, a*g - b*h + c*e + d*f, a*h + b*g - c*f + d*e
 
 
 def symmetric_3() -> GroupTable:
     """S3 as the six permutations of {0,1,2} in lexicographic order."""
-    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    return _from_permutations(perms, "S3")
+    return _from_elements(list(permutations(range(3))), _compose, "S3")
 
 
 def dihedral_4() -> GroupTable:
     """D4 (order 8): rotations r^i then reflections r^i s, encoded i + 4j."""
-    r = (1, 2, 3, 0)       # rotate the square's corners
-    s = (0, 3, 2, 1)       # reflect
-    def perm_pow(p, k):
-        out = tuple(range(4))
-        for _ in range(k):
-            out = tuple(p[out[i]] for i in range(4))
-        return out
-    def compose(p, q):
-        return tuple(p[q[i]] for i in range(4))
-    perms = [perm_pow(r, i) for i in range(4)]
-    perms += [compose(perm_pow(r, i), s) for i in range(4)]
-    return _from_permutations(perms, "D4")
+    rotations = [tuple((k + i) % 4 for k in range(4)) for i in range(4)]
+    return _from_elements(rotations + [_compose(r, (0, 3, 2, 1)) for r in rotations], _compose, "D4")
 
 
 def quaternion_8() -> GroupTable:
     """Q8 = {1, -1, i, -i, j, -j, k, -k}, encoded in that order."""
-    # (sign, axis) with axis 0 = scalar 1, 1 = i, 2 = j, 3 = k
-    def decode(x):
-        return (-1 if x & 1 else 1), x >> 1
-    def encode(sign, axis):
-        return (axis << 1) | (1 if sign < 0 else 0)
-    mul_axis = {
-        (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-        (1, 0): (1, 1), (2, 0): (1, 2), (3, 0): (1, 3),
-        (1, 1): (-1, 0), (2, 2): (-1, 0), (3, 3): (-1, 0),
-        (1, 2): (1, 3), (2, 3): (1, 1), (3, 1): (1, 2),
-        (2, 1): (-1, 3), (3, 2): (-1, 1), (1, 3): (-1, 2),
-    }
-    table = []
-    for x in range(8):
-        sx, ax = decode(x)
-        row = []
-        for y in range(8):
-            sy, ay = decode(y)
-            sz, az = mul_axis[(ax, ay)]
-            row.append(encode(sx * sy * sz, az))
-        table.append(row)
-    return GroupTable(table, "Q8")
+    units = [tuple(sign * (k == axis) for k in range(4)) for axis in range(4) for sign in (1, -1)]
+    return _from_elements(units, _hamilton, "Q8")
 
 
 NAMED_GROUPS = {
@@ -148,45 +122,22 @@ NAMED_GROUPS = {
 }
 
 
-def subgroup_generated(g: GroupTable, gens) -> GroupTable:
-    """The subgroup generated by ``gens``, relabeled on its sorted members."""
-    members = {0}
-    frontier = [int(x) for x in gens]
-    while frontier:
-        a = frontier.pop()
-        if a in members:
-            continue
-        members.add(a)
-        for b in list(members):
-            frontier.append(g.op(a, b))
-            frontier.append(g.op(b, a))
-    # closure under op implies closure under inverses in a finite group
-    sub = sorted(members)
-    pos = {x: i for i, x in enumerate(sub)}
-    table = [[pos[g.op(a, b)] for b in sub] for a in sub]
-    gen_names = ",".join(str(x) for x in gens) or "e"
-    return GroupTable(table, f"<{gen_names}> of {g.label}")
-
-
 def cyclic_subgroups(g: GroupTable) -> list[GroupTable]:
-    """One subgroup per distinct cyclic subgroup of g, plus g itself."""
-    seen = set()
+    """One subgroup <a> per distinct cyclic subgroup of g, at its least
+    generator a and in that order, relabeled on its sorted members; then g
+    itself unless it is cyclic.  <a> = <b> iff each holds the other."""
+    n, every = g.order, np.arange(g.order)
+    holds = np.zeros((n, n), dtype=bool)  # holds[a, x]: x is a power of a
+    power = np.zeros(n, dtype=np.intp)
+    for _ in range(n):
+        holds[every, power] = True
+        power = g.table[power, every]
+    first = ~np.tril(holds & holds.T, -1).any(axis=1)  # no b < a has <b> = <a>
     out = []
-    for a in range(g.order):
-        members = frozenset(_orbit(g, a))
-        if members in seen:
-            continue
-        seen.add(members)
-        out.append(subgroup_generated(g, [a]))
-    if frozenset(range(g.order)) not in seen:
+    for a in np.flatnonzero(first).tolist():
+        members = np.flatnonzero(holds[a])
+        table = np.searchsorted(members, g.table[np.ix_(members, members)])
+        out.append(GroupTable(table, f"<{a}> of {g.label}"))
+    if not holds.all(axis=1).any():
         out.append(g)
     return out
-
-
-def _orbit(g: GroupTable, a: int) -> list[int]:
-    cur, out = 0, [0]
-    while True:
-        cur = g.op(cur, a)
-        if cur == 0:
-            return out
-        out.append(cur)

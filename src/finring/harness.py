@@ -33,6 +33,7 @@ from .analysis import (
     is_unit_closed_subring,
     jacobson,
     sqrt_jacobson,
+    squares,
     units,
 )
 from .core import (DEFAULT_LIMITS, DEFAULT_SEED, FiniteRing, Limits, first_failure, member_mask,
@@ -451,7 +452,7 @@ def _claim_c11(rings, limits):
     for label, ring in _in_class(rings, records):
         problems = []
         us = units(ring).array
-        vs = ring.add_arr(ring.one, ring.neg_arr(ring.mul_arr(us, us)))
+        vs = ring.add_arr(ring.one, ring.neg_arr(squares(ring)[us]))
         hit = member_mask(ring.order, us)[vs]
         if hit.any():
             i = int(np.argmax(hit))

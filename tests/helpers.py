@@ -429,6 +429,44 @@ def group_ring_mul_over(base, a, b, group) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Cyclic subgroups by a frontier closure over scalar group.op
+
+
+def subgroup_closure(group, a: int) -> list[int]:
+    """The sorted members of the subgroup generated by ``a``: a frontier
+    of products, both ways, with every member found so far."""
+    members = {0}
+    frontier = [a]
+    while frontier:
+        x = frontier.pop()
+        if x in members:
+            continue
+        members.add(x)
+        for y in list(members):
+            frontier.append(group.op(x, y))
+            frontier.append(group.op(y, x))
+    return sorted(members)
+
+
+def cyclic_subgroups_oracle(group) -> list[tuple]:
+    """(label, order, table) of each distinct <a> in order of its first
+    generator a, relabeled on its sorted members, then of the group
+    itself unless some <a> is all of it."""
+    seen = set()
+    out = []
+    for a in range(group.order):
+        sub = subgroup_closure(group, a)
+        if tuple(sub) in seen:
+            continue
+        seen.add(tuple(sub))
+        pos = {x: i for i, x in enumerate(sub)}
+        out.append((f"<{a}> of {group.label}", len(sub), [[pos[group.op(x, y)] for y in sub] for x in sub]))
+    if not any(len(s) == group.order for s in seen):
+        out.append((group.label, group.order, group.table.tolist()))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Random expression trees for round-trip property tests
 
 

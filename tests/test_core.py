@@ -100,6 +100,12 @@ def test_every_scalar_intake_rejects_non_integer_indices():
         (lambda: analysis.ideal_closure(z4, [True]), array),
         (lambda: build.subring_closure(z4, [2.7]), array),
         (lambda: build.quotient(z4, [0, 2.9]), array),
+        # a bool among integers, which NumPy would cast to 1
+        (lambda: analysis.ideal_closure(z4, [True, 2]), array),
+        (lambda: ElementSet(z4, [True, 3]), array),
+        (lambda: ElementSet(z4, [np.True_, 3]), array),
+        (lambda: build.subring_closure(z4, [True, 2]), array),
+        (lambda: build.quotient(z4, [0, True, 2]), array),
     ]
     for call, message in cases:
         with pytest.raises(ArgumentError, match=message):
@@ -108,6 +114,7 @@ def test_every_scalar_intake_rejects_non_integer_indices():
     assert zmod(5).add(np.int64(3), np.uint8(4)) == 2
     assert analysis.ideal_closure(z4, np.array([2], dtype=np.int16)).indices() == [0, 2]
     assert build.quotient(z4, (0, 2)).ring.order == 2
+    assert ElementSet(z4, iter([3, np.int8(1), 3])).indices() == [1, 3]
 
 
 @pytest.mark.parametrize("lengths", [(700,), (90, 30), (25, 7, 6), (0,), (40, 0), (9, 0, 5), (0, 4, 4)])
@@ -128,37 +135,6 @@ def test_first_failure_matches_argwhere(monkeypatch, lengths):
         expected = tuple(int(a[i]) for a, i in zip(axes, hits[0])) if len(hits) else None
         got = first_failure(lambda *vs: mask[tuple(p[v] for p, v in zip(position, vs))], *axes)
         assert got == expected
-
-
-def test_pow():
-    assert zmod(12).pow(2, 3) == 8
-    assert zmod(9).pow(3, 2) == 0
-    m2 = matrix_ring(2, zmod(2))
-    e12 = 2  # coordinates (0,1,0,0)
-    assert m2.pow(e12, 2) == 0
-    r = zmod(7)
-    assert r.pow(3, 1) == 3
-    # repeated-squaring result agrees with iteration
-    for x in range(7):
-        acc = x
-        for k in range(1, 10):
-            assert r.pow(x, k) == acc
-            acc = r.mul(acc, x)
-    with pytest.raises(ArgumentError):
-        r.pow(3, 0)
-
-
-def test_power_orbit():
-    assert zmod(12).power_orbit(2) == [2, 4, 8]
-    assert zmod(4).power_orbit(2) == [2, 0]
-    r = zmod(36)
-    assert r.power_orbit(r.one) == [r.one]
-    for x in range(r.order):
-        orbit = r.power_orbit(x)
-        assert len(orbit) == len(set(orbit))
-        assert len(orbit) <= r.order
-        # the successor power of the last entry has appeared already
-        assert r.mul(orbit[-1], x) in orbit
 
 
 def test_characteristic():

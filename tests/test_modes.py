@@ -5,7 +5,9 @@ results on a lazy ring spanning several row blocks and on random
 grammar expressions built once with tables and once entirely lazy.
 """
 
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from finring import (
     verify_axioms,
     zmod,
 )
+import finring
 from finring.core import block_rows
 
 from helpers import LAZY, TABLE, random_ring_expr
@@ -168,3 +171,24 @@ def test_block_offsets_in_reported_witnesses():
     assert commutative.name == "add-commutative" and commutative.witness == (1000, 1001)
     with pytest.raises(ArgumentError, match=r"not closed under addition: 1001 \+ 1000 = 7$"):
         quotient(odd, set(range(n)) - {7})
+
+
+def storage_reads(path: Path) -> list[str]:
+    """Each attribute read of a ring's storage mode or stored tables in
+    ``path``, as "file:line .attr"."""
+    storage = {"mode", "add_table", "mul_table", "neg_table"}
+    return [f"{path.name}:{node.lineno} .{node.attr}"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr in storage]
+
+
+def test_only_core_reads_the_storage_mode():
+    # Everything outside core.py reads a ring through add_arr/mul_arr/
+    # neg_arr and blocks(); passing tables to FiniteRing(...) as keyword
+    # arguments, as build.py does, is no read.
+    package = Path(finring.__file__).parent
+    assert storage_reads(package / "core.py")  # the scan sees what it looks for
+    reads = [r for path in sorted(package.glob("*.py")) if path.name != "core.py"
+             for r in storage_reads(path)]
+    assert reads == []
