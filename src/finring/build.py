@@ -455,14 +455,26 @@ def group_ring(base: FiniteRing, group: GroupTable, *, label: str | None = None,
 def _induced_ring(ring: FiniteRing, lift: np.ndarray, down: np.ndarray, one: int, label: str,
                   limits: Limits) -> FiniteRing:
     """The ring on 0..len(lift)-1 with a op b = down[lift[a] op lift[b]]
-    and identity down[one], in table mode up to the threshold."""
+    and identity down[one], in table mode up to the threshold.
+
+    When the derived ring is all of ``ring`` (len(lift) == ring.order:
+    R/{0}, the corner at 1, a subring equal to R), lift and down are the
+    identity (down[one] is then ``ring``'s own one, as in any ring), and
+    the result is ``ring``'s storage under ``label``
+    (:meth:`FiniteRing.relabelled`): shared tables, or ``ring``'s own
+    operations with no lift/down gathers, filled into tables of its own
+    only when it is in table mode and ``ring`` is not.  Its cache starts
+    empty, so whatever is asked of it is computed afresh."""
+    table_mode = len(lift) <= limits.table_threshold
+    if len(lift) == ring.order and down[one] == ring.one:
+        return ring.relabelled(label, table_mode)
     out = FiniteRing(
         len(lift), int(down[one]), label,
         add_fn=lambda a, b: down[ring.add_arr(lift[a], lift[b])],
         mul_fn=lambda a, b: down[ring.mul_arr(lift[a], lift[b])],
         neg_fn=lambda a: down[ring.neg_arr(lift[a])],
     )
-    if len(lift) > limits.table_threshold:
+    if not table_mode:
         return out
     try:
         return out.materialized()

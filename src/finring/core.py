@@ -19,6 +19,7 @@ random sampling of the ternary laws above it.
 
 from __future__ import annotations
 
+import copy
 import math
 import threading
 from dataclasses import dataclass
@@ -301,6 +302,20 @@ class FiniteRing:
             tables[op].setflags(write=False)
         return FiniteRing(n, self.one, self.label, add_table=tables["add"],
                           mul_table=tables["mul"], neg_table=self.neg_arr(np.arange(n)))
+
+    def relabelled(self, label: str, table: bool) -> "FiniteRing":
+        """This ring's operations under ``label``, with an empty cache of
+        its own, in table mode if ``table`` is set and lazy otherwise.  A
+        table twin of a table ring shares its tables, and a lazy twin
+        computes through this ring's ``add_arr``/``mul_arr``/``neg_arr``;
+        only a table twin of a lazy ring fills tables of its own."""
+        if table and self.mode == "table":
+            twin = copy.copy(self)
+            twin.label, twin._lock, twin._cache = label, threading.RLock(), {}
+            return twin
+        twin = FiniteRing(self.order, self.one, label, add_fn=self.add_arr, mul_fn=self.mul_arr,
+                          neg_fn=self.neg_arr)
+        return twin.materialized() if table else twin
 
 
 class ElementSet:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from finring import (
+    DEFAULT_LIMITS,
     ArgumentError,
     FiniteRing,
     LimitError,
@@ -22,6 +23,7 @@ from finring import (
     quotient,
     subring_closure,
     trivial_extension,
+    units,
     upper_triangular,
     zmod,
 )
@@ -515,6 +517,44 @@ def test_derived_rings_from_lazy_parent_match_table_twin():
     st, sl = subring_closure(ptable, [3]), subring_closure(plazy, [3])
     assert st.embedding == sl.embedding
     assert np.array_equal(st.ring.add_table, sl.ring.add_table)
+
+
+def identity_derived(ring, limits):
+    """R/{0}, the corner at 1 and the subring generated by every element,
+    each all of ``ring``, built under ``limits``."""
+    every = range(ring.order)
+    return {"quotient": quotient(ring, [0], limits=limits).ring,
+            "corner": corner(ring, ring.one, limits=limits).ring,
+            "subring": subring_closure(ring, every, limits=limits).ring}
+
+
+def test_identity_derived_table_rings_share_storage_with_a_cache_of_their_own():
+    parent = upper_triangular(2, zmod(4))
+    parent_units = units(parent)
+    for name, ring in identity_derived(parent, DEFAULT_LIMITS).items():
+        assert ring.mode == "table" and ring.label != parent.label, name
+        for mine, theirs in zip(op_tables(ring), op_tables(parent)):
+            assert np.shares_memory(mine, theirs), name
+        assert (ring.order, ring.one) == (parent.order, parent.one)
+        assert units(ring) is not parent_units and units(ring).indices() == parent_units.indices()
+        assert same_verdicts(ring, parent), name
+
+
+@pytest.mark.parametrize("parent_limits, derived_limits, mode", [
+    (LAZY, LAZY, "lazy"), (LAZY, DEFAULT_LIMITS, "table"), (DEFAULT_LIMITS, LAZY, "lazy")])
+def test_identity_derived_ring_mode_follows_its_order_and_limits(parent_limits, derived_limits,
+                                                                mode):
+    # a lazy twin computes through the parent's formulas; a table twin of
+    # a lazy parent (order 64 <= 1024) fills tables of its own
+    parent = upper_triangular(2, zmod(4), limits=parent_limits)
+    twin = upper_triangular(2, zmod(4), limits=TABLE)
+    x = np.arange(parent.order)
+    for name, ring in identity_derived(parent, derived_limits).items():
+        assert ring.mode == mode, name
+        assert np.array_equal(ring.add_arr(x[:, None], x), twin.add_table), name
+        assert np.array_equal(ring.mul_arr(x[:, None], x), twin.mul_table), name
+        assert np.array_equal(ring.neg_arr(x), twin.neg_table), name
+        assert units(ring) is not units(parent) and same_verdicts(ring, parent), name
 
 
 def test_tables_are_int16_and_read_only():

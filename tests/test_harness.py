@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from finring import (
     zmod,
 )
 import finring.build
+import finring.expr as expr
 import finring.harness as harness
 from finring.harness import (
     DEFAULT_CORPUS_LINES,
@@ -276,3 +278,63 @@ def test_suite_peak_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 9 * 2**20
+
+
+def count_builds(monkeypatch, names):
+    """Count the calls of build.<name> for each name, both direct ones and
+    those an expression makes through its ``_TERMS`` builder."""
+    calls = dict.fromkeys(names, 0)
+    keyword = {"matrix_ring": "M", "group_ring": "GR"}
+    for name in names:
+        def counting(*args, _name=name, _fn=getattr(finring.build, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(finring.build, name, counting)
+        kinds, _ = expr._TERMS[keyword[name]]
+        monkeypatch.setitem(expr._TERMS, keyword[name], (kinds, counting))
+    return calls
+
+
+def test_fixed_instances_come_from_the_corpus(monkeypatch):
+    corpus = default_corpus()
+    corpus.rings()
+    calls = count_builds(monkeypatch, ["matrix_ring", "group_ring"])
+    assert run_claim("C13", corpus).passed and run_claim("C18", corpus).passed
+    assert calls == {"matrix_ring": 0, "group_ring": 0}
+    # the counters see a build: a corpus without the instances builds each
+    assert run_claim("C13", Corpus("x", ["Z/2"])).passed and run_claim("C18", Corpus("x", ["Z/2"])).passed
+    assert calls == {"matrix_ring": 3, "group_ring": 3}
+
+
+def test_corpus_lookup_never_returns_a_prebuilt_ring():
+    # Z/256 under the label of C13's M(2, Z/4) instance would fail C13
+    fake = zmod(256, label="M(2, Z/4)")
+    corpus = Corpus("fake", ["Z/2"], prebuilt=[fake])
+    assert corpus.ring("M(2, Z/4)") is not fake
+    assert run_claim("C13", corpus).passed
+
+
+def test_corpus_lookup_matches_canonical_text_under_the_same_limits():
+    corpus = default_corpus()
+    lazy = Limits(table_threshold=1)
+    entry = DEFAULT_CORPUS_LINES.index("M(2, Z/3)")
+    ring = corpus.ring("M(2,Z/3)", lazy)
+    assert ring is corpus.rings(lazy)[entry][1] and ring.mode == "lazy"
+    assert corpus.ring(" M( 2 , Z/3 )") is corpus.rings()[entry][1]
+
+
+def test_fresh_claim_instances_are_not_kept(monkeypatch):
+    built = []
+
+    def recording(node, limits):
+        ring = expr.evaluate(node, limits)
+        built.append((ring.label, weakref.ref(ring)))
+        return ring
+
+    monkeypatch.setattr(harness, "evaluate", recording)
+    corpus = default_corpus()
+    assert run_claim("C10", corpus).passed
+    # the NIL(Z/n, p) the corpus lacks, NIL(Z/9, 3) among them; no Z/n
+    assert "NIL(Z/9, 3)" in dict(built) and all(label.startswith("NIL") for label, _ in built)
+    assert [label for label, ref in built if ref() is not None] == []
+    assert len(corpus.rings()) == 47

@@ -21,6 +21,7 @@ from finring import (
     center,
     classify,
     corner,
+    default_corpus,
     dump_tables,
     format_expr,
     ideal_closure,
@@ -30,6 +31,7 @@ from finring import (
     nilpotents,
     parse_and_build,
     quotient,
+    run_suite,
     sqrt_jacobson,
     subring_closure,
     trivial_extension,
@@ -192,3 +194,14 @@ def test_only_core_reads_the_storage_mode():
     reads = [r for path in sorted(package.glob("*.py")) if path.name != "core.py"
              for r in storage_reads(path)]
     assert reads == []
+
+
+def test_verify_suite_agrees_across_modes():
+    # every corpus ring lazy: each claim instance, quotient by {0}, corner
+    # at 1 and subring equal to R computes through a lazy parent
+    table = run_suite(default_corpus())
+    lazy = run_suite(default_corpus(), limits=LAZY)
+    strip = lambda report: [(r.claim_id, r.title, r.domain, r.records) for r in report.results]
+    assert table.all_passed and len(table.results) == 19
+    assert strip(lazy) == strip(table)
+    assert lazy.axiom_records == table.axiom_records
