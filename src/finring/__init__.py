@@ -7,8 +7,6 @@ from .analysis import (
     generators,
     ideal_closure,
     idempotents,
-    in_jacobson,
-    in_sqrt_jacobson,
     is_unit_closed_subring,
     jacobson,
     nilpotents,
@@ -71,7 +69,6 @@ from .predicates import (
     is_division,
     is_local,
     is_semisimple,
-    is_sqrt_ju,
     is_two_sqrt_ju,
 )
 

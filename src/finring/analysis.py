@@ -23,7 +23,7 @@ about ``BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
   InternalConsistencyError (finite rings are Dedekind finite, so it
   cannot legitimately happen).  This is the one n^2 pass of an
   analysis.  U and its inverses are cached as index arrays; the dict
-  of :func:`unit_inverses` is built from them on request.
+  of :func:`unit_inverses` is built afresh from them on each request.
 - An additive generating set S of the group (R, +) (cached under
   ``"generators"``): take the smallest element g not reached yet and
   extend the reached subgroup H to H + <g> by doubling.  After k
@@ -82,7 +82,8 @@ about ``BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
 Each set is a plain function of the ring, cached by
 :meth:`FiniteRing.cached` under the function's name (``"units"`` holds
 U with the array of its inverses): concurrent requests for the same set see a
-single computation, and all returned sets are immutable.
+single computation.  Every cached value is immutable: an
+:class:`ElementSet`, or an array marked read-only where it is made.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (ElementSet, FiniteRing, InternalConsistencyError, first_failure, grow_span,
-                   member_mask)
+                   member_mask, read_only)
 
 
 def generators(ring: FiniteRing) -> np.ndarray:
@@ -99,13 +100,13 @@ def generators(ring: FiniteRing) -> np.ndarray:
     def compute():
         reached = np.zeros(ring.order, dtype=bool)
         reached[0] = True
-        return np.array(grow_span(ring, reached, np.arange(ring.order)))
+        return read_only(np.array(grow_span(ring, reached, np.arange(ring.order))))
     return ring.cached("generators", compute)
 
 
 def squares(ring: FiniteRing) -> np.ndarray:
     """x*x at every index x, by one ``mul_arr`` call; cached."""
-    return ring.cached("squares", lambda: ring.mul_arr(np.arange(ring.order), np.arange(ring.order)))
+    return ring.cached("squares", lambda: read_only(ring.mul_arr(np.arange(ring.order), np.arange(ring.order))))
 
 
 def _high_powers(ring: FiniteRing) -> np.ndarray:
@@ -115,7 +116,7 @@ def _high_powers(ring: FiniteRing) -> np.ndarray:
         sq = p = squares(ring)
         for _ in range((ring.order - 1).bit_length() - 1):
             p = sq[p]
-        return p
+        return read_only(p)
     return ring.cached("high_powers", compute)
 
 
@@ -134,7 +135,7 @@ def _units_and_inverses(ring: FiniteRing) -> tuple:
         bad = us[np.argmax(one_sided)]
         raise InternalConsistencyError(
             f"{ring.label}: one-sided inverse of {int(bad)} is not two-sided")
-    return ElementSet(ring, us), invs
+    return ElementSet(ring, us), read_only(invs)
 
 
 def units(ring: FiniteRing) -> ElementSet:
@@ -142,10 +143,9 @@ def units(ring: FiniteRing) -> ElementSet:
 
 
 def unit_inverses(ring: FiniteRing) -> dict:
-    def compute():
-        u, invs = ring.cached("units", lambda: _units_and_inverses(ring))
-        return dict(zip(u.indices(), invs.tolist()))
-    return ring.cached("unit_inverses", compute)
+    """A new dict from each unit to its inverse, built from the cached arrays."""
+    u, invs = ring.cached("units", lambda: _units_and_inverses(ring))
+    return dict(zip(u.indices(), invs.tolist()))
 
 
 def jacobson(ring: FiniteRing) -> ElementSet:
@@ -159,11 +159,6 @@ def jacobson(ring: FiniteRing) -> ElementSet:
     return ring.cached("jacobson", compute)
 
 
-def in_jacobson(ring: FiniteRing, x: int) -> bool:
-    ring._check_index(x)
-    return x in jacobson(ring)
-
-
 def sqrt_jacobson(ring: FiniteRing) -> ElementSet:
     def compute():
         j = jacobson(ring)
@@ -171,11 +166,6 @@ def sqrt_jacobson(ring: FiniteRing) -> ElementSet:
             return j
         return ElementSet(ring, np.flatnonzero(member_mask(ring.order, j.array)[_high_powers(ring)]))
     return ring.cached("sqrt_jacobson", compute)
-
-
-def in_sqrt_jacobson(ring: FiniteRing, x: int) -> bool:
-    ring._check_index(x)
-    return x in sqrt_jacobson(ring)
 
 
 def nilpotents(ring: FiniteRing) -> ElementSet:

@@ -69,6 +69,7 @@ from .core import (
     InternalConsistencyError,
     Limits,
     block_rows,
+    read_only,
     table_dtype,
 )
 from .groups import GroupTable
@@ -333,7 +334,7 @@ def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
             mul_fn=lambda x, y: pair(r1.mul_arr(x // n2, y // n2), r2.mul_arr(x % n2, y % n2)),
             neg_fn=lambda x: pair(r1.neg_arr(x // n2), r2.neg_arr(x % n2)),
         )
-    ring.cached("generators", lambda: np.concatenate([generators(r2), generators(r1) * n2]))
+    ring.cached("generators", lambda: read_only(np.concatenate([generators(r2), generators(r1) * n2])))
     return ring
 
 

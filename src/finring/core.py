@@ -369,6 +369,12 @@ def member_mask(n: int, indices) -> np.ndarray:
     return mask
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, marked read-only: a value kept in a ring's cache is shared."""
+    arr.setflags(write=False)
+    return arr
+
+
 def first_failure(fails: Callable, *axes) -> tuple | None:
     """The lexicographically first tuple of the grid axes[0] x axes[1] x ...
     at which ``fails`` holds; None if there is none or an axis is empty.
@@ -417,11 +423,6 @@ class AxiomReport:
 
     def failures(self) -> list[AxiomCheck]:
         return [c for c in self.checks if not c.passed]
-
-
-def _first_false(mask: np.ndarray) -> tuple | None:
-    bad = np.flatnonzero(~mask)
-    return (int(bad[0]),) if len(bad) else None
 
 
 def grow_span(ring: FiniteRing, reached: np.ndarray, candidates: np.ndarray) -> list[int]:
@@ -522,7 +523,8 @@ def _exhaustive_ternary_checks(ring: FiniteRing, abelian: bool) -> list[AxiomChe
 def verify_axioms(ring: FiniteRing, *, seed: int = DEFAULT_SEED) -> AxiomReport:
     """Check the ring axioms; failures are reported, never raised.
 
-    Unary and binary axioms are always exhaustive; commutativity of +
+    Unary and binary axioms are always exhaustive: a unary witness comes
+    from :func:`first_failure` over every element, and commutativity of +
     evaluates each unordered pair once (:func:`_first_noncommuting_pair`).
     The ternary axioms (associativity, distributivity) are exhaustive for
     order <= ``EXHAUSTIVE_AXIOM_CUTOFF`` and otherwise checked on
@@ -572,7 +574,8 @@ def verify_axioms(ring: FiniteRing, *, seed: int = DEFAULT_SEED) -> AxiomReport:
     checks = [AxiomCheck("add-commutative", witness is None, witness, n ** 2, "exhaustive")]
 
     def unary(name, mask):
-        checks.append(AxiomCheck(name, bool(mask.all()), _first_false(mask), n, "exhaustive"))
+        witness = first_failure(lambda x: ~mask[x], every)
+        checks.append(AxiomCheck(name, witness is None, witness, n, "exhaustive"))
 
     unary("zero-is-additive-identity", (add(0, every) == every) & (add(every, 0) == every))
     unary("additive-inverse", add(every, neg(every)) == 0)
@@ -618,31 +621,23 @@ def dump_tables(ring: FiniteRing) -> str:
 
 
 def parse_table_dump(text: str, label: str = "table-ring") -> FiniteRing:
-    """Inverse of :func:`dump_tables`; used for raw-table test inputs."""
+    """Inverse of :func:`dump_tables`, for raw-table test inputs: the header
+    is exactly ``order n`` (n >= 2) and ``one i``; FiniteRing checks the tables."""
     raw = text.splitlines()
     if len(raw) < 2 or not raw[0].startswith("order ") or not raw[1].startswith("one "):
         raise ArgumentError("table dump must start with 'order n' and 'one i' lines")
-    try:
-        n = int(raw[0].split()[1])
-        one = int(raw[1].split()[1])
-    except (IndexError, ValueError):
-        raise ArgumentError(f"malformed table dump header: {raw[0]!r}, {raw[1]!r}") from None
+    words = raw[0].split() + raw[1].split()
+    if len(words) != 4 or not (words[1].isdecimal() and words[3].isdecimal()) or int(words[1]) < 2:
+        raise ArgumentError(f"malformed table dump header: {raw[0]!r}, {raw[1]!r}")
+    n, one = int(words[1]), int(words[3])
     # one blank separator line between the two tables
     rows = [r for i, r in enumerate(raw[2:]) if not (i == n and r.strip() == "")]
     if len(rows) < 2 * n:
         raise ArgumentError(f"table dump needs {2 * n + 1} table lines, got {len(raw) - 2}")
-    def parse_block(block):
-        try:
-            table = [[int(v) for v in line.split()] for line in block]
-        except ValueError:
-            raise ArgumentError("table entries must be integers") from None
-        if any(len(row) != n for row in table):
-            raise ArgumentError("table row length does not match order")
-        if any(not 0 <= v < n for row in table for v in row):
-            raise ArgumentError("table entry out of range")
-        return table
     if any(r.strip() for r in rows[2 * n:]):
         raise ArgumentError("table dump has lines after the multiplication table")
-    add = parse_block(rows[:n])
-    mul = parse_block(rows[n:2 * n])
+    try:
+        add, mul = ([[int(v) for v in line.split()] for line in block] for block in (rows[:n], rows[n:2 * n]))
+    except ValueError:
+        raise ArgumentError("table entries must be integers") from None
     return FiniteRing(n, one, label, add_table=add, mul_table=mul)

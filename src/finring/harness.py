@@ -11,7 +11,8 @@ afresh otherwise; the records do not depend on which.  Each claim
 reports pass/fail per instance with witnesses.  Universally quantified
 statements are *checked*, never proven: a passing claim means "no
 counterexample found over the listed instances", and every claim
-records its quantification domain.
+records its quantification domain.  C2 and C5 close one ideal or
+subring per orbit of equivalent generators (:func:`_distinct_closures`).
 
 Two claims about infinite objects cannot be exercised on finite
 instances and are always reported as SKIPPED: C-powerseries (power
@@ -40,8 +41,8 @@ from .analysis import (
     squares,
     units,
 )
-from .core import (DEFAULT_LIMITS, DEFAULT_SEED, FiniteRing, Limits, first_failure, member_mask,
-                   verify_axioms)
+from .core import (DEFAULT_LIMITS, DEFAULT_SEED, ElementSet, FiniteRing, Limits, first_failure,
+                   member_mask, verify_axioms)
 from .expr import ParseError, evaluate, evaluate_group, format_expr, parse, parse_and_build
 from .groups import cyclic_subgroups
 from .predicates import (
@@ -49,7 +50,6 @@ from .predicates import (
     is_division,
     is_local,
     is_two_sqrt_ju,
-    residue_field_order,
 )
 
 # Pair products in C3 are built for |R1|*|R2| up to this cap.
@@ -269,28 +269,37 @@ def _claim_c1(corpus, limits):
     return "all corpus rings, all elements, powers k in {2,3,4}", records
 
 
+def _distinct_closures(ring: FiniteRing, walk, orbit, close):
+    """Yield (x, close(x)) for each distinct index array close(x) over the
+    ascending ``walk``, with its smallest x.  ``orbit(x)`` is x's part of a
+    partition of ``walk`` on which ``close`` is constant.  Once x is closed
+    its orbit is marked done, so an unmarked x is the smallest element of an
+    orbit none of whose elements was walked yet, and an x skipped later has
+    a closure already yielded with that orbit's smallest element."""
+    done = np.zeros(ring.order, dtype=bool)
+    seen = set()
+    for x in walk:
+        if not done[x]:
+            done[orbit(x)] = True
+            members = close(x)
+            if members.tobytes() not in seen:
+                seen.add(members.tobytes())
+                yield x, members
+
+
 def _principal_ideals_in_j(ring: FiniteRing):
     """Distinct ideals generated by single elements of J(R), plus J(R),
     each with its smallest generator, in ascending order of generator.
 
-    One closure per orbit of U(R) acting on J(R) from the left: for a
-    unit u, u*z lies in <z> and z = u^-1*(u*z) lies in <u*z>, so
-    <u*z> = <z>.  Once z is closed, its orbit U*z is marked done.  An
-    unmarked z meets an orbit none of whose elements was walked yet, so
-    it is the orbit's smallest element, and every element skipped later
-    generates an ideal that ``seen`` already holds under that z."""
-    j = jacobson(ring)
-    us = units(ring).array
-    done = np.zeros(ring.order, dtype=bool)
-    seen = {}
-    for z in j.indices():
-        if done[z]:
-            continue
-        done[ring.mul_arr(us, z)] = True
-        ideal = ideal_closure(ring, [z])
-        seen.setdefault(ideal.members, (z, ideal))
-    seen.setdefault(j.members, (None, j))
-    return list(seen.values())
+    One closure per orbit U*z of U(R) acting on J(R) from the left
+    (:func:`_distinct_closures`): for a unit u, u*z lies in <z> and
+    z = u^-1*(u*z) lies in <u*z>, so <u*z> = <z>."""
+    j, us = jacobson(ring), units(ring).array
+    ideals = [(z, ElementSet(ring, members)) for z, members in _distinct_closures(
+        ring, j.indices(), lambda z: ring.mul_arr(us, z), lambda z: ideal_closure(ring, [z]).array)]
+    if j.members not in {ideal.members for _, ideal in ideals}:
+        ideals.append((None, j))
+    return ideals
 
 
 def _claim_c2(corpus, limits):
@@ -352,35 +361,21 @@ def _single_generator_subrings(ring: FiniteRing, limits: Limits = DEFAULT_LIMITS
     """Yield (x, subring generated by 1 and x) for each distinct such
     subring, with its smallest x, in ascending order of x.
 
-    One closure per coset of the prime subring Z*1: the subring holding
-    1 and x holds x + k*1 and back, so {1, x} and {1, x + k*1} generate
-    the same subring.  Once x is closed, its coset x + Z*1 is marked
-    done.  An unmarked x meets a coset none of whose elements was walked
-    yet, so it is the coset's smallest element, and every element skipped
-    later generates a subring already yielded with that x.  Each new
-    subring is built on the member array just computed."""
+    One closure per coset x + Z*1 of the prime subring
+    (:func:`_distinct_closures`): the subring holding 1 and x holds
+    x + k*1 and back, so {1, x} and {1, x + k*1} generate the same
+    subring.  Each new subring is built on the member array just
+    computed."""
     prime = closure(ring, [ring.one], ideal=False)
-    done = np.zeros(ring.order, dtype=bool)
-    seen = set()
-    for x in range(ring.order):
-        if done[x]:
-            continue
-        done[ring.add_arr(x, prime)] = True
-        members = closure(ring, [ring.one, x], ideal=False)
-        key = members.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
+    for x, members in _distinct_closures(ring, range(ring.order), lambda x: ring.add_arr(x, prime),
+                                         lambda x: closure(ring, [ring.one, x], ideal=False)):
         yield x, build._inherited_subring(ring, members, ring.one, f"subring({x}) of {ring.label}",
                                           limits)
 
 
 def _claim_c5(corpus, limits):
-    """Unit-closed subrings of a 2-sqrtJU ring are 2-sqrtJU.
-
-    The subrings are those generated by 1 and one x, each closed once
-    per coset x + Z*1, as {1, x} and {1, x + k*1} generate the same
-    subring (:func:`_single_generator_subrings`)."""
+    """Unit-closed subrings of a 2-sqrtJU ring are 2-sqrtJU, over the
+    subrings generated by 1 and one x (:func:`_single_generator_subrings`)."""
     records = []
     for label, ring in _in_class(corpus.rings(limits), records):
         problems = []
@@ -416,7 +411,7 @@ def _claim_c7(corpus, limits):
     for label, ring in corpus.rings(limits):
         if not is_local(ring):
             continue
-        m = residue_field_order(ring)
+        m = ring.order // len(jacobson(ring))  # |R/J(R)|
         ok = is_two_sqrt_ju(ring) == (m in (2, 3))
         records.append(_record(f"{label} (|R/J| = {m})",
                                [] if ok else [f"verdict {is_two_sqrt_ju(ring)} breaks the residue-order law"]))
@@ -701,9 +696,14 @@ SKIPPED_CLAIMS = (
 )
 
 
+def _check_claim_ids(claim_ids) -> None:
+    for cid in claim_ids:
+        if cid not in CLAIMS:
+            raise CorpusError(f"unknown claim id {cid!r}; known: {', '.join(CLAIMS)}")
+
+
 def run_claim(claim_id: str, corpus: Corpus, limits: Limits = DEFAULT_LIMITS) -> ClaimResult:
-    if claim_id not in CLAIMS:
-        raise CorpusError(f"unknown claim id {claim_id!r}; known: {', '.join(CLAIMS)}")
+    _check_claim_ids([claim_id])
     title, fn = CLAIMS[claim_id]
     corpus.rings(limits)  # built before the clock starts
     start = time.perf_counter()
@@ -727,9 +727,7 @@ def run_suite(
     """
     corpus = corpus or default_corpus()
     claim_ids = list(CLAIMS if claim_ids is None else claim_ids)
-    for cid in claim_ids:
-        if cid not in CLAIMS:
-            raise CorpusError(f"unknown claim id {cid!r}; known: {', '.join(CLAIMS)}")
+    _check_claim_ids(claim_ids)
     selected = [cid for cid in CLAIMS if cid in claim_ids]  # in id order, each once
     start = time.perf_counter()
     rings = corpus.rings(limits)

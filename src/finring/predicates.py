@@ -28,13 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .analysis import jacobson, nilpotents, sqrt_jacobson, squares, units
 from .core import ArgumentError, FiniteRing, member_mask
 
 _TARGET_SETS = {"N": nilpotents, "J": jacobson, "sqrtJ": sqrt_jacobson}
-TARGETS = tuple(_TARGET_SETS)
 
 UNIT_CLASSES = {
     "UU": (1, "N"),
@@ -62,16 +59,14 @@ def check_unit_class(ring: FiniteRing, power: int, target: str):
     if power not in (1, 2):
         raise ArgumentError(f"unit-class power must be 1 or 2, got {power}")
     if target not in _TARGET_SETS:
-        raise ArgumentError(f"unknown target set {target!r}; expected one of {TARGETS}")
+        raise ArgumentError(f"unknown target set {target!r}; expected one of {tuple(_TARGET_SETS)}")
 
     def compute():
         tmask = member_mask(ring.order, _TARGET_SETS[target](ring).array)
         us = units(ring).array
         ws = us if power == 1 else squares(ring)[us]
-        failing = ~tmask[ring.add_arr(ws, ring.neg(ring.one))]
-        if failing.any():
-            return (False, int(us[np.argmax(failing)]))
-        return (True, None)
+        failing = us[~tmask[ring.add_arr(ws, ring.neg(ring.one))]]
+        return (False, int(failing[0])) if len(failing) else (True, None)
 
     return ring.cached(f"unit-class:{power}:{target}", compute)
 
@@ -79,10 +74,6 @@ def check_unit_class(ring: FiniteRing, power: int, target: str):
 def is_two_sqrt_ju(ring: FiniteRing) -> bool:
     """Squares of units land in 1 + sqrtJ(R)."""
     return check_unit_class(ring, 2, "sqrtJ")[0]
-
-
-def is_sqrt_ju(ring: FiniteRing) -> bool:
-    return check_unit_class(ring, 1, "sqrtJ")[0]
 
 
 def is_division(ring: FiniteRing) -> bool:
@@ -94,11 +85,6 @@ def is_local(ring: FiniteRing) -> bool:
     of R/J(R), so |U(R)| = |U(R/J)| * |J|, and R/J is a division ring iff
     |U(R)| = (|R/J| - 1) * |J|, that is |U| + |J| = |R|."""
     return len(units(ring)) + len(jacobson(ring)) == ring.order
-
-
-def residue_field_order(ring: FiniteRing) -> int:
-    """|R / J(R)|."""
-    return ring.order // len(jacobson(ring))
 
 
 def is_semisimple(ring: FiniteRing) -> bool:

@@ -22,8 +22,6 @@ from finring import (
     group_ring,
     ideal_closure,
     idempotents,
-    in_jacobson,
-    in_sqrt_jacobson,
     is_two_sqrt_ju,
     is_unit_closed_subring,
     jacobson,
@@ -101,13 +99,27 @@ def test_specific_values():
     assert nilpotents(gf(2, 2)).indices() == [0]
 
 
+def test_cached_values_are_not_writable():
+    m2 = matrix_ring(2, zmod(4))
+    units(m2)
+    arrays = [fa.generators(m2), fa.squares(m2), fa._high_powers(m2), m2.cached("units", None)[1],
+              fa.generators(product(zmod(2), zmod(4))), fa.generators(product(zmod(2), zmod(4), limits=LAZY))]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:] = 0
+    assert (len(jacobson(m2)), len(center(m2))) == (16, 4)
+    z5 = zmod(5)
+    unit_inverses(z5).clear()
+    assert unit_inverses(z5) == {1: 1, 2: 3, 3: 2, 4: 4}
+
+
 def test_in_jacobson_queries():
-    assert in_jacobson(zmod(4), 2)
-    assert not in_jacobson(zmod(6), 2)
-    assert in_jacobson(zmod(6), 0)
+    assert 2 in jacobson(zmod(4))
+    assert 2 not in jacobson(zmod(6))
+    assert 0 in jacobson(zmod(6))
     m2 = matrix_ring(2, zmod(2))
-    assert in_sqrt_jacobson(m2, 2)      # E12 is nilpotent
-    assert not in_sqrt_jacobson(m2, 6)  # E12 + E21 is a unit
+    assert 2 in sqrt_jacobson(m2)      # E12 is nilpotent
+    assert 6 not in sqrt_jacobson(m2)  # E12 + E21 is a unit
 
 
 def test_sqrtj_not_closed_under_addition():

@@ -94,8 +94,6 @@ def test_every_scalar_intake_rejects_non_integer_indices():
         (lambda: zmod(5).mul(np.bool_(True), 1), scalar),
         (lambda: z4.neg(2.0), scalar),
         (lambda: build.corner(z4, 1.5), scalar),
-        (lambda: analysis.in_jacobson(z4, 2.0), scalar),
-        (lambda: analysis.in_sqrt_jacobson(z4, 2.0), scalar),
         (lambda: analysis.ideal_closure(z4, [2.5]), array),
         (lambda: analysis.ideal_closure(z4, [True]), array),
         (lambda: build.subring_closure(z4, [2.7]), array),
@@ -465,6 +463,22 @@ def test_parse_table_dump_rejects_garbage():
         parse_table_dump("order 2\none 1\n0 1\n1 a\n\n0 0\n0 1\n")  # entry not an integer
     with pytest.raises(ArgumentError, match="after the multiplication table"):
         parse_table_dump("order 2\none 1\n0 1\n1 0\n\n0 0\n0 1\n5 5\n")  # trailing row
+
+
+def test_parse_table_dump_header_is_exact():
+    body = "0 1\n1 0\n\n0 0\n0 1\n"
+    assert parse_table_dump("order 2\none 1\n" + body).order == 2
+    for header in ("order 2 3\none 1", "order -3\none 1", "order 1\none 1", "order 2\none 1 1",
+                   "order 2\none -1"):
+        with pytest.raises(ArgumentError, match="^malformed table dump header"):
+            parse_table_dump(header + "\n" + body)
+
+
+def test_parse_table_dump_leaves_table_checks_to_the_ring():
+    for rows, message in (("0 1\n1\n", "order x order"), ("0 1\n1 2\n", r"must lie in 0\.\.1"),
+                          ("0 1\n1 -1\n", r"must lie in 0\.\.1")):
+        with pytest.raises(ArgumentError, match=message):
+            parse_table_dump("order 2\none 1\n0 1\n1 0\n\n" + rows)
 
 
 def test_ring_validation():

@@ -8,7 +8,9 @@ from finring import (
     CLAIMS,
     Corpus,
     CorpusError,
+    ElementSet,
     FiniteRing,
+    GroupTable,
     Limits,
     bt,
     classify,
@@ -94,6 +96,28 @@ def test_unknown_claim_id():
         run_claim("C99", default_corpus())
     with pytest.raises(CorpusError):
         run_suite(default_corpus(), ["C1", "nope"])
+
+
+def test_unknown_claim_id_is_worded_once():
+    known = "; known: " + ", ".join(CLAIMS)
+    with pytest.raises(CorpusError, match=f"^unknown claim id 'C99'{known}$"):
+        run_claim("C99", default_corpus())
+    with pytest.raises(CorpusError, match=f"^unknown claim id 'nope'{known}$"):
+        run_suite(default_corpus(), ["C1", "nope", "C0"])
+
+
+def test_comment_only_corpus_file_is_refused(tmp_path):
+    path = tmp_path / "comments.txt"
+    path.write_text("# nothing but comments\n\n   # and blanks\n")
+    with pytest.raises(CorpusError, match="contains no expressions"):
+        load_corpus(str(path))
+
+
+def test_c17_skips_a_prebuilt_ring_whose_label_does_not_parse():
+    odd = zmod(4, label="Z/4 with a hand-made table (")
+    result = run_claim("C17", Corpus("prebuilt", ["GR(Z/2, C2)"], prebuilt=[odd]))
+    assert result.passed
+    assert [rec.subject for rec in result.records] == ["GR(Z/2, C2) (+2 subgroups)"]
 
 
 def test_single_claim_run():
@@ -338,3 +362,60 @@ def test_fresh_claim_instances_are_not_kept(monkeypatch):
     assert "NIL(Z/9, 3)" in dict(built) and all(label.startswith("NIL") for label, _ in built)
     assert [label for label, ref in built if ref() is not None] == []
     assert len(corpus.rings()) == 47
+
+
+def _zero_set(ring):
+    return ElementSet(ring, [0])
+
+
+def _order(test):
+    """A forced 2-sqrtJU verdict read off the order alone."""
+    return lambda ring: test(ring.order)
+
+
+# claim -> (corpus lines, {harness name: replacement}, subject of a
+# failing record).  Each recipe breaks one piece the claim relies on, so
+# the claim must report the instance it caught.
+_FAILING = {
+    "C1": (["Z/4"], {"sqrt_jacobson": harness.idempotents}, "Z/4"),
+    "C2": (["Z/4"], {"is_two_sqrt_ju": _order(lambda n: n == 4)}, "Z/4"),
+    "C2 escape": (["Z/4"], {"ideal_closure": lambda ring, gens: ElementSet(ring, range(ring.order))},
+                  "Z/4"),
+    "C3": (["Z/2", "Z/3"], {"is_two_sqrt_ju": _order(lambda n: n % 2 == 0)}, "Z/2 x Z/3"),
+    "C4": (["Z/6"], {"is_two_sqrt_ju": _order(lambda n: n == 6)}, "Z/6"),
+    "C5": (["Z/4"], {"is_two_sqrt_ju": lambda ring: not ring.label.startswith("subring")}, "Z/4"),
+    "C6": (["Z/2"], {"is_two_sqrt_ju": _order(lambda n: n % 2 == 0)}, "GF(2, 2)"),
+    "C7": (["Z/9"], {"is_two_sqrt_ju": _order(lambda n: n % 2 == 0)}, "Z/9"),
+    "C8": (["Z/2"], {"is_two_sqrt_ju": _order(lambda n: n % 2 == 0)}, "GF(3, 1)"),
+    "C9": (["GF(2, 2)"], {"is_two_sqrt_ju": _order(lambda n: n % 2 == 0)}, "GF(2, 2)"),
+    "C10": (["Z/2"], {"is_two_sqrt_ju": _order(lambda n: n < 10)}, "NIL(Z/4, 2)"),
+    "C11": (["Z/5"], {"is_two_sqrt_ju": lambda ring: True}, "Z/5"),
+    "C12": (["Z/4"], {"sqrt_jacobson": harness.idempotents}, "Z/4"),
+    "C13": (["Z/2"], {"sqrt_jacobson": lambda ring: ElementSet(ring, range(ring.order)),
+                      "check_unit_class": lambda ring, power, target: (True, ring.one)}, "M(2, Z/2)"),
+    "C13 units": (["Z/2"], {"units": lambda ring: ElementSet(ring, [ring.one])}, "M(2, Z/2)"),
+    "C14": (["Z/2"], {"is_two_sqrt_ju": _order(lambda n: n < 10), "units": _zero_set,
+                      "jacobson": _zero_set, "sqrt_jacobson": _zero_set}, "TE(Z/4)"),
+    "C15": (["Z/2"], {"is_two_sqrt_ju": lambda ring: ring.label.startswith("UT")}, "UT(2, Z/2)"),
+    "C16": (["Z/2"], {"is_two_sqrt_ju": _order(lambda n: n < 10),
+                      "_digit_reversal": lambda s, q: s // 2}, "BT(Z/2)"),
+    "C17": (["GR(Z/2, C2 x C2)"], {"is_two_sqrt_ju": _order(lambda n: n == 16)}, "GR(Z/2, C2 x C2)"),
+    "C18": (["Z/2"], {"is_two_sqrt_ju": lambda ring: True, "jacobson": _zero_set},
+            "GR(Z/4, C3)"),
+    "C19": (["Z/2"], {"is_two_sqrt_ju": lambda ring: False, "jacobson": _zero_set},
+            "GR(Z/9, C2)"),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILING))
+def test_each_claim_reports_a_failing_instance(monkeypatch, case):
+    lines, patches, subject = _FAILING[case]
+    for name, replacement in patches.items():
+        monkeypatch.setattr(harness, name, replacement)
+    if case in ("C18", "C19"):  # the 2-group hypothesis read the other way round
+        is_two_group = GroupTable.is_two_group
+        monkeypatch.setattr(GroupTable, "is_two_group", lambda group: not is_two_group(group))
+    result = run_claim(case.split()[0], Corpus("broken", lines))
+    assert not result.passed
+    failing = [rec for rec in result.records if not rec.ok]
+    assert any(rec.subject.startswith(subject) for rec in failing), failing

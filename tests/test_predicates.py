@@ -17,7 +17,6 @@ from finring import (
     is_division,
     is_local,
     is_semisimple,
-    is_sqrt_ju,
     is_two_sqrt_ju,
     matrix_ring,
     parse_and_build,
@@ -160,7 +159,7 @@ def test_sqrtju_iff_two_in_radical():
     from finring import jacobson
     for ring in CORPUS_SAMPLE:
         two = ring.add(ring.one, ring.one)
-        assert is_sqrt_ju(ring) == (is_two_sqrt_ju(ring) and two in jacobson(ring).members)
+        assert check_unit_class(ring, 1, "sqrtJ")[0] == (is_two_sqrt_ju(ring) and two in jacobson(ring).members)
 
 
 def _assert_units_free_criteria(ring):

@@ -51,3 +51,20 @@ def test_cli_examples_print_their_documented_output():
         out, err = io.StringIO(), io.StringIO()
         assert main(shlex.split(command)[1:], out=out, err=err) == 0, err.getvalue()
         assert out.getvalue().strip() == expected
+
+
+def test_every_package_export_is_used_or_documented():
+    # A name finring/__init__.py re-exports must be named by the package
+    # somewhere other than its own def or class line, or in README.md;
+    # otherwise it is a dead shim kept alive only by the export.
+    package = Path(__file__).resolve().parent.parent / "src" / "finring"
+    texts = [path.read_text(encoding="utf-8") for path in package.glob("*.py") if path.stem != "__init__"]
+    unused = []
+    for node in ast.parse((package / "__init__.py").read_text(encoding="utf-8")).body:
+        for alias in node.names if isinstance(node, ast.ImportFrom) else ():
+            uses = sum(len(re.findall(rf"\b{alias.name}\b", text)) for text in texts + [README])
+            definitions = sum(len(re.findall(rf"^\s*(?:def|class) {alias.name}\b", text, flags=re.M))
+                              for text in texts)
+            if uses == definitions:
+                unused.append(alias.name)
+    assert unused == []
