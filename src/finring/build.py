@@ -50,7 +50,11 @@ MUL[g, y' + c*e_i] = ADD[MUL[g, y'], MUL[g, c*e_i]] for g in G, then
 MUL[x' + c*e_i] = ADD[MUL[x'], MUL[c*e_i]] for every other row.  The fill
 equals the formula whenever the base is a ring, which every base built by
 this module or parsed from an expression is; run ``verify_axioms`` on a
-hand-made ``FiniteRing`` before using it as a base.  A direct product's
+hand-made ``FiniteRing`` before using it as a base.  The fill reads its
+sums from ADD, except over a base whose own addition table adds bit
+fields (:func:`_carry_tops`): Z/2^j, XOR groups such as GF(2, k) or
+M(m, Z/2), and products of these.  There ADD[x, y] is a few bitwise
+operations on x and y, and the fill computes it so.  A direct product's
 tables are the Kronecker sum of its factors' tables (see :func:`product`).
 """
 
@@ -111,14 +115,37 @@ def _kron_sum(t1, t2) -> np.ndarray:
     """The Kronecker sum T[(a, b), (c, d)] = T1[a, c] * |T2| + T2[b, d] of
     two square operation tables, as one broadcast addition into a
     read-only table of :func:`table_dtype`.  T1's values may be narrower
-    than the result's indices, so T1 * |T2| is formed in that dtype."""
+    than the result's indices, so T1 * |T2| is formed in that dtype.
+
+    The addition's innermost loop runs along the longer of the two column
+    axes, c of T1 or d of T2: when |T2| < |T1| the output view's last two
+    axes are swapped and ``order="C"`` keeps numpy from iterating the
+    short axis innermost again (at (128, 2), 5x faster than d inside)."""
     n1, n2 = len(t1), len(t2)
     dtype = table_dtype(n1 * n2)
     high = np.multiply(t1, n2, dtype=dtype)
     table = np.empty((n1 * n2, n1 * n2), dtype=dtype)
-    np.add(high[:, None, :, None], t2[None, :, None, :], out=table.reshape(n1, n2, n1, n2))
+    views = [high[:, None, :, None], t2[None, :, None, :], table.reshape(n1, n2, n1, n2)]
+    if n2 < n1:
+        views = [v.swapaxes(2, 3) for v in views]
+    np.add(views[0], views[1], out=views[2], order="C")
     table.setflags(write=False)  # handed over, so FiniteRing need not copy it
     return table
+
+
+def _carry_tops(base_add) -> int | None:
+    """The mask ``top`` of the bits i with 2^i + 2^i = 0, when the q x q
+    addition table ``base_add`` adds bit fields: each field's lower bits
+    add with carry into its top bit, and top bits add by XOR, so
+    a + b = ((a & ~top) + (b & ~top)) ^ ((a ^ b) & top) for every pair.
+    None when q is not a power of two or some entry differs."""
+    q = len(base_add)
+    if q & (q - 1):
+        return None
+    top = sum(1 << i for i in range(q.bit_length() - 1) if base_add[1 << i, 1 << i] == 0)
+    b = np.arange(q)
+    a = b[:, None]
+    return top if np.array_equal(base_add, ((a & ~top) + (b & ~top)) ^ ((a ^ b) & top)) else None
 
 
 def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
@@ -142,12 +169,24 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
     u {c*e_i}.  Left distributivity fills the other columns of the rows in
     G, and right distributivity the other rows, in ascending weight order.
     The row fill runs per generator row and block of ``BLOCK_ELEMENTS``
-    entries (:func:`finring.core.block_rows`), each block one flat take
-    from the raveled ADD at MUL[x']*n + MUL[g], straight into the final
-    table; a block's intp index then stays in a core's L2 cache.  The
-    fill equals the formula when ``base`` is a ring (see the module
-    docstring).  The negation table is the componentwise formula on every
-    element, O(n*k).
+    entries (:func:`finring.core.block_rows`), straight into the final
+    table.  Each block is one flat take from the raveled ADD at
+    MUL[x']*n + MUL[g]; a block's intp index then stays in a core's L2
+    cache.  The fill equals the formula when ``base`` is a ring (see the
+    module docstring).  The negation table is the componentwise formula
+    on every element, O(n*k).
+
+    When q = 2^j and the base's addition table adds bit fields, with
+    carry-field tops ``top`` (:func:`_carry_tops`), both fill stages sum
+    by bit operations instead of the take.  ADD adds digit by digit, each
+    digit j bits wide, so ADD[x, y] = ((x & low) + (y & low)) ^
+    ((x ^ y) & high), where ``high`` repeats ``top`` in every digit and
+    ``low`` = (n - 1) & ~high.  That is exact: a field's lower bits sum
+    with carry at most into its top bit, which both addends have cleared,
+    so no carry crosses into the next field or digit; the top bits then
+    add by XOR, as 2^i + 2^i = 0 there.  Every sum stays below n, so it
+    fits the table's dtype.  When ``low`` is 0 (every field one bit wide,
+    as over GF(2, k) or M(m, Z/2)) the sum is x ^ y.
     """
     q = base.order
     order = q ** k
@@ -185,6 +224,33 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
     add_t = np.zeros((1, 1), dtype=np.int16)
     for _ in range(k):
         add_t = _kron_sum(base_add, add_t)
+    # The fill's sums: bitwise when the base adds bit fields (q = 2^j),
+    # digit i's fields shifted by i*j bits (see the docstring), else a
+    # take from ADD.
+    top = _carry_tops(base_add)
+    if top is None:
+        flat_add = add_t.ravel()
+
+        def digit_sum(x, y, out=None):
+            idx = np.multiply(x, order, dtype=np.intp)
+            idx += y
+            # in range; a mode other than "raise" writes ``out`` unbuffered
+            return np.take(flat_add, idx, out=out, mode="wrap")
+    else:
+        j = q.bit_length() - 1
+        high = sum(top << (i * j) for i in range(k))
+        low = (order - 1) & ~high
+        if low == 0:
+            digit_sum = np.bitwise_xor
+        else:
+            # ``out`` may start at y's own row (x' = 0), so x and y are
+            # read in full before the first write
+            def digit_sum(x, y, out=None):
+                tops = np.bitwise_xor(x, y)
+                tops &= high
+                out = np.add(x & low, y & low, out=out)
+                out ^= tops
+                return out
     # G = {0} u {c*w}, w = q^i the weight of e_i.  Column y' + c*w of a row
     # g in G, for y' < w, is MUL[g, y'] + MUL[g, c*w] by left
     # distributivity, and row g + x' is MUL[x'] + MUL[g] by right
@@ -197,16 +263,13 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
     mul_t[gens[:, None], gens[None, :]] = mul_fn(gens[:, None], gens[None, :])
     for w in steps:
         for g in range(w, q * w, w):
-            mul_t[gens, g:g + w] = add_t[mul_t[gens, :w], mul_t[gens, g][:, None]]
+            mul_t[gens, g:g + w] = digit_sum(mul_t[gens, :w], mul_t[gens, g][:, None])
     step = block_rows(order)
     for w in steps:
         for g in range(w, q * w, w):
             for lo in range(0, w, step):
                 hi = min(w, lo + step)
-                idx = np.multiply(mul_t[lo:hi], order, dtype=np.intp)
-                idx += mul_t[g]
-                # in range; a mode other than "raise" writes ``out`` unbuffered
-                np.take(add_t.ravel(), idx, out=mul_t[g + lo:g + hi], mode="wrap")
+                digit_sum(mul_t[lo:hi], mul_t[g], out=mul_t[g + lo:g + hi])
     mul_t.setflags(write=False)  # handed over, so FiniteRing need not copy it
     return FiniteRing(order, one_index, label, add_table=add_t, mul_table=mul_t,
                       neg_table=neg_fn(np.arange(order)))

@@ -44,6 +44,7 @@ from helpers import (
     mat_mul_oracle,
     matrix_mul_over,
     poly_mul_over,
+    relabelled,
     trivial_extension_mul_over,
     upper_triangular_mul_over,
 )
@@ -398,7 +399,7 @@ def scalar_op_tables(ring):
             np.array([ring.neg(x) for x in n]))
 
 
-# One input per coordinate construction, orders <= 81, each laid out
+# One input per coordinate construction, orders <= 256, each laid out
 # little-endian; bases with q >= 3 fill rows c * e_i with c >= 2.
 AGREEMENT_CASES = {
     "M(2, Z/3)": lambda m: matrix_ring(2, zmod(3), limits=m),
@@ -412,6 +413,15 @@ AGREEMENT_CASES = {
     # a non-cyclic base additive group (c up to 8), and a noncommutative base
     "TE(GF(3, 2))": lambda m: trivial_extension(gf(3, 2), limits=m),
     "TE(UT(2, Z/2))": lambda m: trivial_extension(upper_triangular(2, zmod(2)), limits=m),
+    # bases that add bit fields, so the fill sums bitwise: carry fields of
+    # j > 1 bits, XOR only, and fields of two widths
+    "TE(Z/8)": lambda m: trivial_extension(zmod(8), limits=m),
+    "TE(GF(2, 2))": lambda m: trivial_extension(gf(2, 2), limits=m),
+    "TE(M(2, Z/2))": lambda m: trivial_extension(matrix_ring(2, zmod(2)), limits=m),
+    "TE(Z/2 x Z/4)": lambda m: trivial_extension(product(zmod(2), zmod(4)), limits=m),
+    # order 8 whose table adds no bit fields, so the fill gathers from ADD
+    "TE(Z/8 relabelled 1)": lambda m: trivial_extension(relabelled(zmod(8), 1), limits=m),
+    "TE(Z/8 relabelled 2)": lambda m: trivial_extension(relabelled(zmod(8), 2), limits=m),
     # products: a Kronecker sum of the factor tables in table mode
     "M(2, Z/2) x UT(2, Z/3)": lambda m: product(
         matrix_ring(2, zmod(2)), upper_triangular(2, zmod(3)), limits=m),
@@ -453,6 +463,31 @@ def test_blocked_fill_matches_formula(monkeypatch):
     monkeypatch.setattr(core, "BLOCK_ELEMENTS", 200)
     for label, make in AGREEMENT_CASES.items():
         assert_fill_matches_formula(label, make)
+
+
+def test_fill_adds_bitwise_exactly_when_the_base_table_adds_bit_fields():
+    # The carry-field tops are read from the base's own addition table,
+    # so the AGREEMENT_CASES above run both fill paths.
+    bit_fields = {"Z/2": (zmod(2), 0b1), "Z/8": (zmod(8), 0b100), "GF(2, 2)": (gf(2, 2), 0b11),
+                  "M(2, Z/2)": (matrix_ring(2, zmod(2)), 0b1111),
+                  "Z/2 x Z/4": (product(zmod(2), zmod(4)), 0b110),
+                  "Z/4 x Z/2": (product(zmod(4), zmod(2)), 0b101)}
+    for label, (base, top) in bit_fields.items():
+        assert build._carry_tops(base.add_table) == top, label
+    others = [zmod(9), zmod(6), gf(3, 2)] + [relabelled(zmod(8), s) for s in (1, 2)]
+    for base in others:
+        assert build._carry_tops(base.add_table) is None, base.label
+
+
+@pytest.mark.parametrize("n1, n2", [(128, 2), (2, 128), (3, 1), (1, 3), (7, 5)])
+def test_kron_sum_matches_int64_reference(n1, n2):
+    rng = np.random.default_rng(n1 * 1000 + n2)
+    t1 = rng.integers(0, n1, size=(n1, n1)).astype(np.int16)
+    t2 = rng.integers(0, n2, size=(n2, n2)).astype(np.int16)
+    want = t1.astype(np.int64)[:, None, :, None] * n2 + t2[None, :, None, :]
+    got = build._kron_sum(t1, t2)
+    assert got.dtype == table_dtype(n1 * n2) and not got.flags.writeable
+    assert np.array_equal(got, want.reshape(n1 * n2, n1 * n2))
 
 
 def test_table_build_runs_formula_on_generator_pairs_only():

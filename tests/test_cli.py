@@ -342,11 +342,23 @@ def test_verify_full_run_json(full_verify_json):
     assert isinstance(payload["wallTime"], float)
 
 
+BENCH_REFERENCE = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "reference.json")
+    .read_text(encoding="utf-8"))
+
+
 def test_verify_json_matches_bench_reference(full_verify_json):
     """The report, less its seed and wall times, is the one the
     benchmark checks every run against."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
-    reference = json.loads(path.read_text(encoding="utf-8"))["verify"]
     view = {k: v for k, v in full_verify_json.items() if k not in ("seed", "wallTime")}
     view["claims"] = [{k: v for k, v in c.items() if k != "wallTime"} for c in view["claims"]]
-    assert view == reference
+    assert view == BENCH_REFERENCE["verify"]
+
+
+@pytest.mark.parametrize("expr", sorted(BENCH_REFERENCE["analyze"]))
+def test_analyze_json_matches_bench_reference(expr):
+    """Counts, predicates and witnesses of every ring the benchmark
+    analyses, so a table build that moves one of them fails here too."""
+    code, out, err = run_cli("analyze", expr, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == BENCH_REFERENCE["analyze"][expr]
