@@ -37,7 +37,11 @@ about ``BLOCK_ELEMENTS`` table entries, see :class:`FiniteRing`):
   t for t in S(R2), then s*|R2| for s in S(R1), as (0, t) and (s, 0)
   generate its additive group (S = [1, 4] for Z/2 x Z/4).  Neither S
   holds 0, so every t is below |R2| and every s*|R2| at least |R2|:
-  the concatenation is ascending and distinct as it stands.
+  the concatenation is ascending and distinct as it stands.  A
+  coordinate ring over R (M, UT, TE, POLYQ, GR) is given S(R)*|R|^i
+  for each coordinate i the same way (S = [1, 4, 16, 64] for M(2, Z/4)
+  again), which is what the search takes (see
+  :func:`finring.build._coord_ring`).
 - C(R) is the commutant of S: x*s = s*x for every s in S makes x
   commute with every sum of generators, by distributivity, so n*|S|
   products decide it instead of n^2.

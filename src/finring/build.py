@@ -41,21 +41,28 @@ one computes its operations on demand through the same formula.  The
 rule holds for every ring a call builds: the inner rings of ``bt`` and
 ``gf``, and the quotients, corners and generated subrings too.
 
-A coordinate construction's addition table is the
-k-fold Kronecker sum of its base's addition table (addition is
-componentwise), and its multiplication formula runs only on G x G, where
-G is 0 and the (q-1)*k generators c*e_i (one nonzero coordinate).  The
-rest of MUL is a two-sided distributive fill from entries already built:
-MUL[g, y' + c*e_i] = ADD[MUL[g, y'], MUL[g, c*e_i]] for g in G, then
-MUL[x' + c*e_i] = ADD[MUL[x'], MUL[c*e_i]] for every other row.  The fill
-equals the formula whenever the base is a ring, which every base built by
-this module or parsed from an expression is; run ``verify_axioms`` on a
-hand-made ``FiniteRing`` before using it as a base.  The fill reads its
-sums from ADD, except over a base whose own addition table adds bit
-fields (:func:`_carry_tops`): Z/2^j, XOR groups such as GF(2, k) or
-M(m, Z/2), and products of these.  There ADD[x, y] is a few bitwise
-operations on x and y, and the fill computes it so.  A direct product's
-tables are the Kronecker sum of its factors' tables (see :func:`product`).
+A coordinate construction's addition table is the k-fold Kronecker sum
+of its base's addition table (addition is componentwise).  Its
+multiplication table starts from G x G, where G is 0 and the (q-1)*k
+generators c*e_i (one nonzero coordinate), read off the base's own
+products: a pair (i, j) has at most one term (i, j, s), so the formula
+gives (c*e_i)(d*e_j) = (c*d)*e_s, as its other terms have a zero factor
+and vanish in a ring base (0*d = 0, 0 + v = v).  The rest of MUL is a
+two-sided distributive fill from entries already built, one weight
+q^i at a time: MUL[g, y' + c*e_i] = ADD[MUL[g, y'], MUL[g, c*e_i]] for
+g in G, then MUL[x' + c*e_i] = ADD[MUL[x'], MUL[c*e_i]] for every other
+row.  The block and the fill equal the formula whenever the base is a
+ring, which every base built by this module or parsed from an expression
+is; run ``verify_axioms`` on a hand-made ``FiniteRing`` before using it
+as a base.  The formula itself serves the on-demand mode, and is the
+tests' reference for the tables.  The fill reads its sums from ADD,
+except over a base whose own addition table adds bit fields
+(:func:`_carry_tops`): Z/2^j, XOR groups such as GF(2, k) or M(m, Z/2),
+and products of these.  There ADD[x, y] is a few bitwise operations on x
+and y, and the fill computes it so.  A coordinate ring's additive
+generators (:func:`finring.analysis.generators`) are its base's, S*q^i in
+each coordinate i.  A direct product's tables are the Kronecker sum of
+its factors' tables (see :func:`product`).
 """
 
 from __future__ import annotations
@@ -113,22 +120,41 @@ def _encode(coords, q: int):
 
 def _kron_sum(t1, t2) -> np.ndarray:
     """The Kronecker sum T[(a, b), (c, d)] = T1[a, c] * |T2| + T2[b, d] of
-    two square operation tables, as one broadcast addition into a
-    read-only table of :func:`table_dtype`.  T1's values may be narrower
-    than the result's indices, so T1 * |T2| is formed in that dtype.
+    two square operation tables, into a read-only table of
+    :func:`table_dtype`.  T1's values may be narrower than the result's
+    indices, so T1 * |T2| is formed in that dtype.
 
-    The addition's innermost loop runs along the longer of the two column
-    axes, c of T1 or d of T2: when |T2| < |T1| the output view's last two
-    axes are swapped and ``order="C"`` keeps numpy from iterating the
-    short axis innermost again (at (128, 2), 5x faster than d inside)."""
+    One broadcast addition over the 4-axis view runs its innermost loop
+    along the longer of the two column axes, c of T1 or d of T2 (when
+    |T2| < |T1| the last two axes are swapped and ``order="C"`` keeps
+    numpy from iterating the short axis innermost again), so it starts
+    n * min(|T1|, |T2|) loops for the n^2 entries.  Along full rows it
+    starts about n: row (0, b) is T2[b] repeated across the columns
+    (T1[0, c] * |T2| added last), and row (a, b) is row (0, b) plus T1[a]
+    with each entry repeated |T2| times, built a block of a at a time
+    (:func:`finring.core.block_rows`) as the one temporary.  That pays
+    from about 1024 loops saved, unless |T2| < 4, where the repeated rows
+    are runs of 2 or 3 entries (1.6x slower at (512, 2)); at (27, 27) it
+    is about 3x faster."""
     n1, n2 = len(t1), len(t2)
-    dtype = table_dtype(n1 * n2)
+    n = n1 * n2
+    dtype = table_dtype(n)
     high = np.multiply(t1, n2, dtype=dtype)
-    table = np.empty((n1 * n2, n1 * n2), dtype=dtype)
-    views = [high[:, None, :, None], t2[None, :, None, :], table.reshape(n1, n2, n1, n2)]
-    if n2 < n1:
-        views = [v.swapaxes(2, 3) for v in views]
-    np.add(views[0], views[1], out=views[2], order="C")
+    table = np.empty((n, n), dtype=dtype)
+    if n2 >= 4 and n * min(n1, n2) >= 1024:
+        rows = table.reshape(n1, n2, n)  # rows[a, b] is row a * n2 + b
+        first = rows[0]
+        first.reshape(n2, n1, n2)[...] = t2[:, None, :]  # T2[b, d] at column c * n2 + d
+        step = block_rows(n)
+        for lo in range(1, n1, step):
+            np.add(first, np.repeat(high[lo:lo + step], n2, axis=1)[:, None, :],
+                   out=rows[lo:lo + step])
+        first += np.repeat(high[0], n2)
+    else:
+        views = [high[:, None, :, None], t2[None, :, None, :], table.reshape(n1, n2, n1, n2)]
+        if n2 < n1:
+            views = [v.swapaxes(2, 3) for v in views]
+        np.add(views[0], views[1], out=views[2], order="C")
     table.setflags(write=False)  # handed over, so FiniteRing need not copy it
     return table
 
@@ -161,20 +187,36 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
     e_0..e_(k-1), and the slot folds into coordinate t as
     slot * reduce[s - k][t], coefficient on the right.  Addition and
     negation are componentwise.  The formula is written with the base's
-    broadcasting ``add_arr``/``mul_arr``, so it serves on-demand
-    evaluation on index arrays and the table build alike.
+    broadcasting ``add_arr``/``mul_arr``, so it evaluates index arrays of
+    any shape; it is the on-demand mode's multiplication.
 
     In table mode ADD is the k-fold Kronecker sum of the base's addition
-    table (:func:`_kron_sum`), and the formula runs only on G x G, G = {0}
-    u {c*e_i}.  Left distributivity fills the other columns of the rows in
-    G, and right distributivity the other rows, in ascending weight order.
-    The row fill runs per generator row and block of ``BLOCK_ELEMENTS``
-    entries (:func:`finring.core.block_rows`), straight into the final
-    table.  Each block is one flat take from the raveled ADD at
-    MUL[x']*n + MUL[g]; a block's intp index then stays in a core's L2
-    cache.  The fill equals the formula when ``base`` is a ring (see the
-    module docstring).  The negation table is the componentwise formula
-    on every element, O(n*k).
+    table (:func:`_kron_sum`), and MUL is built without the formula
+    (:func:`_coord_tables`).  Its block G x G, G = {0} u {c*e_i}, is one
+    gather from the q x q base products: every construction has at most
+    one term (i, j, s) for a pair (i, j), checked once per build, so
+    (c*e_i)(d*e_j) = (c*d)*e_s.  The formula agrees, since its other terms
+    each have a zero coordinate as a factor, and 0*d = 0 and 0 + v = v in a
+    ring base.  A slot s >= k folds c*d by ``reduce[s - k]``, coefficient
+    on the right, as the formula does; so the block is enc[s][c*d], with
+    one row of indices enc[s] per slot and a zero row for the pairs with
+    no term.  Left distributivity then fills the other columns of the rows
+    in G, and right distributivity the other rows, in ascending weight
+    order w = q^i.  Both fills run per weight: each call sums the columns
+    or rows of as many heads c*w as fit a block of ``BLOCK_ELEMENTS``
+    entries (:func:`finring.core.block_rows`, read at call time), and a
+    weight step longer than a block takes several blocks per head.  The
+    row fill writes straight into the final table, and on the take path
+    each call holds one intp index array of its block, which stays in a
+    core's L2 cache.  The fill equals the formula when ``base`` is a ring
+    (see the module docstring).  The negation table is the componentwise
+    formula on every element, O(n*k).
+
+    In both modes the additive generators S (:func:`finring.analysis.generators`)
+    are handed down: S(base)*q^i for i < k, ascending as no S holds 0.
+    That is what ``grow_span`` takes from {0}: the indices below q^(i+1)
+    are the elements with coordinates i+1 and above zero, so it takes the
+    base's own S in coordinate 0, then in coordinate 1, and so on.
 
     When q = 2^j and the base's addition table adds bit fields, with
     carry-field tops ``top`` (:func:`_carry_tops`), both fill stages sum
@@ -214,25 +256,38 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
         return _encode([base.neg_arr(a[x]) for a in dec], q)
 
     one_index = int(_encode(one_coords, q))
-    if not table_mode:
-        return FiniteRing(order, one_index, label, add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn)
+    if table_mode:
+        add_t, mul_t = _coord_tables(base, k, terms, reduce, label)
+        ring = FiniteRing(order, one_index, label, add_table=add_t, mul_table=mul_t,
+                          neg_table=neg_fn(np.arange(order)))
+    else:
+        ring = FiniteRing(order, one_index, label, add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn)
+    ring.cached("generators",
+                lambda: read_only(np.concatenate([generators(base) * q ** i for i in range(k)])))
+    return ring
 
+
+def _coord_tables(base, k, terms, reduce, label):
+    """The addition and multiplication tables of :func:`_coord_ring`'s
+    ring, built as its docstring says."""
+    q = base.order
+    order = q ** k
     # ADD is componentwise over one base table, so it is the k-fold
-    # Kronecker sum of the base's addition table.  The base goes first so
-    # that the broadcast's inner axis is the long one.
+    # Kronecker sum of the base's addition table.
     base_add = base.row_block("add", 0, q)
     add_t = np.zeros((1, 1), dtype=np.int16)
     for _ in range(k):
         add_t = _kron_sum(base_add, add_t)
     # The fill's sums: bitwise when the base adds bit fields (q = 2^j),
     # digit i's fields shifted by i*j bits (see the docstring), else a
-    # take from ADD.
+    # take from ADD through one intp index array of the result's shape.
     top = _carry_tops(base_add)
     if top is None:
         flat_add = add_t.ravel()
 
         def digit_sum(x, y, out=None):
-            idx = np.multiply(x, order, dtype=np.intp)
+            idx = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.intp)
+            np.multiply(x, order, out=idx, dtype=np.intp)
             idx += y
             # in range; a mode other than "raise" writes ``out`` unbuffered
             return np.take(flat_add, idx, out=out, mode="wrap")
@@ -243,36 +298,62 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
         if low == 0:
             digit_sum = np.bitwise_xor
         else:
-            # ``out`` may start at y's own row (x' = 0), so x and y are
-            # read in full before the first write
+            # ``out`` may hold y's own rows (x' = 0), so x and y are read
+            # in full before the first write
             def digit_sum(x, y, out=None):
                 tops = np.bitwise_xor(x, y)
                 tops &= high
                 out = np.add(x & low, y & low, out=out)
                 out ^= tops
                 return out
-    # G = {0} u {c*w}, w = q^i the weight of e_i.  Column y' + c*w of a row
-    # g in G, for y' < w, is MUL[g, y'] + MUL[g, c*w] by left
-    # distributivity, and row g + x' is MUL[x'] + MUL[g] by right
-    # distributivity (x' + c*w is an index sum, as x' has no coordinate at
-    # weight w or above).  Ascending w keeps the columns, then the rows,
-    # below w filled.
-    steps = [q ** i for i in range(k)]
-    gens = np.array([0] + [c * w for w in steps for c in range(1, q)])
+    # G x G, G = {0} u {c*w}, w = q^i the weight of e_i: MUL[c*w_i, d*w_j]
+    # is enc[slot[i, j]][c*d], where enc[s][v] is the index of v in slot s
+    # (folded by reduce[s - k] for s >= k), and the last row of enc, 0,
+    # serves the pairs with no term.
+    slot = np.full((k, k), -1)
+    for i, j, s in terms:
+        if slot[i, j] >= 0:
+            raise InternalConsistencyError(f"{label}: basis product ({i}, {j}) has two terms")
+        slot[i, j] = s
+    every, weights = np.arange(q), q ** np.arange(k)
+    enc = np.zeros((k + len(reduce) + 1, q), dtype=table_dtype(order))
+    enc[:k] = weights[:, None] * every
+    if reduce:  # folded[v, r, t] = v * reduce[r][t]
+        folded = base.mul_arr(every[:, None, None], np.array(reduce)[None])
+        enc[k:-1] = (folded * weights).sum(axis=2).T
+    prods = base.row_block("mul", 0, q)
+    gens = (weights[:, None] * np.arange(1, q)).ravel()  # G without 0, by i, then c
     mul_t = np.empty((order, order), dtype=table_dtype(order))
-    mul_t[gens[:, None], gens[None, :]] = mul_fn(gens[:, None], gens[None, :])
+    mul_t[0] = 0
+    mul_t[gens, 0] = 0
+    block = enc[slot[:, None, :, None], prods[None, 1:, None, 1:]]  # [i, c, j, d]
+    mul_t[gens[:, None], gens] = block.reshape(len(gens), len(gens))
+    # Column y' + c*w of a row g in G, for y' < w, is MUL[g, y'] +
+    # MUL[g, c*w] by left distributivity, and row c*w + x' is MUL[x'] +
+    # MUL[c*w] by right distributivity (x' + c*w is an index sum, as x' has
+    # no coordinate at weight w or above).  Ascending w keeps the columns,
+    # then the rows, below w filled.  Each call takes the heads c*w of
+    # consecutive c that fit one block (at least one), and a head's rows
+    # take several blocks when w exceeds one.
+    steps = weights.tolist()
     for w in steps:
-        for g in range(w, q * w, w):
-            mul_t[gens, g:g + w] = digit_sum(mul_t[gens, :w], mul_t[gens, g][:, None])
+        left = mul_t[gens, :w][:, None, :]
+        heads = block_rows(len(gens) * w)
+        for c in range(1, q, heads):
+            h = min(heads, q - c)
+            right = mul_t[gens, c * w:(c + h) * w:w][:, :, None]
+            mul_t[gens, c * w:(c + h) * w] = digit_sum(left, right).reshape(len(gens), h * w)
     step = block_rows(order)
     for w in steps:
-        for g in range(w, q * w, w):
-            for lo in range(0, w, step):
-                hi = min(w, lo + step)
-                digit_sum(mul_t[lo:hi], mul_t[g], out=mul_t[g + lo:g + hi])
+        heads, rows = max(1, step // w), min(w, step)
+        for c in range(1, q, heads):
+            h = min(heads, q - c)
+            out = mul_t[c * w:(c + h) * w].reshape(h, w, order)
+            for lo in range(0, w, rows):
+                hi = min(w, lo + rows)
+                digit_sum(mul_t[None, lo:hi], mul_t[c * w:(c + h) * w:w, None], out=out[:, lo:hi])
     mul_t.setflags(write=False)  # handed over, so FiniteRing need not copy it
-    return FiniteRing(order, one_index, label, add_table=add_t, mul_table=mul_t,
-                      neg_table=neg_fn(np.arange(order)))
+    return add_t, mul_t
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +570,11 @@ def poly_quotient(base: FiniteRing, coeffs, *, label: str | None = None,
     terms = [(i, j, i + j) for i in range(d) for j in range(d)]
     # x^s mod f, as base element index vectors, for the slots s = d .. 2d-2
     # of a product; x^(s+1) = x * x^s, whose top term folds back by x^d = -f
-    negf = [base.neg(c) for c in coeffs[:d]]
+    negf = base.neg_arr(np.array(coeffs[:d]))
     reduce, power = [], negf
     for _ in range(d - 1):
-        reduce.append(power)
-        power = [base.add(s, base.mul(power[-1], nf)) for s, nf in zip([0] + power[:-1], negf)]
+        reduce.append(power.tolist())
+        power = base.add_arr(np.concatenate(([0], power[:-1])), base.mul_arr(power[-1], negf))
     return _coord_ring(base, d, one_coords, terms, label, limits, reduce)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import lcm
 
 import numpy as np
@@ -7,6 +8,7 @@ from finring import (
     DEFAULT_LIMITS,
     ArgumentError,
     FiniteRing,
+    InternalConsistencyError,
     LimitError,
     Limits,
     bt,
@@ -30,7 +32,7 @@ from finring import (
 from finring import build, core
 from finring.build import smallest_irreducible
 from finring.core import grow_span, table_dtype
-from finring.groups import cyclic, symmetric_3
+from finring.groups import cyclic, group_product, symmetric_3
 
 from helpers import (
     LAZY,
@@ -410,6 +412,12 @@ AGREEMENT_CASES = {
     "NIL(Z/4, 3)": lambda m: poly_quotient(zmod(4), [0, 0, 0, 1], limits=m),
     "POLYQ(Z/4, [1, 1, 1])": lambda m: poly_quotient(zmod(4), [1, 1, 1], limits=m),
     "GR(Z/2, S3)": lambda m: group_ring(zmod(2), symmetric_3(), limits=m),
+    # fifteen heads c * e_i a weight, several in one row-fill block; k = 1,
+    # a single weight; group-ring slots over q = 3
+    "TE(Z/16)": lambda m: trivial_extension(zmod(16), limits=m),
+    "POLYQ(Z/7, [3, 1])": lambda m: poly_quotient(zmod(7), [3, 1], limits=m),
+    "GR(Z/3, C2 x C2)": lambda m: group_ring(zmod(3), group_product(cyclic(2), cyclic(2)),
+                                             limits=m),
     # a non-cyclic base additive group (c up to 8), and a noncommutative base
     "TE(GF(3, 2))": lambda m: trivial_extension(gf(3, 2), limits=m),
     "TE(UT(2, Z/2))": lambda m: trivial_extension(upper_triangular(2, zmod(2)), limits=m),
@@ -479,7 +487,10 @@ def test_fill_adds_bitwise_exactly_when_the_base_table_adds_bit_fields():
         assert build._carry_tops(base.add_table) is None, base.label
 
 
-@pytest.mark.parametrize("n1, n2", [(128, 2), (2, 128), (3, 1), (1, 3), (7, 5)])
+# 4-axis additions with either axis inside, and full rows from either
+# factor, (256, 4) over several blocks of T1's rows
+@pytest.mark.parametrize("n1, n2", [(128, 2), (2, 128), (3, 1), (1, 3), (7, 5), (2, 2), (16, 16),
+                                    (32, 32), (4, 256), (2, 512), (256, 4)])
 def test_kron_sum_matches_int64_reference(n1, n2):
     rng = np.random.default_rng(n1 * 1000 + n2)
     t1 = rng.integers(0, n1, size=(n1, n1)).astype(np.int16)
@@ -490,31 +501,52 @@ def test_kron_sum_matches_int64_reference(n1, n2):
     assert np.array_equal(got, want.reshape(n1 * n2, n1 * n2))
 
 
-def test_table_build_runs_formula_on_generator_pairs_only():
-    # The multiplication formula runs on G x G, G = {0} u {c * e_i} of
-    # 1 + (q - 1) * k elements; distributivity fills the rest.  A lazy base
-    # that records the size of every multiplication it is asked for bounds
-    # the number of pairs the formula saw.
-    z3 = zmod(3, limits=LAZY)
-    sizes = []
+def test_table_build_runs_formula_on_generator_pairs_only(monkeypatch):
+    # The table build reads G x G, G = {0} u {c * e_i} of 1 + (q - 1) * k
+    # elements, off the base's q x q products, and distributivity fills the
+    # rest.  A lazy base that records the size of every multiplication it
+    # is asked for bounds the pairs it saw, and the number of its calls
+    # inside the build: one for the products and one per fold of POLYQ's
+    # reduce, whatever q is, so no loop over generators hides there.
+    inner, reduce_len, sizes = build._coord_ring, [], []
 
-    def counting_mul(x, y):
-        sizes.append(np.broadcast(x, y).size)
-        return z3.mul_arr(x, y)
+    def coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
+        sizes.clear()  # the build's own calls, not POLYQ's centrality check
+        reduce_len.append(len(reduce))
+        return inner(base, k, one_coords, terms, label, limits, reduce)
 
-    base = FiniteRing(3, 1, "Z/3", add_fn=z3.add_arr, mul_fn=counting_mul, neg_fn=z3.neg_arr)
-    cases = [
-        ("M(2, Z/3)", 4, lambda b: matrix_ring(2, b, limits=TABLE)),
-        ("UT(2, Z/3)", 3, lambda b: upper_triangular(2, b, limits=TABLE)),
-        ("TE(Z/3)", 2, lambda b: trivial_extension(b, limits=TABLE)),
-        ("NIL(Z/3, 3)", 3, lambda b: poly_quotient(b, [0, 0, 0, 1], limits=TABLE)),
-    ]
-    for label, k, make in cases:
-        sizes.clear()
-        ring = make(base)
-        assert sizes and max(sizes) <= (1 + 2 * k) ** 2, label
-        for got, want in zip(op_tables(ring), op_tables(make(zmod(3)))):
-            assert np.array_equal(got, want), label
+    monkeypatch.setattr(build, "_coord_ring", coord_ring)
+    for q in (3, 5):
+        zq = zmod(q, limits=LAZY)
+
+        def counting_mul(x, y):
+            sizes.append(np.broadcast(x, y).size)
+            return zq.mul_arr(x, y)
+
+        base = FiniteRing(q, 1, f"Z/{q}", add_fn=zq.add_arr, mul_fn=counting_mul,
+                          neg_fn=zq.neg_arr)
+        cases = [
+            ("M(2)", 4, lambda b: matrix_ring(2, b, limits=TABLE)),
+            ("UT(2)", 3, lambda b: upper_triangular(2, b, limits=TABLE)),
+            ("TE", 2, lambda b: trivial_extension(b, limits=TABLE)),
+            ("NIL(3)", 3, lambda b: poly_quotient(b, [0, 0, 0, 1], limits=TABLE)),
+        ]
+        for label, k, make in cases:
+            ring = make(base)
+            assert sizes and max(sizes) <= (1 + (q - 1) * k) ** 2, (label, q)
+            assert len(sizes) <= 1 + reduce_len[-1], (label, q, len(sizes))
+            for got, want in zip(op_tables(ring), op_tables(make(zmod(q)))):
+                assert np.array_equal(got, want), (label, q)
+    assert reduce_len.count(2) == 4  # NIL(3) folds x^3 and x^4, over each base
+
+
+def test_table_build_rejects_two_terms_for_one_basis_pair():
+    # G x G is read off the base's products only when each pair (i, j)
+    # has at most one term; the formula would sum two
+    terms = [(0, 0, 0), (0, 0, 0)]
+    with pytest.raises(InternalConsistencyError, match=r"basis product \(0, 0\) has two terms"):
+        build._coord_ring(zmod(3), 1, [1], terms, "twice", TABLE)
+    assert build._coord_ring(zmod(3), 1, [1], terms, "twice", LAZY).mul(1, 1) == 2
 
 
 def test_table_ring_over_lazy_base_matches_table_twin():
@@ -619,6 +651,42 @@ def test_lazy_product_beyond_int16_indices():
     assert np.array_equal(ring.neg_arr(x), -a % 200 * 200 + -b % 200)
     for i in range(20):
         assert ring.mul(int(x[i]), int(y[i])) == a[i] * c[i] % 200 * 200 + b[i] * d[i] % 200
+
+
+@pytest.mark.parametrize("limits", [TABLE, LAZY], ids=["table", "lazy"])
+def test_coordinate_generators_are_handed_down(limits):
+    # S(base) * q^i in each coordinate i: read-only, ascending, and what
+    # grow_span takes from {0} over every element; the relabelled bases
+    # have an S of their own, from grow_span
+    rings = [make(limits) for make in AGREEMENT_CASES.values()]
+    rings += [trivial_extension(relabelled(zmod(8), s), limits=limits) for s in (1, 2)]
+    for ring in rings:
+        s = generators(ring)
+        assert not s.flags.writeable and (np.diff(s) > 0).all(), ring
+        reached = np.zeros(ring.order, dtype=bool)
+        reached[0] = True
+        assert np.array_equal(s, grow_span(ring, reached, np.arange(ring.order))), ring
+
+
+def test_table_build_working_set_stays_within_two_blocks():
+    # Above the finished ring's three tables, a build holds at most one
+    # intp index block and one int16 block of BLOCK_ELEMENTS entries.
+    bound = core.BLOCK_ELEMENTS * (8 + 2)
+    builds = {
+        "GF(2, 10)": lambda: gf(2, 10), "TE(Z/32)": lambda: trivial_extension(zmod(32)),
+        "TE(Z/27)": lambda: trivial_extension(zmod(27)), "BT(Z/5)": lambda: bt(zmod(5)),
+        "UT(3, Z/3)": lambda: upper_triangular(3, zmod(3)),
+        "Z/32 x Z/32": lambda: product(zmod(32), zmod(32)),
+    }
+    for label, make in builds.items():
+        tracemalloc.start()
+        try:
+            ring = make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = sum(table.nbytes for table in op_tables(ring))
+        assert ring.mode == "table" and peak - tables <= bound, (label, peak - tables)
 
 
 @pytest.mark.parametrize("limits", [TABLE, LAZY], ids=["table", "lazy"])
