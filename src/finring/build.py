@@ -34,12 +34,11 @@ coefficients of x^s mod f for the slots s >= deg f, which fold back
 into the coordinates with the coefficient on the right (see
 :func:`_coord_ring`).
 
-A ring's storage mode follows from its order and one setting,
-``limits.table_threshold`` (:class:`finring.core.Limits`): a ring of
-order at or below it materializes full numpy operation tables, a larger
-one computes its operations on demand through the same formula.  The
-rule holds for every ring a call builds: the inner rings of ``bt`` and
-``gf``, and the quotients, corners and generated subrings too.
+Every ring a call builds, the inner rings of ``bt`` and ``gf`` and the
+quotients, corners and generated subrings too, is stored by
+:func:`finring.core.stored_ring`, the only function that picks a ring's
+storage mode: full numpy operation tables up to
+``limits.table_threshold``, the same formulas on demand above it.
 
 A coordinate construction's addition table is the k-fold Kronecker sum
 of its base's addition table (addition is componentwise).  Its
@@ -80,7 +79,9 @@ from .core import (
     InternalConsistencyError,
     Limits,
     block_rows,
+    first_failure,
     read_only,
+    stored_ring,
     table_dtype,
 )
 from .groups import GroupTable
@@ -164,14 +165,21 @@ def _carry_tops(base_add) -> int | None:
     addition table ``base_add`` adds bit fields: each field's lower bits
     add with carry into its top bit, and top bits add by XOR, so
     a + b = ((a & ~top) + (b & ~top)) ^ ((a ^ b) & top) for every pair.
-    None when q is not a power of two or some entry differs."""
+    None when q is not a power of two or some entry differs.  Checked by
+    row blocks in the table's dtype, which holds sums up to 2q - 2."""
     q = len(base_add)
     if q & (q - 1):
         return None
     top = sum(1 << i for i in range(q.bit_length() - 1) if base_add[1 << i, 1 << i] == 0)
-    b = np.arange(q)
-    a = b[:, None]
-    return top if np.array_equal(base_add, ((a & ~top) + (b & ~top)) ^ ((a ^ b) & top)) else None
+    every = np.arange(q, dtype=base_add.dtype)
+    low = every & ((q - 1) ^ top)
+
+    def fails(a, b):
+        want = (a ^ b) & top
+        want ^= low[a] + low[b]
+        return base_add[a, b] != want
+
+    return top if first_failure(fails, every, every) is None else None
 
 
 def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
@@ -210,7 +218,7 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
     each call holds one intp index array of its block, which stays in a
     core's L2 cache.  The fill equals the formula when ``base`` is a ring
     (see the module docstring).  The negation table is the componentwise
-    formula on every element, O(n*k).
+    formula on every element.
 
     In both modes the additive generators S (:func:`finring.analysis.generators`)
     are handed down: S(base)*q^i for i < k, ascending as no S holds 0.
@@ -233,7 +241,6 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
     q = base.order
     order = q ** k
     limits.check_order(order, label)
-    table_mode = order <= limits.table_threshold
     dec = np.unravel_index(np.arange(order), (q,) * k, order="F")  # dec[i][x]: coordinate i of x
 
     def add_fn(x, y):
@@ -255,13 +262,8 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
     def neg_fn(x):
         return _encode([base.neg_arr(a[x]) for a in dec], q)
 
-    one_index = int(_encode(one_coords, q))
-    if table_mode:
-        add_t, mul_t = _coord_tables(base, k, terms, reduce, label)
-        ring = FiniteRing(order, one_index, label, add_table=add_t, mul_table=mul_t,
-                          neg_table=neg_fn(np.arange(order)))
-    else:
-        ring = FiniteRing(order, one_index, label, add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn)
+    ring = stored_ring(order, int(_encode(one_coords, q)), label, limits, add_fn, mul_fn, neg_fn,
+                       tables=lambda: _coord_tables(base, k, terms, reduce, label))
     ring.cached("generators",
                 lambda: read_only(np.concatenate([generators(base) * q ** i for i in range(k)])))
     return ring
@@ -366,14 +368,8 @@ def zmod(n: int, *, label: str | None = None, limits: Limits = DEFAULT_LIMITS) -
         raise ArgumentError(f"Z/n needs n >= 2, got {n}")
     label = label or f"Z/{n}"
     limits.check_order(n, label)
-    table_mode = n <= limits.table_threshold
-    ring = FiniteRing(
-        n, 1, label,
-        add_fn=lambda x, y: (x + y) % n,
-        mul_fn=lambda x, y: (x * y) % n,
-        neg_fn=lambda x: (-x) % n,
-    )
-    return ring.materialized() if table_mode else ring
+    return stored_ring(n, 1, label, limits, add_fn=lambda x, y: (x + y) % n,
+                       mul_fn=lambda x, y: (x * y) % n, neg_fn=lambda x: (-x) % n)
 
 
 def is_prime(p: int) -> bool:
@@ -458,26 +454,20 @@ def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
     order = r1.order * r2.order
     limits.check_order(order, label)
     n1, n2 = r1.order, r2.order
-    one_index = r1.one * n2 + r2.one
-    table_mode = order <= limits.table_threshold
 
     def pair(a, b):
         return np.multiply(a, n2, dtype=np.intp) + b
 
-    if table_mode:
-        def kron(op):
-            return _kron_sum(r1.row_block(op, 0, n1), r2.row_block(op, 0, n2))
+    def kron(op):
+        return _kron_sum(r1.row_block(op, 0, n1), r2.row_block(op, 0, n2))
 
-        neg = pair(r1.neg_arr(np.arange(n1))[:, None], r2.neg_arr(np.arange(n2))[None, :])
-        ring = FiniteRing(order, one_index, label, add_table=kron("add"),
-                          mul_table=kron("mul"), neg_table=neg.reshape(order))
-    else:
-        ring = FiniteRing(
-            order, one_index, label,
-            add_fn=lambda x, y: pair(r1.add_arr(x // n2, y // n2), r2.add_arr(x % n2, y % n2)),
-            mul_fn=lambda x, y: pair(r1.mul_arr(x // n2, y // n2), r2.mul_arr(x % n2, y % n2)),
-            neg_fn=lambda x: pair(r1.neg_arr(x // n2), r2.neg_arr(x % n2)),
-        )
+    ring = stored_ring(
+        order, r1.one * n2 + r2.one, label, limits,
+        add_fn=lambda x, y: pair(r1.add_arr(x // n2, y // n2), r2.add_arr(x % n2, y % n2)),
+        mul_fn=lambda x, y: pair(r1.mul_arr(x // n2, y // n2), r2.mul_arr(x % n2, y % n2)),
+        neg_fn=lambda x: pair(r1.neg_arr(x // n2), r2.neg_arr(x % n2)),
+        tables=lambda: (kron("add"), kron("mul")),
+    )
     ring.cached("generators", lambda: read_only(np.concatenate([generators(r2), generators(r1) * n2])))
     return ring
 
@@ -600,29 +590,21 @@ def group_ring(base: FiniteRing, group: GroupTable, *, label: str | None = None,
 def _induced_ring(ring: FiniteRing, lift: np.ndarray, down: np.ndarray, one: int, label: str,
                   limits: Limits) -> FiniteRing:
     """The ring on 0..len(lift)-1 with a op b = down[lift[a] op lift[b]]
-    and identity down[one], in table mode up to the threshold.
+    and identity down[one], stored by :func:`finring.core.stored_ring`.
 
     When the derived ring is all of ``ring`` (len(lift) == ring.order:
     R/{0}, the corner at 1, a subring equal to R), lift and down are the
-    identity (down[one] is then ``ring``'s own one, as in any ring), and
-    the result is ``ring``'s storage under ``label``
-    (:meth:`FiniteRing.relabelled`): shared tables, or ``ring``'s own
-    operations with no lift/down gathers, filled into tables of its own
-    only when it is in table mode and ``ring`` is not.  Its cache starts
-    empty, so whatever is asked of it is computed afresh."""
-    table_mode = len(lift) <= limits.table_threshold
+    identity (down[one] is then ``ring``'s own one, as in any ring), so
+    the result is :meth:`FiniteRing.relabelled`, with no lift/down
+    gathers.  Its cache starts empty, so whatever is asked of it is
+    computed afresh."""
     if len(lift) == ring.order and down[one] == ring.one:
-        return ring.relabelled(label, table_mode)
-    out = FiniteRing(
-        len(lift), int(down[one]), label,
-        add_fn=lambda a, b: down[ring.add_arr(lift[a], lift[b])],
-        mul_fn=lambda a, b: down[ring.mul_arr(lift[a], lift[b])],
-        neg_fn=lambda a: down[ring.neg_arr(lift[a])],
-    )
-    if not table_mode:
-        return out
+        return ring.relabelled(label, limits)
     try:
-        return out.materialized()
+        return stored_ring(len(lift), int(down[one]), label, limits,
+                           add_fn=lambda a, b: down[ring.add_arr(lift[a], lift[b])],
+                           mul_fn=lambda a, b: down[ring.mul_arr(lift[a], lift[b])],
+                           neg_fn=lambda a: down[ring.neg_arr(lift[a])])
     except ArgumentError:  # a -1 from down: an operation left the lifted set
         raise InternalConsistencyError(
             f"{label}: member set is not closed under the inherited operations") from None

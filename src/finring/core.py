@@ -7,7 +7,8 @@ numpy operation tables ("table" mode) or keep broadcasting callables
 that compute operations on demand from construction data ("lazy"
 mode).  The two modes must return identical values on every index
 pair; the test suite compares them.  This module is the only one that
-knows which mode a ring is in: everything else reads a ring through
+knows which mode a ring is in, and :func:`stored_ring` the only function
+that picks it: everything else reads a ring through
 ``add_arr``/``mul_arr``/``neg_arr`` and :meth:`FiniteRing.blocks`.
 
 Nothing here checks the ring axioms on construction -- that is what
@@ -303,19 +304,33 @@ class FiniteRing:
         return FiniteRing(n, self.one, self.label, add_table=tables["add"],
                           mul_table=tables["mul"], neg_table=self.neg_arr(np.arange(n)))
 
-    def relabelled(self, label: str, table: bool) -> "FiniteRing":
+    def relabelled(self, label: str, limits: Limits) -> "FiniteRing":
         """This ring's operations under ``label``, with an empty cache of
-        its own, in table mode if ``table`` is set and lazy otherwise.  A
-        table twin of a table ring shares its tables, and a lazy twin
-        computes through this ring's ``add_arr``/``mul_arr``/``neg_arr``;
-        only a table twin of a lazy ring fills tables of its own."""
-        if table and self.mode == "table":
+        its own, stored by :func:`stored_ring`'s rule; a table twin of a
+        table ring shares its tables."""
+        if self.mode == "table" and self.order <= limits.table_threshold:
             twin = copy.copy(self)
             twin.label, twin._lock, twin._cache = label, threading.RLock(), {}
             return twin
-        twin = FiniteRing(self.order, self.one, label, add_fn=self.add_arr, mul_fn=self.mul_arr,
-                          neg_fn=self.neg_arr)
-        return twin.materialized() if table else twin
+        return stored_ring(self.order, self.one, label, limits, self.add_arr, self.mul_arr,
+                           self.neg_arr)
+
+
+def stored_ring(order: int, one: int, label: str, limits: Limits, add_fn: Callable,
+                mul_fn: Callable, neg_fn: Callable, tables: Callable | None = None) -> FiniteRing:
+    """The ring with these broadcasting operations, in table mode when
+    ``order`` <= ``limits.table_threshold`` and lazy above it: the one
+    place that picks a ring's mode.  A table ring takes ADD and MUL from
+    ``tables()``, a construction's faster builder, when given, else from
+    :meth:`FiniteRing.materialized`, and NEG from ``neg_fn`` over every
+    element; a lazy ring never calls ``tables``."""
+    lazy = order > limits.table_threshold
+    if lazy or tables is None:
+        ring = FiniteRing(order, one, label, add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn)
+        return ring if lazy else ring.materialized()
+    add_table, mul_table = tables()
+    return FiniteRing(order, one, label, add_table=add_table, mul_table=mul_table,
+                      neg_table=neg_fn(np.arange(order)))
 
 
 class ElementSet:

@@ -487,6 +487,43 @@ def test_fill_adds_bitwise_exactly_when_the_base_table_adds_bit_fields():
         assert build._carry_tops(base.add_table) is None, base.label
 
 
+def whole_table_carry_tops(base_add):
+    """The carry-field tops of ``base_add`` read by one int64 comparison
+    of the whole table: the reference for the blocked check."""
+    q = len(base_add)
+    if q & (q - 1):
+        return None
+    top = sum(1 << i for i in range(q.bit_length() - 1) if base_add[1 << i, 1 << i] == 0)
+    b = np.arange(q)
+    a = b[:, None]
+    return top if np.array_equal(base_add, ((a & ~top) + (b & ~top)) ^ ((a ^ b) & top)) else None
+
+
+def test_carry_tops_by_blocks_matches_the_whole_table_check(monkeypatch):
+    # every base table an AGREEMENT_CASES build checks, the case rings' own
+    # tables (several fields a digit), an int64 table of a lazy base, and
+    # non-bit-field tables, against the whole-table check
+    inner, tables = build._carry_tops, []
+    monkeypatch.setattr(build, "_carry_tops", lambda t: tables.append(t) or inner(t))
+    rings = [make(TABLE) for make in AGREEMENT_CASES.values()]
+    assert tables  # the recorder saw the builds
+    tables += [ring.add_table for ring in rings + [zmod(1024), zmod(3)]]
+    tables += [relabelled(zmod(8), s).add_table for s in (1, 2)]
+    tables.append(zmod(8, limits=LAZY).row_block("add", 0, 8))
+    for table in tables:
+        assert inner(table) == whole_table_carry_tops(table), len(table)
+    assert inner(zmod(1024).add_table) == 512
+    # the check holds a few int16 blocks, not q x q int64 arrays
+    table = zmod(1024).add_table
+    tracemalloc.start()
+    try:
+        inner(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= core.BLOCK_ELEMENTS * 10, peak
+
+
 # 4-axis additions with either axis inside, and full rows from either
 # factor, (256, 4) over several blocks of T1's rows
 @pytest.mark.parametrize("n1, n2", [(128, 2), (2, 128), (3, 1), (1, 3), (7, 5), (2, 2), (16, 16),
@@ -622,6 +659,61 @@ def test_identity_derived_ring_mode_follows_its_order_and_limits(parent_limits, 
         assert np.array_equal(ring.mul_arr(x[:, None], x), twin.mul_table), name
         assert np.array_equal(ring.neg_arr(x), twin.neg_table), name
         assert units(ring) is not units(parent) and same_verdicts(ring, parent), name
+
+
+def boundary_builds(parent_limits):
+    """One build of each path through core.stored_ring, keyed by name,
+    each a function of the limits the ring is built under; the parents of
+    derived rings are built under ``parent_limits``."""
+    ut = upper_triangular(2, zmod(4, limits=parent_limits), limits=parent_limits)
+    z43 = product(zmod(4), zmod(3), limits=parent_limits)  # (a, b) is a * 3 + b
+    return {
+        "zmod": lambda m: zmod(12, limits=m),
+        "product": lambda m: product(zmod(2), zmod(6), limits=m),
+        "coordinate": lambda m: trivial_extension(zmod(3), limits=m),
+        "quotient": lambda m: quotient(z43, [0, 6], limits=m).ring,  # by 2Z/4 x 0
+        "corner": lambda m: corner(z43, 3, limits=m).ring,  # at (1, 0)
+        "subring": lambda m: subring_closure(ut, [2], limits=m).ring,
+        **{f"identity {name}": (lambda m, name=name: identity_derived(ut, m)[name])
+           for name in ("quotient", "corner", "subring")},
+    }
+
+
+@pytest.mark.parametrize("parent_limits", [DEFAULT_LIMITS, LAZY], ids=["table", "lazy"])
+def test_storage_mode_switches_at_the_ring_order(parent_limits):
+    # a threshold equal to the ring's order gives tables, one less gives
+    # the formula, on every path through the one function that picks it
+    for name, make in boundary_builds(parent_limits).items():
+        n = make(DEFAULT_LIMITS).order
+        table, lazy = make(Limits(table_threshold=n)), make(Limits(table_threshold=n - 1))
+        assert (table.mode, lazy.mode) == ("table", "lazy"), name
+        every = np.arange(n)
+        for op in ("add", "mul"):
+            assert np.array_equal(table.row_block(op, 0, n), lazy.row_block(op, 0, n)), name
+        assert np.array_equal(table.neg_table, lazy.neg_arr(every)), name
+
+
+def test_lazy_rings_never_run_the_table_builders(monkeypatch):
+    # A case's inner rings built under the default limits are smaller table
+    # rings, so a builder fails only when asked for the case's own order.
+    cases = {**AGREEMENT_CASES, "Z/4 x Z/5": lambda m: product(zmod(4), zmod(5), limits=m)}
+    orders = {label: make(TABLE).order for label, make in cases.items()}
+    order = None
+
+    def guard(builder, size):
+        def guarded(*args):
+            assert size(*args) != order, f"{builder.__name__} ran for a lazy ring"
+            return builder(*args)
+        return guarded
+
+    monkeypatch.setattr(build, "_coord_tables",
+                        guard(build._coord_tables, lambda base, k, *_: base.order ** k))
+    monkeypatch.setattr(build, "_kron_sum", guard(build._kron_sum, lambda t1, t2: len(t1) * len(t2)))
+    for label, make in cases.items():
+        order = orders[label]
+        assert make(LAZY).mode == "lazy", label
+        with pytest.raises(AssertionError, match="ran for a lazy ring"):  # the guards are live
+            make(TABLE)
 
 
 def test_tables_are_int16_and_read_only():

@@ -176,9 +176,10 @@ def test_block_offsets_in_reported_witnesses():
 
 
 def storage_reads(path: Path) -> list[str]:
-    """Each attribute read of a ring's storage mode or stored tables in
-    ``path``, as "file:line .attr"."""
-    storage = {"mode", "add_table", "mul_table", "neg_table"}
+    """Each attribute read of a ring's storage mode or stored tables, or of
+    ``table_threshold``, the setting that picks the mode, in ``path``, as
+    "file:line .attr"."""
+    storage = {"mode", "add_table", "mul_table", "neg_table", "table_threshold"}
     return [f"{path.name}:{node.lineno} .{node.attr}"
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
@@ -187,13 +188,16 @@ def storage_reads(path: Path) -> list[str]:
 
 def test_only_core_reads_the_storage_mode():
     # Everything outside core.py reads a ring through add_arr/mul_arr/
-    # neg_arr and blocks(); passing tables to FiniteRing(...) as keyword
-    # arguments, as build.py does, is no read.
+    # neg_arr and blocks(), and builds one through core.stored_ring, so the
+    # rule that picks a ring's mode is written once; passing tables to
+    # FiniteRing(...) as keyword arguments is no read.
     package = Path(finring.__file__).parent
-    assert storage_reads(package / "core.py")  # the scan sees what it looks for
     reads = [r for path in sorted(package.glob("*.py")) if path.name != "core.py"
              for r in storage_reads(path)]
     assert reads == []
+    # the scan sees what it looks for
+    attrs = {r.split(".")[-1] for r in storage_reads(package / "core.py")}
+    assert attrs >= {"mode", "table_threshold"}
 
 
 def test_verify_suite_agrees_across_modes():
