@@ -37,31 +37,36 @@ into the coordinates with the coefficient on the right (see
 Every ring a call builds, the inner rings of ``bt`` and ``gf`` and the
 quotients, corners and generated subrings too, is stored by
 :func:`finring.core.stored_ring`, the only function that picks a ring's
-storage mode: full numpy operation tables up to
-``limits.table_threshold``, the same formulas on demand above it.
+storage mode: numpy operation tables up to ``limits.table_threshold``,
+the same formulas on demand above it.  A table ring stores MUL and NEG,
+and ADD only where its build reads ADD: a coordinate ring over a base
+that adds no bit fields, and a ring filled from its formulas (Z/n, the
+quotients, corners and subrings).  Any other table ring adds by its
+formula and fills ``add_table`` on first read.
 
-A coordinate construction's addition table is the k-fold Kronecker sum
-of its base's addition table (addition is componentwise).  Its
-multiplication table starts from G x G, where G is 0 and the (q-1)*k
-generators c*e_i (one nonzero coordinate), read off the base's own
-products: a pair (i, j) has at most one term (i, j, s), so the formula
-gives (c*e_i)(d*e_j) = (c*d)*e_s, as its other terms have a zero factor
-and vanish in a ring base (0*d = 0, 0 + v = v).  The rest of MUL is a
-two-sided distributive fill from entries already built, one weight
-q^i at a time: MUL[g, y' + c*e_i] = ADD[MUL[g, y'], MUL[g, c*e_i]] for
-g in G, then MUL[x' + c*e_i] = ADD[MUL[x'], MUL[c*e_i]] for every other
-row.  The block and the fill equal the formula whenever the base is a
-ring, which every base built by this module or parsed from an expression
-is; run ``verify_axioms`` on a hand-made ``FiniteRing`` before using it
-as a base.  The formula itself serves the on-demand mode, and is the
-tests' reference for the tables.  The fill reads its sums from ADD,
-except over a base whose own addition table adds bit fields
-(:func:`_carry_tops`): Z/2^j, XOR groups such as GF(2, k) or M(m, Z/2),
-and products of these.  There ADD[x, y] is a few bitwise operations on x
-and y, and the fill computes it so.  A coordinate ring's additive
-generators (:func:`finring.analysis.generators`) are its base's, S*q^i in
-each coordinate i.  A direct product's tables are the Kronecker sum of
-its factors' tables (see :func:`product`).
+A coordinate construction's multiplication table starts from G x G,
+where G is 0 and the (q-1)*k generators c*e_i (one nonzero coordinate),
+read off the base's own products: a pair (i, j) has at most one term
+(i, j, s), so the formula gives (c*e_i)(d*e_j) = (c*d)*e_s, as its other
+terms have a zero factor and vanish in a ring base (0*d = 0,
+0 + v = v).  The rest of MUL is a two-sided distributive fill from
+entries already built, one weight q^i at a time: MUL[g, y' + c*e_i] =
+MUL[g, y'] + MUL[g, c*e_i] for g in G, then MUL[x' + c*e_i] = MUL[x'] +
+MUL[c*e_i] for every other row.  The block and the fill equal the
+formula whenever the base is a ring, which every base built by this
+module or parsed from an expression is; run ``verify_axioms`` on a
+hand-made ``FiniteRing`` before using it as a base.  The formula itself
+serves the on-demand mode, and is the tests' reference for the tables.
+Over a base whose addition adds bit fields (:func:`_carry_tops`): Z/2^j,
+XOR groups such as GF(2, k) or M(m, Z/2), and products of these, x + y
+is a few bitwise operations on x and y (:func:`_bitwise_sum`), which is
+then the ring's addition in both modes and the fill's sum.  Over any
+other base the fill takes its sums from ADD, the k-fold Kronecker sum of
+the base's addition table, which the ring keeps.  A coordinate ring's
+additive generators (:func:`finring.analysis.generators`) are its
+base's, S*q^i in each coordinate i.  A direct product stores the
+Kronecker sum of its factors' multiplication tables and adds pairwise
+(see :func:`product`).
 """
 
 from __future__ import annotations
@@ -160,26 +165,57 @@ def _kron_sum(t1, t2) -> np.ndarray:
     return table
 
 
-def _carry_tops(base_add) -> int | None:
-    """The mask ``top`` of the bits i with 2^i + 2^i = 0, when the q x q
-    addition table ``base_add`` adds bit fields: each field's lower bits
-    add with carry into its top bit, and top bits add by XOR, so
+def _carry_tops(base: FiniteRing) -> int | None:
+    """The mask ``top`` of the bits i with 2^i + 2^i = 0, when the addition
+    of the ring ``base`` adds bit fields: each field's lower bits add with
+    carry into its top bit, and top bits add by XOR, so
     a + b = ((a & ~top) + (b & ~top)) ^ ((a ^ b) & top) for every pair.
-    None when q is not a power of two or some entry differs.  Checked by
-    row blocks in the table's dtype, which holds sums up to 2q - 2."""
-    q = len(base_add)
+    None when q = |base| is not a power of two or some sum differs.
+
+    The law is checked on x + s for every x and every additive generator
+    s (:func:`finring.analysis.generators`), by blocks, q * |S| sums in
+    all.  That decides every pair: both operations are associative (the
+    one on the right is addition in a product of cyclic groups 2^w, and
+    plain addition on any bits above the last top), so x + y, with y a
+    sum s1 + ... + sm of generators, is (..(x + s1) + ..) + sm on either
+    side, and y itself the same sum from 0."""
+    q = base.order
     if q & (q - 1):
         return None
-    top = sum(1 << i for i in range(q.bit_length() - 1) if base_add[1 << i, 1 << i] == 0)
-    every = np.arange(q, dtype=base_add.dtype)
-    low = every & ((q - 1) ^ top)
+    bits = 1 << np.arange(q.bit_length() - 1)
+    top = int(bits[base.add_arr(bits, bits) == 0].sum())
+    low = (q - 1) ^ top
 
     def fails(a, b):
         want = (a ^ b) & top
-        want ^= low[a] + low[b]
-        return base_add[a, b] != want
+        want ^= (a & low) + (b & low)
+        return base.add_arr(a, b) != want
 
-    return top if first_failure(fails, every, every) is None else None
+    return top if first_failure(fails, np.arange(q), generators(base)) is None else None
+
+
+def _bitwise_sum(top: int, j: int, k: int):
+    """The sum of k-digit indices over a base of order 2^j whose addition
+    adds bit fields with tops ``top`` (:func:`_carry_tops`), digit by
+    digit: ((x & low) + (y & low)) ^ ((x ^ y) & high), where ``high``
+    repeats ``top`` in every j-bit digit and ``low`` = (q^k - 1) & ~high;
+    x ^ y when ``low`` is 0.  It broadcasts like a numpy ufunc and writes
+    into ``out`` when given."""
+    high = sum(top << (i * j) for i in range(k))
+    low = ((1 << (j * k)) - 1) & ~high
+    if low == 0:
+        return np.bitwise_xor
+
+    # ``out`` may hold y's own rows (a row fill at x' = 0), so x and y are
+    # read in full before the first write
+    def digit_sum(x, y, out=None):
+        tops = np.bitwise_xor(x, y)
+        tops &= high
+        out = np.add(x & low, y & low, out=out)
+        out ^= tops
+        return out
+
+    return digit_sum
 
 
 def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
@@ -198,50 +234,34 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
     broadcasting ``add_arr``/``mul_arr``, so it evaluates index arrays of
     any shape; it is the on-demand mode's multiplication.
 
-    In table mode ADD is the k-fold Kronecker sum of the base's addition
-    table (:func:`_kron_sum`), and MUL is built without the formula
-    (:func:`_coord_tables`).  Its block G x G, G = {0} u {c*e_i}, is one
-    gather from the q x q base products: every construction has at most
-    one term (i, j, s) for a pair (i, j), checked once per build, so
-    (c*e_i)(d*e_j) = (c*d)*e_s.  The formula agrees, since its other terms
-    each have a zero coordinate as a factor, and 0*d = 0 and 0 + v = v in a
-    ring base.  A slot s >= k folds c*d by ``reduce[s - k]``, coefficient
-    on the right, as the formula does; so the block is enc[s][c*d], with
-    one row of indices enc[s] per slot and a zero row for the pairs with
-    no term.  Left distributivity then fills the other columns of the rows
-    in G, and right distributivity the other rows, in ascending weight
-    order w = q^i.  Both fills run per weight: each call sums the columns
-    or rows of as many heads c*w as fit a block of ``BLOCK_ELEMENTS``
-    entries (:func:`finring.core.block_rows`, read at call time), and a
-    weight step longer than a block takes several blocks per head.  The
-    row fill writes straight into the final table, and on the take path
-    each call holds one intp index array of its block, which stays in a
-    core's L2 cache.  The fill equals the formula when ``base`` is a ring
-    (see the module docstring).  The negation table is the componentwise
-    formula on every element.
+    When q = 2^j and the base's addition adds bit fields, with carry-field
+    tops ``top`` (:func:`_carry_tops`), the ring adds by
+    :func:`_bitwise_sum` in both storage modes.  That is exact: a field's
+    lower bits sum with carry at most into its top bit, which both
+    addends have cleared, so no carry crosses into the next field or
+    digit; the top bits then add by XOR, as 2^i + 2^i = 0 there.  Every
+    sum stays below q^k, so it fits the table's dtype.  Over any other
+    base the ring adds by the componentwise formula.
+
+    In table mode MUL is built without the formula (:func:`_coord_tables`),
+    and only over a base that adds no bit fields is ADD stored: the k-fold
+    Kronecker sum of the base's addition table (:func:`_kron_sum`), which
+    the fill reads.  Over a bit-field base the ring's ``add_table`` is
+    filled from :func:`_bitwise_sum` on first read.  The negation table is
+    the componentwise formula on every element.
 
     In both modes the additive generators S (:func:`finring.analysis.generators`)
     are handed down: S(base)*q^i for i < k, ascending as no S holds 0.
     That is what ``grow_span`` takes from {0}: the indices below q^(i+1)
     are the elements with coordinates i+1 and above zero, so it takes the
     base's own S in coordinate 0, then in coordinate 1, and so on.
-
-    When q = 2^j and the base's addition table adds bit fields, with
-    carry-field tops ``top`` (:func:`_carry_tops`), both fill stages sum
-    by bit operations instead of the take.  ADD adds digit by digit, each
-    digit j bits wide, so ADD[x, y] = ((x & low) + (y & low)) ^
-    ((x ^ y) & high), where ``high`` repeats ``top`` in every digit and
-    ``low`` = (n - 1) & ~high.  That is exact: a field's lower bits sum
-    with carry at most into its top bit, which both addends have cleared,
-    so no carry crosses into the next field or digit; the top bits then
-    add by XOR, as 2^i + 2^i = 0 there.  Every sum stays below n, so it
-    fits the table's dtype.  When ``low`` is 0 (every field one bit wide,
-    as over GF(2, k) or M(m, Z/2)) the sum is x ^ y.
     """
     q = base.order
     order = q ** k
     limits.check_order(order, label)
     dec = np.unravel_index(np.arange(order), (q,) * k, order="F")  # dec[i][x]: coordinate i of x
+    top = _carry_tops(base)
+    digit_sum = None if top is None else _bitwise_sum(top, q.bit_length() - 1, k)
 
     def add_fn(x, y):
         return _encode([base.add_arr(a[x], a[y]) for a in dec], q)
@@ -262,29 +282,50 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
     def neg_fn(x):
         return _encode([base.neg_arr(a[x]) for a in dec], q)
 
-    ring = stored_ring(order, int(_encode(one_coords, q)), label, limits, add_fn, mul_fn, neg_fn,
-                       tables=lambda: _coord_tables(base, k, terms, reduce, label))
+    ring = stored_ring(order, int(_encode(one_coords, q)), label, limits, digit_sum or add_fn,
+                       mul_fn, neg_fn,
+                       tables=lambda: _coord_tables(base, k, terms, reduce, label, digit_sum))
     ring.cached("generators",
                 lambda: read_only(np.concatenate([generators(base) * q ** i for i in range(k)])))
     return ring
 
 
-def _coord_tables(base, k, terms, reduce, label):
-    """The addition and multiplication tables of :func:`_coord_ring`'s
-    ring, built as its docstring says."""
+def _coord_tables(base, k, terms, reduce, label, digit_sum):
+    """(ADD or None, MUL) of :func:`_coord_ring`'s ring, MUL built without
+    the formula.  The fill sums by ``digit_sum``, the ring's
+    :func:`_bitwise_sum`, when given, and ADD is then not built; else ADD
+    is the k-fold Kronecker sum of the base's addition table, and the
+    fill takes its sums from ADD through one intp index array of each
+    block.
+
+    MUL's block G x G, G = {0} u {c*e_i}, is read off the q x q base
+    products: every construction has at most one term (i, j, s) for a
+    pair (i, j), checked once per build, so (c*e_i)(d*e_j) = (c*d)*e_s.
+    The formula agrees, since its other terms each have a zero coordinate
+    as a factor, and 0*d = 0 and 0 + v = v in a ring base.  A slot s >= k
+    folds c*d by ``reduce[s - k]``, coefficient on the right, as the
+    formula does; so the block is enc[s][c*d], with one row of indices
+    enc[s] per slot and a zero row for the pairs with no term, gathered
+    one block of G's rows at a time.  Left distributivity then fills the
+    other columns of the rows in G, and right distributivity the other
+    rows, in ascending weight order w = q^i.  Both fills run per weight:
+    each call sums the columns or rows of as many heads c*w as fit a
+    block of ``BLOCK_ELEMENTS`` entries (:func:`finring.core.block_rows`,
+    read at call time), and a weight step longer than a block takes
+    several blocks per head.  The row fill writes straight into the final
+    table, and on the take path each call holds one intp index array of
+    its block, which stays in a core's L2 cache.  The fill equals the
+    formula when ``base`` is a ring (see the module docstring)."""
     q = base.order
     order = q ** k
-    # ADD is componentwise over one base table, so it is the k-fold
-    # Kronecker sum of the base's addition table.
-    base_add = base.row_block("add", 0, q)
-    add_t = np.zeros((1, 1), dtype=np.int16)
-    for _ in range(k):
-        add_t = _kron_sum(base_add, add_t)
-    # The fill's sums: bitwise when the base adds bit fields (q = 2^j),
-    # digit i's fields shifted by i*j bits (see the docstring), else a
-    # take from ADD through one intp index array of the result's shape.
-    top = _carry_tops(base_add)
-    if top is None:
+    add_t = None
+    if digit_sum is None:
+        # ADD is componentwise over one base table, so it is the k-fold
+        # Kronecker sum of the base's addition table.
+        base_add = base.row_block("add", 0, q)
+        add_t = np.zeros((1, 1), dtype=np.int16)
+        for _ in range(k):
+            add_t = _kron_sum(base_add, add_t)
         flat_add = add_t.ravel()
 
         def digit_sum(x, y, out=None):
@@ -293,21 +334,6 @@ def _coord_tables(base, k, terms, reduce, label):
             idx += y
             # in range; a mode other than "raise" writes ``out`` unbuffered
             return np.take(flat_add, idx, out=out, mode="wrap")
-    else:
-        j = q.bit_length() - 1
-        high = sum(top << (i * j) for i in range(k))
-        low = (order - 1) & ~high
-        if low == 0:
-            digit_sum = np.bitwise_xor
-        else:
-            # ``out`` may hold y's own rows (x' = 0), so x and y are read
-            # in full before the first write
-            def digit_sum(x, y, out=None):
-                tops = np.bitwise_xor(x, y)
-                tops &= high
-                out = np.add(x & low, y & low, out=out)
-                out ^= tops
-                return out
     # G x G, G = {0} u {c*w}, w = q^i the weight of e_i: MUL[c*w_i, d*w_j]
     # is enc[slot[i, j]][c*d], where enc[s][v] is the index of v in slot s
     # (folded by reduce[s - k] for s >= k), and the last row of enc, 0,
@@ -328,16 +354,20 @@ def _coord_tables(base, k, terms, reduce, label):
     mul_t = np.empty((order, order), dtype=table_dtype(order))
     mul_t[0] = 0
     mul_t[gens, 0] = 0
-    block = enc[slot[:, None, :, None], prods[None, 1:, None, 1:]]  # [i, c, j, d]
-    mul_t[gens[:, None], gens] = block.reshape(len(gens), len(gens))
+    step = block_rows(len(gens))
+    for i, w in enumerate(weights.tolist()):
+        for c in range(1, q, step):  # rows c*w .. (c + step - 1)*w, as [c, j, d]
+            rows = enc[slot[i][None, :, None], prods[c:c + step, None, 1:]]
+            mul_t[w * np.arange(c, c + len(rows))[:, None], gens] = rows.reshape(len(rows), -1)
     # Column y' + c*w of a row g in G, for y' < w, is MUL[g, y'] +
     # MUL[g, c*w] by left distributivity, and row c*w + x' is MUL[x'] +
     # MUL[c*w] by right distributivity (x' + c*w is an index sum, as x' has
     # no coordinate at weight w or above).  Ascending w keeps the columns,
-    # then the rows, below w filled.  Each call takes the heads c*w of
-    # consecutive c that fit one block (at least one), and a head's rows
-    # take several blocks when w exceeds one.
-    steps = weights.tolist()
+    # then the rows, below w filled.  At w = 1 both fills would only
+    # rewrite G x G and the rows of G, so they start at w = q.  Each call
+    # takes the heads c*w of consecutive c that fit one block (at least
+    # one), and a head's rows take several blocks when w exceeds one.
+    steps = weights.tolist()[1:]
     for w in steps:
         left = mul_t[gens, :w][:, None, :]
         heads = block_rows(len(gens) * w)
@@ -399,15 +429,51 @@ def _monic_polys(p: int, d: int):
         yield tuple(coeffs) + (1,)
 
 
+def _coprime(a, b, p: int) -> bool:
+    """Whether the polynomials a and b over F_p (little-endian) have no
+    common factor of positive degree, by Euclid's algorithm."""
+    def trim(c):
+        c = [v % p for v in c]
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a, b = trim(a), trim(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        a, b = b, trim(_poly_mod(a, [c * inv % p for c in b], p))
+    return len(a) == 1
+
+
+def _pow_mod(h, e: int, f: tuple, p: int) -> list:
+    """h^e mod the monic f over F_p, by square and multiply."""
+    def mul(a, b):
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                for j, d in enumerate(b):
+                    prod[i + j] += c * d
+        return list(_poly_mod(prod, f, p))
+
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, h)
+    return out
+
+
 def _is_irreducible(f: tuple, p: int) -> bool:
-    """Whether the monic f has no monic factor of degree 1..deg f / 2;
-    a reducible f has one of them, as its factors' degrees sum to deg f."""
-    deg = len(f) - 1
-    for d in range(1, deg // 2 + 1):
-        for g in _monic_polys(p, d):
-            rem = _poly_mod(f, g, p)
-            if all(c == 0 for c in rem):
-                return False
+    """Ben-Or's test: the monic f of degree k over F_p is irreducible iff
+    gcd(f, x^(p^i) - x) = 1 for every i <= k / 2, as x^(p^i) - x is the
+    product of the monic irreducibles whose degree divides i, and a
+    reducible f has a factor of degree at most k / 2.  x^(p^i) mod f is
+    the p-th power of x^(p^(i-1)) mod f."""
+    h = [0, 1]  # x, already reduced as deg f >= 2 whenever the loop runs
+    for _ in range((len(f) - 1) // 2):
+        h = _pow_mod(h, p, f, p) + [0, 0]
+        if not _coprime(f, [h[0], h[1] - 1] + h[2:], p):
+            return False
     return True
 
 
@@ -441,10 +507,12 @@ def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
             limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
     """Direct product; (a, b) is encoded as a * |R2| + b and one = (1, 1).
 
-    In table mode each table is the Kronecker sum of the factors' tables,
-    OP[(a, b), (c, d)] = OP1[a, c] * |R2| + OP2[b, d] (:func:`_kron_sum`).
-    The lazy formulas and the negation table form a * |R2| in intp, as the
-    factors' values may be narrower than the product's indices.  The
+    In table mode MUL is the Kronecker sum of the factors' tables,
+    MUL[(a, b), (c, d)] = MUL1[a, c] * |R2| + MUL2[b, d] (:func:`_kron_sum`);
+    the product adds pairwise by its formula, and fills ``add_table``
+    from it on first read.  The formulas and the negation table form
+    a * |R2| in intp, as the factors' values may be narrower than the
+    product's indices.  The
     additive generators S of the product
     (:func:`finring.analysis.generators`) come from its factors': (0, t)
     and (s, 0) generate (R1 x R2, +), and S(R2) followed by S(R1)*|R2|
@@ -458,15 +526,12 @@ def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
     def pair(a, b):
         return np.multiply(a, n2, dtype=np.intp) + b
 
-    def kron(op):
-        return _kron_sum(r1.row_block(op, 0, n1), r2.row_block(op, 0, n2))
-
     ring = stored_ring(
         order, r1.one * n2 + r2.one, label, limits,
         add_fn=lambda x, y: pair(r1.add_arr(x // n2, y // n2), r2.add_arr(x % n2, y % n2)),
         mul_fn=lambda x, y: pair(r1.mul_arr(x // n2, y // n2), r2.mul_arr(x % n2, y % n2)),
         neg_fn=lambda x: pair(r1.neg_arr(x // n2), r2.neg_arr(x % n2)),
-        tables=lambda: (kron("add"), kron("mul")),
+        tables=lambda: (None, _kron_sum(r1.row_block("mul", 0, n1), r2.row_block("mul", 0, n2))),
     )
     ring.cached("generators", lambda: read_only(np.concatenate([generators(r2), generators(r1) * n2])))
     return ring

@@ -2,14 +2,16 @@
 
 A ring of order n lives on the indices 0..n-1, with 0 the additive
 identity and a designated index ``one`` (never 0) the multiplicative
-identity.  Structured constructions either materialize full n x n
-numpy operation tables ("table" mode) or keep broadcasting callables
-that compute operations on demand from construction data ("lazy"
-mode).  The two modes must return identical values on every index
-pair; the test suite compares them.  This module is the only one that
-knows which mode a ring is in, and :func:`stored_ring` the only function
-that picks it: everything else reads a ring through
-``add_arr``/``mul_arr``/``neg_arr`` and :meth:`FiniteRing.blocks`.
+identity.  Structured constructions either materialize n x n numpy
+operation tables ("table" mode: MUL always, ADD where the
+construction's build needs it, else filled on first read) or keep
+broadcasting callables that compute operations on demand from
+construction data ("lazy" mode).  The two modes must return identical
+values on every index pair; the test suite compares them.  This module
+is the only one that knows which mode a ring is in, and
+:func:`stored_ring` the only function that picks it: everything else
+reads a ring through ``add_arr``/``mul_arr``/``neg_arr`` and
+:meth:`FiniteRing.blocks`.
 
 Nothing here checks the ring axioms on construction -- that is what
 :func:`verify_axioms` is for: exact through order
@@ -134,16 +136,22 @@ class FiniteRing:
     ``add_table``/``mul_table``/``neg_table`` are read-only numpy arrays
     in table mode, of :func:`table_dtype` (int16, 2 bytes an entry, up to
     order 32767), and None in lazy mode; row r, column c holds op(r, c).
-    A value read from a table enters arithmetic only after a cast to a
-    wider dtype.  Without ``neg_table`` the negation table is read off
-    the addition table, an n^2 pass; the constructions pass theirs.
-    In lazy mode ``add_fn``/``mul_fn``/``neg_fn`` compute the operations
-    from construction data and must broadcast over numpy int arrays
-    (and accept plain ints) like numpy's own operators.
+    A table ring stores MUL and NEG, and ADD when given ``add_table``.
+    Given ``add_fn`` instead, ``add_table`` is filled from it by row
+    blocks on first read, once, and shared with the ring's relabelled
+    twins; the ring adds by that formula until then and by the table
+    after.  Most analyses read only a few sums, so they need no n x n
+    addition table.  A value read from a table enters
+    arithmetic only after a cast to a wider dtype.  Without
+    ``neg_table`` the negation table is read off the addition table, an
+    n^2 pass; the constructions pass theirs.  In lazy mode
+    ``add_fn``/``mul_fn``/``neg_fn`` compute the operations from
+    construction data and must broadcast over numpy int arrays (and
+    accept plain ints) like numpy's own operators.
 
     Every algorithm reads the ring through one storage layer: the
-    broadcasting ``add_arr``/``mul_arr``/``neg_arr`` (fancy indexing in
-    table mode, the construction's formula in lazy mode) and
+    broadcasting ``add_arr``/``mul_arr``/``neg_arr`` (fancy indexing of a
+    table the ring holds, else the construction's formula) and
     :meth:`blocks`, which walks a table in row blocks of about
     ``BLOCK_ELEMENTS`` entries.  Instances are immutable after
     construction and safe to share across threads; what is derived from
@@ -172,31 +180,63 @@ class FiniteRing:
         self.zero = 0
         self.one = one
         self.label = label
+        self._lock = threading.RLock()
+        self._cache: dict = {}
         if add_table is not None or mul_table is not None:
-            if add_table is None or mul_table is None:
+            if mul_table is None or (add_table is None and add_fn is None):
                 raise ArgumentError("table ring needs add_table and mul_table")
             square = "operation tables must be order x order"
-            self.add_table = _freeze(add_table, (order, order), square)
             self.mul_table = _freeze(mul_table, (order, order), square)
+            # [ADD], or [None] until add_table fills it; a relabelled twin
+            # is a shallow copy, so it shares this list and whichever fill
+            # of the two comes first
+            cell = self._add = [None if add_table is None else
+                                _freeze(add_table, (order, order), square)]
+
+            def add_arr(x, y):
+                table = cell[0]
+                return add_fn(x, y) if table is None else table[x, y]
+            self.add_arr = add_arr
             if neg_table is None:
                 neg_table = np.argmax(self.add_table == 0, axis=1)
             self.neg_table = _freeze(neg_table, (order,),
                                      f"the negation table must have shape ({order},)")
-            A, M, N = self.add_table, self.mul_table, self.neg_table
+            M, N = self.mul_table, self.neg_table
             self.mode = "table"
-            self.add_arr = lambda x, y: A[x, y]
             self.mul_arr = lambda x, y: M[x, y]
             self.neg_arr = lambda x: N[x]
         else:
             if add_fn is None or mul_fn is None or neg_fn is None:
                 raise ArgumentError("lazy ring needs add_fn, mul_fn and neg_fn")
-            self.add_table = None
+            self._add = None
             self.mul_table = None
             self.neg_table = None
             self.mode = "lazy"
             self.add_arr, self.mul_arr, self.neg_arr = add_fn, mul_fn, neg_fn
-        self._lock = threading.RLock()
-        self._cache: dict = {}
+
+    @property
+    def add_table(self) -> np.ndarray | None:
+        """The addition table in table mode, None in lazy mode.  A ring
+        that stores none fills it from ``add_arr`` on first read, once,
+        under its lock."""
+        cell = self._add
+        if cell is not None and cell[0] is None:
+            with self._lock:
+                if cell[0] is None:
+                    cell[0] = self._filled(self.add_arr)
+        return None if cell is None else cell[0]
+
+    def _filled(self, op: Callable) -> np.ndarray:
+        """The table of the broadcasting ``op``, filled by row blocks
+        straight into :func:`table_dtype` and range-checked by
+        :func:`_freeze`."""
+        n = self.order
+        table = np.empty((n, n), dtype=table_dtype(n))
+        every, step = np.arange(n), block_rows(n)
+        for lo in range(0, n, step):
+            table[lo:lo + step] = op(every[lo:lo + step, None], every[None, :])
+        table.setflags(write=False)
+        return _freeze(table, (n, n), "operation tables must be order x order")
 
     def cached(self, key, compute: Callable):
         """The value cached under ``key``, set to ``compute()`` on the first
@@ -291,23 +331,18 @@ class FiniteRing:
 
     def materialized(self) -> "FiniteRing":
         """This ring in table mode: itself if it is one, else a copy whose
-        tables are filled by row blocks straight into :func:`table_dtype`."""
+        tables are filled by row blocks (:meth:`_filled`)."""
         if self.mode == "table":
             return self
-        n = self.order
-        tables = {}
-        for op in ("add", "mul"):
-            tables[op] = np.empty((n, n), dtype=table_dtype(n))
-            for lo, block in self.blocks(op):
-                tables[op][lo:lo + len(block)] = block
-            tables[op].setflags(write=False)
-        return FiniteRing(n, self.one, self.label, add_table=tables["add"],
-                          mul_table=tables["mul"], neg_table=self.neg_arr(np.arange(n)))
+        return FiniteRing(self.order, self.one, self.label, add_table=self._filled(self.add_arr),
+                          mul_table=self._filled(self.mul_arr),
+                          neg_table=self.neg_arr(np.arange(self.order)))
 
     def relabelled(self, label: str, limits: Limits) -> "FiniteRing":
         """This ring's operations under ``label``, with an empty cache of
         its own, stored by :func:`stored_ring`'s rule; a table twin of a
-        table ring shares its tables."""
+        table ring shares its tables, the addition table filled on read
+        included."""
         if self.mode == "table" and self.order <= limits.table_threshold:
             twin = copy.copy(self)
             twin.label, twin._lock, twin._cache = label, threading.RLock(), {}
@@ -320,17 +355,20 @@ def stored_ring(order: int, one: int, label: str, limits: Limits, add_fn: Callab
                 mul_fn: Callable, neg_fn: Callable, tables: Callable | None = None) -> FiniteRing:
     """The ring with these broadcasting operations, in table mode when
     ``order`` <= ``limits.table_threshold`` and lazy above it: the one
-    place that picks a ring's mode.  A table ring takes ADD and MUL from
-    ``tables()``, a construction's faster builder, when given, else from
-    :meth:`FiniteRing.materialized`, and NEG from ``neg_fn`` over every
-    element; a lazy ring never calls ``tables``."""
+    place that picks a ring's mode.  A table ring stores MUL, and NEG from
+    ``neg_fn`` over every element.  With ``tables``, a construction's
+    faster builder returning (ADD or None, MUL), it stores ADD only when
+    the builder returns one, and otherwise adds by ``add_fn`` and fills
+    :attr:`FiniteRing.add_table` from it on first read; without, it is
+    :meth:`FiniteRing.materialized`, which stores both.  A lazy ring never
+    calls ``tables``."""
     lazy = order > limits.table_threshold
     if lazy or tables is None:
         ring = FiniteRing(order, one, label, add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn)
         return ring if lazy else ring.materialized()
     add_table, mul_table = tables()
     return FiniteRing(order, one, label, add_table=add_table, mul_table=mul_table,
-                      neg_table=neg_fn(np.arange(order)))
+                      neg_table=neg_fn(np.arange(order)), add_fn=add_fn)
 
 
 class ElementSet:

@@ -362,6 +362,21 @@ def little_endian_coords(idx: int, k: int, q: int) -> tuple:
     return tuple((idx // q ** i) % q for i in range(k))
 
 
+def componentwise_sum(base, x: int, y: int, k: int) -> int:
+    """x + y for k-digit indices over ``base``, by scalar ``base.add`` on
+    each little-endian digit."""
+    q = base.order
+    digits = zip(little_endian_coords(x, k, q), little_endian_coords(y, k, q))
+    return sum(base.add(a, b) * q ** i for i, (a, b) in enumerate(digits))
+
+
+def stored_tables(ring) -> list:
+    """The tables a table ring holds now: MUL, NEG, and ADD once stored or
+    filled.  Reading ``add_table`` would fill it, so this looks at the
+    cell behind it."""
+    return [t for t in (ring._add[0], ring.mul_table, ring.neg_table) if t is not None]
+
+
 # ---------------------------------------------------------------------------
 # Schoolbook construction oracles over any base ring, by scalar base.mul and
 # base.add.  Each base product is taken x first, then y, so over a
@@ -547,3 +562,35 @@ def full_cube_ternary_checks(ring) -> tuple:
     ternary("right-distributive", MUL[ADD, :],
             ADD[MUL[:, None, :], MUL[None, :, :]])
     return tuple(checks)
+
+
+# ---------------------------------------------------------------------------
+# Polynomials over F_p, by trial division
+
+
+def trial_division_irreducible(f: tuple, p: int) -> bool:
+    """Whether the monic f (little-endian coefficients mod p) has no monic
+    factor of degree 1..deg f / 2: the remainder of f by every such g is
+    taken by schoolbook division."""
+    deg = len(f) - 1
+    for d in range(1, deg // 2 + 1):
+        for enc in range(p ** d):
+            g = [enc // p ** i % p for i in range(d)] + [1]
+            rem = list(f)
+            for i in range(deg, d - 1, -1):
+                c = rem[i] % p
+                for j in range(d + 1):
+                    rem[i - d + j] = (rem[i - d + j] - c * g[j]) % p
+            if not any(rem[:d]):
+                return False
+    return True
+
+
+def smallest_irreducible_by_trial_division(p: int, k: int) -> list[int]:
+    """The monic irreducible of degree k over F_p whose lower coefficients,
+    read little-endian in base p, give the smallest integer."""
+    for enc in range(p ** k):
+        f = [enc // p ** i % p for i in range(k)] + [1]
+        if trial_division_irreducible(tuple(f), p):
+            return f
+    raise AssertionError(f"no irreducible of degree {k} over F_{p}")

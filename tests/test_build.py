@@ -29,7 +29,7 @@ from finring import (
     upper_triangular,
     zmod,
 )
-from finring import build, core
+from finring import analysis, build, core
 from finring.build import smallest_irreducible
 from finring.core import grow_span, table_dtype
 from finring.groups import cyclic, group_product, symmetric_3
@@ -38,6 +38,7 @@ from helpers import (
     LAZY,
     TABLE,
     c3_pairs,
+    componentwise_sum,
     group_ring_mul_oracle,
     group_ring_mul_over,
     little_endian_coords,
@@ -47,6 +48,8 @@ from helpers import (
     matrix_mul_over,
     poly_mul_over,
     relabelled,
+    smallest_irreducible_by_trial_division,
+    stored_tables,
     trivial_extension_mul_over,
     upper_triangular_mul_over,
 )
@@ -69,6 +72,16 @@ def test_gf_irreducible_choice():
     assert smallest_irreducible(3, 2) == [1, 0, 1]        # x^2 + 1
     assert smallest_irreducible(2, 3) == [1, 1, 0, 1]     # x^3 + x + 1
     assert smallest_irreducible(2, 1) == [0, 1]           # x
+
+
+def test_smallest_irreducible_matches_trial_division():
+    # Ben-Or's test against trial division, for every GF(p, k), k >= 2,
+    # within the default order limit
+    cases = [(p, k) for p in range(2, 101) if build.is_prime(p) for k in range(2, 14)
+             if p ** k <= DEFAULT_LIMITS.max_order]
+    assert (2, 13) in cases and (97, 2) in cases and (3, 8) in cases
+    for p, k in cases:
+        assert smallest_irreducible(p, k) == smallest_irreducible_by_trial_division(p, k), (p, k)
 
 
 def test_gf_fields():
@@ -473,6 +486,38 @@ def test_blocked_fill_matches_formula(monkeypatch):
         assert_fill_matches_formula(label, make)
 
 
+def test_add_paths_agree():
+    # a table ring's add_arr (stored ADD or the formula), its add_table
+    # (stored or filled on read) and the lazy twin's add_arr, on all pairs
+    for label, make in AGREEMENT_CASES.items():
+        table, lazy = make(TABLE), make(LAZY)
+        every = np.arange(table.order)
+        sums = table.add_table
+        assert sums.dtype == np.int16 and not sums.flags.writeable, label
+        for ring in (table, lazy):
+            assert np.array_equal(ring.add_arr(every[:, None], every), sums), (label, ring.mode)
+        assert table.add_table is sums, label  # filled once
+
+
+def test_bitwise_sum_matches_componentwise_oracle():
+    # the digit sum of k-digit indices over each bit-field base, against
+    # scalar base additions digit by digit
+    bases = [zmod(2), zmod(4), zmod(8), gf(2, 2), gf(2, 3), matrix_ring(2, zmod(2)),
+             product(zmod(2), zmod(4))]
+    for base in bases:
+        q = base.order
+        for k in (1, 2, 3):
+            n = q ** k
+            if n > 64:
+                continue
+            digit_sum = build._bitwise_sum(build._carry_tops(base), q.bit_length() - 1, k)
+            every = np.arange(n)
+            got = digit_sum(every[:, None], every)
+            want = [[componentwise_sum(base, x, y, k) for y in range(n)] for x in range(n)]
+            assert np.array_equal(got, want), (base.label, k)
+            assert digit_sum(n - 1, 1) == want[n - 1][1], (base.label, k)  # plain ints
+
+
 def test_fill_adds_bitwise_exactly_when_the_base_table_adds_bit_fields():
     # The carry-field tops are read from the base's own addition table,
     # so the AGREEMENT_CASES above run both fill paths.
@@ -481,10 +526,10 @@ def test_fill_adds_bitwise_exactly_when_the_base_table_adds_bit_fields():
                   "Z/2 x Z/4": (product(zmod(2), zmod(4)), 0b110),
                   "Z/4 x Z/2": (product(zmod(4), zmod(2)), 0b101)}
     for label, (base, top) in bit_fields.items():
-        assert build._carry_tops(base.add_table) == top, label
+        assert build._carry_tops(base) == top, label
     others = [zmod(9), zmod(6), gf(3, 2)] + [relabelled(zmod(8), s) for s in (1, 2)]
     for base in others:
-        assert build._carry_tops(base.add_table) is None, base.label
+        assert build._carry_tops(base) is None, base.label
 
 
 def whole_table_carry_tops(base_add):
@@ -500,24 +545,23 @@ def whole_table_carry_tops(base_add):
 
 
 def test_carry_tops_by_blocks_matches_the_whole_table_check(monkeypatch):
-    # every base table an AGREEMENT_CASES build checks, the case rings' own
-    # tables (several fields a digit), an int64 table of a lazy base, and
-    # non-bit-field tables, against the whole-table check
-    inner, tables = build._carry_tops, []
-    monkeypatch.setattr(build, "_carry_tops", lambda t: tables.append(t) or inner(t))
+    # every base an AGREEMENT_CASES build checks, the case rings themselves
+    # (several fields a digit), a lazy base, and bases that add no bit
+    # fields, against the check of every pair
+    inner, bases = build._carry_tops, []
+    monkeypatch.setattr(build, "_carry_tops", lambda base: bases.append(base) or inner(base))
     rings = [make(TABLE) for make in AGREEMENT_CASES.values()]
-    assert tables  # the recorder saw the builds
-    tables += [ring.add_table for ring in rings + [zmod(1024), zmod(3)]]
-    tables += [relabelled(zmod(8), s).add_table for s in (1, 2)]
-    tables.append(zmod(8, limits=LAZY).row_block("add", 0, 8))
-    for table in tables:
-        assert inner(table) == whole_table_carry_tops(table), len(table)
-    assert inner(zmod(1024).add_table) == 512
-    # the check holds a few int16 blocks, not q x q int64 arrays
-    table = zmod(1024).add_table
+    assert bases  # the recorder saw the builds
+    bases += rings + [zmod(1024), zmod(3), zmod(8, limits=LAZY)]
+    bases += [relabelled(zmod(8), s) for s in (1, 2)]
+    for base in bases:
+        every = base.row_block("add", 0, base.order)
+        assert inner(base) == whole_table_carry_tops(every), base.label
+    # the check holds a few blocks of x + s, not q x q arrays
+    base = zmod(1024)
     tracemalloc.start()
     try:
-        inner(table)
+        assert inner(base) == 512
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -761,14 +805,18 @@ def test_coordinate_generators_are_handed_down(limits):
 
 
 def test_table_build_working_set_stays_within_two_blocks():
-    # Above the finished ring's three tables, a build holds at most one
-    # intp index block and one int16 block of BLOCK_ELEMENTS entries.
+    # Above the tables the finished ring stores, a build holds at most one
+    # intp index block and one int16 block of BLOCK_ELEMENTS entries.  A
+    # degree-1 POLYQ over a big base gathers its G x G block, all of the
+    # table, by row blocks.
     bound = core.BLOCK_ELEMENTS * (8 + 2)
+    z1024 = zmod(1024)
     builds = {
         "GF(2, 10)": lambda: gf(2, 10), "TE(Z/32)": lambda: trivial_extension(zmod(32)),
         "TE(Z/27)": lambda: trivial_extension(zmod(27)), "BT(Z/5)": lambda: bt(zmod(5)),
         "UT(3, Z/3)": lambda: upper_triangular(3, zmod(3)),
         "Z/32 x Z/32": lambda: product(zmod(32), zmod(32)),
+        "POLYQ(Z/1024, [3, 1])": lambda: poly_quotient(z1024, [3, 1]),
     }
     for label, make in builds.items():
         tracemalloc.start()
@@ -777,8 +825,32 @@ def test_table_build_working_set_stays_within_two_blocks():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        tables = sum(table.nbytes for table in op_tables(ring))
+        tables = sum(table.nbytes for table in stored_tables(ring))
         assert ring.mode == "table" and peak - tables <= bound, (label, peak - tables)
+
+
+def test_analysis_holds_no_addition_table():
+    # Over a bit-field base and for a product the build stores no ADD, and
+    # the structural sets and the classification read only sums they ask
+    # for: the peak stays within MUL, NEG and two blocks.
+    bound = core.BLOCK_ELEMENTS * (8 + 2)
+    sets = (analysis.units, analysis.jacobson, analysis.sqrt_jacobson, analysis.nilpotents,
+            analysis.idempotents, analysis.center)
+    for label, make in {"GF(2, 10)": lambda: gf(2, 10),
+                        "Z/32 x Z/32": lambda: product(zmod(32), zmod(32))}.items():
+        tracemalloc.start()
+        try:
+            ring = make()
+            for fn in sets:
+                fn(ring)
+            classify(ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = stored_tables(ring)
+        assert len(held) == 2, label  # MUL and NEG
+        tables = ring.mul_table.nbytes + ring.neg_table.nbytes
+        assert peak - tables <= bound, (label, peak - tables)
 
 
 @pytest.mark.parametrize("limits", [TABLE, LAZY], ids=["table", "lazy"])

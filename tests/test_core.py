@@ -530,6 +530,22 @@ def test_ring_rejects_table_entries_out_of_range():
         FiniteRing(4, 1, "ragged", add_table=ragged, mul_table=z4.mul_table)
 
 
+def test_table_ring_given_an_addition_formula_fills_add_on_read():
+    # MUL is stored; ADD, and NEG when none is given, come from the
+    # formula, through the range check a stored table passes
+    z = zmod(6)
+    ring = FiniteRing(6, 1, "x", mul_table=z.mul_table, add_fn=lambda x, y: (x + y) % 6)
+    assert ring.mode == "table" and np.array_equal(ring.neg_table, z.neg_table)
+    assert np.array_equal(ring.add_table, z.add_table) and not ring.add_table.flags.writeable
+    assert ring.add(5, 4) == 3
+    bad = FiniteRing(6, 1, "bad", mul_table=z.mul_table, add_fn=lambda x, y: x + y,
+                     neg_table=z.neg_table)
+    with pytest.raises(ArgumentError, match="0..5"):
+        bad.add_table
+    with pytest.raises(ArgumentError, match="needs add_table and mul_table"):
+        FiniteRing(6, 1, "no-add", mul_table=z.mul_table)
+
+
 def test_settable_options_inventory():
     # Limits is the one way to configure a construction, and
     # table_threshold the one storage-mode setting; a new parameter or
