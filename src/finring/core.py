@@ -190,13 +190,17 @@ class FiniteRing:
             # [ADD], or [None] until add_table fills it; a relabelled twin
             # is a shallow copy, so it shares this list and whichever fill
             # of the two comes first
-            cell = self._add = [None if add_table is None else
-                                _freeze(add_table, (order, order), square)]
+            if add_table is None:
+                cell = self._add = [None]
 
-            def add_arr(x, y):
-                table = cell[0]
-                return add_fn(x, y) if table is None else table[x, y]
-            self.add_arr = add_arr
+                def add_arr(x, y):
+                    table = cell[0]
+                    return add_fn(x, y) if table is None else table[x, y]
+                self.add_arr = add_arr
+            else:
+                A = _freeze(add_table, (order, order), square)
+                self._add = [A]
+                self.add_arr = lambda x, y: A[x, y]
             if neg_table is None:
                 neg_table = np.argmax(self.add_table == 0, axis=1)
             self.neg_table = _freeze(neg_table, (order,),
