@@ -36,13 +36,11 @@ into the coordinates with the coefficient on the right (see
 
 Every ring a call builds, the inner rings of ``bt`` and ``gf`` and the
 quotients, corners and generated subrings too, is stored by
-:func:`finring.core.stored_ring`, the only function that picks a ring's
-storage mode: numpy operation tables up to ``limits.table_threshold``,
-the same formulas on demand above it.  A table ring stores MUL and NEG,
-and ADD only where its build reads ADD: a coordinate ring over a base
-that adds no bit fields, and a ring filled from its formulas (Z/n, the
-quotients, corners and subrings).  Any other table ring adds by its
-formula and fills ``add_table`` on first read.
+:func:`finring.core.stored_ring`, the one table path: numpy operation
+tables up to ``limits.table_threshold``, the same formulas on demand
+above it, and ADD stored only where the MUL build makes it (the rule
+is stated in :mod:`finring.core`): here, over a coordinate base that
+adds no bit fields.
 
 A coordinate construction's multiplication table starts from G x G,
 where G is 0 and the (q-1)*k generators c*e_i (one nonzero coordinate),
@@ -62,16 +60,16 @@ XOR groups such as GF(2, k) or M(m, Z/2), and products of these, x + y
 is a few bitwise operations on x and y (:func:`_bitwise_sum`), which is
 then the ring's addition in both modes and the fill's sum.  Over any
 other base the fill takes its sums from ADD, the k-fold Kronecker sum of
-the base's addition table, which the ring keeps.  A coordinate ring's
-additive generators (:func:`finring.analysis.generators`) are its
-base's, S*q^i in each coordinate i.  A direct product stores the
-Kronecker sum of its factors' multiplication tables and adds pairwise
-(see :func:`product`).
+the base's addition table.  A coordinate ring's additive generators
+(:func:`finring.analysis.generators`) are its base's, S*q^i in each
+coordinate i.  A direct product's MUL is the Kronecker sum of its
+factors' (see :func:`product`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 
 import numpy as np
@@ -85,6 +83,8 @@ from .core import (
     Limits,
     block_rows,
     first_failure,
+    grow_span,
+    member_mask,
     read_only,
     stored_ring,
     table_dtype,
@@ -244,11 +244,7 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
     base the ring adds by the componentwise formula.
 
     In table mode MUL is built without the formula (:func:`_coord_tables`),
-    and only over a base that adds no bit fields is ADD stored: the k-fold
-    Kronecker sum of the base's addition table (:func:`_kron_sum`), which
-    the fill reads.  Over a bit-field base the ring's ``add_table`` is
-    filled from :func:`_bitwise_sum` on first read.  The negation table is
-    the componentwise formula on every element.
+    a build that makes ADD over a base that adds no bit fields.
 
     In both modes the additive generators S (:func:`finring.analysis.generators`)
     are handed down: S(base)*q^i for i < k, ascending as no S holds 0.
@@ -259,15 +255,18 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
     q = base.order
     order = q ** k
     limits.check_order(order, label)
-    dec = np.unravel_index(np.arange(order), (q,) * k, order="F")  # dec[i][x]: coordinate i of x
     top = _carry_tops(base)
     digit_sum = None if top is None else _bitwise_sum(top, q.bit_length() - 1, k)
 
+    @cache
+    def dec():  # dec()[i][x]: coordinate i of x; made on first use, after a table build
+        return np.unravel_index(np.arange(order), (q,) * k, order="F")
+
     def add_fn(x, y):
-        return _encode([base.add_arr(a[x], a[y]) for a in dec], q)
+        return _encode([base.add_arr(a[x], a[y]) for a in dec()], q)
 
     def mul_fn(x, y):
-        xc, yc = [a[x] for a in dec], [a[y] for a in dec]
+        xc, yc = [a[x] for a in dec()], [a[y] for a in dec()]
         slots = {}
         for i, j, s in terms:
             term = base.mul_arr(xc[i], yc[j])
@@ -280,7 +279,7 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
         return _encode(zc, q)
 
     def neg_fn(x):
-        return _encode([base.neg_arr(a[x]) for a in dec], q)
+        return _encode([base.neg_arr(a[x]) for a in dec()], q)
 
     ring = stored_ring(order, int(_encode(one_coords, q)), label, limits, digit_sum or add_fn,
                        mul_fn, neg_fn,
@@ -312,10 +311,12 @@ def _coord_tables(base, k, terms, reduce, label, digit_sum):
     each call sums the columns or rows of as many heads c*w as fit a
     block of ``BLOCK_ELEMENTS`` entries (:func:`finring.core.block_rows`,
     read at call time), and a weight step longer than a block takes
-    several blocks per head.  The row fill writes straight into the final
-    table, and on the take path each call holds one intp index array of
-    its block, which stays in a core's L2 cache.  The fill equals the
-    formula when ``base`` is a ring (see the module docstring)."""
+    several blocks per head; a column call takes the q - 1 rows c*v of G
+    for one v = q^i, a strided view.  Both fills write into the final
+    table through ``out``.  On the take path a call holds one intp index
+    array of its block, which stays in a core's L2 cache, and a column
+    call the int16 copy ``np.take`` makes of a strided ``out``.  The fill
+    equals the formula when ``base`` is a ring (see the module docstring)."""
     q = base.order
     order = q ** k
     add_t = None
@@ -357,8 +358,8 @@ def _coord_tables(base, k, terms, reduce, label, digit_sum):
     step = block_rows(len(gens))
     for i, w in enumerate(weights.tolist()):
         for c in range(1, q, step):  # rows c*w .. (c + step - 1)*w, as [c, j, d]
-            rows = enc[slot[i][None, :, None], prods[c:c + step, None, 1:]]
-            mul_t[w * np.arange(c, c + len(rows))[:, None], gens] = rows.reshape(len(rows), -1)
+            mul_t[w * np.arange(c, min(q, c + step))[:, None], gens] = (
+                enc[slot[i][None, :, None], prods[c:c + step, None, 1:]].reshape(-1, len(gens)))
     # Column y' + c*w of a row g in G, for y' < w, is MUL[g, y'] +
     # MUL[g, c*w] by left distributivity, and row c*w + x' is MUL[x'] +
     # MUL[c*w] by right distributivity (x' + c*w is an index sum, as x' has
@@ -369,12 +370,13 @@ def _coord_tables(base, k, terms, reduce, label, digit_sum):
     # one), and a head's rows take several blocks when w exceeds one.
     steps = weights.tolist()[1:]
     for w in steps:
-        left = mul_t[gens, :w][:, None, :]
-        heads = block_rows(len(gens) * w)
-        for c in range(1, q, heads):
-            h = min(heads, q - c)
-            right = mul_t[gens, c * w:(c + h) * w:w][:, :, None]
-            mul_t[gens, c * w:(c + h) * w] = digit_sum(left, right).reshape(len(gens), h * w)
+        heads = block_rows((q - 1) * w)
+        for v in weights.tolist():
+            g = mul_t[v:q * v:v]
+            for c in range(1, q, heads):
+                h = min(heads, q - c)
+                digit_sum(g[:, None, :w], g[:, c * w:(c + h) * w:w, None],
+                          out=g[:, c * w:(c + h) * w].reshape(q - 1, h, w))
     step = block_rows(order)
     for w in steps:
         heads, rows = max(1, step // w), min(w, step)
@@ -398,7 +400,8 @@ def zmod(n: int, *, label: str | None = None, limits: Limits = DEFAULT_LIMITS) -
         raise ArgumentError(f"Z/n needs n >= 2, got {n}")
     label = label or f"Z/{n}"
     limits.check_order(n, label)
-    return stored_ring(n, 1, label, limits, add_fn=lambda x, y: (x + y) % n,
+    # x - (n - y) lies in (-n, n), so int16 table values add without overflow
+    return stored_ring(n, 1, label, limits, add_fn=lambda x, y: (x - (n - y)) % n,
                        mul_fn=lambda x, y: (x * y) % n, neg_fn=lambda x: (-x) % n)
 
 
@@ -508,15 +511,12 @@ def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
     """Direct product; (a, b) is encoded as a * |R2| + b and one = (1, 1).
 
     In table mode MUL is the Kronecker sum of the factors' tables,
-    MUL[(a, b), (c, d)] = MUL1[a, c] * |R2| + MUL2[b, d] (:func:`_kron_sum`);
-    the product adds pairwise by its formula, and fills ``add_table``
-    from it on first read.  The formulas and the negation table form
-    a * |R2| in intp, as the factors' values may be narrower than the
-    product's indices.  The
-    additive generators S of the product
-    (:func:`finring.analysis.generators`) come from its factors': (0, t)
-    and (s, 0) generate (R1 x R2, +), and S(R2) followed by S(R1)*|R2|
-    is already ascending, as no S holds 0.
+    MUL[(a, b), (c, d)] = MUL1[a, c] * |R2| + MUL2[b, d] (:func:`_kron_sum`).
+    The formulas form a * |R2| in intp, as the factors' values may be
+    narrower than the product's indices.  The additive generators S of
+    the product (:func:`finring.analysis.generators`) come from its
+    factors': (0, t) and (s, 0) generate (R1 x R2, +), and S(R2)
+    followed by S(R1)*|R2| is already ascending, as no S holds 0.
     """
     label = label or f"{r1.label} x {r2.label}"
     order = r1.order * r2.order
@@ -681,15 +681,22 @@ def quotient(ring: FiniteRing, ideal, *, label: str | None = None,
 
     Coset representatives are the smallest index in each coset, and the
     quotient relabels representatives in ascending order (so the coset
-    of 0 is element 0).
+    of 0 is element 0).  rep[x] = min(x + I) comes from doubling along
+    each generator g of I that :func:`finring.core.grow_span` takes, with
+    rep the minimum over x + J, J the span of the generators before g:
+    rep <- min(rep, rep[x + 2^k*g]) for k = 0, 1, .. until a step changes
+    nothing, when rep is invariant under x -> x + 2^k*g and so the minimum
+    over x + J + <g>.  That is O(n log |I|) sums, not n*|I|.
     """
     members = np.unique(ring.index_array(ideal))
     violation = ideal_violation(ring, frozenset(members.tolist()))
     if violation is not None:
         raise ArgumentError(f"{members.tolist()} is not an ideal of {ring.label}: {violation}")
-    # the coset of x is x + I, so its smallest index is min(add(x, I))
-    rep = np.concatenate([block.min(axis=1) for _, block in
-                          ring.blocks("add", np.arange(ring.order), members)])
+    every = np.arange(ring.order)
+    rep = ring.add_arr(every, 0)  # x + 0, min(x + {0}), in the dtype of the ring's sums
+    for shift in grow_span(ring, member_mask(ring.order, [0]), members):
+        while not np.array_equal(rep, step := np.minimum(rep, rep[ring.add_arr(every, shift)])):
+            rep, shift = step, ring.add_arr(shift, shift)
     reps, proj = np.unique(rep, return_inverse=True)
     if proj[ring.one] == proj[0]:
         raise ArgumentError(f"ideal of {ring.label} contains 1; the quotient is the zero ring")

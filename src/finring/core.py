@@ -2,16 +2,22 @@
 
 A ring of order n lives on the indices 0..n-1, with 0 the additive
 identity and a designated index ``one`` (never 0) the multiplicative
-identity.  Structured constructions either materialize n x n numpy
-operation tables ("table" mode: MUL always, ADD where the
-construction's build needs it, else filled on first read) or keep
-broadcasting callables that compute operations on demand from
-construction data ("lazy" mode).  The two modes must return identical
-values on every index pair; the test suite compares them.  This module
-is the only one that knows which mode a ring is in, and
-:func:`stored_ring` the only function that picks it: everything else
-reads a ring through ``add_arr``/``mul_arr``/``neg_arr`` and
-:meth:`FiniteRing.blocks`.
+identity.  Structured constructions either keep n x n numpy operation
+tables ("table" mode) or broadcasting callables that compute
+operations on demand from construction data ("lazy" mode).  The two
+modes must return identical values on every index pair; the test suite
+compares them.  This module is the only one that knows which mode a
+ring is in, and :func:`stored_ring` the only function that picks it
+and the tables a ring stores: everything else reads a ring through
+``add_arr``/``mul_arr``/``neg_arr`` and :meth:`FiniteRing.blocks`.
+
+The storage rule: a ring of order at most ``Limits.table_threshold`` is
+a table ring, a larger one lazy.  A table ring stores MUL, from its
+construction's table builder where it has one and else filled from its
+multiplication formula, and NEG from its negation formula.  It stores
+ADD only where that MUL build produced it; every other table ring adds
+by its formula and fills ``add_table`` from it on first read, as most
+analyses read only a few sums.
 
 Nothing here checks the ring axioms on construction -- that is what
 :func:`verify_axioms` is for: exact through order
@@ -136,12 +142,10 @@ class FiniteRing:
     ``add_table``/``mul_table``/``neg_table`` are read-only numpy arrays
     in table mode, of :func:`table_dtype` (int16, 2 bytes an entry, up to
     order 32767), and None in lazy mode; row r, column c holds op(r, c).
-    A table ring stores MUL and NEG, and ADD when given ``add_table``.
-    Given ``add_fn`` instead, ``add_table`` is filled from it by row
-    blocks on first read, once, and shared with the ring's relabelled
-    twins; the ring adds by that formula until then and by the table
-    after.  Most analyses read only a few sums, so they need no n x n
-    addition table.  A value read from a table enters
+    A table ring stores MUL and NEG, and ADD when given ``add_table``;
+    given ``add_fn`` instead, it adds by that formula until ``add_table``
+    is first read, which fills it by row blocks, once, shared with the
+    ring's relabelled twins.  A value read from a table enters
     arithmetic only after a cast to a wider dtype.  Without
     ``neg_table`` the negation table is read off the addition table, an
     n^2 pass; the constructions pass theirs.  In lazy mode
@@ -227,20 +231,8 @@ class FiniteRing:
         if cell is not None and cell[0] is None:
             with self._lock:
                 if cell[0] is None:
-                    cell[0] = self._filled(self.add_arr)
+                    cell[0] = _filled(self.order, self.add_arr)
         return None if cell is None else cell[0]
-
-    def _filled(self, op: Callable) -> np.ndarray:
-        """The table of the broadcasting ``op``, filled by row blocks
-        straight into :func:`table_dtype` and range-checked by
-        :func:`_freeze`."""
-        n = self.order
-        table = np.empty((n, n), dtype=table_dtype(n))
-        every, step = np.arange(n), block_rows(n)
-        for lo in range(0, n, step):
-            table[lo:lo + step] = op(every[lo:lo + step, None], every[None, :])
-        table.setflags(write=False)
-        return _freeze(table, (n, n), "operation tables must be order x order")
 
     def cached(self, key, compute: Callable):
         """The value cached under ``key``, set to ``compute()`` on the first
@@ -333,15 +325,6 @@ class FiniteRing:
         for lo in range(0, len(xs), step):
             yield lo, fn(xs[lo:lo + step, None], ys[None, :])
 
-    def materialized(self) -> "FiniteRing":
-        """This ring in table mode: itself if it is one, else a copy whose
-        tables are filled by row blocks (:meth:`_filled`)."""
-        if self.mode == "table":
-            return self
-        return FiniteRing(self.order, self.one, self.label, add_table=self._filled(self.add_arr),
-                          mul_table=self._filled(self.mul_arr),
-                          neg_table=self.neg_arr(np.arange(self.order)))
-
     def relabelled(self, label: str, limits: Limits) -> "FiniteRing":
         """This ring's operations under ``label``, with an empty cache of
         its own, stored by :func:`stored_ring`'s rule; a table twin of a
@@ -355,22 +338,30 @@ class FiniteRing:
                            self.neg_arr)
 
 
+def _filled(order: int, op: Callable) -> np.ndarray:
+    """The order x order table of the broadcasting ``op``, filled by row
+    blocks straight into :func:`table_dtype` and range-checked by
+    :func:`_freeze`."""
+    table = np.empty((order, order), dtype=table_dtype(order))
+    every, step = np.arange(order), block_rows(order)
+    for lo in range(0, order, step):
+        table[lo:lo + step] = op(every[lo:lo + step, None], every[None, :])
+    table.setflags(write=False)
+    return _freeze(table, (order, order), "operation tables must be order x order")
+
+
 def stored_ring(order: int, one: int, label: str, limits: Limits, add_fn: Callable,
                 mul_fn: Callable, neg_fn: Callable, tables: Callable | None = None) -> FiniteRing:
     """The ring with these broadcasting operations, in table mode when
     ``order`` <= ``limits.table_threshold`` and lazy above it: the one
-    place that picks a ring's mode.  A table ring stores MUL, and NEG from
-    ``neg_fn`` over every element.  With ``tables``, a construction's
-    faster builder returning (ADD or None, MUL), it stores ADD only when
-    the builder returns one, and otherwise adds by ``add_fn`` and fills
-    :attr:`FiniteRing.add_table` from it on first read; without, it is
-    :meth:`FiniteRing.materialized`, which stores both.  A lazy ring never
-    calls ``tables``."""
-    lazy = order > limits.table_threshold
-    if lazy or tables is None:
-        ring = FiniteRing(order, one, label, add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn)
-        return ring if lazy else ring.materialized()
-    add_table, mul_table = tables()
+    place that picks a ring's mode and its tables, by the rule of the
+    module docstring.  MUL comes from ``tables``, a construction's faster
+    builder returning (ADD or None, MUL), when given, else from ``mul_fn``
+    by row blocks; NEG from ``neg_fn`` over every element.  A lazy ring
+    never calls ``tables``."""
+    if order > limits.table_threshold:
+        return FiniteRing(order, one, label, add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn)
+    add_table, mul_table = tables() if tables else (None, _filled(order, mul_fn))
     return FiniteRing(order, one, label, add_table=add_table, mul_table=mul_table,
                       neg_table=neg_fn(np.arange(order)), add_fn=add_fn)
 
@@ -546,7 +537,7 @@ def _exhaustive_ternary_checks(ring: FiniteRing, abelian: bool) -> list[AxiomChe
     an additive generating set S + [0] where the laws allow it (see
     :func:`verify_axioms`), by the blocked scan otherwise.  ``abelian``
     says that + is commutative, with 0 as identity and inverses."""
-    n, twin = ring.order, ring.materialized()
+    n, twin = ring.order, ring.relabelled(ring.label, Limits(table_threshold=ring.order))
 
     def flat(table):  # one flat take at x*n + y: half the cost of table[x, y] in int16
         return lambda x, y: table.ravel().take(np.multiply(x, n, dtype=np.intp) + y)
@@ -588,7 +579,8 @@ def verify_axioms(ring: FiniteRing, *, seed: int = DEFAULT_SEED) -> AxiomReport:
     ``AXIOM_SAMPLE_COUNT`` pseudo-random triples drawn from ``seed``.
 
     The exhaustive ternary checks read a table twin of the ring
-    (:meth:`FiniteRing.materialized`) and are decided from S0 = S + [0],
+    (:meth:`FiniteRing.relabelled` at a table threshold of n, which
+    shares a table ring's tables) and are decided from S0 = S + [0],
     where S holds the candidates :func:`grow_span` takes from {0} over
     every element.  Each element it marks is a sum of elements marked
     before and the candidates taken, so S0 generates (R, +) as a magma

@@ -237,6 +237,13 @@ def every_principal_ideal_in_j(ring) -> list:
     return list(seen.values())
 
 
+def coset_representatives(ring, members) -> np.ndarray:
+    """rep[x] = min(x + I) for the ideal I with sorted index array
+    ``members``, from all n*|I| sums, by row blocks."""
+    return np.concatenate([block.min(axis=1) for _, block in
+                           ring.blocks("add", np.arange(ring.order), members)])
+
+
 def every_single_generator_subring(ring):
     """C5's subrings by one closure for every x of R, ascending, and a
     second one, in ``build.subring_closure``, for each new subring:

@@ -39,6 +39,8 @@ from helpers import (
     TABLE,
     c3_pairs,
     componentwise_sum,
+    coset_representatives,
+    every_principal_ideal_in_j,
     group_ring_mul_oracle,
     group_ring_mul_over,
     little_endian_coords,
@@ -327,6 +329,29 @@ def test_quotient():
         quotient(zmod(12), range(12))  # contains 1: zero ring
 
 
+def _assert_quotient_matches_oracle(ring, members):
+    # the same representatives, so the same labels
+    q = quotient(ring, members)
+    rep = coset_representatives(ring, np.asarray(members))
+    reps, proj = np.unique(rep, return_inverse=True)
+    assert q.projection == tuple(proj.tolist()), (ring.label, len(members))
+    assert q.ring.order == len(reps)
+
+
+def test_coset_representatives_match_all_sums():
+    # every quotient verify's C2 takes of the default corpus, and the
+    # ideals of seeded pairs from J(R) in two lazy rings of order above
+    # 4096, some with several additive generators
+    for _, ring in default_corpus().rings(DEFAULT_LIMITS):
+        for _, ideal in every_principal_ideal_in_j(ring):
+            _assert_quotient_matches_oracle(ring, ideal.array)
+    rng = np.random.default_rng(8192)
+    for ring in (zmod(8192), trivial_extension(zmod(81))):
+        assert ring.mode == "lazy"
+        for seeds in rng.choice(jacobson(ring).array, size=(4, 2)).tolist():
+            _assert_quotient_matches_oracle(ring, analysis.ideal_closure(ring, seeds).array)
+
+
 def test_corner():
     m2 = matrix_ring(2, zmod(2))
     c = corner(m2, 1)  # E11
@@ -451,6 +476,33 @@ AGREEMENT_CASES = {
 }
 
 
+# Table rings whose MUL core.stored_ring fills from the multiplication
+# formula: Z/n, a quotient, a corner, a generated subring (the diagonal of
+# UT(2, Z/4)) and the table twin of a lazy ring.
+FORMULA_CASES = {
+    "Z/12": lambda m: zmod(12, limits=m),
+    "TE(Z/9) mod ideal(9)": lambda m: quotient(
+        trivial_extension(zmod(9, limits=m), limits=m), range(9), limits=m).ring,
+    "CORNER(M(2, Z/3), 1)": lambda m: corner(matrix_ring(2, zmod(3, limits=m), limits=m), 1,
+                                             limits=m).ring,
+    "subring(1) of UT(2, Z/4)": lambda m: subring_closure(
+        upper_triangular(2, zmod(4, limits=m), limits=m), [1], limits=m).ring,
+    "Z/10 twin": lambda m: zmod(10, limits=LAZY).relabelled("Z/10 twin", m),
+}
+
+
+@pytest.mark.parametrize("limits", [DEFAULT_LIMITS, TABLE], ids=["default", "table"])
+def test_formula_filled_rings_store_only_mul_and_neg(limits):
+    # ADD is stored only where a MUL build makes it, so these rings hold
+    # MUL and NEG until add_table is read, and then ADD, filled once
+    for label, make in FORMULA_CASES.items():
+        ring = make(limits)
+        held = stored_tables(ring)
+        assert ring.mode == "table" and len(held) == 2, label
+        assert held[0] is ring.mul_table and held[1] is ring.neg_table, label
+        assert ring.add_table is stored_tables(ring)[0], label
+
+
 def test_modes_agree_matrix():
     # The lazy ring runs the coordinate formula pair by pair, so it is an
     # independent reference for the table build's distributive fill.
@@ -489,7 +541,7 @@ def test_blocked_fill_matches_formula(monkeypatch):
 def test_add_paths_agree():
     # a table ring's add_arr (stored ADD or the formula), its add_table
     # (stored or filled on read) and the lazy twin's add_arr, on all pairs
-    for label, make in AGREEMENT_CASES.items():
+    for label, make in {**AGREEMENT_CASES, **FORMULA_CASES}.items():
         table, lazy = make(TABLE), make(LAZY)
         every = np.arange(table.order)
         sums = table.add_table
@@ -789,6 +841,18 @@ def test_lazy_product_beyond_int16_indices():
         assert ring.mul(int(x[i]), int(y[i])) == a[i] * c[i] % 200 * 200 + b[i] * d[i] % 200
 
 
+def test_zmod_adds_table_values_without_overflow():
+    # A table Z/n adds by its formula, also on int16 values read from its
+    # tables; up to n = 32767 their sum must not wrap.  Shown on a lazy
+    # Z/32767, as its table would take 2 GB.
+    n = 32767
+    ring = zmod(n, limits=Limits(max_order=n))
+    x, y = np.random.default_rng(n).integers(0, n, size=(2, 3000))
+    want = (x + y) % n
+    assert np.array_equal(ring.add_arr(x.astype(np.int16), y.astype(np.int16)), want)
+    assert ring.add_arr(np.int16(n - 1), np.int16(n - 1)) == n - 2
+
+
 @pytest.mark.parametrize("limits", [TABLE, LAZY], ids=["table", "lazy"])
 def test_coordinate_generators_are_handed_down(limits):
     # S(base) * q^i in each coordinate i: read-only, ascending, and what
@@ -808,10 +872,14 @@ def test_table_build_working_set_stays_within_two_blocks():
     # Above the tables the finished ring stores, a build holds at most one
     # intp index block and one int16 block of BLOCK_ELEMENTS entries.  A
     # degree-1 POLYQ over a big base gathers its G x G block, all of the
-    # table, by row blocks.
+    # table, by row blocks.  TE(Z/50) and UT(2, Z/20), over bases with no
+    # bit fields, take several heads in each column-fill call, filling
+    # close to a block, so one head too many there exceeds the bound.
     bound = core.BLOCK_ELEMENTS * (8 + 2)
-    z1024 = zmod(1024)
+    z1024, z50, z20 = zmod(1024), zmod(50, limits=TABLE), zmod(20, limits=TABLE)
     builds = {
+        "TE(Z/50)": lambda: trivial_extension(z50, limits=TABLE),
+        "UT(2, Z/20)": lambda: upper_triangular(2, z20, limits=TABLE),
         "GF(2, 10)": lambda: gf(2, 10), "TE(Z/32)": lambda: trivial_extension(zmod(32)),
         "TE(Z/27)": lambda: trivial_extension(zmod(27)), "BT(Z/5)": lambda: bt(zmod(5)),
         "UT(3, Z/3)": lambda: upper_triangular(3, zmod(3)),
