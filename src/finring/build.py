@@ -322,8 +322,9 @@ def _coord_tables(base, k, terms, reduce, label, digit_sum):
     add_t = None
     if digit_sum is None:
         # ADD is componentwise over one base table, so it is the k-fold
-        # Kronecker sum of the base's addition table.
-        base_add = base.row_block("add", 0, q)
+        # Kronecker sum of the base's addition table, read in int16 as it
+        # stays alive through the MUL fill.
+        base_add = base.table("add")
         add_t = np.zeros((1, 1), dtype=np.int16)
         for _ in range(k):
             add_t = _kron_sum(base_add, add_t)

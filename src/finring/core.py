@@ -16,8 +16,8 @@ a table ring, a larger one lazy.  A table ring stores MUL, from its
 construction's table builder where it has one and else filled from its
 multiplication formula, and NEG from its negation formula.  It stores
 ADD only where that MUL build produced it; every other table ring adds
-by its formula and fills ``add_table`` from it on first read, as most
-analyses read only a few sums.
+by its formula for its whole life, as most analyses read only a few
+sums.  What a ring stores is fixed when it is built.
 
 Nothing here checks the ring axioms on construction -- that is what
 :func:`verify_axioms` is for: exact through order
@@ -28,7 +28,6 @@ random sampling of the ternary laws above it.
 
 from __future__ import annotations
 
-import copy
 import math
 import threading
 from dataclasses import dataclass
@@ -143,10 +142,9 @@ class FiniteRing:
     in table mode, of :func:`table_dtype` (int16, 2 bytes an entry, up to
     order 32767), and None in lazy mode; row r, column c holds op(r, c).
     A table ring stores MUL and NEG, and ADD when given ``add_table``;
-    given ``add_fn`` instead, it adds by that formula until ``add_table``
-    is first read, which fills it by row blocks, once, shared with the
-    ring's relabelled twins.  A value read from a table enters
-    arithmetic only after a cast to a wider dtype.  Without
+    given ``add_fn`` instead, it adds by that formula, and ``add_table``
+    is a new table filled from it on each read.  A value read from a
+    table enters arithmetic only after a cast to a wider dtype.  Without
     ``neg_table`` the negation table is read off the addition table, an
     n^2 pass; the constructions pass theirs.  In lazy mode
     ``add_fn``/``mul_fn``/``neg_fn`` compute the operations from
@@ -191,22 +189,10 @@ class FiniteRing:
                 raise ArgumentError("table ring needs add_table and mul_table")
             square = "operation tables must be order x order"
             self.mul_table = _freeze(mul_table, (order, order), square)
-            # [ADD], or [None] until add_table fills it; a relabelled twin
-            # is a shallow copy, so it shares this list and whichever fill
-            # of the two comes first
-            if add_table is None:
-                cell = self._add = [None]
-
-                def add_arr(x, y):
-                    table = cell[0]
-                    return add_fn(x, y) if table is None else table[x, y]
-                self.add_arr = add_arr
-            else:
-                A = _freeze(add_table, (order, order), square)
-                self._add = [A]
-                self.add_arr = lambda x, y: A[x, y]
+            A = None if add_table is None else _freeze(add_table, (order, order), square)
+            self._stored_add, self.add_arr = A, (add_fn if A is None else lambda x, y: A[x, y])
             if neg_table is None:
-                neg_table = np.argmax(self.add_table == 0, axis=1)
+                neg_table = np.argmax(self.table("add") == 0, axis=1)
             self.neg_table = _freeze(neg_table, (order,),
                                      f"the negation table must have shape ({order},)")
             M, N = self.mul_table, self.neg_table
@@ -216,23 +202,22 @@ class FiniteRing:
         else:
             if add_fn is None or mul_fn is None or neg_fn is None:
                 raise ArgumentError("lazy ring needs add_fn, mul_fn and neg_fn")
-            self._add = None
-            self.mul_table = None
-            self.neg_table = None
+            self._stored_add = self.mul_table = self.neg_table = None
             self.mode = "lazy"
             self.add_arr, self.mul_arr, self.neg_arr = add_fn, mul_fn, neg_fn
 
     @property
     def add_table(self) -> np.ndarray | None:
-        """The addition table in table mode, None in lazy mode.  A ring
-        that stores none fills it from ``add_arr`` on first read, once,
-        under its lock."""
-        cell = self._add
-        if cell is not None and cell[0] is None:
-            with self._lock:
-                if cell[0] is None:
-                    cell[0] = _filled(self.order, self.add_arr)
-        return None if cell is None else cell[0]
+        """The addition table in table mode, None in lazy mode: the stored
+        one, else :meth:`table`'s fill on each read."""
+        return None if self.mode == "lazy" else self.table("add")
+
+    def table(self, op: str) -> np.ndarray:
+        """The whole ``op`` ("add" or "mul") table in :func:`table_dtype`:
+        the stored one, else a new one filled from the formula and
+        range-checked (:func:`_filled`)."""
+        stored, fn = (self._stored_add, self.add_arr) if op == "add" else (self.mul_table, self.mul_arr)
+        return _filled(self.order, fn) if stored is None else stored
 
     def cached(self, key, compute: Callable):
         """The value cached under ``key``, set to ``compute()`` on the first
@@ -302,11 +287,10 @@ class FiniteRing:
     def row_block(self, op: str, lo: int, hi: int, cols: slice = slice(None)) -> np.ndarray:
         """Rows lo:hi of the ``op`` ("add" or "mul") table against the
         columns ``cols`` (every column by default): a slice view of the
-        stored table in table mode, the formula evaluated on index arrays
-        in lazy mode."""
-        if self.mode == "table":
-            return (self.add_table if op == "add" else self.mul_table)[lo:hi, cols]
-        fn = self.add_arr if op == "add" else self.mul_arr
+        stored table, else the formula evaluated on index arrays."""
+        stored, fn = (self._stored_add, self.add_arr) if op == "add" else (self.mul_table, self.mul_arr)
+        if stored is not None:
+            return stored[lo:hi, cols]
         every = np.arange(self.order)
         return fn(every[lo:hi, None], every[None, cols])
 
@@ -328,14 +312,11 @@ class FiniteRing:
     def relabelled(self, label: str, limits: Limits) -> "FiniteRing":
         """This ring's operations under ``label``, with an empty cache of
         its own, stored by :func:`stored_ring`'s rule; a table twin of a
-        table ring shares its tables, the addition table filled on read
-        included."""
-        if self.mode == "table" and self.order <= limits.table_threshold:
-            twin = copy.copy(self)
-            twin.label, twin._lock, twin._cache = label, threading.RLock(), {}
-            return twin
+        table ring shares the tables it stores."""
+        def tables():
+            return self._stored_add, self.mul_table, self.neg_table
         return stored_ring(self.order, self.one, label, limits, self.add_arr, self.mul_arr,
-                           self.neg_arr)
+                           self.neg_arr, tables=tables if self.mode == "table" else None)
 
 
 def _filled(order: int, op: Callable) -> np.ndarray:
@@ -355,15 +336,17 @@ def stored_ring(order: int, one: int, label: str, limits: Limits, add_fn: Callab
     """The ring with these broadcasting operations, in table mode when
     ``order`` <= ``limits.table_threshold`` and lazy above it: the one
     place that picks a ring's mode and its tables, by the rule of the
-    module docstring.  MUL comes from ``tables``, a construction's faster
-    builder returning (ADD or None, MUL), when given, else from ``mul_fn``
-    by row blocks; NEG from ``neg_fn`` over every element.  A lazy ring
-    never calls ``tables``."""
+    module docstring.  MUL comes from ``tables``, when given, else from
+    ``mul_fn`` by row blocks: ``tables`` is a construction's faster builder
+    returning (ADD or None, MUL), or a table ring's stored (ADD or None,
+    MUL, NEG) for its relabelled twin.  NEG comes from ``neg_fn`` over
+    every element where ``tables`` gives none.  A lazy ring never calls
+    ``tables``."""
     if order > limits.table_threshold:
         return FiniteRing(order, one, label, add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn)
-    add_table, mul_table = tables() if tables else (None, _filled(order, mul_fn))
+    add_table, mul_table, *neg = tables() if tables else (None, _filled(order, mul_fn))
     return FiniteRing(order, one, label, add_table=add_table, mul_table=mul_table,
-                      neg_table=neg_fn(np.arange(order)), add_fn=add_fn)
+                      neg_table=neg[0] if neg else neg_fn(np.arange(order)), add_fn=add_fn)
 
 
 class ElementSet:
@@ -537,15 +520,15 @@ def _exhaustive_ternary_checks(ring: FiniteRing, abelian: bool) -> list[AxiomChe
     an additive generating set S + [0] where the laws allow it (see
     :func:`verify_axioms`), by the blocked scan otherwise.  ``abelian``
     says that + is commutative, with 0 as identity and inverses."""
-    n, twin = ring.order, ring.relabelled(ring.label, Limits(table_threshold=ring.order))
+    n = ring.order
 
     def flat(table):  # one flat take at x*n + y: half the cost of table[x, y] in int16
         return lambda x, y: table.ravel().take(np.multiply(x, n, dtype=np.intp) + y)
 
-    add, mul, every = flat(twin.add_table), flat(twin.mul_table), np.arange(n)
+    add, mul, every = flat(ring.table("add")), flat(ring.table("mul")), np.arange(n)
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
-    gens = np.array(grow_span(twin, reached, every) + [0])
+    gens = np.array(grow_span(ring, reached, every) + [0])
 
     def fails(name):
         law = TERNARY_LAWS[name]
@@ -578,9 +561,9 @@ def verify_axioms(ring: FiniteRing, *, seed: int = DEFAULT_SEED) -> AxiomReport:
     order <= ``EXHAUSTIVE_AXIOM_CUTOFF`` and otherwise checked on
     ``AXIOM_SAMPLE_COUNT`` pseudo-random triples drawn from ``seed``.
 
-    The exhaustive ternary checks read a table twin of the ring
-    (:meth:`FiniteRing.relabelled` at a table threshold of n, which
-    shares a table ring's tables) and are decided from S0 = S + [0],
+    The exhaustive ternary checks read the ring's whole tables
+    (:meth:`FiniteRing.table`: the stored ones, the others filled for the
+    check and range-checked) and are decided from S0 = S + [0],
     where S holds the candidates :func:`grow_span` takes from {0} over
     every element.  Each element it marks is a sum of elements marked
     before and the candidates taken, so S0 generates (R, +) as a magma

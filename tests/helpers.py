@@ -378,10 +378,10 @@ def componentwise_sum(base, x: int, y: int, k: int) -> int:
 
 
 def stored_tables(ring) -> list:
-    """The tables a table ring holds now: MUL, NEG, and ADD once stored or
-    filled.  Reading ``add_table`` would fill it, so this looks at the
-    cell behind it."""
-    return [t for t in (ring._add[0], ring.mul_table, ring.neg_table) if t is not None]
+    """The tables a table ring stores: MUL, NEG, and ADD where its build
+    made one.  ``add_table`` of a ring that stores no ADD is a new table
+    on each read, so this looks at the stored one."""
+    return [t for t in (ring._stored_add, ring.mul_table, ring.neg_table) if t is not None]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 from math import lcm
 
@@ -15,6 +16,7 @@ from finring import (
     classify,
     corner,
     default_corpus,
+    dump_tables,
     generators,
     gf,
     group_ring,
@@ -27,9 +29,10 @@ from finring import (
     trivial_extension,
     units,
     upper_triangular,
+    verify_axioms,
     zmod,
 )
-from finring import analysis, build, core
+from finring import analysis, build, cli, core
 from finring.build import smallest_irreducible
 from finring.core import grow_span, table_dtype
 from finring.groups import cyclic, group_product, symmetric_3
@@ -494,13 +497,35 @@ FORMULA_CASES = {
 @pytest.mark.parametrize("limits", [DEFAULT_LIMITS, TABLE], ids=["default", "table"])
 def test_formula_filled_rings_store_only_mul_and_neg(limits):
     # ADD is stored only where a MUL build makes it, so these rings hold
-    # MUL and NEG until add_table is read, and then ADD, filled once
+    # MUL and NEG for life, and each add_table read fills a new table
     for label, make in FORMULA_CASES.items():
         ring = make(limits)
         held = stored_tables(ring)
         assert ring.mode == "table" and len(held) == 2, label
         assert held[0] is ring.mul_table and held[1] is ring.neg_table, label
-        assert ring.add_table is stored_tables(ring)[0], label
+        sums = ring.add_table
+        assert ring.add_table is not sums and np.array_equal(ring.add_table, sums), label
+
+
+@pytest.mark.parametrize("limits", [TABLE, LAZY], ids=["table", "lazy"])
+def test_what_a_ring_stores_is_fixed_at_construction(limits, monkeypatch):
+    # the axiom check, the analyses, the table dumps and an add_table read
+    # store nothing on the ring: what it stores is fixed when it is built
+    def ids(objects):
+        return [(k, id(v)) for k, v in objects if k != "_cache"]
+
+    for make in {**AGREEMENT_CASES, **FORMULA_CASES}.values():
+        ring = make(limits)
+        held, attrs = stored_tables(ring), dict(vars(ring))  # kept alive, so ids stay unique
+        verify_axioms(ring)
+        classify(ring)
+        dump_tables(ring)
+        monkeypatch.setattr(cli, "parse_and_build", lambda expr, limits: ring)
+        for argv in (["table", "R", "add"], ["table", "--json", "R", "add"]):
+            assert cli.main(argv, out=io.StringIO()) == 0, (ring.label, argv)
+        ring.add_table
+        assert ids(enumerate(stored_tables(ring))) == ids(enumerate(held)), ring.label
+        assert ids(vars(ring).items()) == ids(attrs.items()), ring.label
 
 
 def test_modes_agree_matrix():
@@ -540,7 +565,8 @@ def test_blocked_fill_matches_formula(monkeypatch):
 
 def test_add_paths_agree():
     # a table ring's add_arr (stored ADD or the formula), its add_table
-    # (stored or filled on read) and the lazy twin's add_arr, on all pairs
+    # (stored or filled on each read) and the lazy twin's add_arr, on all
+    # pairs
     for label, make in {**AGREEMENT_CASES, **FORMULA_CASES}.items():
         table, lazy = make(TABLE), make(LAZY)
         every = np.arange(table.order)
@@ -548,7 +574,7 @@ def test_add_paths_agree():
         assert sums.dtype == np.int16 and not sums.flags.writeable, label
         for ring in (table, lazy):
             assert np.array_equal(ring.add_arr(every[:, None], every), sums), (label, ring.mode)
-        assert table.add_table is sums, label  # filled once
+        assert (table.add_table is sums) == (len(stored_tables(table)) == 3), label
 
 
 def test_bitwise_sum_matches_componentwise_oracle():
@@ -729,15 +755,16 @@ def identity_derived(ring, limits):
 
 
 def test_identity_derived_table_rings_share_storage_with_a_cache_of_their_own():
-    parent = upper_triangular(2, zmod(4))
-    parent_units = units(parent)
-    for name, ring in identity_derived(parent, DEFAULT_LIMITS).items():
-        assert ring.mode == "table" and ring.label != parent.label, name
-        for mine, theirs in zip(op_tables(ring), op_tables(parent)):
-            assert np.shares_memory(mine, theirs), name
-        assert (ring.order, ring.one) == (parent.order, parent.one)
-        assert units(ring) is not parent_units and units(ring).indices() == parent_units.indices()
-        assert same_verdicts(ring, parent), name
+    # UT(2, Z/4) stores MUL and NEG, UT(2, Z/3) its ADD as well
+    for parent in (upper_triangular(2, zmod(4)), upper_triangular(2, zmod(3))):
+        parent_units = units(parent)
+        for name, ring in identity_derived(parent, DEFAULT_LIMITS).items():
+            assert ring.mode == "table" and ring.label != parent.label, name
+            assert list(map(id, stored_tables(ring))) == list(map(id, stored_tables(parent))), name
+            assert (ring.order, ring.one) == (parent.order, parent.one)
+            assert units(ring) is not parent_units
+            assert units(ring).indices() == parent_units.indices()
+            assert same_verdicts(ring, parent), name
 
 
 @pytest.mark.parametrize("parent_limits, derived_limits, mode", [

@@ -24,7 +24,7 @@ from finring import core
 from finring.core import Limits, block_rows, first_failure, grow_span
 from finring.groups import cyclic, group_product, symmetric_3
 
-from helpers import LAZY, TABLE, full_cube_ternary_checks, magma_closure
+from helpers import LAZY, TABLE, full_cube_ternary_checks, magma_closure, stored_tables
 
 
 def test_element_ops_zmod4():
@@ -497,7 +497,9 @@ def test_constructor_leaves_the_callers_tables_alone():
     assert add.flags.writeable and mul.flags.writeable
     assert ring.add_table[0, 0] == 0 and ring.mul_table[1, 1] == 1
     # read-only tables handed over by a construction are kept, not copied
-    assert FiniteRing(4, 1, "y", add_table=z.add_table, mul_table=z.mul_table).add_table is z.add_table
+    sums = z.add_table
+    kept = FiniteRing(4, 1, "y", add_table=sums, mul_table=z.mul_table)
+    assert kept.add_table is sums and kept.mul_table is z.mul_table
 
 
 def test_ring_rejects_table_entries_out_of_range():
@@ -531,17 +533,24 @@ def test_ring_rejects_table_entries_out_of_range():
 
 
 def test_table_ring_given_an_addition_formula_fills_add_on_read():
-    # MUL is stored; ADD, and NEG when none is given, come from the
-    # formula, through the range check a stored table passes
+    # MUL is stored and ADD is not: each add_table read, the default NEG
+    # and the exhaustive axiom check fill ADD from the formula, through
+    # the range check a stored table passes
     z = zmod(6)
     ring = FiniteRing(6, 1, "x", mul_table=z.mul_table, add_fn=lambda x, y: (x + y) % 6)
     assert ring.mode == "table" and np.array_equal(ring.neg_table, z.neg_table)
-    assert np.array_equal(ring.add_table, z.add_table) and not ring.add_table.flags.writeable
+    sums = ring.add_table
+    assert np.array_equal(sums, z.add_table) and not sums.flags.writeable
+    assert ring.add_table is not sums and len(stored_tables(ring)) == 2
     assert ring.add(5, 4) == 3
     bad = FiniteRing(6, 1, "bad", mul_table=z.mul_table, add_fn=lambda x, y: x + y,
                      neg_table=z.neg_table)
     with pytest.raises(ArgumentError, match="0..5"):
         bad.add_table
+    with pytest.raises(ArgumentError, match="0..5"):
+        verify_axioms(bad)
+    with pytest.raises(ArgumentError, match="0..5"):
+        FiniteRing(6, 1, "bad-neg", mul_table=z.mul_table, add_fn=lambda x, y: x + y)
     with pytest.raises(ArgumentError, match="needs add_table and mul_table"):
         FiniteRing(6, 1, "no-add", mul_table=z.mul_table)
 
