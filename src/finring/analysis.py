@@ -269,7 +269,9 @@ def ideal_closure(ring: FiniteRing, gens) -> ElementSet:
 
 
 def is_unit_closed_subring(sub) -> bool:
-    """True iff U(S) equals U(R) intersected with the image of S."""
+    """True iff U(S) equals U(R) intersected with the image of S.  In a
+    finite ring every S that shares R's 1 passes: a unit u of R in S has
+    u^m = 1 for some m >= 1, so its inverse u^(m-1) lies in S."""
     sub_units = units(sub.ring)
     image_units = {sub.embedding[u] for u in sub_units.members}
     parent_units = units(sub.parent).members

@@ -253,8 +253,7 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
     base's own S in coordinate 0, then in coordinate 1, and so on.
     """
     q = base.order
-    order = q ** k
-    limits.check_order(order, label)
+    order = limits.check_power(q, k, label)
     top = _carry_tops(base)
     digit_sum = None if top is None else _bitwise_sum(top, q.bit_length() - 1, k)
 
@@ -433,52 +432,12 @@ def _monic_polys(p: int, d: int):
         yield tuple(coeffs) + (1,)
 
 
-def _coprime(a, b, p: int) -> bool:
-    """Whether the polynomials a and b over F_p (little-endian) have no
-    common factor of positive degree, by Euclid's algorithm."""
-    def trim(c):
-        c = [v % p for v in c]
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    a, b = trim(a), trim(b)
-    while b:
-        inv = pow(b[-1], -1, p)
-        a, b = b, trim(_poly_mod(a, [c * inv % p for c in b], p))
-    return len(a) == 1
-
-
-def _pow_mod(h, e: int, f: tuple, p: int) -> list:
-    """h^e mod the monic f over F_p, by square and multiply."""
-    def mul(a, b):
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, d in enumerate(b):
-                    prod[i + j] += c * d
-        return list(_poly_mod(prod, f, p))
-
-    out = [1]
-    for bit in bin(e)[2:]:
-        out = mul(out, out)
-        if bit == "1":
-            out = mul(out, h)
-    return out
-
-
 def _is_irreducible(f: tuple, p: int) -> bool:
-    """Ben-Or's test: the monic f of degree k over F_p is irreducible iff
-    gcd(f, x^(p^i) - x) = 1 for every i <= k / 2, as x^(p^i) - x is the
-    product of the monic irreducibles whose degree divides i, and a
-    reducible f has a factor of degree at most k / 2.  x^(p^i) mod f is
-    the p-th power of x^(p^(i-1)) mod f."""
-    h = [0, 1]  # x, already reduced as deg f >= 2 whenever the loop runs
-    for _ in range((len(f) - 1) // 2):
-        h = _pow_mod(h, p, f, p) + [0, 0]
-        if not _coprime(f, [h[0], h[1] - 1] + h[2:], p):
-            return False
-    return True
+    """Whether the monic f leaves a nonzero remainder by every monic g of
+    degree 1..deg f / 2: a reducible f has a factor among them, as its
+    factors' degrees sum to deg f."""
+    return all(any(_poly_mod(f, g, p))
+               for d in range(1, (len(f) - 1) // 2 + 1) for g in _monic_polys(p, d))
 
 
 def smallest_irreducible(p: int, k: int) -> list[int]:
@@ -495,7 +454,9 @@ def gf(p: int, k: int, *, label: str | None = None, limits: Limits = DEFAULT_LIM
     if k < 1:
         raise ArgumentError(f"GF needs extension degree >= 1, got {k}")
     label = label or f"GF({p}, {k})"
-    limits.check_power(p, k, label)  # first, so p is small enough to test
+    if p < 2:  # before check_power, which reads p as a base >= 2
+        raise ArgumentError(f"GF needs a prime, got {p}")
+    limits.check_power(p, k, label)  # before is_prime, so p is small enough to test
     if not is_prime(p):
         raise ArgumentError(f"GF needs a prime, got {p}")
     f = smallest_irreducible(p, k)
@@ -589,7 +550,7 @@ def bt(base: FiniteRing, *, label: str | None = None,
     trivial_extension(trivial_extension(R)) entry for entry.
     """
     label = label or f"BT({base.label})"
-    limits.check_order(base.order ** 4, label)
+    limits.check_power(base.order, 4, label)
     inner = trivial_extension(base, limits=limits)
     return trivial_extension(inner, label=label, limits=limits)
 

@@ -35,6 +35,7 @@ from .core import (
     InternalConsistencyError,
     LimitError,
     Limits,
+    check_entries,
     dump_lines,
     table_lines,
 )
@@ -159,7 +160,7 @@ def _cmd_table(args, limits: Limits, out) -> int:
         out.write(json.dumps({"expr": ring.label, "what": args.what, "order": ring.order,
                               "one": ring.one, "table": []})[:-2])
         for lo, block in ring.blocks(args.what):
-            out.write((", " if lo else "") + json.dumps(block.tolist())[1:-1])
+            out.write((", " if lo else "") + json.dumps(check_entries(block, ring.order).tolist())[1:-1])
         out.write("]}\n")
     else:
         out.writelines(table_lines(ring, args.what))

@@ -106,12 +106,22 @@ def block_rows(width: int) -> int:
     return max(1, BLOCK_ELEMENTS // width)
 
 
+def check_entries(arr: np.ndarray, order: int) -> np.ndarray:
+    """``arr``, once its integer entries are found in 0..order-1, else
+    ArgumentError: the check of each table the library takes in or prints,
+    so a printed table parses back.  An int16 array of order <= 2^15 is
+    checked by one reduction, the max of its uint16 view, where a negative
+    entry reads as 2^15 or more; a signed array of another dtype by min and max."""
+    checked = arr.view(np.uint16) if arr.dtype == np.int16 and order <= 1 << 15 else arr
+    if (checked.dtype.kind == "i" and checked.min() < 0) or checked.max() >= order:
+        raise ArgumentError(f"table entries must lie in 0..{order - 1}")
+    return arr
+
+
 def _freeze(table, shape: tuple, shape_error: str) -> np.ndarray:
     """A read-only copy (or view) of ``table`` in ``table_dtype(shape[0])``,
     checked before the cast: the shape, an integer dtype and entries in
-    0..shape[0]-1.  An int16 table of order <= 2^15 is range-checked by
-    one reduction, the max of its uint16 view, where a negative entry
-    reads as 2^15 or more; a signed table of another dtype by min and max.
+    0..shape[0]-1 (:func:`check_entries`).
 
     A writable array is copied, so the caller's own array stays writable
     and later writes to it do not reach the ring; a read-only
@@ -125,9 +135,7 @@ def _freeze(table, shape: tuple, shape_error: str) -> np.ndarray:
         raise ArgumentError(shape_error)
     if arr.dtype.kind not in "iu":
         raise ArgumentError(f"table entries must be integers, got dtype {arr.dtype}")
-    checked = arr.view(np.uint16) if arr.dtype == np.int16 and shape[0] <= 1 << 15 else arr
-    if (checked.dtype.kind == "i" and checked.min() < 0) or checked.max() >= shape[0]:
-        raise ArgumentError(f"table entries must lie in 0..{shape[0] - 1}")
+    check_entries(arr, shape[0])
     frozen = np.ascontiguousarray(arr, dtype=table_dtype(shape[0]))
     if frozen is arr and arr.flags.writeable:
         frozen = arr.copy()
@@ -637,9 +645,10 @@ def verify_axioms(ring: FiniteRing, *, seed: int = DEFAULT_SEED) -> AxiomReport:
 
 
 def table_lines(ring: FiniteRing, op: str) -> Iterator[str]:
-    """The rows of the ``op`` table as lines, made one row block at a time."""
+    """The rows of the ``op`` table as lines, made and range-checked
+    (:func:`check_entries`) one row block at a time."""
     for _, block in ring.blocks(op):
-        yield from (" ".join(map(str, row)) + "\n" for row in block.tolist())
+        yield from (" ".join(map(str, row)) + "\n" for row in check_entries(block, ring.order).tolist())
 
 
 def dump_lines(ring: FiniteRing) -> Iterator[str]:

@@ -375,7 +375,9 @@ def _single_generator_subrings(ring: FiniteRing, limits: Limits = DEFAULT_LIMITS
 
 def _claim_c5(corpus, limits):
     """Unit-closed subrings of a 2-sqrtJU ring are 2-sqrtJU, over the
-    subrings generated by 1 and one x (:func:`_single_generator_subrings`)."""
+    subrings generated by 1 and one x (:func:`_single_generator_subrings`).
+    Each shares R's 1, so each is unit-closed (:func:`is_unit_closed_subring`):
+    the filter checks the units machinery and selects no subset."""
     records = []
     for label, ring in _in_class(corpus.rings(limits), records):
         problems = []

@@ -20,8 +20,10 @@ from finring import (
     generators,
     gf,
     group_ring,
+    is_division,
     jacobson,
     matrix_ring,
+    parse_and_build,
     poly_quotient,
     product,
     quotient,
@@ -53,7 +55,6 @@ from helpers import (
     matrix_mul_over,
     poly_mul_over,
     relabelled,
-    smallest_irreducible_by_trial_division,
     stored_tables,
     trivial_extension_mul_over,
     upper_triangular_mul_over,
@@ -72,21 +73,48 @@ def test_zmod():
         zmod(0)
 
 
+# The canonical modulus of every GF(p, k), k >= 2, within the default
+# order limit, as the encoding integer of its lower coefficients (read
+# little-endian in base p).  It fixes every GF element encoding, table
+# dump and witness index, so these values are part of the interface.
+GF_MODULI = {
+    (2, 2): 3, (2, 3): 3, (2, 4): 3, (2, 5): 5, (2, 6): 3, (2, 7): 3, (2, 8): 27,
+    (2, 9): 3, (2, 10): 9, (2, 11): 5, (2, 12): 9, (2, 13): 27,
+    (3, 2): 1, (3, 3): 7, (3, 4): 5, (3, 5): 7, (3, 6): 5, (3, 7): 11, (3, 8): 11,
+    (5, 2): 2, (5, 3): 6, (5, 4): 2, (5, 5): 21, (7, 2): 1, (7, 3): 2, (7, 4): 8,
+    (11, 2): 1, (11, 3): 15, (13, 2): 2, (13, 3): 2, (17, 2): 3, (17, 3): 20,
+    (19, 2): 1, (19, 3): 2, (23, 2): 1, (29, 2): 2, (31, 2): 1, (37, 2): 2,
+    (41, 2): 3, (43, 2): 1, (47, 2): 1, (53, 2): 2, (59, 2): 1, (61, 2): 2,
+    (67, 2): 1, (71, 2): 1, (73, 2): 5, (79, 2): 1, (83, 2): 1, (89, 2): 3,
+    (97, 2): 5,
+}
+
+
 def test_gf_irreducible_choice():
+    cases = {(p, k) for p in range(2, 101) if build.is_prime(p) for k in range(2, 14)
+             if p ** k <= DEFAULT_LIMITS.max_order}
+    assert set(GF_MODULI) == cases and len(cases) == 51
+    for (p, k), enc in GF_MODULI.items():
+        assert smallest_irreducible(p, k) == [*little_endian_coords(enc, k, p), 1], (p, k)
     assert smallest_irreducible(2, 2) == [1, 1, 1]        # x^2 + x + 1
     assert smallest_irreducible(3, 2) == [1, 0, 1]        # x^2 + 1
     assert smallest_irreducible(2, 3) == [1, 1, 0, 1]     # x^3 + x + 1
     assert smallest_irreducible(2, 1) == [0, 1]           # x
 
 
-def test_smallest_irreducible_matches_trial_division():
-    # Ben-Or's test against trial division, for every GF(p, k), k >= 2,
-    # within the default order limit
-    cases = [(p, k) for p in range(2, 101) if build.is_prime(p) for k in range(2, 14)
-             if p ** k <= DEFAULT_LIMITS.max_order]
-    assert (2, 13) in cases and (97, 2) in cases and (3, 8) in cases
-    for p, k in cases:
-        assert smallest_irreducible(p, k) == smallest_irreducible_by_trial_division(p, k), (p, k)
+def test_irreducible_exactly_when_the_quotient_is_a_field():
+    # F_p[x]/(f) is a division ring iff the monic f is irreducible: checked
+    # for every monic f of degree k >= 2 with p^k <= 64, and the first
+    # such f in encoding order is the canonical modulus
+    checked = 0
+    for p, k in [(p, k) for p in (2, 3, 5, 7) for k in range(2, 7) if p ** k <= 64]:
+        polys = [[*little_endian_coords(enc, k, p), 1] for enc in range(p ** k)]
+        fields = [f for f in polys if is_division(poly_quotient(zmod(p), f))]
+        for f in polys:
+            assert build._is_irreducible(tuple(f), p) == (f in fields), (p, f)
+        assert fields[0] == smallest_irreducible(p, k), (p, k)
+        checked += len(polys)
+    assert checked == 234
 
 
 def test_gf_fields():
@@ -105,6 +133,11 @@ def test_gf_fields():
         gf(4, 2)
     with pytest.raises(LimitError):
         gf(2, 20)
+    # p < 2 is no prime, whatever the degree; the size check reads p as a
+    # base >= 2, so it must not see it first
+    for p, k in [(1, 100000), (-3, 14), (0, 2)]:
+        with pytest.raises(ArgumentError, match=f"GF needs a prime, got {p}$"):
+            gf(p, k)
 
 
 def test_product_encoding_and_characteristic():
@@ -406,6 +439,9 @@ def test_order_limits():
         bt(zmod(11))
     with pytest.raises(LimitError):
         group_ring(zmod(10), cyclic(5))
+    # a coordinate ring too large to count is worded as q^k, as M and GF are
+    with pytest.raises(LimitError, match=r"^GR\(Z/3, C64\): order 3\^64 exceeds the limit 10000$"):
+        parse_and_build("GR(Z/3, C64)")
 
 
 def test_encoding_roundtrip():

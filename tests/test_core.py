@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import io
 import random
 from functools import cache
 
@@ -18,7 +19,7 @@ from finring import (
     verify_axioms,
     zmod,
 )
-from finring import analysis, build, harness
+from finring import analysis, build, cli, harness
 from finring.build import group_ring, matrix_ring, trivial_extension
 from finring import core
 from finring.core import Limits, block_rows, first_failure, grow_span
@@ -532,7 +533,7 @@ def test_ring_rejects_table_entries_out_of_range():
         FiniteRing(4, 1, "ragged", add_table=ragged, mul_table=z4.mul_table)
 
 
-def test_table_ring_given_an_addition_formula_fills_add_on_read():
+def test_table_ring_given_an_addition_formula_fills_add_on_read(monkeypatch):
     # MUL is stored and ADD is not: each add_table read, the default NEG
     # and the exhaustive axiom check fill ADD from the formula, through
     # the range check a stored table passes
@@ -549,6 +550,18 @@ def test_table_ring_given_an_addition_formula_fills_add_on_read():
         bad.add_table
     with pytest.raises(ArgumentError, match="0..5"):
         verify_axioms(bad)
+    # a printed table is range-checked too, so a dump always parses back;
+    # the lines written before the failing block may remain
+    lazy_bad = FiniteRing(6, 1, "lazy-bad", add_fn=lambda x, y: x + y, mul_fn=z.mul_arr,
+                          neg_fn=z.neg_arr)
+    for ring in (bad, lazy_bad):
+        with pytest.raises(ArgumentError, match="0..5"):
+            dump_tables(ring)
+    monkeypatch.setattr(cli, "parse_and_build", lambda expr, limits: bad)
+    for argv in (["table", "R", "add"], ["table", "--json", "R", "add"]):
+        err = io.StringIO()
+        assert cli.main(argv, out=io.StringIO(), err=err) == 2, argv
+        assert err.getvalue() == "error: table entries must lie in 0..5\n", argv
     with pytest.raises(ArgumentError, match="0..5"):
         FiniteRing(6, 1, "bad-neg", mul_table=z.mul_table, add_fn=lambda x, y: x + y)
     with pytest.raises(ArgumentError, match="needs add_table and mul_table"):
