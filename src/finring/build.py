@@ -42,24 +42,23 @@ above it, and ADD stored only where the MUL build makes it (the rule
 is stated in :mod:`finring.core`): here, over a coordinate base that
 adds no bit fields.
 
-A coordinate construction's multiplication table starts from G x G,
-where G is 0 and the (q-1)*k generators c*e_i (one nonzero coordinate),
-read off the base's own products: a pair (i, j) has at most one term
-(i, j, s), so the formula gives (c*e_i)(d*e_j) = (c*d)*e_s, as its other
-terms have a zero factor and vanish in a ring base (0*d = 0,
-0 + v = v).  The rest of MUL is a two-sided distributive fill from
-entries already built, one weight q^i at a time: MUL[g, y' + c*e_i] =
-MUL[g, y'] + MUL[g, c*e_i] for g in G, then MUL[x' + c*e_i] = MUL[x'] +
-MUL[c*e_i] for every other row.  The block and the fill equal the
-formula whenever the base is a ring, which every base built by this
-module or parsed from an expression is; run ``verify_axioms`` on a
-hand-made ``FiniteRing`` before using it as a base.  The formula itself
-serves the on-demand mode, and is the tests' reference for the tables.
+A coordinate construction's multiplication table starts from its head
+rows, (c*e_i)*y for c = 1..q-1 and every y, written from the terms: the
+formula at x = c*e_i is the sum of (c*y_j)*e_s over the terms (i, j, s),
+as its other terms have a zero factor and vanish in a ring base
+(0*d = 0, 0 + v = v), whatever the term list.  Right distributivity
+fills every other row from rows already built, one weight q^i at a
+time: MUL[x' + c*e_i] = MUL[x'] + MUL[c*e_i], which needs only that x*y
+is additive in x.  The head rows and the fill equal the formula whenever
+the base is a ring, which every base built by this module or parsed
+from an expression is; run ``verify_axioms`` on a hand-made
+``FiniteRing`` before using it as a base.  The formula itself serves the
+on-demand mode, and is the tests' reference for the tables.
 Over a base whose addition adds bit fields (:func:`_carry_tops`): Z/2^j,
 XOR groups such as GF(2, k) or M(m, Z/2), and products of these, x + y
 is a few bitwise operations on x and y (:func:`_bitwise_sum`), which is
-then the ring's addition in both modes and the fill's sum.  Over any
-other base the fill takes its sums from ADD, the k-fold Kronecker sum of
+then the ring's addition in both modes and the build's sum.  Over any
+other base the build takes its sums from ADD, the k-fold Kronecker sum of
 the base's addition table.  A coordinate ring's additive generators
 (:func:`finring.analysis.generators`) are its base's, S*q^i in each
 coordinate i.  A direct product's MUL is the Kronecker sum of its
@@ -243,8 +242,9 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
     sum stays below q^k, so it fits the table's dtype.  Over any other
     base the ring adds by the componentwise formula.
 
-    In table mode MUL is built without the formula (:func:`_coord_tables`),
-    a build that makes ADD over a base that adds no bit fields.
+    In table mode MUL and NEG are built without the formula
+    (:func:`_coord_tables`), a build that makes ADD over a base that adds
+    no bit fields.
 
     In both modes the additive generators S (:func:`finring.analysis.generators`)
     are handed down: S(base)*q^i for i < k, ascending as no S holds 0.
@@ -282,42 +282,38 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
 
     ring = stored_ring(order, int(_encode(one_coords, q)), label, limits, digit_sum or add_fn,
                        mul_fn, neg_fn,
-                       tables=lambda: _coord_tables(base, k, terms, reduce, label, digit_sum))
+                       tables=lambda: _coord_tables(base, k, terms, reduce, digit_sum))
     ring.cached("generators",
                 lambda: read_only(np.concatenate([generators(base) * q ** i for i in range(k)])))
     return ring
 
 
-def _coord_tables(base, k, terms, reduce, label, digit_sum):
-    """(ADD or None, MUL) of :func:`_coord_ring`'s ring, MUL built without
-    the formula.  The fill sums by ``digit_sum``, the ring's
+def _coord_tables(base, k, terms, reduce, digit_sum):
+    """(ADD or None, MUL, NEG) of :func:`_coord_ring`'s ring, built
+    without the formula.  The sums are by ``digit_sum``, the ring's
     :func:`_bitwise_sum`, when given, and ADD is then not built; else ADD
-    is the k-fold Kronecker sum of the base's addition table, and the
-    fill takes its sums from ADD through one intp index array of each
-    block.
+    is the k-fold Kronecker sum of the base's addition table, and each
+    sum is taken from ADD through one intp index array of its block.
 
-    MUL's block G x G, G = {0} u {c*e_i}, is read off the q x q base
-    products: every construction has at most one term (i, j, s) for a
-    pair (i, j), checked once per build, so (c*e_i)(d*e_j) = (c*d)*e_s.
-    The formula agrees, since its other terms each have a zero coordinate
-    as a factor, and 0*d = 0 and 0 + v = v in a ring base.  A slot s >= k
-    folds c*d by ``reduce[s - k]``, coefficient on the right, as the
-    formula does; so the block is enc[s][c*d], with one row of indices
-    enc[s] per slot and a zero row for the pairs with no term, gathered
-    one block of G's rows at a time.  Left distributivity then fills the
-    other columns of the rows in G, and right distributivity the other
-    rows, in ascending weight order w = q^i.  Both fills run per weight:
-    each call sums the columns or rows of as many heads c*w as fit a
-    block of ``BLOCK_ELEMENTS`` entries (:func:`finring.core.block_rows`,
-    read at call time), and a weight step longer than a block takes
-    several blocks per head; a column call takes the q - 1 rows c*v of G
-    for one v = q^i, a strided view.  Both fills write into the final
-    table through ``out``.  On the take path a call holds one intp index
-    array of its block, which stays in a core's L2 cache, and a column
-    call the int16 copy ``np.take`` makes of a strided ``out``.  The fill
-    equals the formula when ``base`` is a ring (see the module docstring)."""
+    MUL starts as zeros.  Each term (i, j, s) adds (c*y_j)*e_s to the head
+    rows c*e_i, at index c*q^i: that is the base product c*d at d = y_j,
+    an index of slot s, folded by ``reduce[s - k]`` for s >= k, coefficient
+    on the right, and broadcast over the columns y with that digit j.
+    Right distributivity then fills every other row in ascending weight
+    order w = q^i: row c*w + x' is MUL[x'] + MUL[c*w] for x' < w, an index
+    sum as x' has no coordinate at weight w or above (see the module
+    docstring for why both equal the formula).  Every call writes into
+    the final table through ``out`` and takes as many heads as fit its
+    block (:func:`finring.core.block_rows`, read at call time); a weight
+    step longer than a block takes several blocks per head.  A head call
+    takes half a block, as on the take path it holds, beside the intp
+    index array, the copy ``np.take`` makes of its strided ``out``.
+
+    NEG is componentwise, so it is the k-fold sum of the base's negation
+    vector: NEG[x] = sum neg(x_i)*q^i."""
     q = base.order
     order = q ** k
+    dtype = table_dtype(order)
     add_t = None
     if digit_sum is None:
         # ADD is componentwise over one base table, so it is the k-fold
@@ -335,50 +331,29 @@ def _coord_tables(base, k, terms, reduce, label, digit_sum):
             idx += y
             # in range; a mode other than "raise" writes ``out`` unbuffered
             return np.take(flat_add, idx, out=out, mode="wrap")
-    # G x G, G = {0} u {c*w}, w = q^i the weight of e_i: MUL[c*w_i, d*w_j]
-    # is enc[slot[i, j]][c*d], where enc[s][v] is the index of v in slot s
-    # (folded by reduce[s - k] for s >= k), and the last row of enc, 0,
-    # serves the pairs with no term.
-    slot = np.full((k, k), -1)
-    for i, j, s in terms:
-        if slot[i, j] >= 0:
-            raise InternalConsistencyError(f"{label}: basis product ({i}, {j}) has two terms")
-        slot[i, j] = s
+    # enc[s][v]: the index of v placed at slot s, folded by reduce[s - k]
+    # for s >= k
     every, weights = np.arange(q), q ** np.arange(k)
-    enc = np.zeros((k + len(reduce) + 1, q), dtype=table_dtype(order))
+    enc = np.empty((k + len(reduce), q), dtype=dtype)
     enc[:k] = weights[:, None] * every
     if reduce:  # folded[v, r, t] = v * reduce[r][t]
         folded = base.mul_arr(every[:, None, None], np.array(reduce)[None])
-        enc[k:-1] = (folded * weights).sum(axis=2).T
+        enc[k:] = (folded * weights).sum(axis=2).T
     prods = base.row_block("mul", 0, q)
-    gens = (weights[:, None] * np.arange(1, q)).ravel()  # G without 0, by i, then c
-    mul_t = np.empty((order, order), dtype=table_dtype(order))
-    mul_t[0] = 0
-    mul_t[gens, 0] = 0
-    step = block_rows(len(gens))
-    for i, w in enumerate(weights.tolist()):
-        for c in range(1, q, step):  # rows c*w .. (c + step - 1)*w, as [c, j, d]
-            mul_t[w * np.arange(c, min(q, c + step))[:, None], gens] = (
-                enc[slot[i][None, :, None], prods[c:c + step, None, 1:]].reshape(-1, len(gens)))
-    # Column y' + c*w of a row g in G, for y' < w, is MUL[g, y'] +
-    # MUL[g, c*w] by left distributivity, and row c*w + x' is MUL[x'] +
-    # MUL[c*w] by right distributivity (x' + c*w is an index sum, as x' has
-    # no coordinate at weight w or above).  Ascending w keeps the columns,
-    # then the rows, below w filled.  At w = 1 both fills would only
-    # rewrite G x G and the rows of G, so they start at w = q.  Each call
-    # takes the heads c*w of consecutive c that fit one block (at least
-    # one), and a head's rows take several blocks when w exceeds one.
-    steps = weights.tolist()[1:]
-    for w in steps:
-        heads = block_rows((q - 1) * w)
-        for v in weights.tolist():
-            g = mul_t[v:q * v:v]
-            for c in range(1, q, heads):
-                h = min(heads, q - c)
-                digit_sum(g[:, None, :w], g[:, c * w:(c + h) * w:w, None],
-                          out=g[:, c * w:(c + h) * w].reshape(q - 1, h, w))
+    mul_t = np.zeros((order, order), dtype=dtype)
+    heads = block_rows(2 * order)
+    for i, j, s in terms:
+        w, v = q ** i, q ** j
+        for c in range(1, q, heads):
+            # rows c*w.., with column y split as (y // (q*v), y_j, y % v)
+            out = mul_t.reshape(-1, q, w, order // (q * v), q, v)[0, c:c + heads, 0]
+            digit_sum(out, enc[s][prods[c:c + heads, None, :, None]], out=out)
+    # Row c*w + x' is MUL[x'] + MUL[c*w]; at w = 1 every row is a head, so
+    # the fill starts at w = q.  A call takes the heads c*w of consecutive
+    # c that fit a block (at least one), and a head's rows several blocks
+    # when w exceeds one.
     step = block_rows(order)
-    for w in steps:
+    for w in weights.tolist()[1:]:
         heads, rows = max(1, step // w), min(w, step)
         for c in range(1, q, heads):
             h = min(heads, q - c)
@@ -387,7 +362,10 @@ def _coord_tables(base, k, terms, reduce, label, digit_sum):
                 hi = min(w, lo + rows)
                 digit_sum(mul_t[None, lo:hi], mul_t[c * w:(c + h) * w:w, None], out=out[:, lo:hi])
     mul_t.setflags(write=False)  # handed over, so FiniteRing need not copy it
-    return add_t, mul_t
+    neg_base, neg = base.neg_arr(every), np.zeros(1, dtype=dtype)
+    for _ in range(k):  # the next coordinate, above the ones so far
+        neg = (np.multiply(neg_base[:, None], len(neg), dtype=dtype) + neg).ravel()
+    return add_t, mul_t, read_only(neg)
 
 
 # ---------------------------------------------------------------------------

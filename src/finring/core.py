@@ -345,10 +345,10 @@ def stored_ring(order: int, one: int, label: str, limits: Limits, add_fn: Callab
     ``order`` <= ``limits.table_threshold`` and lazy above it: the one
     place that picks a ring's mode and its tables, by the rule of the
     module docstring.  MUL comes from ``tables``, when given, else from
-    ``mul_fn`` by row blocks: ``tables`` is a construction's faster builder
-    returning (ADD or None, MUL), or a table ring's stored (ADD or None,
-    MUL, NEG) for its relabelled twin.  NEG comes from ``neg_fn`` over
-    every element where ``tables`` gives none.  A lazy ring never calls
+    ``mul_fn`` by row blocks: ``tables`` returns (ADD or None, MUL) or
+    (ADD or None, MUL, NEG), a construction's faster build or a table
+    ring's stored tables for its relabelled twin.  NEG comes from
+    ``neg_fn`` over every element where ``tables`` gives none.  A lazy ring never calls
     ``tables``."""
     if order > limits.table_threshold:
         return FiniteRing(order, one, label, add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn)

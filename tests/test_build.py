@@ -9,7 +9,6 @@ from finring import (
     DEFAULT_LIMITS,
     ArgumentError,
     FiniteRing,
-    InternalConsistencyError,
     LimitError,
     Limits,
     bt,
@@ -697,12 +696,12 @@ def test_kron_sum_matches_int64_reference(n1, n2):
 
 
 def test_table_build_runs_formula_on_generator_pairs_only(monkeypatch):
-    # The table build reads G x G, G = {0} u {c * e_i} of 1 + (q - 1) * k
-    # elements, off the base's q x q products, and distributivity fills the
-    # rest.  A lazy base that records the size of every multiplication it
-    # is asked for bounds the pairs it saw, and the number of its calls
-    # inside the build: one for the products and one per fold of POLYQ's
-    # reduce, whatever q is, so no loop over generators hides there.
+    # The table build writes its head rows c * e_i from the base's q x q
+    # products, and distributivity fills the rest.  A lazy base that
+    # records the size of every multiplication it is asked for bounds the
+    # pairs it saw, and the number of its calls inside the build: one for
+    # the products and one for the folds of POLYQ's reduce, whatever q is,
+    # so no loop over c or over the terms asks the base.
     inner, reduce_len, sizes = build._coord_ring, [], []
 
     def coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
@@ -735,13 +734,24 @@ def test_table_build_runs_formula_on_generator_pairs_only(monkeypatch):
     assert reduce_len.count(2) == 4  # NIL(3) folds x^3 and x^4, over each base
 
 
-def test_table_build_rejects_two_terms_for_one_basis_pair():
-    # G x G is read off the base's products only when each pair (i, j)
-    # has at most one term; the formula would sum two
-    terms = [(0, 0, 0), (0, 0, 0)]
-    with pytest.raises(InternalConsistencyError, match=r"basis product \(0, 0\) has two terms"):
-        build._coord_ring(zmod(3), 1, [1], terms, "twice", TABLE)
-    assert build._coord_ring(zmod(3), 1, [1], terms, "twice", LAZY).mul(1, 1) == 2
+def test_table_build_sums_repeated_basis_pairs():
+    # A term list may hold a pair (i, j) twice, and the formula then sums
+    # both products, as the head rows sum every term of e_i.  Seeded term
+    # lists, each with a repeated pair and a term in every slot (the
+    # formula reads each), some with a folded slot, agree with the formula
+    # over Z/2, Z/4 and Z/3, whose sums are XOR, carry fields and ADD.
+    rng = np.random.default_rng(37)
+    for base in (zmod(2), zmod(4), zmod(3)):
+        for k in (1, 2, 3):
+            reduce = rng.integers(0, base.order, size=(int(rng.integers(0, 2)), k)).tolist()
+            slots = k + len(reduce)
+            terms = [(*rng.integers(0, k, size=2).tolist(), s) for s in range(slots)]
+            terms += [tuple(rng.integers(0, (k, k, slots)).tolist()) for _ in range(k)]
+            terms.append(terms[0][:2] + (int(rng.integers(0, slots)),))
+            rng.shuffle(terms)
+            label = f"{terms} over {base.label}, reduce {reduce}"
+            assert_fill_matches_formula(label, lambda m: build._coord_ring(
+                base, k, [1] + [0] * (k - 1), terms, label, m, reduce))
 
 
 def test_table_ring_over_lazy_base_matches_table_twin():
@@ -934,15 +944,19 @@ def test_coordinate_generators_are_handed_down(limits):
 def test_table_build_working_set_stays_within_two_blocks():
     # Above the tables the finished ring stores, a build holds at most one
     # intp index block and one int16 block of BLOCK_ELEMENTS entries.  A
-    # degree-1 POLYQ over a big base gathers its G x G block, all of the
-    # table, by row blocks.  TE(Z/50) and UT(2, Z/20), over bases with no
-    # bit fields, take several heads in each column-fill call, filling
-    # close to a block, so one head too many there exceeds the bound.
+    # degree-1 POLYQ over a big base writes all of its table as head rows,
+    # by blocks.  TE(Z/50), UT(2, Z/20), TE(Z/45) and M(2, Z/10) sum
+    # through ADD, as their bases add no bit fields; head rows a whole
+    # block at a time take TE(Z/50) above the bound, and a NEG read off
+    # every element's coordinates takes the last two there.
     bound = core.BLOCK_ELEMENTS * (8 + 2)
     z1024, z50, z20 = zmod(1024), zmod(50, limits=TABLE), zmod(20, limits=TABLE)
+    z45, z10 = zmod(45, limits=TABLE), zmod(10, limits=TABLE)
     builds = {
         "TE(Z/50)": lambda: trivial_extension(z50, limits=TABLE),
         "UT(2, Z/20)": lambda: upper_triangular(2, z20, limits=TABLE),
+        "TE(Z/45)": lambda: trivial_extension(z45, limits=TABLE),
+        "M(2, Z/10)": lambda: matrix_ring(2, z10, limits=TABLE),
         "GF(2, 10)": lambda: gf(2, 10), "TE(Z/32)": lambda: trivial_extension(zmod(32)),
         "TE(Z/27)": lambda: trivial_extension(zmod(27)), "BT(Z/5)": lambda: bt(zmod(5)),
         "UT(3, Z/3)": lambda: upper_triangular(3, zmod(3)),
