@@ -40,7 +40,8 @@ quotients, corners and generated subrings too, is stored by
 tables up to ``limits.table_threshold``, the same formulas on demand
 above it, and ADD stored only where the MUL build makes it (the rule
 is stated in :mod:`finring.core`): here, over a coordinate base that
-adds no bit fields.
+adds no bit fields.  Each table builder here, :func:`_coord_tables` and
+:func:`product`'s, returns one (ADD or None, MUL, NEG) triple.
 
 A coordinate construction's multiplication table starts from its head
 rows, (c*e_i)*y for c = 1..q-1 and every y, written from the terms: the
@@ -56,8 +57,8 @@ from an expression is; run ``verify_axioms`` on a hand-made
 on-demand mode, and is the tests' reference for the tables.
 Over a base whose addition adds bit fields (:func:`_carry_tops`): Z/2^j,
 XOR groups such as GF(2, k) or M(m, Z/2), and products of these, x + y
-is a few bitwise operations on x and y (:func:`_bitwise_sum`), which is
-then the ring's addition in both modes and the build's sum.  Over any
+is a few bitwise operations on x and y (:func:`_bitfield_sum`), which
+is then the ring's addition in both modes and the build's sum.  Over any
 other base the build takes its sums from ADD, the k-fold Kronecker sum of
 the base's addition table.  A coordinate ring's additive generators
 (:func:`finring.analysis.generators`) are its base's, S*q^i in each
@@ -129,52 +130,53 @@ def _kron_sum(t1, t2) -> np.ndarray:
     :func:`table_dtype`.  T1's values may be narrower than the result's
     indices, so T1 * |T2| is formed in that dtype.
 
-    One broadcast addition over the 4-axis view runs its innermost loop
-    along the longer of the two column axes, c of T1 or d of T2 (when
-    |T2| < |T1| the last two axes are swapped and ``order="C"`` keeps
-    numpy from iterating the short axis innermost again), so it starts
-    n * min(|T1|, |T2|) loops for the n^2 entries.  Along full rows it
-    starts about n: row (0, b) is T2[b] repeated across the columns
-    (T1[0, c] * |T2| added last), and row (a, b) is row (0, b) plus T1[a]
-    with each entry repeated |T2| times, built a block of a at a time
-    (:func:`finring.core.block_rows`) as the one temporary.  That pays
-    from about 1024 loops saved, unless |T2| < 4, where the repeated rows
-    are runs of 2 or 3 entries (1.6x slower at (512, 2)); at (27, 27) it
-    is about 3x faster."""
+    Each addition runs its innermost loop along a whole table row: row
+    (0, b) is T2[b] repeated across the columns (T1[0, c] * |T2| added
+    last), and row (a, b) is row (0, b) plus T1[a] with each entry
+    repeated |T2| times, built a block of a at a time
+    (:func:`finring.core.block_rows`) as the one temporary, so about n
+    loops start for the n^2 entries.  On the small shapes of verify's
+    products the cost is mostly per call: about 9 us a table at (2, 2)
+    and (3, 3), 12.5 ms for C3's 638 tables, and 0.9 ms at (512, 2),
+    where the repeated runs are 2 entries long (best of 5 on a 2-vCPU
+    VM).  One 4-axis broadcast addition would save about 5 us a small
+    table, 1 ms of C3, which the benchmark cannot resolve."""
     n1, n2 = len(t1), len(t2)
     n = n1 * n2
     dtype = table_dtype(n)
     high = np.multiply(t1, n2, dtype=dtype)
     table = np.empty((n, n), dtype=dtype)
-    if n2 >= 4 and n * min(n1, n2) >= 1024:
-        rows = table.reshape(n1, n2, n)  # rows[a, b] is row a * n2 + b
-        first = rows[0]
-        first.reshape(n2, n1, n2)[...] = t2[:, None, :]  # T2[b, d] at column c * n2 + d
-        step = block_rows(n)
-        for lo in range(1, n1, step):
-            np.add(first, np.repeat(high[lo:lo + step], n2, axis=1)[:, None, :],
-                   out=rows[lo:lo + step])
-        first += np.repeat(high[0], n2)
-    else:
-        views = [high[:, None, :, None], t2[None, :, None, :], table.reshape(n1, n2, n1, n2)]
-        if n2 < n1:
-            views = [v.swapaxes(2, 3) for v in views]
-        np.add(views[0], views[1], out=views[2], order="C")
+    rows = table.reshape(n1, n2, n)  # rows[a, b] is row a * n2 + b
+    first = rows[0]
+    first.reshape(n2, n1, n2)[...] = t2[:, None, :]  # T2[b, d] at column c * n2 + d
+    step = block_rows(n)
+    for lo in range(1, n1, step):
+        np.add(first, np.repeat(high[lo:lo + step], n2, axis=1)[:, None, :],
+               out=rows[lo:lo + step])
+    first += np.repeat(high[0], n2)
     table.setflags(write=False)  # handed over, so FiniteRing need not copy it
     return table
+
+
+def _kron_neg(neg1, neg2) -> np.ndarray:
+    """The negation vector N[(a, b)] = N1[a] * |N2| + N2[b] of a direct
+    product from its factors' vectors, read-only in :func:`table_dtype`."""
+    dtype = table_dtype(len(neg1) * len(neg2))
+    return read_only(np.add.outer(np.multiply(neg1, len(neg2), dtype=dtype), neg2,
+                                  dtype=dtype).ravel())
 
 
 def _carry_tops(base: FiniteRing) -> int | None:
     """The mask ``top`` of the bits i with 2^i + 2^i = 0, when the addition
     of the ring ``base`` adds bit fields: each field's lower bits add with
-    carry into its top bit, and top bits add by XOR, so
-    a + b = ((a & ~top) + (b & ~top)) ^ ((a ^ b) & top) for every pair.
-    None when q = |base| is not a power of two or some sum differs.
+    carry into its top bit, and top bits add by XOR, so a + b is
+    :func:`_bitfield_sum` with tops ``top`` for every pair.  None when
+    q = |base| is not a power of two or some sum differs.
 
     The law is checked on x + s for every x and every additive generator
     s (:func:`finring.analysis.generators`), by blocks, q * |S| sums in
     all.  That decides every pair: both operations are associative (the
-    one on the right is addition in a product of cyclic groups 2^w, and
+    bit-field sum is addition in a product of cyclic groups 2^w, and
     plain addition on any bits above the last top), so x + y, with y a
     sum s1 + ... + sm of generators, is (..(x + s1) + ..) + sm on either
     side, and y itself the same sum from 0."""
@@ -183,25 +185,17 @@ def _carry_tops(base: FiniteRing) -> int | None:
         return None
     bits = 1 << np.arange(q.bit_length() - 1)
     top = int(bits[base.add_arr(bits, bits) == 0].sum())
-    low = (q - 1) ^ top
-
-    def fails(a, b):
-        want = (a ^ b) & top
-        want ^= (a & low) + (b & low)
-        return base.add_arr(a, b) != want
-
-    return top if first_failure(fails, np.arange(q), generators(base)) is None else None
+    want = _bitfield_sum(top, q.bit_length() - 1)
+    return top if first_failure(lambda a, b: base.add_arr(a, b) != want(a, b), np.arange(q),
+                                generators(base)) is None else None
 
 
-def _bitwise_sum(top: int, j: int, k: int):
-    """The sum of k-digit indices over a base of order 2^j whose addition
-    adds bit fields with tops ``top`` (:func:`_carry_tops`), digit by
-    digit: ((x & low) + (y & low)) ^ ((x ^ y) & high), where ``high``
-    repeats ``top`` in every j-bit digit and ``low`` = (q^k - 1) & ~high;
-    x ^ y when ``low`` is 0.  It broadcasts like a numpy ufunc and writes
-    into ``out`` when given."""
-    high = sum(top << (i * j) for i in range(k))
-    low = ((1 << (j * k)) - 1) & ~high
+def _bitfield_sum(high: int, width: int):
+    """The sum of ``width``-bit indices whose bit fields end in the tops
+    ``high``: ((x & low) + (y & low)) ^ ((x ^ y) & high), with
+    ``low`` = (2^width - 1) & ~high; x ^ y when ``low`` is 0.  It
+    broadcasts like a numpy ufunc and writes into ``out`` when given."""
+    low = ((1 << width) - 1) & ~high
     if low == 0:
         return np.bitwise_xor
 
@@ -225,22 +219,23 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
     with the base, so one formula multiplies every such ring:
     x*y = sum x_i*y_j*(e_i*e_j), each base product taken x first, then y.
     ``terms`` lists the triples (i, j, s) with e_i*e_j = e_s, and the
-    products of a slot s are summed there.  A slot s >= k is a power
-    beyond the basis: ``reduce[s - k]`` lists its coefficients over
-    e_0..e_(k-1), and the slot folds into coordinate t as
-    slot * reduce[s - k][t], coefficient on the right.  Addition and
+    products of a slot s are summed there; a slot with no term is 0.  A
+    slot s >= k is a power beyond the basis: ``reduce[s - k]`` lists its
+    coefficients over e_0..e_(k-1), and the slot folds into coordinate t
+    as slot * reduce[s - k][t], coefficient on the right.  Addition and
     negation are componentwise.  The formula is written with the base's
     broadcasting ``add_arr``/``mul_arr``, so it evaluates index arrays of
     any shape; it is the on-demand mode's multiplication.
 
     When q = 2^j and the base's addition adds bit fields, with carry-field
     tops ``top`` (:func:`_carry_tops`), the ring adds by
-    :func:`_bitwise_sum` in both storage modes.  That is exact: a field's
-    lower bits sum with carry at most into its top bit, which both
-    addends have cleared, so no carry crosses into the next field or
-    digit; the top bits then add by XOR, as 2^i + 2^i = 0 there.  Every
-    sum stays below q^k, so it fits the table's dtype.  Over any other
-    base the ring adds by the componentwise formula.
+    :func:`_bitfield_sum` with ``top`` in every j-bit digit, in both
+    storage modes.  That is exact: a field's lower bits sum with carry at
+    most into its top bit, which both addends have cleared, so no carry
+    crosses into the next field or digit; the top bits then add by XOR,
+    as 2^i + 2^i = 0 there.  Every sum stays below q^k, so it fits the
+    table's dtype.  Over any other base the ring adds by the componentwise
+    formula.
 
     In table mode MUL and NEG are built without the formula
     (:func:`_coord_tables`), a build that makes ADD over a base that adds
@@ -255,7 +250,8 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
     q = base.order
     order = limits.check_power(q, k, label)
     top = _carry_tops(base)
-    digit_sum = None if top is None else _bitwise_sum(top, q.bit_length() - 1, k)
+    digit_sum = None if top is None else _bitfield_sum(int(_encode([top] * k, q)),
+                                                       order.bit_length() - 1)
 
     @cache
     def dec():  # dec()[i][x]: coordinate i of x; made on first use, after a table build
@@ -270,10 +266,10 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
         for i, j, s in terms:
             term = base.mul_arr(xc[i], yc[j])
             slots[s] = base.add_arr(slots[s], term) if s in slots else term
-        zc = [slots[s] for s in range(k)]
+        zc = [slots.get(s, 0) for s in range(k)]
         for s, coeffs in enumerate(reduce, start=k):
             for t, c in enumerate(coeffs):
-                if c:
+                if c and s in slots:
                     zc[t] = base.add_arr(zc[t], base.mul_arr(slots[s], c))
         return _encode(zc, q)
 
@@ -291,7 +287,7 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
 def _coord_tables(base, k, terms, reduce, digit_sum):
     """(ADD or None, MUL, NEG) of :func:`_coord_ring`'s ring, built
     without the formula.  The sums are by ``digit_sum``, the ring's
-    :func:`_bitwise_sum`, when given, and ADD is then not built; else ADD
+    :func:`_bitfield_sum`, when given, and ADD is then not built; else ADD
     is the k-fold Kronecker sum of the base's addition table, and each
     sum is taken from ADD through one intp index array of its block.
 
@@ -309,8 +305,8 @@ def _coord_tables(base, k, terms, reduce, digit_sum):
     takes half a block, as on the take path it holds, beside the intp
     index array, the copy ``np.take`` makes of its strided ``out``.
 
-    NEG is componentwise, so it is the k-fold sum of the base's negation
-    vector: NEG[x] = sum neg(x_i)*q^i."""
+    NEG is componentwise, so it is the k-fold :func:`_kron_neg` of the
+    base's negation vector: NEG[x] = sum neg(x_i)*q^i."""
     q = base.order
     order = q ** k
     dtype = table_dtype(order)
@@ -364,8 +360,8 @@ def _coord_tables(base, k, terms, reduce, digit_sum):
     mul_t.setflags(write=False)  # handed over, so FiniteRing need not copy it
     neg_base, neg = base.neg_arr(every), np.zeros(1, dtype=dtype)
     for _ in range(k):  # the next coordinate, above the ones so far
-        neg = (np.multiply(neg_base[:, None], len(neg), dtype=dtype) + neg).ravel()
-    return add_t, mul_t, read_only(neg)
+        neg = _kron_neg(neg_base, neg)
+    return add_t, mul_t, neg
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +447,8 @@ def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
     """Direct product; (a, b) is encoded as a * |R2| + b and one = (1, 1).
 
     In table mode MUL is the Kronecker sum of the factors' tables,
-    MUL[(a, b), (c, d)] = MUL1[a, c] * |R2| + MUL2[b, d] (:func:`_kron_sum`).
+    MUL[(a, b), (c, d)] = MUL1[a, c] * |R2| + MUL2[b, d] (:func:`_kron_sum`),
+    and NEG that of their negation vectors (:func:`_kron_neg`).
     The formulas form a * |R2| in intp, as the factors' values may be
     narrower than the product's indices.  The additive generators S of
     the product (:func:`finring.analysis.generators`) come from its
@@ -471,7 +468,8 @@ def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
         add_fn=lambda x, y: pair(r1.add_arr(x // n2, y // n2), r2.add_arr(x % n2, y % n2)),
         mul_fn=lambda x, y: pair(r1.mul_arr(x // n2, y // n2), r2.mul_arr(x % n2, y % n2)),
         neg_fn=lambda x: pair(r1.neg_arr(x // n2), r2.neg_arr(x % n2)),
-        tables=lambda: (None, _kron_sum(r1.row_block("mul", 0, n1), r2.row_block("mul", 0, n2))),
+        tables=lambda: (None, _kron_sum(r1.row_block("mul", 0, n1), r2.row_block("mul", 0, n2)),
+                        _kron_neg(r1.neg_arr(np.arange(n1)), r2.neg_arr(np.arange(n2)))),
     )
     ring.cached("generators", lambda: read_only(np.concatenate([generators(r2), generators(r1) * n2])))
     return ring

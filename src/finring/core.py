@@ -12,12 +12,12 @@ and the tables a ring stores: everything else reads a ring through
 ``add_arr``/``mul_arr``/``neg_arr`` and :meth:`FiniteRing.blocks`.
 
 The storage rule: a ring of order at most ``Limits.table_threshold`` is
-a table ring, a larger one lazy.  A table ring stores MUL, from its
-construction's table builder where it has one and else filled from its
-multiplication formula, and NEG from its negation formula.  It stores
-ADD only where that MUL build produced it; every other table ring adds
-by its formula for its whole life, as most analyses read only a few
-sums.  What a ring stores is fixed when it is built.
+a table ring, a larger one lazy.  A table ring stores MUL and NEG, from
+its construction's table builder where it has one and else from its
+multiplication and negation formulas.  It stores ADD only where that
+build produced it; every other table ring adds by its formula for its
+whole life, as most analyses read only a few sums.  What a ring stores
+is fixed when it is built.
 
 Nothing here checks the ring axioms on construction -- that is what
 :func:`verify_axioms` is for: exact through order
@@ -344,17 +344,17 @@ def stored_ring(order: int, one: int, label: str, limits: Limits, add_fn: Callab
     """The ring with these broadcasting operations, in table mode when
     ``order`` <= ``limits.table_threshold`` and lazy above it: the one
     place that picks a ring's mode and its tables, by the rule of the
-    module docstring.  MUL comes from ``tables``, when given, else from
-    ``mul_fn`` by row blocks: ``tables`` returns (ADD or None, MUL) or
-    (ADD or None, MUL, NEG), a construction's faster build or a table
-    ring's stored tables for its relabelled twin.  NEG comes from
-    ``neg_fn`` over every element where ``tables`` gives none.  A lazy ring never calls
-    ``tables``."""
+    module docstring.  ``tables``, when given, returns (ADD or None, MUL,
+    NEG), a construction's faster build or a table ring's stored tables
+    for its relabelled twin; without it MUL comes from ``mul_fn`` by row
+    blocks and NEG from ``neg_fn`` over every element.  A lazy ring never
+    calls ``tables``."""
     if order > limits.table_threshold:
         return FiniteRing(order, one, label, add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn)
-    add_table, mul_table, *neg = tables() if tables else (None, _filled(order, mul_fn))
+    add_table, mul_table, neg_table = tables() if tables else (
+        None, _filled(order, mul_fn), neg_fn(np.arange(order)))
     return FiniteRing(order, one, label, add_table=add_table, mul_table=mul_table,
-                      neg_table=neg[0] if neg else neg_fn(np.arange(order)), add_fn=add_fn)
+                      neg_table=neg_table, add_fn=add_fn)
 
 
 class ElementSet:

@@ -623,7 +623,9 @@ def test_bitwise_sum_matches_componentwise_oracle():
             n = q ** k
             if n > 64:
                 continue
-            digit_sum = build._bitwise_sum(build._carry_tops(base), q.bit_length() - 1, k)
+            j = q.bit_length() - 1
+            high = sum(build._carry_tops(base) << (i * j) for i in range(k))  # top in every digit
+            digit_sum = build._bitfield_sum(high, j * k)
             every = np.arange(n)
             got = digit_sum(every[:, None], every)
             want = [[componentwise_sum(base, x, y, k) for y in range(n)] for x in range(n)]
@@ -681,10 +683,10 @@ def test_carry_tops_by_blocks_matches_the_whole_table_check(monkeypatch):
     assert peak <= core.BLOCK_ELEMENTS * 10, peak
 
 
-# 4-axis additions with either axis inside, and full rows from either
-# factor, (256, 4) over several blocks of T1's rows
+# one factor of size 1, runs of 2 and 3 entries, and T1's rows over
+# several blocks: (256, 4), (512, 2) and (64, 3)
 @pytest.mark.parametrize("n1, n2", [(128, 2), (2, 128), (3, 1), (1, 3), (7, 5), (2, 2), (16, 16),
-                                    (32, 32), (4, 256), (2, 512), (256, 4)])
+                                    (32, 32), (4, 256), (2, 512), (256, 4), (512, 2), (64, 3)])
 def test_kron_sum_matches_int64_reference(n1, n2):
     rng = np.random.default_rng(n1 * 1000 + n2)
     t1 = rng.integers(0, n1, size=(n1, n1)).astype(np.int16)
@@ -693,6 +695,23 @@ def test_kron_sum_matches_int64_reference(n1, n2):
     got = build._kron_sum(t1, t2)
     assert got.dtype == table_dtype(n1 * n2) and not got.flags.writeable
     assert np.array_equal(got, want.reshape(n1 * n2, n1 * n2))
+
+
+@pytest.mark.parametrize("n1, n2", [(512, 2), (256, 4)])
+def test_kron_sum_holds_t1_and_row_blocks_above_its_table(n1, n2):
+    # Above the table it returns, a Kronecker sum holds T1 * |T2| and the
+    # repeated rows of T1 it adds, one block at a time: at most two int16
+    # row blocks of BLOCK_ELEMENTS entries.
+    t1 = np.arange(n1 * n1, dtype=np.int16).reshape(n1, n1) % n1
+    t2 = np.arange(n2 * n2, dtype=np.int16).reshape(n2, n2) % n2
+    tracemalloc.start()
+    try:
+        table = build._kron_sum(t1, t2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = t1.size * table.itemsize + 2 * core.BLOCK_ELEMENTS * 2
+    assert peak - table.nbytes <= bound, peak - table.nbytes
 
 
 def test_table_build_runs_formula_on_generator_pairs_only(monkeypatch):
@@ -734,6 +753,29 @@ def test_table_build_runs_formula_on_generator_pairs_only(monkeypatch):
     assert reduce_len.count(2) == 4  # NIL(3) folds x^3 and x^4, over each base
 
 
+def test_table_builds_never_negate_every_element(monkeypatch):
+    # A product's and a coordinate ring's table builders return NEG, so
+    # neither ring calls its neg_fn over every element; a ring with no
+    # builder (Z/n, a quotient, a corner, a subring, a lazy ring's table
+    # twin) reads NEG off it.
+    inner, sizes = core.stored_ring, []
+
+    def stored_ring(order, one, label, limits, add_fn, mul_fn, neg_fn, tables=None):
+        def counting_neg(x):
+            sizes.append((label, np.size(x)))
+            return neg_fn(x)
+        return inner(order, one, label, limits, add_fn, mul_fn, counting_neg, tables=tables)
+
+    for module in (build, core):
+        monkeypatch.setattr(module, "stored_ring", stored_ring)
+    for label, make in {**AGREEMENT_CASES, **FORMULA_CASES}.items():
+        sizes.clear()
+        ring = make(TABLE)
+        assert ring.mode == "table", label
+        negated_all = (ring.label, ring.order) in sizes
+        assert negated_all == (label in FORMULA_CASES), label
+
+
 def test_table_build_sums_repeated_basis_pairs():
     # A term list may hold a pair (i, j) twice, and the formula then sums
     # both products, as the head rows sum every term of e_i.  Seeded term
@@ -749,6 +791,24 @@ def test_table_build_sums_repeated_basis_pairs():
             terms += [tuple(rng.integers(0, (k, k, slots)).tolist()) for _ in range(k)]
             terms.append(terms[0][:2] + (int(rng.integers(0, slots)),))
             rng.shuffle(terms)
+            label = f"{terms} over {base.label}, reduce {reduce}"
+            assert_fill_matches_formula(label, lambda m: build._coord_ring(
+                base, k, [1] + [0] * (k - 1), terms, label, m, reduce))
+
+
+def test_table_build_reads_an_empty_slot_as_zero():
+    # Seeded term lists that leave one coordinate slot and one folded slot
+    # without a term: the table build starts MUL at zeros, and the formula
+    # reads an empty slot as 0.  Every fold coefficient is nonzero, so the
+    # formula reads the empty folded slot too.
+    rng = np.random.default_rng(38)
+    for base in (zmod(2), zmod(4), zmod(3)):
+        for k in (2, 3):
+            reduce = rng.integers(1, base.order, size=(2, k)).tolist()
+            empty = {int(rng.integers(0, k)), k + int(rng.integers(0, 2))}
+            slots = [s for s in range(k + 2) if s not in empty]
+            terms = [(*rng.integers(0, k, size=2).tolist(), int(s))
+                     for s in slots + rng.choice(slots, size=k).tolist()]
             label = f"{terms} over {base.label}, reduce {reduce}"
             assert_fill_matches_formula(label, lambda m: build._coord_ring(
                 base, k, [1] + [0] * (k - 1), terms, label, m, reduce))
