@@ -41,7 +41,9 @@ tables up to ``limits.table_threshold``, the same formulas on demand
 above it, and ADD stored only where the MUL build makes it (the rule
 is stated in :mod:`finring.core`): here, over a coordinate base that
 adds no bit fields.  Each table builder here, :func:`_coord_tables` and
-:func:`product`'s, returns one (ADD or None, MUL, NEG) triple.
+:func:`product`'s, returns one (ADD or None, MUL) pair.  Every ring
+negates by -x = (-1)*x (see :mod:`finring.core`), so a call passes only
+the index of -1.
 
 A coordinate construction's multiplication table starts from its head
 rows, (c*e_i)*y for c = 1..q-1 and every y, written from the terms: the
@@ -59,11 +61,11 @@ Over a base whose addition adds bit fields (:func:`_carry_tops`): Z/2^j,
 XOR groups such as GF(2, k) or M(m, Z/2), and products of these, x + y
 is a few bitwise operations on x and y (:func:`_bitfield_sum`), which
 is then the ring's addition in both modes and the build's sum.  Over any
-other base the build takes its sums from ADD, the k-fold Kronecker sum of
-the base's addition table.  A coordinate ring's additive generators
-(:func:`finring.analysis.generators`) are its base's, S*q^i in each
-coordinate i.  A direct product's MUL is the Kronecker sum of its
-factors' (see :func:`product`).
+other base the build takes its sums from ADD, the k-fold Kronecker sum
+(:func:`finring.core._kron_sum`) of the base's addition table.  A
+coordinate ring's additive generators (:func:`finring.analysis.generators`)
+are its base's, S*q^i in each coordinate i.  A direct product's MUL is
+the Kronecker sum of its factors' (see :func:`product`).
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ from .core import (
     FiniteRing,
     InternalConsistencyError,
     Limits,
+    _kron_sum,
     block_rows,
     first_failure,
     grow_span,
@@ -122,48 +125,6 @@ def _encode(coords, q: int):
     for c in reversed(coords):
         acc = acc * q + np.asarray(c, dtype=np.int64)
     return acc.astype(np.int32)
-
-
-def _kron_sum(t1, t2) -> np.ndarray:
-    """The Kronecker sum T[(a, b), (c, d)] = T1[a, c] * |T2| + T2[b, d] of
-    two square operation tables, into a read-only table of
-    :func:`table_dtype`.  T1's values may be narrower than the result's
-    indices, so T1 * |T2| is formed in that dtype.
-
-    Each addition runs its innermost loop along a whole table row: row
-    (0, b) is T2[b] repeated across the columns (T1[0, c] * |T2| added
-    last), and row (a, b) is row (0, b) plus T1[a] with each entry
-    repeated |T2| times, built a block of a at a time
-    (:func:`finring.core.block_rows`) as the one temporary, so about n
-    loops start for the n^2 entries.  On the small shapes of verify's
-    products the cost is mostly per call: about 9 us a table at (2, 2)
-    and (3, 3), 12.5 ms for C3's 638 tables, and 0.9 ms at (512, 2),
-    where the repeated runs are 2 entries long (best of 5 on a 2-vCPU
-    VM).  One 4-axis broadcast addition would save about 5 us a small
-    table, 1 ms of C3, which the benchmark cannot resolve."""
-    n1, n2 = len(t1), len(t2)
-    n = n1 * n2
-    dtype = table_dtype(n)
-    high = np.multiply(t1, n2, dtype=dtype)
-    table = np.empty((n, n), dtype=dtype)
-    rows = table.reshape(n1, n2, n)  # rows[a, b] is row a * n2 + b
-    first = rows[0]
-    first.reshape(n2, n1, n2)[...] = t2[:, None, :]  # T2[b, d] at column c * n2 + d
-    step = block_rows(n)
-    for lo in range(1, n1, step):
-        np.add(first, np.repeat(high[lo:lo + step], n2, axis=1)[:, None, :],
-               out=rows[lo:lo + step])
-    first += np.repeat(high[0], n2)
-    table.setflags(write=False)  # handed over, so FiniteRing need not copy it
-    return table
-
-
-def _kron_neg(neg1, neg2) -> np.ndarray:
-    """The negation vector N[(a, b)] = N1[a] * |N2| + N2[b] of a direct
-    product from its factors' vectors, read-only in :func:`table_dtype`."""
-    dtype = table_dtype(len(neg1) * len(neg2))
-    return read_only(np.add.outer(np.multiply(neg1, len(neg2), dtype=dtype), neg2,
-                                  dtype=dtype).ravel())
 
 
 def _carry_tops(base: FiniteRing) -> int | None:
@@ -222,10 +183,10 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
     products of a slot s are summed there; a slot with no term is 0.  A
     slot s >= k is a power beyond the basis: ``reduce[s - k]`` lists its
     coefficients over e_0..e_(k-1), and the slot folds into coordinate t
-    as slot * reduce[s - k][t], coefficient on the right.  Addition and
-    negation are componentwise.  The formula is written with the base's
-    broadcasting ``add_arr``/``mul_arr``, so it evaluates index arrays of
-    any shape; it is the on-demand mode's multiplication.
+    as slot * reduce[s - k][t], coefficient on the right.  Addition is
+    componentwise.  The formula is written with the base's broadcasting
+    ``add_arr``/``mul_arr``, so it evaluates index arrays of any shape;
+    it is the on-demand mode's multiplication.
 
     When q = 2^j and the base's addition adds bit fields, with carry-field
     tops ``top`` (:func:`_carry_tops`), the ring adds by
@@ -237,9 +198,9 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
     table's dtype.  Over any other base the ring adds by the componentwise
     formula.
 
-    In table mode MUL and NEG are built without the formula
+    In table mode MUL is built without the formula
     (:func:`_coord_tables`), a build that makes ADD over a base that adds
-    no bit fields.
+    no bit fields.  -1 is the base's -1 in every coordinate of 1.
 
     In both modes the additive generators S (:func:`finring.analysis.generators`)
     are handed down: S(base)*q^i for i < k, ascending as no S holds 0.
@@ -273,11 +234,8 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
                     zc[t] = base.add_arr(zc[t], base.mul_arr(slots[s], c))
         return _encode(zc, q)
 
-    def neg_fn(x):
-        return _encode([base.neg_arr(a[x]) for a in dec()], q)
-
     ring = stored_ring(order, int(_encode(one_coords, q)), label, limits, digit_sum or add_fn,
-                       mul_fn, neg_fn,
+                       mul_fn, int(_encode(base.neg_arr(np.array(one_coords)), q)),
                        tables=lambda: _coord_tables(base, k, terms, reduce, digit_sum))
     ring.cached("generators",
                 lambda: read_only(np.concatenate([generators(base) * q ** i for i in range(k)])))
@@ -285,7 +243,7 @@ def _coord_ring(base, k, one_coords, terms, label, limits, reduce=()):
 
 
 def _coord_tables(base, k, terms, reduce, digit_sum):
-    """(ADD or None, MUL, NEG) of :func:`_coord_ring`'s ring, built
+    """(ADD or None, MUL) of :func:`_coord_ring`'s ring, built
     without the formula.  The sums are by ``digit_sum``, the ring's
     :func:`_bitfield_sum`, when given, and ADD is then not built; else ADD
     is the k-fold Kronecker sum of the base's addition table, and each
@@ -303,10 +261,7 @@ def _coord_tables(base, k, terms, reduce, digit_sum):
     block (:func:`finring.core.block_rows`, read at call time); a weight
     step longer than a block takes several blocks per head.  A head call
     takes half a block, as on the take path it holds, beside the intp
-    index array, the copy ``np.take`` makes of its strided ``out``.
-
-    NEG is componentwise, so it is the k-fold :func:`_kron_neg` of the
-    base's negation vector: NEG[x] = sum neg(x_i)*q^i."""
+    index array, the copy ``np.take`` makes of its strided ``out``."""
     q = base.order
     order = q ** k
     dtype = table_dtype(order)
@@ -358,10 +313,7 @@ def _coord_tables(base, k, terms, reduce, digit_sum):
                 hi = min(w, lo + rows)
                 digit_sum(mul_t[None, lo:hi], mul_t[c * w:(c + h) * w:w, None], out=out[:, lo:hi])
     mul_t.setflags(write=False)  # handed over, so FiniteRing need not copy it
-    neg_base, neg = base.neg_arr(every), np.zeros(1, dtype=dtype)
-    for _ in range(k):  # the next coordinate, above the ones so far
-        neg = _kron_neg(neg_base, neg)
-    return add_t, mul_t, neg
+    return add_t, mul_t
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +328,7 @@ def zmod(n: int, *, label: str | None = None, limits: Limits = DEFAULT_LIMITS) -
     limits.check_order(n, label)
     # x - (n - y) lies in (-n, n), so int16 table values add without overflow
     return stored_ring(n, 1, label, limits, add_fn=lambda x, y: (x - (n - y)) % n,
-                       mul_fn=lambda x, y: (x * y) % n, neg_fn=lambda x: (-x) % n)
+                       mul_fn=lambda x, y: (x * y) % n, neg_one=n - 1)
 
 
 def is_prime(p: int) -> bool:
@@ -447,13 +399,13 @@ def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
     """Direct product; (a, b) is encoded as a * |R2| + b and one = (1, 1).
 
     In table mode MUL is the Kronecker sum of the factors' tables,
-    MUL[(a, b), (c, d)] = MUL1[a, c] * |R2| + MUL2[b, d] (:func:`_kron_sum`),
-    and NEG that of their negation vectors (:func:`_kron_neg`).
-    The formulas form a * |R2| in intp, as the factors' values may be
-    narrower than the product's indices.  The additive generators S of
-    the product (:func:`finring.analysis.generators`) come from its
-    factors': (0, t) and (s, 0) generate (R1 x R2, +), and S(R2)
-    followed by S(R1)*|R2| is already ascending, as no S holds 0.
+    MUL[(a, b), (c, d)] = MUL1[a, c] * |R2| + MUL2[b, d]
+    (:func:`finring.core._kron_sum`), and -1 is (-1, -1).  The formulas
+    form a * |R2| in intp, as the factors' values may be narrower than
+    the product's indices.  The additive generators S of the product
+    (:func:`finring.analysis.generators`) come from its factors': (0, t)
+    and (s, 0) generate (R1 x R2, +), and S(R2) followed by S(R1)*|R2| is
+    already ascending, as no S holds 0.
     """
     label = label or f"{r1.label} x {r2.label}"
     order = r1.order * r2.order
@@ -467,9 +419,8 @@ def product(r1: FiniteRing, r2: FiniteRing, *, label: str | None = None,
         order, r1.one * n2 + r2.one, label, limits,
         add_fn=lambda x, y: pair(r1.add_arr(x // n2, y // n2), r2.add_arr(x % n2, y % n2)),
         mul_fn=lambda x, y: pair(r1.mul_arr(x // n2, y // n2), r2.mul_arr(x % n2, y % n2)),
-        neg_fn=lambda x: pair(r1.neg_arr(x // n2), r2.neg_arr(x % n2)),
-        tables=lambda: (None, _kron_sum(r1.row_block("mul", 0, n1), r2.row_block("mul", 0, n2)),
-                        _kron_neg(r1.neg_arr(np.arange(n1)), r2.neg_arr(np.arange(n2)))),
+        neg_one=r1.neg(r1.one) * n2 + r2.neg(r2.one),
+        tables=lambda: (None, _kron_sum(r1.row_block("mul", 0, n1), r2.row_block("mul", 0, n2))),
     )
     ring.cached("generators", lambda: read_only(np.concatenate([generators(r2), generators(r1) * n2])))
     return ring
@@ -592,8 +543,9 @@ def group_ring(base: FiniteRing, group: GroupTable, *, label: str | None = None,
 
 def _induced_ring(ring: FiniteRing, lift: np.ndarray, down: np.ndarray, one: int, label: str,
                   limits: Limits) -> FiniteRing:
-    """The ring on 0..len(lift)-1 with a op b = down[lift[a] op lift[b]]
-    and identity down[one], stored by :func:`finring.core.stored_ring`.
+    """The ring on 0..len(lift)-1 with a op b = down[lift[a] op lift[b]],
+    identity down[one] and -1 at down[-one], stored by
+    :func:`finring.core.stored_ring`.
 
     When the derived ring is all of ``ring`` (len(lift) == ring.order:
     R/{0}, the corner at 1, a subring equal to R), lift and down are the
@@ -607,7 +559,7 @@ def _induced_ring(ring: FiniteRing, lift: np.ndarray, down: np.ndarray, one: int
         return stored_ring(len(lift), int(down[one]), label, limits,
                            add_fn=lambda a, b: down[ring.add_arr(lift[a], lift[b])],
                            mul_fn=lambda a, b: down[ring.mul_arr(lift[a], lift[b])],
-                           neg_fn=lambda a: down[ring.neg_arr(lift[a])])
+                           neg_one=int(down[ring.neg_arr(one)]))
     except ArgumentError:  # a -1 from down: an operation left the lifted set
         raise InternalConsistencyError(
             f"{label}: member set is not closed under the inherited operations") from None

@@ -12,12 +12,13 @@ and the tables a ring stores: everything else reads a ring through
 ``add_arr``/``mul_arr``/``neg_arr`` and :meth:`FiniteRing.blocks`.
 
 The storage rule: a ring of order at most ``Limits.table_threshold`` is
-a table ring, a larger one lazy.  A table ring stores MUL and NEG, from
-its construction's table builder where it has one and else from its
-multiplication and negation formulas.  It stores ADD only where that
-build produced it; every other table ring adds by its formula for its
-whole life, as most analyses read only a few sums.  What a ring stores
-is fixed when it is built.
+a table ring, a larger one lazy.  A table ring stores MUL, from its
+construction's table builder where it has one and else from its
+multiplication formula, and ADD only where that build produced it;
+every other table ring adds by its formula for its whole life, as most
+analyses read only a few sums.  Every ring negates by -x = (-1)*x: a
+table ring's NEG is a view of row -1 of MUL, and a lazy ring multiplies
+by -1.  What a ring stores is fixed when it is built.
 
 Nothing here checks the ring axioms on construction -- that is what
 :func:`verify_axioms` is for: exact through order
@@ -154,7 +155,7 @@ class FiniteRing:
     is a new table filled from it on each read.  A value read from a
     table enters arithmetic only after a cast to a wider dtype.  Without
     ``neg_table`` the negation table is read off the addition table, an
-    n^2 pass; the constructions pass theirs.  In lazy mode
+    n^2 pass; :func:`stored_ring` passes row -1 of MUL.  In lazy mode
     ``add_fn``/``mul_fn``/``neg_fn`` compute the operations from
     construction data and must broadcast over numpy int arrays (and
     accept plain ints) like numpy's own operators.
@@ -223,9 +224,9 @@ class FiniteRing:
     def table(self, op: str) -> np.ndarray:
         """The whole ``op`` ("add" or "mul") table in :func:`table_dtype`:
         the stored one, else a new one filled from the formula and
-        range-checked (:func:`_filled`)."""
+        range-checked (:func:`_filled`, :func:`check_entries`)."""
         stored, fn = (self._stored_add, self.add_arr) if op == "add" else (self.mul_table, self.mul_arr)
-        return _filled(self.order, fn) if stored is None else stored
+        return check_entries(_filled(self.order, fn), self.order) if stored is None else stored
 
     def cached(self, key, compute: Callable):
         """The value cached under ``key``, set to ``compute()`` on the first
@@ -322,39 +323,73 @@ class FiniteRing:
         its own, stored by :func:`stored_ring`'s rule; a table twin of a
         table ring shares the tables it stores."""
         def tables():
-            return self._stored_add, self.mul_table, self.neg_table
+            return self._stored_add, self.mul_table
         return stored_ring(self.order, self.one, label, limits, self.add_arr, self.mul_arr,
-                           self.neg_arr, tables=tables if self.mode == "table" else None)
+                           self.neg(self.one), tables=tables if self.mode == "table" else None)
 
 
 def _filled(order: int, op: Callable) -> np.ndarray:
-    """The order x order table of the broadcasting ``op``, filled by row
-    blocks straight into :func:`table_dtype` and range-checked by
-    :func:`_freeze`."""
+    """The read-only order x order table of the broadcasting ``op``,
+    filled by row blocks straight into :func:`table_dtype`; the caller
+    range-checks it."""
     table = np.empty((order, order), dtype=table_dtype(order))
     every, step = np.arange(order), block_rows(order)
     for lo in range(0, order, step):
         table[lo:lo + step] = op(every[lo:lo + step, None], every[None, :])
     table.setflags(write=False)
-    return _freeze(table, (order, order), "operation tables must be order x order")
+    return table
+
+
+def _kron_sum(t1, t2) -> np.ndarray:
+    """The Kronecker sum T[(a, b), (c, d)] = T1[a, c] * |T2| + T2[b, d] of
+    two square operation tables, into a read-only table of
+    :func:`table_dtype`.  T1's values may be narrower than the result's
+    indices, so T1 * |T2| is formed in that dtype.
+
+    Each addition runs its innermost loop along a whole table row: row
+    (0, b) is T2[b] repeated across the columns (T1[0, c] * |T2| added
+    last), and row (a, b) is row (0, b) plus T1[a] with each entry
+    repeated |T2| times, built a block of a at a time (:func:`block_rows`)
+    as the one temporary, so about n loops start for the n^2 entries.  On
+    verify's small products the cost is mostly per call: about 9 us a
+    table at (2, 2) and (3, 3), 12.5 ms for C3's 638 tables, and 0.9 ms
+    at (512, 2), where the repeated runs are 2 entries long (best of 5 on
+    a 2-vCPU VM).  One 4-axis broadcast addition would save about 5 us a
+    small table, 1 ms of C3, which the benchmark cannot resolve."""
+    n1, n2 = len(t1), len(t2)
+    n = n1 * n2
+    dtype = table_dtype(n)
+    high = np.multiply(t1, n2, dtype=dtype)
+    table = np.empty((n, n), dtype=dtype)
+    rows = table.reshape(n1, n2, n)  # rows[a, b] is row a * n2 + b
+    first = rows[0]
+    first.reshape(n2, n1, n2)[...] = t2[:, None, :]  # T2[b, d] at column c * n2 + d
+    step = block_rows(n)
+    for lo in range(1, n1, step):
+        np.add(first, np.repeat(high[lo:lo + step], n2, axis=1)[:, None, :],
+               out=rows[lo:lo + step])
+    first += np.repeat(high[0], n2)
+    table.setflags(write=False)  # handed over, so FiniteRing need not copy it
+    return table
 
 
 def stored_ring(order: int, one: int, label: str, limits: Limits, add_fn: Callable,
-                mul_fn: Callable, neg_fn: Callable, tables: Callable | None = None) -> FiniteRing:
-    """The ring with these broadcasting operations, in table mode when
-    ``order`` <= ``limits.table_threshold`` and lazy above it: the one
-    place that picks a ring's mode and its tables, by the rule of the
-    module docstring.  ``tables``, when given, returns (ADD or None, MUL,
-    NEG), a construction's faster build or a table ring's stored tables
-    for its relabelled twin; without it MUL comes from ``mul_fn`` by row
-    blocks and NEG from ``neg_fn`` over every element.  A lazy ring never
-    calls ``tables``."""
+                mul_fn: Callable, neg_one: int, tables: Callable | None = None) -> FiniteRing:
+    """The ring with these broadcasting operations and -1 at ``neg_one``,
+    in table mode when ``order`` <= ``limits.table_threshold`` and lazy
+    above it: the one place that picks a ring's mode and its tables, by
+    the rule of the module docstring.  ``tables``, when given, returns
+    (ADD or None, MUL), a construction's faster build or a table ring's
+    stored tables for its relabelled twin, and a lazy ring never calls
+    it; without it MUL comes from ``mul_fn`` by row blocks.  NEG is the
+    row MUL[neg_one], a read-only view kept with no copy; a lazy ring
+    negates by ``mul_fn(neg_one, x)``."""
     if order > limits.table_threshold:
-        return FiniteRing(order, one, label, add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn)
-    add_table, mul_table, neg_table = tables() if tables else (
-        None, _filled(order, mul_fn), neg_fn(np.arange(order)))
+        return FiniteRing(order, one, label, add_fn=add_fn, mul_fn=mul_fn,
+                          neg_fn=lambda x: mul_fn(neg_one, x))
+    add_table, mul_table = tables() if tables else (None, _filled(order, mul_fn))
     return FiniteRing(order, one, label, add_table=add_table, mul_table=mul_table,
-                      neg_table=neg_table, add_fn=add_fn)
+                      neg_table=mul_table[neg_one], add_fn=add_fn)
 
 
 class ElementSet:

@@ -19,7 +19,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import DEFAULT_GROUP_MAX, ArgumentError, LimitError, _freeze, first_failure
+from .core import DEFAULT_GROUP_MAX, ArgumentError, LimitError, _freeze, _kron_sum, first_failure
 
 
 class GroupTable:
@@ -71,14 +71,10 @@ def cyclic(n: int) -> GroupTable:
 
 
 def group_product(g: GroupTable, h: GroupTable) -> GroupTable:
-    """Direct product; element (a, b) is encoded as a * |H| + b."""
+    """Direct product, the Kronecker sum of the tables: (a, b) is encoded as a * |H| + b."""
     label = f"{g.label} x {h.label}"
-    order = g.order * h.order
-    _check_group_order(order, label)
-    a = np.arange(order) // h.order
-    b = np.arange(order) % h.order
-    table = g.table[np.ix_(a, a)] * h.order + h.table[np.ix_(b, b)]
-    return GroupTable(table, label)
+    _check_group_order(g.order * h.order, label)
+    return GroupTable(_kron_sum(g.table, h.table), label)
 
 
 def _from_elements(elements: list, compose, label: str) -> GroupTable:

@@ -470,6 +470,14 @@ def subgroup_closure(group, a: int) -> list[int]:
     return sorted(members)
 
 
+def group_product_oracle(g, h) -> np.ndarray:
+    """The Cayley table of g x h, (a, b) at a * |H| + b, by gathering
+    each factor's table at every pair of the product's coordinates."""
+    every = np.arange(g.order * h.order)
+    a, b = every // h.order, every % h.order
+    return g.table[np.ix_(a, a)].astype(np.int64) * h.order + h.table[np.ix_(b, b)]
+
+
 def cyclic_subgroups_oracle(group) -> list[tuple]:
     """(label, order, table) of each distinct <a> in order of its first
     generator a, relabeled on its sorted members, then of the group

@@ -542,6 +542,33 @@ def test_formula_filled_rings_store_only_mul_and_neg(limits):
         assert ring.add_table is not sums and np.array_equal(ring.add_table, sums), label
 
 
+def test_a_formula_fill_is_range_checked_once(monkeypatch):
+    # core.stored_ring hands the MUL it fills from the formula to the
+    # constructor, whose freeze range-checks it; the fill checks nothing
+    checks, fills = core.check_entries, []
+
+    def check_entries(arr, order):
+        if fills and arr.shape == (order, order):
+            fills[-1][1] += 1
+        return checks(arr, order)
+
+    def stored_ring(*args, tables=None, inner=core.stored_ring, **kwargs):
+        call = [False, 0]  # a formula fill, its checks of an order x order table
+        fills.append(call)
+        ring = inner(*args, tables=tables, **kwargs)
+        call[0] = tables is None and ring.mode == "table"
+        return ring
+
+    monkeypatch.setattr(core, "check_entries", check_entries)
+    for module in (build, core):
+        monkeypatch.setattr(module, "stored_ring", stored_ring)
+    for label, make in FORMULA_CASES.items():
+        fills.clear()
+        assert make(TABLE).mode == "table", label
+        counts = [count for formula, count in fills if formula]
+        assert counts and counts == [1] * len(counts), (label, counts)
+
+
 @pytest.mark.parametrize("limits", [TABLE, LAZY], ids=["table", "lazy"])
 def test_what_a_ring_stores_is_fixed_at_construction(limits, monkeypatch):
     # the axiom check, the analyses, the table dumps and an add_table read
@@ -692,7 +719,7 @@ def test_kron_sum_matches_int64_reference(n1, n2):
     t1 = rng.integers(0, n1, size=(n1, n1)).astype(np.int16)
     t2 = rng.integers(0, n2, size=(n2, n2)).astype(np.int16)
     want = t1.astype(np.int64)[:, None, :, None] * n2 + t2[None, :, None, :]
-    got = build._kron_sum(t1, t2)
+    got = core._kron_sum(t1, t2)
     assert got.dtype == table_dtype(n1 * n2) and not got.flags.writeable
     assert np.array_equal(got, want.reshape(n1 * n2, n1 * n2))
 
@@ -706,7 +733,7 @@ def test_kron_sum_holds_t1_and_row_blocks_above_its_table(n1, n2):
     t2 = np.arange(n2 * n2, dtype=np.int16).reshape(n2, n2) % n2
     tracemalloc.start()
     try:
-        table = build._kron_sum(t1, t2)
+        table = core._kron_sum(t1, t2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -753,27 +780,19 @@ def test_table_build_runs_formula_on_generator_pairs_only(monkeypatch):
     assert reduce_len.count(2) == 4  # NIL(3) folds x^3 and x^4, over each base
 
 
-def test_table_builds_never_negate_every_element(monkeypatch):
-    # A product's and a coordinate ring's table builders return NEG, so
-    # neither ring calls its neg_fn over every element; a ring with no
-    # builder (Z/n, a quotient, a corner, a subring, a lazy ring's table
-    # twin) reads NEG off it.
-    inner, sizes = core.stored_ring, []
-
-    def stored_ring(order, one, label, limits, add_fn, mul_fn, neg_fn, tables=None):
-        def counting_neg(x):
-            sizes.append((label, np.size(x)))
-            return neg_fn(x)
-        return inner(order, one, label, limits, add_fn, mul_fn, counting_neg, tables=tables)
-
-    for module in (build, core):
-        monkeypatch.setattr(module, "stored_ring", stored_ring)
-    for label, make in {**AGREEMENT_CASES, **FORMULA_CASES}.items():
-        sizes.clear()
-        ring = make(TABLE)
+def test_table_rings_negate_by_row_minus_one_of_mul():
+    # -x = (-1)*x in any ring, so every table ring core.stored_ring builds
+    # keeps NEG as a view of one MUL row: built by a construction, filled
+    # from a formula, derived from a parent equal to it, or a table ring's
+    # twin.  Each NEG is the brute additive inverse read off ADD.
+    ut = upper_triangular(2, zmod(4))
+    rings = {label: make(TABLE) for label, make in {**AGREEMENT_CASES, **FORMULA_CASES}.items()}
+    rings.update({f"identity {name}": ring for name, ring in identity_derived(ut, TABLE).items()})
+    rings["UT(2, Z/4) twin"] = ut.relabelled("UT(2, Z/4) twin", TABLE)
+    for label, ring in rings.items():
         assert ring.mode == "table", label
-        negated_all = (ring.label, ring.order) in sizes
-        assert negated_all == (label in FORMULA_CASES), label
+        assert np.shares_memory(ring.neg_table, ring.mul_table), label
+        assert np.array_equal(ring.neg_table, np.argmax(ring.add_table == 0, axis=1)), label
 
 
 def test_table_build_sums_repeated_basis_pairs():
@@ -861,12 +880,15 @@ def identity_derived(ring, limits):
 
 
 def test_identity_derived_table_rings_share_storage_with_a_cache_of_their_own():
-    # UT(2, Z/4) stores MUL and NEG, UT(2, Z/3) its ADD as well
+    # UT(2, Z/4) stores MUL, UT(2, Z/3) its ADD as well; each ring's NEG is
+    # a view of the MUL it shares, so nothing is copied
     for parent in (upper_triangular(2, zmod(4)), upper_triangular(2, zmod(3))):
         parent_units = units(parent)
         for name, ring in identity_derived(parent, DEFAULT_LIMITS).items():
             assert ring.mode == "table" and ring.label != parent.label, name
-            assert list(map(id, stored_tables(ring))) == list(map(id, stored_tables(parent))), name
+            assert ring.mul_table is parent.mul_table, name
+            assert ring._stored_add is parent._stored_add, name
+            assert ring.neg_table.base is parent.mul_table, name
             assert (ring.order, ring.one) == (parent.order, parent.one)
             assert units(ring) is not parent_units
             assert units(ring).indices() == parent_units.indices()

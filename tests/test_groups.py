@@ -1,5 +1,6 @@
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from finring import ArgumentError, LimitError
@@ -13,7 +14,7 @@ from finring.groups import (
     symmetric_3,
 )
 
-from helpers import cyclic_subgroups_oracle
+from helpers import cyclic_subgroups_oracle, group_product_oracle
 
 
 def element_orders(g) -> list[int]:
@@ -56,6 +57,9 @@ def test_group_product_encoding():
     # (a1, b1) * (a2, b2) with (a, b) -> a*2 + b
     assert klein.op(1, 2) == 3
     assert all(klein.op(x, x) == 0 for x in range(4))
+    # the Kronecker sum of the factor tables, against the gathering oracle
+    for g, h in ((cyclic(2), cyclic(2)), (dihedral_4(), cyclic(2)), (quaternion_8(), cyclic(2))):
+        assert np.array_equal(group_product(g, h).table, group_product_oracle(g, h)), (g.label, h.label)
 
 
 def test_validation_rejects_bad_tables():
